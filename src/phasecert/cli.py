@@ -28,8 +28,9 @@ from .exceptions import PhasecertError, ScenarioParseError, \
 from .grammar import parse_expr
 from .normalop import NormalOperatorSpec, apply_normal_op
 from .phase import GeneratingPhase
-from .runner import (RunReport, CheckOutcome, check_golden, load_scenario,
-                     render_report, run_scenario, write_report)
+from .runner import (RunReport, CheckOutcome, check_golden, jsonable,
+                     load_scenario, render_report, run_scenario,
+                     write_report)
 from .schwartz import catalog as schwartz_catalog
 from .sgphase import calibrate
 from .symbols import SymbolFn
@@ -79,7 +80,8 @@ def cmd_calibrate(args) -> int:
     cal = calibrate(phase)
     payload = cal.as_dict()
     payload["scenario"] = sc.name
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    text = json.dumps(jsonable(payload), sort_keys=True, indent=1,
+                      allow_nan=False)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -127,7 +129,7 @@ def cmd_catalog(args) -> int:
             print(name)
         return 0
     payload = cat.emit(args.name)
-    text = json.dumps(payload, indent=1, sort_keys=True)
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
     if args.out:
         out = Path(args.out)
         if out.is_dir():

@@ -506,16 +506,18 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 
 def dag_size(e: Expr) -> int:
-    """Number of unique nodes reachable from e."""
-    seen = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node.children())
-    return len(seen)
+    """Number of unique nodes reachable from e (counted once per node)."""
+    if e._size is None:
+        seen = set()
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.children())
+        e._size = len(seen)
+    return e._size
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +832,14 @@ def _bump_eval(s, order: int):
     return np.where(mask, val, 0.0)
 
 
+def _lookup(env, name: str):
+    # a structured sample array reports a missing field as ValueError
+    try:
+        return env[name]
+    except (KeyError, ValueError):
+        raise KeyError(f"no value bound for variable {name!r}") from None
+
+
 def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
     regs: list = [None] * prog.n_regs
     remaining = prog.consumers[:]
@@ -846,10 +856,7 @@ def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
             if op == _CONST:
                 val = np.float64(aux)
             elif op == _VAR:
-                try:
-                    val = env[aux]
-                except KeyError:
-                    raise KeyError(f"no value bound for variable {aux!r}")
+                val = _lookup(env, aux)
             elif op == _SUM:
                 val = regs[srcs[0]]
                 for s in srcs[1:]:
@@ -910,7 +917,7 @@ def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
             elif op == _NORM:
                 acc = np.float64(0.0)
                 for name in aux:
-                    x = env[name]
+                    x = _lookup(env, name)
                     acc = acc + np.asarray(x, dtype=np.float64)**2
                 bad = acc == 0.0
                 if np.any(bad):
@@ -953,14 +960,6 @@ def eval_array_many(exprs: list[Expr], values: dict) -> list:
 def evaluate(e: Expr, point: dict[str, float]) -> float:
     """Deterministic scalar evaluation; rejects singular-locus points."""
     return float(eval_array(e, point))
-
-
-def singular_at(e: Expr, point: dict[str, float]) -> bool:
-    try:
-        evaluate(e, point)
-        return False
-    except SingularLocusError:
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -1036,8 +1035,11 @@ def fd_crosscheck(e: Expr, point: dict[str, float], v: str,
 def homogeneity_residual(e: Expr, fiber_vars: set[str], degree: float,
                          points: list[dict[str, float]],
                          lambdas=(2.0, 10.0, 100.0)) -> float:
-    """Worst relative error of eval(lambda*xi) against lambda^d * eval(xi)."""
-    worst = 0.0
+    """Worst relative error of eval(lambda*xi) against lambda^d * eval(xi).
+
+    A non-finite error anywhere makes the result NaN or inf.
+    """
+    errs = []
     for p in points:
         base = evaluate(e, p)
         for lam in lambdas:
@@ -1045,5 +1047,5 @@ def homogeneity_residual(e: Expr, fiber_vars: set[str], degree: float,
                  for k, val in p.items()}
             target = lam**degree * base
             got = evaluate(e, q)
-            worst = max(worst, abs(got - target) / max(1.0, abs(target)))
-    return worst
+            errs.append(abs(got - target) / max(1.0, abs(target)))
+    return float(np.max(errs, initial=0.0))

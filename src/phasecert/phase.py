@@ -21,8 +21,9 @@ from .exceptions import (BoundaryFlatnessError, GraphMismatchError,
                          SignChangeError, SingularAxisError,
                          SingularLocusError)
 from .symbols import SymbolFn, TransmissionReport, check_transmission
-from .symplectic import (SymplectoMap, CheckReport, collar_samples,
-                         cotangential_vars, tangential_vars)
+from .symplectic import (SymplectoMap, CheckReport, as_samples,
+                         collar_samples, cotangential_vars, point_at, sup,
+                         tangential_vars)
 
 
 @dataclass
@@ -72,43 +73,31 @@ def boundary_phase(psi: ex.Expr, n: int = 2, tol: float = 1e-10,
     cvars = cotangential_vars(n)
     restricted = ex.substitute(psi, {"xn": 0.0})
 
-    kn_resid = 0.0
     base = {f"x{i}": xprime_samples for i in range(1, n)}
-    xi_samples = np.array([-1.5, -0.4, 0.8, 2.0])
-    for kv in np.array([-3.0, -1.0, 2.0, 5.0]):
-        env = dict(base)
-        for c in cvars:
-            env[c] = xi_samples[:, None] if n == 2 else xi_samples[:, None]
-        env["kn"] = kv
-        envb = {k: v for k, v in env.items() if k != "kn"}
-        shape = (len(xi_samples), len(xprime_samples))
-        a = np.broadcast_to(ex.eval_array(restricted, env), shape)
-        b = np.broadcast_to(ex.eval_array(psi_b, envb), shape)
-        kn_resid = max(kn_resid, float(np.max(np.abs(a - b))))
-    if kn_resid > tol:
+    env = base | {c: np.array([-1.5, -0.4, 0.8, 2.0])[:, None] for c in cvars}
+    shape = (4, len(xprime_samples))
+
+    def sup_abs(values) -> float:       # NaN-strict
+        return float(np.max(np.abs(np.broadcast_to(values, shape))))
+
+    kn_resid = float(np.max([
+        sup_abs(ex.eval_array(restricted, env | {"kn": kv})
+                - ex.eval_array(psi_b, env))
+        for kv in (-3.0, -1.0, 2.0, 5.0)]))
+    if not kn_resid <= tol:
         raise BoundaryFlatnessError(
             f"boundary restriction depends on xi_n (residual {kn_resid:.2e})")
 
-    lin_resid = 0.0
-    for c1 in cvars:
-        for c2 in cvars:
-            d2 = ex.differentiate(ex.differentiate(psi_b, c1), c2)
-            env = dict(base)
-            for c in cvars:
-                env[c] = xi_samples[:, None]
-            vals = np.broadcast_to(
-                ex.eval_array(d2, env),
-                (len(xi_samples), len(xprime_samples)))
-            lin_resid = max(lin_resid, float(np.max(np.abs(vals))))
+    lin_resid = float(np.max([
+        sup_abs(ex.eval_array(
+            ex.differentiate(ex.differentiate(psi_b, c1), c2), env))
+        for c1 in cvars for c2 in cvars], initial=0.0))
 
     # psi(x', 0, 0, xi_n) must vanish identically
-    zero_resid = 0.0
     at_zero = ex.substitute(restricted, {c: 0.0 for c in cvars})
-    for kv in (-2.0, 1.0, 3.0):
-        vals = np.abs(np.broadcast_to(
-            ex.eval_array(at_zero, {**base, "kn": kv}),
-            xprime_samples.shape))
-        zero_resid = max(zero_resid, float(np.max(vals)))
+    zero_resid = float(np.max([
+        sup_abs(ex.eval_array(at_zero, base | {"kn": kv}))
+        for kv in (-2.0, 1.0, 3.0)]))
 
     diag = {"xi_n_residual": kn_resid, "linearity_residual": lin_resid,
             "zero_section_residual": zero_resid, "tol": tol,
@@ -120,33 +109,27 @@ def boundary_phase(psi: ex.Expr, n: int = 2, tol: float = 1e-10,
 def check_generating(phase: GeneratingPhase, chi: SymplectoMap,
                      samples=None, tol: float = 1e-8) -> CheckReport:
     """Graph consistency: with y := grad_xi psi(x, eta), the map must send
-    (y, eta) to (x, grad_x psi(x, eta)) within tol."""
+    (y, eta) to (x, grad_x psi(x, eta)) within tol.
+
+    samples is a sample array of (x, eta) points; both gradients and the
+    map run once over all of them, and the residual is NaN-strict.
+    """
     if samples is None:
         samples = collar_samples(chi, count=200, seed=13, eta_top=6.0)
     n = phase.n
-    tv = tangential_vars(n)
-    cv = cotangential_vars(n)
-    gxi = phase.grad_xi()
-    gx = phase.grad_x()
-    worst, worst_p = 0.0, None
-    for p in samples:
-        # p carries (x, eta) in the shared names
-        y = [ex.evaluate(g, p) for g in gxi]
-        xi = [ex.evaluate(g, p) for g in gx]
-        src = {tv[i]: y[i] for i in range(n - 1)}
-        src["xn"] = y[-1]
-        for c in cv + ["kn"]:
-            src[c] = p[c]
-        got = chi.eval_at(src)
-        res = 0.0
-        for i, t in enumerate(tv):
-            res = max(res, abs(got[t] - p[t]))
-        res = max(res, abs(got["xn"] - p["xn"]))
-        for i, c in enumerate(cv):
-            res = max(res, abs(got[c] - xi[i]))
-        res = max(res, abs(got["kn"] - xi[-1]))
-        if res > worst:
-            worst, worst_p = res, p
+    count = len(samples)
+    base = tangential_vars(n) + ["xn"]
+    fiber = cotangential_vars(n) + ["kn"]
+    # samples carry (x, eta) in the shared names
+    grads = ex.eval_array_many(phase.grad_xi() + phase.grad_x(), samples)
+    y, xi = grads[:n], grads[n:]
+    src = dict(zip(base, y)) | {c: samples[c] for c in fiber}
+    got = ex.eval_array_many([chi.components[v] for v in base + fiber], src)
+    want = [samples[v] for v in base] + xi
+    res = np.max([np.abs(np.broadcast_to(g - w, (count,)))
+                  for g, w in zip(got, want)], axis=0)
+    worst, i = sup(res, count)
+    worst_p = point_at(samples, i)
     rep = CheckReport("generating", worst, tol, worst_p)
     if not rep.passed:
         raise GraphMismatchError(
@@ -158,38 +141,38 @@ def check_nondegeneracy(phase: GeneratingPhase, grid=None,
                         floor: float = 1e-3) -> CheckReport:
     """min |d2 psi / dx_n dxi_n| over a collar grid avoiding xi = 0.
 
+    grid is a sample array (a list of point dicts is converted), evaluated
+    in one pass; a NaN on it makes the minimum NaN and fails the check.
     The mixed derivative must also keep one sign on the grid; a sign
     change raises SignChangeError.
     """
     mixed = ex.differentiate(ex.differentiate(phase.psi, "xn"), "kn")
-    if grid is None:
-        grid = _collar_grid(phase)
-    vals = np.array([ex.evaluate(mixed, p) for p in grid])
+    grid = _collar_grid(phase) if grid is None else as_samples(grid)
+    vals = np.broadcast_to(ex.eval_array(mixed, grid), (len(grid),))
     if vals.max() > 0.0 and vals.min() < 0.0:
         raise SignChangeError(
             "mixed normal derivative changes sign on the collar grid")
-    m = float(np.min(np.abs(vals)))
-    worst = grid[int(np.argmin(np.abs(vals)))]
-    rep = CheckReport("nondegeneracy", floor - m, 0.0, worst,
+    i = int(np.argmin(np.abs(vals)))
+    m = float(np.abs(vals[i]))
+    rep = CheckReport("nondegeneracy", floor - m, 0.0, point_at(grid, i),
                       details={"min_abs": m, "floor": floor,
                                "sign": float(np.sign(vals[0]))})
     return rep
 
 
-def _collar_grid(phase: GeneratingPhase, nx: int = 13, nxi: int = 12):
-    pts = []
+def _collar_grid(phase: GeneratingPhase, nx: int = 13,
+                 nxi: int = 12) -> np.ndarray:
+    """Sample array over x1 x xn x direction x radius (radius fastest)."""
     h = phase.collar_halfwidth
-    x1v = np.linspace(-2.0, 2.0, nx)
-    xnv = np.linspace(-h, h, 7)
     theta = (np.arange(nxi) + 0.5) * (2 * np.pi / nxi)
-    for x1 in x1v:
-        for xn in xnv:
-            for t in theta:
-                for r in (1.0, 4.0, 64.0):
-                    pts.append({"x1": float(x1), "xn": float(xn),
-                                "k1": float(r * np.cos(t)),
-                                "kn": float(r * np.sin(t))})
-    return pts
+    x1, xn, t, r = np.meshgrid(np.linspace(-2.0, 2.0, nx),
+                               np.linspace(-h, h, 7), theta,
+                               (1.0, 4.0, 64.0), indexing="ij")
+    grid = np.empty(x1.size, dtype=[(v, np.float64)
+                                    for v in ("x1", "xn", "k1", "kn")])
+    grid["x1"], grid["xn"] = x1.ravel(), xn.ravel()
+    grid["k1"], grid["kn"] = (r * np.cos(t)).ravel(), (r * np.sin(t)).ravel()
+    return grid
 
 
 @dataclass

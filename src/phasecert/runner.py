@@ -86,9 +86,9 @@ from .phase import (GeneratingPhase, check_admissibility, check_generating,
 from .schwartz import SchwartzFn, hermite_fn
 from .sgphase import ZERO_FLOOR, Margins, calibrate, check_uniformity
 from .symbols import SymbolFn, check_transmission
-from .symplectic import (SymplectoMap, check_boundary_preserving,
+from .symplectic import (SymplectoMap, as_samples, check_boundary_preserving,
                          check_jacobian_structure, check_symplectic,
-                         collar_samples, induced_boundary_map)
+                         collar_samples, induced_boundary_map, sup)
 
 FAMILIES = ("symplecto", "phase", "generating", "sg", "operator", "opsymb")
 
@@ -224,19 +224,22 @@ class CheckOutcome:
 
     def as_dict(self) -> dict:
         return {"check": self.check, "status": self.status,
-                "metrics": _jsonable(self.metrics), "message": self.message}
+                "metrics": jsonable(self.metrics), "message": self.message}
 
 
-def _jsonable(obj):
+def jsonable(obj):
+    """obj with numpy numbers as floats and every non-finite float
+    (Python or numpy) as the string "nan", "inf" or "-inf", so that it
+    dumps as strict JSON."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
         return float(obj)
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"),
-                                                         float("-inf"))):
-        return repr(obj)
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else repr(obj)
     return obj
 
 
@@ -469,8 +472,9 @@ class ScenarioRunner:
             # Euler identity at the same points
             lhs = ex.add(ex.mul(ex.var("k1"), ex.differentiate(ph.psi, "k1")),
                          ex.mul(ex.var("kn"), ex.differentiate(ph.psi, "kn")))
-            euler = max(abs(ex.evaluate(lhs, p) - ex.evaluate(ph.psi, p))
-                        / max(1.0, abs(ex.evaluate(ph.psi, p))) for p in pts)
+            lhs_v, psi_v = ex.eval_array_many([lhs, ph.psi], as_samples(pts))
+            euler, _ = sup((lhs_v - psi_v) / np.maximum(1.0, np.abs(psi_v)),
+                           len(pts))
             ok = res <= 1e-10 and euler <= 1e-10
             return CheckOutcome("phase.homogeneity",
                                 "pass" if ok else "fail",
@@ -788,7 +792,8 @@ def write_report(report: RunReport, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{report.scenario}_report.json"
-    path.write_text(json.dumps(report.as_dict(), sort_keys=True, indent=1))
+    path.write_text(json.dumps(report.as_dict(), sort_keys=True, indent=1,
+                               allow_nan=False))
     for name, data in csv_bundle(report).items():
         (out / f"{report.scenario}__{name}").write_bytes(data)
     return path

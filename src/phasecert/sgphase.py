@@ -260,19 +260,6 @@ class RegularizedPhase:
                                         tgrid, taugrid)
 
 
-def verify_p1(rp: RegularizedPhase, order_bound: int = 3,
-              tgrid=None, taugrid=None) -> dict[tuple[int, int], float]:
-    cs = rp.constants(tgrid, taugrid)
-    return {k: v for k, v in cs.table.items()
-            if k[0] <= order_bound and k[1] <= order_bound}
-
-
-def verify_p2(rp: RegularizedPhase, tgrid=None, taugrid=None
-              ) -> tuple[float, float, float, float]:
-    cs = rp.constants(tgrid, taugrid)
-    return cs.c_t, cs.C_t, cs.c_tau, cs.C_tau
-
-
 def verify_p3(rp: RegularizedPhase, tgrid=None, taugrid=None) -> float:
     cs = rp.constants(tgrid, taugrid)
     if cs.eps_sign == 0.0:

@@ -7,6 +7,14 @@ read as the source point.  Checks: the symplectic matrix identity
 J^T O J = O, vanishing of x_n on the boundary, the structural zero blocks
 and unimodular sub-blocks of the boundary Jacobian, and extraction of the
 induced boundary map with its linear cotangent action.
+
+Sample points are one numpy structured array with a float field per
+variable: ``len(samples)`` is the number of points, ``samples["x1"]`` is
+a column, ``samples[i]`` is one point, and the array itself is an
+evaluation environment for :mod:`expr`.  Each check evaluates its
+expressions once over all of its samples and reduces with :func:`sup`.
+The reductions propagate NaN and inf, so a non-finite value at any sample
+makes the residual non-finite and fails the check.
 """
 
 from __future__ import annotations
@@ -32,6 +40,35 @@ def source_order(n: int) -> list[str]:
     return tangential_vars(n) + cotangential_vars(n) + ["xn", "kn"]
 
 
+def as_samples(points) -> np.ndarray:
+    """Sample array of points; a list of point dicts is converted, with
+    the fields in the key order of its first point."""
+    if isinstance(points, np.ndarray):
+        return points
+    names = list(points[0])
+    return np.array([tuple(p[v] for v in names) for p in points],
+                    dtype=[(v, np.float64) for v in names])
+
+
+def point_at(samples: np.ndarray, i: int | None) -> dict[str, float] | None:
+    """Sample i as a dict; None for no index."""
+    if i is None:
+        return None
+    return dict(zip(samples.dtype.names, samples[i].tolist()))
+
+
+def sup(values, count: int) -> tuple[float, int | None]:
+    """max |values| over count samples and the first index attaining it.
+
+    A scalar is broadcast to every sample.  NaN propagates: the sup is
+    then NaN at the first NaN sample.  The index is None when the sup is
+    0, since no sample exceeds it.
+    """
+    a = np.abs(np.broadcast_to(values, (count,)))
+    i = int(np.argmax(a))
+    return float(a[i]), (i if a[i] != 0.0 else None)
+
+
 @dataclass
 class SymplectoMap:
     """Explicit component form of a fiber-homogeneous collar map.
@@ -45,6 +82,9 @@ class SymplectoMap:
     n: int = 2
     collar_halfwidth: float = 1.0
     name: str = ""
+    # compiled Jacobian program, built by the first jacobian() call
+    _jacobian: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         need = set(source_order(self.n))
@@ -60,56 +100,74 @@ class SymplectoMap:
         return {name: ex.evaluate(comp, point)
                 for name, comp in self.components.items()}
 
-    def homogeneity_residual(self, points: list[dict[str, float]]) -> float:
+    def homogeneity_residual(self, samples) -> float:
+        """Worst homogeneity error over the components, by the scalar
+        oracle :func:`expr.homogeneity_residual`; NaN-strict."""
         fiber = set(cotangential_vars(self.n)) | {"kn"}
-        worst = 0.0
-        for name, comp in self.components.items():
-            degree = 1.0 if name in fiber else 0.0
-            worst = max(worst, ex.homogeneity_residual(
-                comp, fiber, degree, points))
-        return worst
+        pts = [point_at(samples, i) for i in range(len(samples))]
+        return float(np.max([
+            ex.homogeneity_residual(comp, fiber,
+                                    1.0 if name in fiber else 0.0, pts)
+            for name, comp in self.components.items()]))
 
 
 def collar_samples(chi: SymplectoMap, count: int = 200, seed: int = 7,
-                   boundary: bool = False, eta_top: float = 8.0):
-    """Deterministic jittered samples in the collar with eta != 0."""
+                   boundary: bool = False, eta_top: float = 8.0
+                   ) -> np.ndarray:
+    """Deterministic jittered samples in the collar with eta != 0.
+
+    Returns a structured array with fields (x', xn, k', kn), see the
+    module docstring; boundary samples have xn = 0.
+    """
     rng = np.random.default_rng(seed)
     n = chi.n
-    pts = []
-    for _ in range(count):
-        p = {}
-        for v in tangential_vars(n):
-            p[v] = float(rng.uniform(-1.0, 1.0))
-        p["xn"] = 0.0 if boundary else float(
-            rng.uniform(-chi.collar_halfwidth, chi.collar_halfwidth))
-        scale = float(rng.uniform(0.5, eta_top))
-        theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        if n == 2:
-            p["k1"] = scale * np.cos(theta)
-            p["kn"] = scale * np.sin(theta)
-            if abs(p["kn"]) < 1e-6 and abs(p["k1"]) < 1e-6:
-                p["k1"] = scale
-        else:
-            vec = rng.normal(size=n)
-            vec /= np.linalg.norm(vec)
-            for i, v in enumerate(cotangential_vars(n)):
-                p[v] = float(scale * vec[i])
-            p["kn"] = float(scale * vec[-1])
-        pts.append(p)
-    return pts
+    h = chi.collar_halfwidth
+    names = (tangential_vars(n) + ["xn"] + cotangential_vars(n) + ["kn"])
+    out = np.empty(count, dtype=[(v, np.float64) for v in names])
+    if n == 2:
+        # the loop below, vectorized: per point the same uniform draws in
+        # the same order, scaled as Generator.uniform scales them
+        u = rng.random((count, 3 if boundary else 4)).T
+        scale = 0.5 + (eta_top - 0.5) * u[-2]
+        theta = 2.0 * np.pi * u[-1]
+        out["x1"] = -1.0 + 2.0 * u[0]
+        out["xn"] = 0.0 if boundary else -h + 2.0 * h * u[1]
+        out["k1"] = scale * np.cos(theta)
+        out["kn"] = scale * np.sin(theta)
+        return out
+    for i in range(count):
+        xs = rng.uniform(-1.0, 1.0, n - 1)
+        xn = 0.0 if boundary else rng.uniform(-h, h)
+        scale, _ = rng.uniform(0.5, eta_top), rng.uniform(0.0, 2.0 * np.pi)
+        vec = rng.normal(size=n)
+        out[i] = (*xs, xn, *(scale * (vec / np.linalg.norm(vec))))
+    return out
 
 
-def jacobian(chi: SymplectoMap, point: dict[str, float]) -> np.ndarray:
-    """Matrix of first partials, rows (x', xi', x_n, xi_n) by columns
-    (y', eta', y_n, eta_n)."""
-    cols = source_order(chi.n)
-    rows = chi.target_order()
-    J = np.empty((len(rows), len(cols)))
-    for i, rname in enumerate(rows):
-        comp = chi.components[rname]
-        for j, cname in enumerate(cols):
-            J[i, j] = ex.evaluate(ex.differentiate(comp, cname), point)
-    return J
+def jacobian(chi: SymplectoMap, points) -> np.ndarray:
+    """Matrices of first partials, rows (x', xi', x_n, xi_n) by columns
+    (y', eta', y_n, eta_n).
+
+    points is a sample array, giving shape (count, 2n, 2n), or one point
+    (a dict or one sample), giving shape (2n, 2n).  All (2n)^2 entries run
+    as one compiled program, kept on chi; constant entries are broadcast
+    to every sample.
+    """
+    if chi._jacobian is None:
+        chi._jacobian = ex._compile_many(
+            [ex.differentiate(chi.components[r], c)
+             for r in chi.target_order() for c in source_order(chi.n)])
+    shape = points.shape if isinstance(points, np.ndarray) else ()
+    return _matrices(ex._exec(chi._jacobian, points, False), shape, 2 * chi.n)
+
+
+def _matrices(entries: list, shape: tuple, m: int) -> np.ndarray:
+    """Row-major m*m entries (arrays over shape, or scalars) as an array
+    of shape shape + (m, m)."""
+    out = np.empty(shape + (m * m,))
+    for k, val in enumerate(entries):
+        out[..., k] = val
+    return out.reshape(shape + (m, m))
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -143,13 +201,11 @@ def check_symplectic(chi: SymplectoMap, samples=None,
     if samples is None:
         samples = collar_samples(chi)
     O = symplectic_form(chi.n)
-    worst, worst_p = 0.0, None
-    for p in samples:
-        J = jacobian(chi, p)
-        res = float(np.max(np.abs(J.T @ O @ J - O)))
-        if res > worst:
-            worst, worst_p = res, p
-    return CheckReport("symplectic", worst, tol, worst_p)
+    J = jacobian(chi, samples)
+    with np.errstate(all="ignore"):    # non-finite entries give NaN
+        res = np.max(np.abs(np.swapaxes(J, 1, 2) @ O @ J - O), axis=(1, 2))
+    worst, i = sup(res, len(samples))
+    return CheckReport("symplectic", worst, tol, point_at(samples, i))
 
 
 def check_boundary_preserving(chi: SymplectoMap, samples=None,
@@ -157,12 +213,10 @@ def check_boundary_preserving(chi: SymplectoMap, samples=None,
     """sup |x_n(y', 0, eta)| over boundary samples."""
     if samples is None:
         samples = collar_samples(chi, boundary=True)
-    worst, worst_p = 0.0, None
-    for p in samples:
-        v = abs(ex.evaluate(chi.components["xn"], p))
-        if v > worst:
-            worst, worst_p = v, p
-    return CheckReport("boundary_preserving", worst, tol, worst_p)
+    worst, i = sup(ex.eval_array(chi.components["xn"], samples),
+                   len(samples))
+    return CheckReport("boundary_preserving", worst, tol,
+                       point_at(samples, i))
 
 
 @dataclass
@@ -182,12 +236,8 @@ class BoundaryMap:
         return [ex.evaluate(self.b[v], point) for v in tangential_vars(self.n)]
 
     def eval_cotangent(self, point: dict[str, float]) -> np.ndarray:
-        k = self.n - 1
-        M = np.empty((k, k))
-        for i in range(k):
-            for j in range(k):
-                M[i, j] = ex.evaluate(self.cotangent[i][j], point)
-        return M
+        return np.array([[ex.evaluate(e, point) for e in row]
+                         for row in self.cotangent])
 
 
 def induced_boundary_map(chi: SymplectoMap, samples=None,
@@ -205,62 +255,42 @@ def induced_boundary_map(chi: SymplectoMap, samples=None,
             f"x_n does not vanish on the boundary (sup {bp.residual:.2e})")
     if samples is None:
         samples = collar_samples(chi, boundary=True)
+    count = len(samples)
     n = chi.n
     tvars = tangential_vars(n)
     cvars = cotangential_vars(n)
-
-    worst = 0.0
-    worst_what = ""
-    for tname in tvars:
-        xb = ex.substitute(chi.components[tname], {"xn": 0.0})
-        for fib in cvars + ["kn"]:
-            d = ex.differentiate(xb, fib)
-            r = max(abs(ex.evaluate(d, p)) for p in samples)
-            if r > worst:
-                worst, worst_what = r, f"d{tname}/d{fib} at boundary"
-    for cname in cvars:
-        xib = ex.substitute(chi.components[cname], {"xn": 0.0})
-        r = max(abs(ex.evaluate(ex.differentiate(xib, "kn"), p))
-                for p in samples)
-        if r > worst:
-            worst, worst_what = r, f"d{cname}/dkn at boundary"
-        for f1 in cvars:
-            for f2 in cvars:
-                d2 = ex.differentiate(ex.differentiate(xib, f1), f2)
-                r = max(abs(ex.evaluate(d2, p)) for p in samples)
-                if r > worst:
-                    worst, worst_what = r, f"second eta'-derivative of {cname}"
-    if worst > lin_tol:
-        raise FiberLinearityError(
-            f"boundary map not fiber-trivial: {worst_what} = {worst:.2e}")
-
     b = {t: ex.substitute(chi.components[t], {"xn": 0.0}) for t in tvars}
+    xib = {c: ex.substitute(chi.components[c], {"xn": 0.0}) for c in cvars}
+
+    # derivatives that must vanish on the boundary, in report order
+    vanish = [(f"d{t}/d{fib} at boundary", ex.differentiate(b[t], fib))
+              for t in tvars for fib in cvars + ["kn"]]
+    for c in cvars:
+        vanish.append((f"d{c}/dkn at boundary",
+                       ex.differentiate(xib[c], "kn")))
+        vanish += [(f"second eta'-derivative of {c}",
+                    ex.differentiate(ex.differentiate(xib[c], f1), f2))
+                   for f1 in cvars for f2 in cvars]
+    vals = ex.eval_array_many([d for _, d in vanish], samples)
+    worst, i = sup([sup(v, count)[0] for v in vals], len(vals))
+    if not worst <= lin_tol:
+        raise FiberLinearityError(
+            f"boundary map not fiber-trivial: {vanish[i][0]} = {worst:.2e}")
+
     cot = [[ex.substitute(ex.differentiate(chi.components[ci], kj),
                           {"xn": 0.0})
             for kj in cvars] for ci in cvars]
     bm = BoundaryMap(b, cot, n)
 
     # unimodularity of the composed boundary Jacobian in (y', eta')
-    det_worst = 0.0
-    det_point = None
-    allv = tvars + cvars
-    for p in samples:
-        k = n - 1
-        Jb = np.empty((2 * k, 2 * k))
-        for i, t in enumerate(tvars):
-            for j, s in enumerate(allv):
-                Jb[i, j] = ex.evaluate(
-                    ex.differentiate(b[t], s) if s in ex.free_vars(b[t])
-                    else ex.const(0.0), p)
-        for i, ci in enumerate(cvars):
-            xib = ex.substitute(chi.components[ci], {"xn": 0.0})
-            for j, s in enumerate(allv):
-                Jb[k + i, j] = ex.evaluate(ex.differentiate(xib, s), p)
-        r = abs(np.linalg.det(Jb) - 1.0)
-        if r > det_worst:
-            det_worst, det_point = r, p
-    rep = CheckReport("boundary_map", max(worst, det_worst),
-                      det_tol, det_point,
+    k = n - 1
+    rows = [b[t] for t in tvars] + [xib[c] for c in cvars]
+    Jb = _matrices(ex.eval_array_many(
+        [ex.differentiate(r, s) for r in rows for s in tvars + cvars],
+        samples), (count,), 2 * k)
+    det_worst, i = sup(np.linalg.det(Jb) - 1.0, count)
+    rep = CheckReport("boundary_map", float(np.max((worst, det_worst))),
+                      det_tol, point_at(samples, i),
                       details={"linearity_residual": worst,
                                "det_residual": det_worst})
     return bm, rep
@@ -287,36 +317,26 @@ def check_jacobian_structure(chi: SymplectoMap, samples=None,
     cols = source_order(n)
     rows = chi.target_order()
     k = n - 1
-    zero_pairs = []
-    for i in range(k):          # x' rows vs eta_n column
-        zero_pairs.append((i, 2 * k + 1))
-    for i in range(k):          # xi' rows vs eta_n column
-        zero_pairs.append((k + i, 2 * k + 1))
-    for j in range(2 * k):      # x_n row vs (y', eta') columns
-        zero_pairs.append((2 * k, j))
-    zero_pairs.append((2 * k, 2 * k + 1))   # x_n row vs eta_n column
+    # (x', xi') rows vs the eta_n column, then the x_n row vs the
+    # (y', eta') columns and the eta_n column
+    zi = [*range(2 * k), *[2 * k] * (2 * k + 1)]
+    zj = [*[2 * k + 1] * (2 * k), *range(2 * k), 2 * k + 1]
 
-    zmax = 0.0
-    det_res = 0.0
-    prod_res = 0.0
-    worst_p = None
-    for p in samples:
-        J = jacobian(chi, p)
-        z = max(abs(J[i, j]) for i, j in zero_pairs)
-        d = abs(np.linalg.det(J[:2 * k, :2 * k]) - 1.0)
-        pr = abs(J[2 * k, 2 * k] * J[2 * k + 1, 2 * k + 1] - 1.0)
-        if max(z, d, pr) > max(zmax, det_res, prod_res):
-            worst_p = p
-        zmax = max(zmax, z)
-        det_res = max(det_res, d)
-        prod_res = max(prod_res, pr)
+    count = len(samples)
+    J = jacobian(chi, samples)
+    z = np.max(np.abs(J[:, zi, zj]), axis=1)
+    d = np.abs(np.linalg.det(J[:, :2 * k, :2 * k]) - 1.0)
+    pr = np.abs(J[:, 2 * k, 2 * k] * J[:, 2 * k + 1, 2 * k + 1] - 1.0)
+    zmax, det_res, prod_res = (sup(v, count)[0] for v in (z, d, pr))
+    _, worst_i = sup(np.maximum(np.maximum(z, d), pr), count)
 
-    dxn = ex.differentiate(chi.components["xn"], "xn")
     interior = collar_samples(chi, count=200, seed=11)
-    min_dxn = min(abs(ex.evaluate(dxn, p)) for p in interior)
+    min_dxn = float(np.min(np.abs(jacobian(chi, interior)[:, 2 * k, 2 * k])))
 
-    residual = max(zmax / zero_tol, det_res / det_tol, prod_res / det_tol)
-    return CheckReport("jacobian_structure", residual, 1.0, worst_p,
+    residual = float(np.max((zmax / zero_tol, det_res / det_tol,
+                             prod_res / det_tol)))
+    return CheckReport("jacobian_structure", residual, 1.0,
+                       point_at(samples, worst_i),
                        details={"zero_blocks": zmax,
                                 "boundary_det_residual": det_res,
                                 "normal_product_residual": prod_res,

@@ -1,0 +1,165 @@
+"""Batched sample evaluation: pinned digests, the Jacobian against its
+pointwise oracle, NaN-strict reductions and strict report JSON."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from phasecert import catalog
+from phasecert import expr as ex
+from phasecert.grammar import parse_expr
+from phasecert.runner import (CheckOutcome, RunReport, run_scenario,
+                              write_report)
+from phasecert.symplectic import (SymplectoMap, check_boundary_preserving,
+                                  collar_samples, jacobian, point_at,
+                                  source_order, sup)
+
+FAMILIES = {"symplecto", "phase", "generating"}
+
+# RunReport.digest() of the symplecto, phase and generating families at
+# seed 7, computed with the one-point-at-a-time checks these replaced.
+PINNED = {
+    "identity": {"default": "4f18eb28f6b3470506e9af71c590ee0a"
+                            "d6152c2ae63924a7877933fc9a4dcd37"},
+    "dilation": {"default": "5d4a14a7516fd30929bb95b14ff305c7"
+                            "6fa98a61b1f438c3be3a3b9b9ba146a8"},
+    "quadratic-collar": {"default": "00265d27ebd44cf1228091423673fe8f"
+                                    "f528da659b021572a5cd099507d7524b"},
+    "boundary-shear": {"default": "c1a49ba87a131523eb0e2bd5ac7f107c"
+                                  "3af86d53e6c1ed2f0124bdb41a92b71c"},
+    "bad-boundary-shift": {"default": "9c989a68487707a142ac34812a7c579f"
+                                      "752b67c16e32070f475d98aec9d045a2"},
+    "bad-transmission": {"default": "92daafcc00554ba1896d1511ee35d316"
+                                    "ef03ec6dbbe0de3ed6e0bb79d712cb84"},
+    "bad-symplectic": {"default": "f7481446118b0826ed49b9b6f0a9c8bd"
+                                  "c67d7c2db8172b1f98c0054cfd42b278",
+                       "fine": "e687285cf3d8c7e3d3a1ecfec101b89e"
+                               "bd953e7d111dc4358018b37e3f23353a"},
+}
+for _name, _pins in PINNED.items():
+    _pins.setdefault("fine", _pins["default"])
+
+
+@pytest.mark.parametrize("grid", ["default", "fine"])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pointwise_families_digest_pinned(name, grid):
+    rep = run_scenario(catalog.emit(name), FAMILIES, grid_preset=grid, seed=7)
+    assert rep.digest() == PINNED[name][grid]
+
+
+def build_map(name: str) -> SymplectoMap:
+    sc = catalog.SCENARIOS[name]
+    return SymplectoMap({k: parse_expr(v) for k, v in sc["map"].items()},
+                        n=sc["n"], collar_halfwidth=sc["collar_halfwidth"],
+                        name=name)
+
+
+def pointwise_jacobian(chi: SymplectoMap, samples) -> np.ndarray:
+    cols = source_order(chi.n)
+    return np.array([[[ex.evaluate(ex.differentiate(chi.components[r], c),
+                                   point_at(samples, i))
+                       for c in cols] for r in chi.target_order()]
+                     for i in range(len(samples))])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+MAPPED = [n for n, sc in catalog.SCENARIOS.items() if sc.get("map")]
+
+
+@pytest.mark.parametrize("name", MAPPED)
+def test_jacobian_equals_pointwise_oracle_bit_for_bit(name):
+    chi = build_map(name)
+    for samples in (collar_samples(chi, count=60, seed=3),
+                    collar_samples(chi, count=60, seed=4, boundary=True)):
+        J = jacobian(chi, samples)
+        assert same_bits(J, pointwise_jacobian(chi, samples))
+        assert same_bits(jacobian(chi, samples[5]), J[5])
+        assert same_bits(jacobian(chi, point_at(samples, 5)), J[5])
+
+
+def test_jacobian_of_constant_entries_covers_every_sample():
+    chi = build_map("identity")
+    J = jacobian(chi, collar_samples(chi, count=7))
+    assert J.shape == (7, 4, 4)
+    assert same_bits(J, np.broadcast_to(np.eye(4), (7, 4, 4)).copy())
+
+
+def test_jacobian_program_belongs_to_its_map():
+    # maps built and dropped one after the other may share an id();
+    # each must still use its own compiled program
+    for name in ("identity", "bad-symplectic", "identity", "bad-symplectic",
+                 "dilation"):
+        chi = build_map(name)
+        samples = collar_samples(chi, count=20, seed=5)
+        assert same_bits(jacobian(chi, samples),
+                         pointwise_jacobian(chi, samples))
+        del chi
+
+
+def test_sup_propagates_nonfinite_and_reports_first_maximum():
+    assert sup(np.array([0.0, -3.0, 2.0, 3.0]), 4) == (3.0, 1)
+    assert sup(np.zeros(3), 3) == (0.0, None)
+    assert sup(2.5, 3) == (2.5, 0)
+    val, i = sup(np.array([1.0, np.nan, 5.0, np.nan]), 4)
+    assert math.isnan(val) and i == 1
+    assert sup(np.array([1.0, -np.inf]), 2) == (math.inf, 1)
+
+
+BLOWUP = {"x1": "x1", "xn": "xn*exp(1000*k1^2)", "k1": "k1", "kn": "kn"}
+
+
+def test_nonfinite_boundary_samples_fail_boundary_preserving():
+    chi = SymplectoMap({k: parse_expr(v) for k, v in BLOWUP.items()})
+    rep = check_boundary_preserving(chi)
+    assert math.isnan(rep.residual)
+    assert not rep.passed
+    assert rep.worst_point is not None
+
+
+def test_nonfinite_values_fail_homogeneity_oracle():
+    e = parse_expr(BLOWUP["xn"])
+    pts = [{"x1": 0.1, "xn": 0.0, "k1": 0.5, "kn": 1.0},
+           {"x1": 0.1, "xn": 0.0, "k1": 1.0, "kn": 1.0}]
+    assert math.isnan(ex.homogeneity_residual(e, {"k1", "kn"}, 0.0, pts))
+
+
+def test_missing_variable_names_it():
+    chi = build_map("identity")
+    with pytest.raises(KeyError, match="'zz'"):
+        ex.eval_array(parse_expr("x1 + zz"), collar_samples(chi, count=3))
+
+
+def _strict_load(text: str):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_nonfinite_numpy_floats_dump_as_strict_json():
+    metrics = {"a": np.float64("nan"), "b": float("nan"),
+               "c": np.float64("inf"), "d": np.float32("-inf"),
+               "e": np.int64(3), "f": np.float64(0.25)}
+    got = CheckOutcome("x", "fail", metrics).as_dict()["metrics"]
+    assert got == {"a": "nan", "b": "nan", "c": "inf", "d": "-inf",
+                   "e": 3.0, "f": 0.25}
+    py = RunReport("s", 7, [CheckOutcome("x", "fail", {"r": float("nan")})])
+    npy = RunReport("s", 7, [CheckOutcome("x", "fail",
+                                          {"r": np.float64("nan")})])
+    assert py.digest() == npy.digest()
+
+
+def test_nonfinite_report_is_written_as_strict_json(tmp_path):
+    sc = catalog.emit("identity")
+    sc["map"] = dict(BLOWUP)
+    sc["checks"] = ["symplecto"]
+    rep = run_scenario(sc)
+    assert "symplecto.boundary_preserving" in rep.failed
+    body = _strict_load(write_report(rep, tmp_path).read_text())
+    out = {c["check"]: c for c in body["checks"]}
+    assert out["symplecto.boundary_preserving"]["metrics"]["residual"] \
+        == "nan"
