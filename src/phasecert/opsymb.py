@@ -29,7 +29,7 @@ import numpy as np
 from . import expr as ex
 from .exceptions import RegressionError
 from .normalop import NormalOperatorSpec
-from .quadrature import panel_nodes
+from .quadrature import gauss_rule, panel_frame, panel_nodes
 from .schwartz import SchwartzFn
 
 INDEX_NOTE = ("order target m - |alpha| with alpha counting xi'-derivatives; "
@@ -291,11 +291,30 @@ def sweep_symbol_orders(spec: NormalOperatorSpec, us: list[SchwartzFn],
 # formal transpose pairing
 # ---------------------------------------------------------------------------
 
+def panel_fourier_sum(c: np.ndarray, xi: np.ndarray, mid: np.ndarray,
+                      half: float, g: np.ndarray) -> np.ndarray:
+    """sum_q c_q e^{-i y xi_q} at the panel nodes y = mid_p + half g_k.
+
+    The phase factors as e^{-i mid_p xi} e^{-i half g_k xi}, so the sum is
+    one (panels x nodes) @ (nodes x order) product and needs only
+    (panels + order) * len(xi) complex exponentials.  Returned
+    panel-major, in the node order of quadrature.panel_nodes.
+    """
+    inner = np.exp(-1j * half * np.outer(g, xi)) * c
+    return (np.exp(-1j * np.outer(mid, xi)) @ inner.T).ravel()
+
+
 def transpose_check(spec: NormalOperatorSpec, u: SchwartzFn,
                     v: SchwartzFn, x_half: float = 14.0,
                     n_panels: int = 200, order: int = 10) -> dict:
     """|<A u, v> - <u, A^t v>| with the transpose assembled through its own
-    quantization route (frequency-first), not by reusing the forward path."""
+    quantization route (frequency-first), not by reusing the forward path.
+
+    A^t v(y) = 1/(2 pi) integral e^{-i y xi} W(xi) dxi with
+    W(xi) = integral e^{i phi(x, xi)} a(x, xi) v(x) dx.  W is summed in
+    xi chunks over the x panel grid; A^t v is then wanted on that same
+    panel grid, where panel_fourier_sum factors the outer exponential.
+    """
     from .normalop import apply_normal_op
 
     xn, xw = panel_nodes(-x_half, x_half, n_panels, order)
@@ -318,14 +337,10 @@ def transpose_check(spec: NormalOperatorSpec, u: SchwartzFn,
         ph = np.broadcast_to(ex.eval_array(phi, env), shape)
         am = np.broadcast_to(ex.eval_array(amp, env), shape)
         W[lo:lo + 256] = (np.exp(1j * ph) * am * vx[:, None]).sum(axis=0)
-    yn, yw = panel_nodes(-x_half, x_half, n_panels, order)
-    atv = np.empty(len(yn), dtype=complex)
-    Wq = W * qw
-    for lo in range(0, len(yn), 256):
-        chunk = yn[lo:lo + 256]
-        atv[lo:lo + 256] = (np.exp(-1j * chunk[:, None] * qn[None, :])
-                            * Wq[None, :]).sum(axis=1) / (2.0 * np.pi)
-    pair2 = complex((u(yn) * atv) @ yw)
+    mid, half = panel_frame(-x_half, x_half, n_panels)
+    atv = panel_fourier_sum(W * qw, qn, mid, half,
+                            gauss_rule(order)[0]) / (2.0 * np.pi)
+    pair2 = complex((u(xn) * atv) @ xw)
     resid = abs(pair1 - pair2)
     return {"pair_forward": pair1, "pair_transpose": pair2,
             "residual": resid, "passed": resid <= 1e-6}

@@ -229,8 +229,8 @@ def normal_coeffs(phase: GeneratingPhase,
         raise SingularAxisError(
             f"psi is not smooth at (xi', xi_n) = (0, +-1): {err}") from err
     sym = float(np.max(np.abs(qpv + qmv)))
-    euler = max(float(np.max(np.abs(qpv - mp))),
-                float(np.max(np.abs(qmv + mm))))
+    euler = float(np.max([np.max(np.abs(qpv - mp)),
+                          np.max(np.abs(qmv + mm))]))
     kappa = float(np.min(np.abs(qpv))) / 4.0
     degenerate = sym <= tol and float(np.max(np.abs(qpv - qmv))) <= tol
     return NormalCoeffs(qp, qm, kappa, sym, euler, degenerate, tol)
@@ -259,13 +259,13 @@ def check_admissibility(phase: GeneratingPhase,
                        homogeneous_degree=1.0, name=f"d/d{v} psi")
         r = check_transmission(sym, max_orders)
         reports[f"d{v}"] = r
-        worst = max(worst, r.max_residual)
+        worst = float(np.maximum(worst, r.max_residual))
         ok = ok and r.passed
     for v in cotangential_vars(phase.n) + ["kn"]:
         sym = SymbolFn(ex.differentiate(phase.psi, v), order=0.0,
                        homogeneous_degree=0.0, name=f"d/d{v} psi")
         r = check_transmission(sym, max_orders)
         reports[f"d{v}"] = r
-        worst = max(worst, r.max_residual)
+        worst = float(np.maximum(worst, r.max_residual))
         ok = ok and r.passed
     return AdmissibilityReport(reports, worst, ok)

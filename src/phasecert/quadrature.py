@@ -7,7 +7,12 @@ Two modes, keyed on integrand decay:
   ~|xi|^-1.5 combined with first-order transform decay);
 * smooth frequency cutoff at radii R, 2R, 4R with Richardson
   extrapolation in 1/R, for integrands decaying only to first order,
-  where sharp truncation does not converge.
+  where sharp truncation does not converge.  The three cutoffs share one
+  composite Gauss grid on [-8R, 8R]: the integrand is evaluated once per
+  node, in chunks of at most CHUNK nodes, and each chunk is contracted
+  against a (nodes x 3) weight matrix whose columns are the Gauss weights
+  times the cutoff at R, 2R and 4R.  Memory is bounded by the chunk, not
+  by the grid.
 
 Integrands are complex-vectorized over the last axis; any leading axes
 (e.g. output sample points) ride along, and error estimates are reported
@@ -22,6 +27,10 @@ import numpy as np
 
 from .exceptions import QuadratureBudgetError
 
+# Largest number of nodes passed to the integrand in one call by
+# cutoff_richardson; the (points x nodes) intermediates scale with it.
+CHUNK = 2048
+
 
 @lru_cache(maxsize=None)
 def gauss_rule(order: int):
@@ -29,13 +38,18 @@ def gauss_rule(order: int):
     return x, w
 
 
-def panel_nodes(a: float, b: float, n_panels: int, order: int = 12):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = gauss_rule(order)
+def panel_frame(a: float, b: float, n_panels: int):
+    """Midpoints and common half-width of n_panels equal panels on [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid + half * x[None, :]).ravel()
+    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+
+
+def panel_nodes(a: float, b: float, n_panels: int, order: int = 12):
+    """Composite Gauss-Legendre nodes and weights on [a, b], panel-major:
+    node p * order + k is mid_p + half * x_k."""
+    x, w = gauss_rule(order)
+    mid, half = panel_frame(a, b, n_panels)
+    nodes = (mid[:, None] + half * x[None, :]).ravel()
     weights = np.tile(half * w, n_panels)
     return nodes, weights
 
@@ -95,23 +109,26 @@ def cutoff_richardson(f, R: float, panels_per_unit: float,
                       order: int = 12, min_panels: int = 64):
     """Richardson-extrapolated smooth-cutoff integrals at radii R, 2R, 4R.
 
+    One composite Gauss grid on [-8R, 8R] with 4m panels, where
+    m = max(min_panels, ceil(4R * panels_per_unit)), serves all three
+    radii: each panel is as wide as an m-panel grid on [-2R, 2R].  The
+    cutoff at radius L*R vanishes for |xi| >= 2LR, so integrating f times
+    it over the whole grid gives the radius-L integral.  f is evaluated
+    once per node, in chunks of at most CHUNK nodes, and each chunk is
+    contracted with the weight matrix W[:, j] = weights * cutoff(L_j R).
+
     Models the truncation error as c1/R + c2/R^2 (the tail of a
     first-order-decay oscillatory integrand under a smooth cutoff) and
     eliminates both terms: I ~ (8 I_4R - 6 I_2R + I_R) / 3.
-    Returns (value, err_estimate, evals).
+    Returns (value, err_estimate, evals), evals being the node count.
     """
-    vals = []
-    evals = 0
-    for level in (1.0, 2.0, 4.0):
-        half_range = 2.0 * R * level
-        n = max(min_panels, int(np.ceil(2 * half_range * panels_per_unit)))
-
-        def g(x, _lev=level):
-            return f(x) * smooth_freq_cutoff(x, R * _lev)
-
-        vals.append(integrate_fixed(g, -half_range, half_range, n, order))
-        evals += n * order
-    i1, i2, i3 = vals
+    m = max(min_panels, int(np.ceil(4.0 * R * panels_per_unit)))
+    nodes, weights = panel_nodes(-8.0 * R, 8.0 * R, 4 * m, order)
+    W = np.stack([weights * smooth_freq_cutoff(nodes, R * level)
+                  for level in (1.0, 2.0, 4.0)], axis=1)
+    acc = sum(f(nodes[lo:lo + CHUNK]) @ W[lo:lo + CHUNK]
+              for lo in range(0, len(nodes), CHUNK))
+    i1, i2, i3 = np.moveaxis(acc, -1, 0)
     j2 = 2.0 * i3 - i2
     extrap = (8.0 * i3 - 6.0 * i2 + i1) / 3.0
-    return extrap, np.abs(extrap - j2), evals
+    return extrap, np.abs(extrap - j2), len(nodes)

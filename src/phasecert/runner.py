@@ -133,6 +133,22 @@ class Scenario:
     amplitude: SymbolFn | None = field(default=None, repr=False)
 
 
+def _number(v, name: str, integer: bool = False, positive: bool = False):
+    """v, the value of scenario field name, as a float (an int when
+    integer) once it is checked to be a JSON number: finite, integral when
+    integer, > 0 when positive.  Anything else, a numeric string included,
+    is a ScenarioValidationError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioValidationError(f"{name} must be a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ScenarioValidationError(f"{name} must be finite, got {v!r}")
+    if integer and v != int(v):
+        raise ScenarioValidationError(f"{name} must be an integer, got {v!r}")
+    if positive and v <= 0:
+        raise ScenarioValidationError(f"{name} must be positive, got {v!r}")
+    return int(v) if integer else float(v)
+
+
 def load_scenario(source) -> Scenario:
     """Parse and validate a scenario from a dict, JSON text, or file path."""
     if isinstance(source, dict):
@@ -152,7 +168,10 @@ def load_scenario(source) -> Scenario:
         raise ScenarioValidationError(f"unknown scenario keys {unknown}")
     if "name" not in raw:
         raise ScenarioValidationError("scenario needs a name")
-    n = int(raw.get("n", 2))
+    for key in ("map", "amplitude", "sg", "margins", "grids"):
+        if raw.get(key) is not None and not isinstance(raw[key], dict):
+            raise ScenarioValidationError(f"{key} must be an object")
+    n = _number(raw.get("n", 2), "n", integer=True)
     if n != 2:
         raise ScenarioValidationError(
             "catalog checks run at n = 2; higher dimensions are not wired "
@@ -163,35 +182,36 @@ def load_scenario(source) -> Scenario:
         raise ScenarioValidationError(f"unknown check families {bad}")
     sc = Scenario(
         name=raw["name"], n=n,
-        collar_halfwidth=float(raw.get("collar_halfwidth", 1.0)),
+        collar_halfwidth=_number(raw.get("collar_halfwidth", 1.0),
+                                 "collar_halfwidth", positive=True),
         phase_str=raw.get("phase"),
         map_strs=raw.get("map"),
         amplitude_str=(raw.get("amplitude") or {}).get("expr"),
-        amplitude_order=float((raw.get("amplitude") or {}).get("order", 0.0)),
+        amplitude_order=_number(
+            (raw.get("amplitude") or {}).get("order", 0.0), "amplitude.order"),
         amplitude_homogeneous=(raw.get("amplitude") or {}).get(
             "homogeneous_degree"),
         sg_params=raw.get("sg"),
         checks=checks,
-        seed=int(raw.get("seed", 7)),
+        seed=_number(raw.get("seed", 7), "seed", integer=True),
         intended_failures=tuple(raw.get("intended_failures", ())),
     )
-    if "margins" in raw:
+    if raw.get("margins") is not None:
         mdef = Margins()
         m = raw["margins"]
         bad = set(m) - {"c_min", "eps_min", "c_max", "ratio_max"}
         if bad:
             raise ScenarioValidationError(f"unknown margin keys {bad}")
-        sc.margins = Margins(
-            c_min=float(m.get("c_min", mdef.c_min)),
-            eps_min=float(m.get("eps_min", mdef.eps_min)),
-            c_max=float(m.get("c_max", mdef.c_max)),
-            ratio_max=float(m.get("ratio_max", mdef.ratio_max)))
-    if "grids" in raw:
+        sc.margins = Margins(**{
+            k: _number(m.get(k, getattr(mdef, k)), f"margins.{k}")
+            for k in ("c_min", "eps_min", "c_max", "ratio_max")})
+    if raw.get("grids") is not None:
         g = raw["grids"]
         bad = set(g) - {"scale"}
         if bad:
             raise ScenarioValidationError(f"unknown grid keys {bad}")
-        sc.grid_scale = float(g["scale"])
+        sc.grid_scale = _number(g.get("scale"), "grids.scale",
+                                 positive=True)
     if sc.phase_str is None and sc.map_strs is None:
         raise ScenarioValidationError("scenario declares no phase and no map")
     if sc.map_strs is not None:
@@ -207,7 +227,11 @@ def load_scenario(source) -> Scenario:
         support = None
         box = (raw.get("amplitude") or {}).get("support_xn")
         if box is not None:
-            support = ((-1e9, 1e9), (float(box[0]), float(box[1])))
+            if not isinstance(box, list) or len(box) != 2:
+                raise ScenarioValidationError(
+                    "amplitude.support_xn must be a list [lo, hi]")
+            lo, hi = (_number(b, "amplitude.support_xn") for b in box)
+            support = ((-1e9, 1e9), (lo, hi))
         sc.amplitude = SymbolFn(
             parse_expr(sc.amplitude_str), order=sc.amplitude_order,
             homogeneous_degree=sc.amplitude_homogeneous, support=support,
@@ -556,12 +580,13 @@ class ScenarioRunner:
             else:
                 cal = calibrate(self.sc.phase, margins=self.margins)
                 k, K, rep, trials = cal.k, cal.K, cal.report, cal.trials
+            # np.maximum/np.min, not max()/min(): a NaN constant must show
             worst = {}
             for combo in rep.per_combo:
                 for key, v in combo.items():
-                    worst[key] = max(worst.get(key, 0.0), v)
+                    worst[key] = float(np.maximum(worst.get(key, 0.0), v))
             # inf-side constants: certified minima across combos
-            mins = {key: min(c[key] for c in rep.per_combo)
+            mins = {key: float(np.min([c[key] for c in rep.per_combo]))
                     for key in ("c_t", "c_tau", "eps")}
             return CheckOutcome("sg.conditions",
                                 "pass" if rep.passed else "fail",

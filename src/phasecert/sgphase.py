@@ -90,11 +90,11 @@ class PhaseConstants:
         return out
 
     def passes(self, m: Margins) -> bool:
-        if min(self.c_t, self.c_tau) < m.c_min or self.eps < m.eps_min:
-            return False
-        if max(self.C_t, self.C_tau) > m.c_max:
-            return False
-        return max(self.table.values()) <= m.c_max
+        # every bound is stated so that a NaN constant fails it
+        lows = np.array([self.c_t, self.c_tau, self.eps])
+        highs = np.array([self.C_t, self.C_tau, *self.table.values()])
+        return bool(np.all(lows >= [m.c_min, m.c_min, m.eps_min])
+                    and np.all(highs <= m.c_max))
 
 
 class StarPhaseFamily:

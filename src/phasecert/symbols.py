@@ -185,7 +185,9 @@ def check_transmission(a: SymbolFn, max_orders: int = 2,
                 report.table.append(
                     {"k": k, "alpha": al, "beta": be, "residual": resid,
                      "singular": False})
-                report.max_residual = max(report.max_residual, resid)
+                # np.maximum, not max(): a NaN residual must stick
+                report.max_residual = float(np.maximum(report.max_residual,
+                                                       resid))
     return report
 
 

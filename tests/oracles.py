@@ -50,3 +50,36 @@ def loglog_slope(x, y):
     A = np.vstack([x, np.ones_like(x)]).T
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     return float(sol[0])
+
+
+def smooth_cutoff(xi, R: float):
+    """1 for |xi| <= R, 0 for |xi| >= 2R, exp(-1/s) transition in
+    p = (xi / 2R)^2: w = F(1 - p) / (F(1 - p) + F(p - 1/4))."""
+    p = (np.asarray(xi, dtype=float) / (2.0 * R)) ** 2
+
+    def F(s):
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            return np.where(s > 0.0, np.exp(-1.0 / np.where(s > 0.0, s, 1.0)),
+                            0.0)
+
+    return F(1.0 - p) / (F(1.0 - p) + F(p - 0.25))
+
+
+def cutoff_richardson_separate(f, R: float, panels_per_unit: float,
+                               order: int = 12, min_panels: int = 64):
+    """Smooth-cutoff Richardson value on three separate grids: radius L*R
+    (L = 1, 2, 4) on its own composite Gauss grid over [-2LR, 2LR] with
+    max(min_panels, ceil(4LR * panels_per_unit)) panels, f evaluated on all
+    nodes at once.  Returns (I_R, I_2R, I_4R, extrapolated value)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    vals = []
+    for level in (1.0, 2.0, 4.0):
+        a = 2.0 * R * level
+        n = max(min_panels, int(np.ceil(2.0 * a * panels_per_unit)))
+        h = a / n
+        mids = -a + h * (2.0 * np.arange(n) + 1.0)
+        nodes = (mids[:, None] + h * x[None, :]).ravel()
+        weights = np.tile(h * w, n)
+        vals.append(f(nodes) @ (weights * smooth_cutoff(nodes, R * level)))
+    i1, i2, i4 = vals
+    return i1, i2, i4, (8.0 * i4 - 6.0 * i2 + i1) / 3.0

@@ -181,3 +181,45 @@ def test_entry_point_installed():
                           text=True)
     assert proc.returncode == 0
     assert "dilation" in proc.stdout
+
+
+def _edit(key, value):
+    sc = catalog.emit("identity")
+    if key == "grids.scale":
+        sc["grids"] = {"scale": value}
+    else:
+        sc[key] = value
+    return sc
+
+
+BAD_FIELDS = {
+    "seed-string": ("seed", "abc"),
+    "seed-fraction": ("seed", 1.5),
+    "n-string": ("n", "two"),
+    "n-null": ("n", None),
+    "collar-string": ("collar_halfwidth", "wide"),
+    "collar-negative": ("collar_halfwidth", -1.0),
+    "collar-zero": ("collar_halfwidth", 0.0),
+    "collar-nan": ("collar_halfwidth", float("nan")),
+    "collar-inf": ("collar_halfwidth", float("inf")),
+    "collar-nan-string": ("collar_halfwidth", "nan"),
+    "scale-string": ("grids.scale", "big"),
+    "scale-bool": ("grids.scale", True),
+    "grids-number": ("grids", 3),
+    "amplitude-string": ("amplitude", "1"),
+    "sg-list": ("sg", [0.5, 1.0]),
+    "support-string": ("amplitude", {"expr": "1", "support_xn": ["a", 1]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_cli_rejects_bad_scenario_field(tmp_path, capsys, case):
+    from phasecert.exceptions import ScenarioValidationError
+    key, value = BAD_FIELDS[case]
+    sc = _edit(key, value)
+    with pytest.raises(ScenarioValidationError, match=key.split(".")[-1]):
+        load_scenario(sc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(sc))     # NaN and inf as JSON literals
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err

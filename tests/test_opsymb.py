@@ -7,11 +7,12 @@ from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
 from phasecert.normalop import NormalOperatorSpec
+from phasecert import opsymb
 from phasecert.opsymb import (ConjugatedFamily, GroupAction,
                               apply_group_action, default_t_grid,
                               estimate_symbol_order, fit_seminorm_ladder,
-                              schwartz_seminorm, sweep_symbol_orders,
-                              transpose_check)
+                              panel_fourier_sum, schwartz_seminorm,
+                              sweep_symbol_orders, transpose_check)
 from phasecert.phase import GeneratingPhase
 from phasecert.schwartz import hermite_fn
 from phasecert.symbols import SymbolFn, check_bs_membership
@@ -259,3 +260,24 @@ def test_transpose_smoothing_spec():
     spec = NormalOperatorSpec(phase_of("identity"), amp, 0.3, 1.0)
     rep = transpose_check(spec, HS[1], HS[2])
     assert rep["residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("spec,v", [(IDENTITY_SPEC, HS[1]),
+                                    (DILATION_SPEC, HS[2])],
+                         ids=["identity", "dilation"])
+def test_factored_transpose_matches_dense_sum(monkeypatch, spec, v):
+    """A^t v from the factored kernel against the dense
+    sum_q c_q exp(-1j y xi_q), on the arguments transpose_check passes."""
+    gaps = []
+
+    def spy(c, xi, mid, half, g):
+        got = panel_fourier_sum(c, xi, mid, half, g)
+        y = (mid[:, None] + half * g[None, :]).ravel()
+        dense = np.exp(-1j * y[:, None] * xi[None, :]) @ c
+        gaps.append(np.max(np.abs(got - dense)) / np.max(np.abs(dense)))
+        return got
+
+    monkeypatch.setattr(opsymb, "panel_fourier_sum", spy)
+    rep = transpose_check(spec, HS[0], v)
+    assert len(gaps) == 1 and gaps[0] <= 1e-12, gaps
+    assert rep["residual"] <= 1e-9

@@ -171,3 +171,12 @@ def test_admissibility_bad_phase_fails_on_normal_derivative():
     assert not rep.passed
     assert not rep.reports["dxn"].passed
     assert rep.reports["dxn"].max_residual >= 0.1
+
+
+def test_normal_coeffs_euler_residual_keeps_nan():
+    # finite on the + ray (residual 1000 x1^2), inf - inf on the - ray
+    ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn*exp(1000*x1^2*(1-kn))"),
+                         name="nan-euler")
+    with np.errstate(all="ignore"):
+        nc = normal_coeffs(ph)
+    assert np.isnan(nc.euler_residual)

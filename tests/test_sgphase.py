@@ -9,8 +9,8 @@ from phasecert.exceptions import CollarBoundsError
 from phasecert.grammar import parse_expr
 from phasecert.grids import sg_ladder
 from phasecert.phase import GeneratingPhase
-from phasecert.sgphase import (Cutoff, StarPhaseFamily,
-                               build_star_phi, calibrate, check_uniformity,
+from phasecert.sgphase import (Cutoff, Margins, PhaseConstants,
+                               StarPhaseFamily, build_star_phi, calibrate, check_uniformity,
                                cutoff_expr, phi_envelope)
 
 from oracles import central_diff
@@ -283,3 +283,42 @@ def test_phi_envelope_stable_across_rungs():
             if len(live) >= 2:
                 assert live.max() <= 2.0 * live.min(), (ph.name, alpha)
             assert per_rung[1.0][alpha] <= vals.max() + 1e-12
+
+
+def _constants(**over):
+    base = dict(table={(0, 0): 1.0, (1, 1): 2.0}, c_t=0.5, C_t=2.0,
+                c_tau=0.5, C_tau=2.0, eps=0.3, eps_sign=1.0, worst={},
+                grid="g")
+    base.update(over)
+    return PhaseConstants(**base)
+
+
+@pytest.mark.parametrize("over", [
+    dict(c_t=math.nan), dict(c_tau=math.nan), dict(eps=math.nan),
+    dict(C_t=math.nan), dict(C_tau=math.nan),
+    dict(table={(0, 0): 1.0, (1, 1): math.nan}),
+    dict(table={(0, 0): math.nan, (1, 1): 2.0})])
+def test_margins_fail_on_nan_constant(over):
+    assert _constants().passes(Margins())
+    assert not _constants(**over).passes(Margins())
+
+
+def test_runner_sg_table_keeps_nan(monkeypatch):
+    from phasecert import catalog
+    from phasecert import runner as rn
+
+    real = rn.check_uniformity
+
+    def poisoned(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.per_combo[1]["C_00"] = math.nan
+        rep.per_combo[1]["c_t"] = math.nan
+        return rep
+
+    monkeypatch.setattr(rn, "check_uniformity", poisoned)
+    sc = catalog.emit("identity")
+    sc["checks"] = ["phase", "sg"]
+    out = next(o for o in rn.run_scenario(sc).outcomes
+               if o.check == "sg.conditions")
+    assert math.isnan(out.metrics["constants_max"]["C_00"])
+    assert math.isnan(out.metrics["constants_min"]["c_t"])

@@ -142,3 +142,15 @@ def test_bs_rejects_short_ladder():
     from phasecert.exceptions import RegressionError
     with pytest.raises(RegressionError):
         check_bs_membership(parse_expr("1"), m=0.0, l=0.0, rung_top=4.0)
+
+
+def test_transmission_fails_on_nan_residual():
+    # exp(1000 x1^2) overflows at |x1| = 1, so 3 of the 27 table rows have
+    # residual inf - inf = NaN; the check must not pass on them
+    a = SymbolFn(parse_expr("exp(1000*x1^2)*kn"), order=1.0,
+                 homogeneous_degree=1.0)
+    with np.errstate(all="ignore"):
+        rep = check_transmission(a)
+    assert any(np.isnan(row["residual"]) for row in rep.table)
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed
