@@ -27,13 +27,22 @@ from .exceptions import PhasecertError, ScenarioParseError, \
     ScenarioValidationError, UnknownScenarioError
 from .grammar import parse_expr
 from .normalop import NormalOperatorSpec, apply_normal_op
-from .phase import GeneratingPhase
 from .runner import (RunReport, CheckOutcome, check_golden, jsonable,
                      load_scenario, render_report, run_scenario,
                      write_report)
-from .schwartz import catalog as schwartz_catalog
+from .schwartz import SchwartzFn, catalog as schwartz_catalog
 from .sgphase import calibrate
-from .symbols import SymbolFn
+
+
+# subcommands that run check families (None: the scenario's own selection)
+FAMILY_COMMANDS = {
+    "run": (None, "run the scenario's selected checks"),
+    "check-symplecto": ({"symplecto"}, "map checks only"),
+    "check-phase": ({"phase", "generating"}, "phase checks only"),
+    "verify-sg": ({"phase", "sg"}, "regularized-phase conditions"),
+    "verify-opsymb": ({"phase", "operator", "opsymb"},
+                      "operator-valued order fits"),
+}
 
 
 def _scenario_source(args):
@@ -58,12 +67,6 @@ def _finish(report: RunReport, args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_run(args) -> int:
-    report = run_scenario(_scenario_source(args), None, args.grid,
-                          args.margin, seed=args.seed)
-    return _finish(report, args)
-
-
 def cmd_family(args, families) -> int:
     report = run_scenario(_scenario_source(args), families, args.grid,
                           args.margin, seed=args.seed)
@@ -72,12 +75,9 @@ def cmd_family(args, families) -> int:
 
 def cmd_calibrate(args) -> int:
     sc = load_scenario(_scenario_source(args))
-    if sc.phase_str is None:
+    if sc.psi is None:
         raise ScenarioValidationError("calibrate needs a phase")
-    phase = GeneratingPhase(parse_expr(sc.phase_str), n=sc.n,
-                            collar_halfwidth=sc.collar_halfwidth,
-                            name=sc.name)
-    cal = calibrate(phase)
+    cal = calibrate(sc.generating_phase())
     payload = cal.as_dict()
     payload["scenario"] = sc.name
     text = json.dumps(jsonable(payload), sort_keys=True, indent=1,
@@ -92,20 +92,15 @@ def cmd_calibrate(args) -> int:
 
 def cmd_apply(args) -> int:
     sc = load_scenario(_scenario_source(args))
-    if sc.phase_str is None:
+    if sc.psi is None:
         raise ScenarioValidationError("apply needs a phase")
-    phase = GeneratingPhase(parse_expr(sc.phase_str), n=sc.n,
-                            collar_halfwidth=sc.collar_halfwidth,
-                            name=sc.name)
-    amp = sc.amplitude or SymbolFn(parse_expr("1"), order=0.0,
-                                   homogeneous_degree=0.0)
-    spec = NormalOperatorSpec(phase, amp, xprime=args.xprime,
-                              xi_prime=args.xi_prime, name=sc.name)
+    spec = NormalOperatorSpec(sc.generating_phase(), sc.operator_amplitude(),
+                              xprime=args.xprime, xi_prime=args.xi_prime,
+                              name=sc.name)
     fns = schwartz_catalog()
     if args.function in fns:
         u = fns[args.function]
     else:
-        from .schwartz import SchwartzFn
         u = SchwartzFn("inline", parse_expr(args.function))
     xn = np.linspace(args.xn_min, args.xn_max, args.xn_count)
     vals, err = apply_normal_op(spec, u, xn)
@@ -167,18 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--golden-update", action="store_true",
                        help="re-pin the golden digest for this scenario")
 
-    p = sub.add_parser("run", help="run the scenario's selected checks")
-    common(p)
-    p = sub.add_parser("check-symplecto", help="map checks only")
-    common(p)
-    p = sub.add_parser("check-phase", help="phase checks only")
-    common(p)
-    p = sub.add_parser("verify-sg", help="regularized-phase conditions")
-    common(p)
-    p = sub.add_parser("verify-opsymb", help="operator-valued order fits")
-    common(p)
-    p = sub.add_parser("calibrate", help="search the cutoff/slope pair")
-    common(p)
+    for name, (_, text) in FAMILY_COMMANDS.items():
+        common(sub.add_parser(name, help=text))
+    common(sub.add_parser("calibrate", help="search the cutoff/slope pair"))
 
     p = sub.add_parser("apply", help="sample the normal operator")
     common(p)
@@ -205,16 +191,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "check-symplecto":
-            return cmd_family(args, {"symplecto"})
-        if args.command == "check-phase":
-            return cmd_family(args, {"phase", "generating"})
-        if args.command == "verify-sg":
-            return cmd_family(args, {"phase", "sg"})
-        if args.command == "verify-opsymb":
-            return cmd_family(args, {"phase", "operator", "opsymb"})
+        if args.command in FAMILY_COMMANDS:
+            return cmd_family(args, FAMILY_COMMANDS[args.command][0])
         if args.command == "calibrate":
             return cmd_calibrate(args)
         if args.command == "apply":

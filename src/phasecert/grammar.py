@@ -12,6 +12,11 @@ Functions: exp, log, sin, cos, sqrt, bracket (n-ary japanese bracket),
 norm (euclidean norm of variables), bump (smooth transition primitive).
 Anything else that looks like an identifier is a variable; collar phase
 space uses x1..x{n-1}, xn for position and k1..k{n-1}, kn for covariables.
+
+Numbers are written out in full: scientific notation (1e-3) is rejected
+with a message that says so.  Parentheses, function calls and unary
+minus nest at most MAX_DEPTH deep, so no expression can exhaust the
+parser's recursion.
 """
 
 from __future__ import annotations
@@ -21,8 +26,11 @@ import re
 from . import expr as ex
 from .exceptions import ScenarioParseError
 
+MAX_DEPTH = 64
+
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)"
                     r"|(\*\*)|([()+\-*/^,]))")
+_SCIENTIFIC = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+")
 
 _FUNCTIONS = {
     "exp": ex.exp_,
@@ -46,6 +54,11 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 break
             raise ScenarioParseError(f"bad token at {rest[:12]!r}")
         num, ident, dstar, sym = m.groups()
+        sci = num is not None and _SCIENTIFIC.match(text, m.start(1))
+        if sci:
+            raise ScenarioParseError(
+                f"scientific notation {sci.group()!r} is not supported; "
+                "write the number as a plain decimal")
         if num is not None:
             out.append(("num", num))
         elif ident is not None:
@@ -64,6 +77,17 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        """parse() one level deeper, refusing to pass MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            raise ScenarioParseError(
+                f"expression nests deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.toks[self.i]
@@ -113,7 +137,7 @@ class _Parser:
         kind, val = self.peek()
         if kind == "sym" and val == "-":
             self.take()
-            return ex.neg(self.unary())
+            return ex.neg(self.nested(self.unary))
         return self.power()
 
     def power(self) -> ex.Expr:
@@ -151,19 +175,19 @@ class _Parser:
             k2, v2 = self.peek()
             if k2 == "sym" and v2 == "(":
                 self.take()
-                args = [self.expr()]
+                args = [self.nested(self.expr)]
                 while True:
                     k3, v3 = self.peek()
                     if k3 == "sym" and v3 == ",":
                         self.take()
-                        args.append(self.expr())
+                        args.append(self.nested(self.expr))
                     else:
                         break
                 self.expect(")")
                 return self._call(val, args)
             return ex.var(val)
         if kind == "sym" and val == "(":
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect(")")
             return node
         raise ScenarioParseError(f"unexpected {val!r} in {self.text!r}")

@@ -12,11 +12,13 @@ where b is the amplitude produced from a by differentiating the
 exponential-times-amplitude integrand in (x', xi') (and in x_n for output
 derivatives): each derivative maps b to i (d phase) b + d b, so the
 amplitudes stay closed-form pairs of real expressions.  Schwartz
-seminorms of the outputs are swept over a <xi'> ladder and their growth
-exponent is fitted by least squares; the declared order bound is
-m - (number of xi'-derivatives), following the convention in which the
-covariable decay tracks covariable derivatives (the printed index
-pairing in the source estimate differs; reports carry a note).
+seminorms of the outputs are swept over a <xi'> ladder (ladder_window:
+the full ladder, or its saturated tail for a support-limited amplitude)
+and their growth exponent is fitted by symbols.loglog_fit in one loop
+that estimate_symbol_order and sweep_symbol_orders share; the declared
+order bound is m - (number of xi'-derivatives), following the convention
+in which the covariable decay tracks covariable derivatives (the printed
+index pairing in the source estimate differs; reports carry a note).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .exceptions import RegressionError
 from .normalop import NormalOperatorSpec
 from .quadrature import gauss_rule, panel_frame, panel_nodes
 from .schwartz import SchwartzFn
+from .symbols import loglog_fit
 
 INDEX_NOTE = ("order target m - |alpha| with alpha counting xi'-derivatives; "
               "the x'-index pairing printed in the source estimate is not "
@@ -82,11 +85,6 @@ def nested_seminorm(u: SchwartzFn, l: int, s: int,
                for lp in range(l + 1) for sp in range(s + 1))
 
 
-def _discrete_seminorm(t_grid: np.ndarray, values: np.ndarray,
-                       l: int) -> float:
-    return float(np.max(np.abs(t_grid) ** l * np.abs(values)))
-
-
 def default_t_grid() -> np.ndarray:
     pos = np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.25, 1.5,
                     2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0])
@@ -95,6 +93,23 @@ def default_t_grid() -> np.ndarray:
 
 DEFAULT_RUNGS = tuple(2.0**j for j in range(9))
 FIT_TOL = 0.1   # a fitted slope passes when slope <= target + FIT_TOL
+SWEEP_MIN_LIVE = 4  # live rungs a sweep fit needs, on either window
+
+
+def ladder_window(spec: NormalOperatorSpec):
+    """(t_grid, rungs) of the order fits of spec: the full ladder, or for a
+    support-limited amplitude, whose outputs vanish outside
+    |t| <= rung * support half-width, the saturated tail of rungs whose
+    rescaled support covers a shorter t grid."""
+    support = spec.amplitude.support
+    if support is None:
+        return default_t_grid(), DEFAULT_RUNGS
+    h = max(abs(support[1][0]), abs(support[1][1]))
+    pos = np.array([0.05, 0.15, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0,
+                    4.0, 5.0, 6.0])
+    t_grid = np.concatenate([-pos[::-1], [0.0], pos])
+    t_max = float(np.max(t_grid))
+    return t_grid, tuple(r for r in DEFAULT_RUNGS if r * h >= t_max)
 
 
 class ConjugatedFamily:
@@ -236,13 +251,28 @@ def fit_seminorm_ladder(rungs, seminorms, alpha: int, beta: int, l: int,
         raise RegressionError(
             f"only {int(live.sum())} live rungs; need >= {min_live} "
             "for the fit")
-    lx = np.log(rungs[live])
-    ly = np.log(sems[live])
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    sol, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = float(np.sqrt(res[0] / len(lx))) if len(res) else 0.0
+    slope, resid = loglog_fit(rungs[live], sems[live])
     return OrderFit(alpha, beta, l, s, u_name, tuple(rungs), tuple(sems),
-                    float(sol[0]), target, resid, tol)
+                    slope, target, resid, tol)
+
+
+def _ladder_fits(spec: NormalOperatorSpec, family: ConjugatedFamily,
+                 us: list[SchwartzFn], keys, ls, rungs, t_grid: np.ndarray,
+                 min_live: int) -> list[OrderFit]:
+    """OrderFits of the grid seminorms sup |t|^l |output| for every test
+    function, output key (a, b, s) in keys and l in ls, in that nesting
+    order."""
+    fits = []
+    for u in us:
+        outs = family.outputs(u, rungs, t_grid)
+        for a, b, s in keys:
+            for l in ls:
+                sems = [float(np.max(np.abs(t_grid) ** l * np.abs(o)))
+                        for o in outs[(a, b, s)]]
+                fits.append(fit_seminorm_ladder(
+                    rungs, sems, a, b, l, s, u.name,
+                    spec.amplitude.order - a, min_live=min_live))
+    return fits
 
 
 def estimate_symbol_order(spec: NormalOperatorSpec, alpha: int, beta: int,
@@ -256,35 +286,20 @@ def estimate_symbol_order(spec: NormalOperatorSpec, alpha: int, beta: int,
         family = ConjugatedFamily(spec, max_xi=alpha, max_x=beta, max_s=s)
     if t_grid is None:
         t_grid = default_t_grid()
-    target = spec.amplitude.order - alpha
-    fits = []
-    for u in us:
-        outs = family.outputs(u, rungs, t_grid)[(alpha, beta, s)]
-        sems = [_discrete_seminorm(t_grid, o, l) for o in outs]
-        fits.append(fit_seminorm_ladder(rungs, sems, alpha, beta, l, s,
-                                        u.name, target))
-    return fits
+    return _ladder_fits(spec, family, us, [(alpha, beta, s)], [l], rungs,
+                        t_grid, 6)
 
 
 def sweep_symbol_orders(spec: NormalOperatorSpec, us: list[SchwartzFn],
                         max_xi: int = 2, max_x: int = 2, max_l: int = 2,
-                        max_s: int = 2, rungs=DEFAULT_RUNGS) -> list[OrderFit]:
+                        max_s: int = 2) -> list[OrderFit]:
     """All OrderFits for derivative orders and seminorm indices up to the
-    bounds; one ladder sweep per test function."""
+    bounds, on the ladder window of spec, each fitted once it has
+    SWEEP_MIN_LIVE live rungs; one ladder sweep per test function."""
+    t_grid, rungs = ladder_window(spec)
     family = ConjugatedFamily(spec, max_xi, max_x, max_s)
-    t_grid = default_t_grid()
-    fits = []
-    for u in us:
-        outs = family.outputs(u, rungs, t_grid)
-        for (a, b, s), per_rung in outs.items():
-            sems_base = [np.abs(o) for o in per_rung]
-            for l in range(max_l + 1):
-                sems = [float(np.max(np.abs(t_grid) ** l * sb))
-                        for sb in sems_base]
-                fits.append(fit_seminorm_ladder(
-                    rungs, sems, a, b, l, s, u.name,
-                    spec.amplitude.order - a))
-    return fits
+    return _ladder_fits(spec, family, us, family.keys, range(max_l + 1),
+                        rungs, t_grid, SWEEP_MIN_LIVE)
 
 
 # ---------------------------------------------------------------------------

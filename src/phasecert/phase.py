@@ -106,6 +106,28 @@ def boundary_phase(psi: ex.Expr, n: int = 2, tol: float = 1e-10,
     return psi_b, diag
 
 
+def check_homogeneity(phase: GeneratingPhase, points) -> CheckReport:
+    """Degree-1 homogeneity of psi in the covariables at points (a sample
+    array or point dicts) by the scalar oracle expr.homogeneity_residual
+    and by the Euler identity xi . grad_xi psi = psi; the residual is the
+    NaN-strict larger of the two, and details carries both.  It passes at
+    or below 1e-10."""
+    samples = as_samples(points)
+    fiber = cotangential_vars(phase.n) + ["kn"]
+    res = ex.homogeneity_residual(
+        phase.psi, set(fiber), 1.0,
+        [point_at(samples, i) for i in range(len(samples))])
+    lhs = ex.add(*(ex.mul(ex.var(v), ex.differentiate(phase.psi, v))
+                   for v in fiber))
+    lhs_v, psi_v = ex.eval_array_many([lhs, phase.psi], samples)
+    euler, _ = sup((lhs_v - psi_v) / np.maximum(1.0, np.abs(psi_v)),
+                   len(samples))
+    tol = 1e-10
+    return CheckReport("homogeneity", float(np.maximum(res, euler)), tol,
+                       details={"residual": res, "euler_residual": euler,
+                                "tol": tol})
+
+
 def check_generating(phase: GeneratingPhase, chi: SymplectoMap,
                      samples=None, tol: float = 1e-8) -> CheckReport:
     """Graph consistency: with y := grad_xi psi(x, eta), the map must send
@@ -212,19 +234,16 @@ def normal_coeffs(phase: GeneratingPhase,
         xprime_samples = np.linspace(-1.0, 1.0, 21)
     dpsi = ex.differentiate(phase.psi, "xn")
     zero_prime = {c: 0.0 for c in cotangential_vars(phase.n)}
+    base = {f"x{i}": xprime_samples for i in range(1, phase.n)}
+
+    def on_ray(e, kn):      # e at (x', 0, 0, kn), and its values on x'
+        e = ex.substitute(e, {"xn": 0.0, **zero_prime, "kn": kn})
+        return e, np.broadcast_to(ex.eval_array(e, base),
+                                  xprime_samples.shape)
     try:
-        qp = ex.substitute(dpsi, {"xn": 0.0, **zero_prime, "kn": 1.0})
-        qm = ex.substitute(dpsi, {"xn": 0.0, **zero_prime, "kn": -1.0})
-        base = {f"x{i}": xprime_samples for i in range(1, phase.n)}
-        qpv = np.broadcast_to(ex.eval_array(qp, base), xprime_samples.shape)
-        qmv = np.broadcast_to(ex.eval_array(qm, base), xprime_samples.shape)
+        (qp, qpv), (qm, qmv) = on_ray(dpsi, 1.0), on_ray(dpsi, -1.0)
         mixed = ex.differentiate(dpsi, "kn")
-        mp = np.broadcast_to(ex.eval_array(
-            ex.substitute(mixed, {"xn": 0.0, **zero_prime, "kn": 1.0}), base),
-            xprime_samples.shape)
-        mm = np.broadcast_to(ex.eval_array(
-            ex.substitute(mixed, {"xn": 0.0, **zero_prime, "kn": -1.0}), base),
-            xprime_samples.shape)
+        (_, mp), (_, mm) = on_ray(mixed, 1.0), on_ray(mixed, -1.0)
     except SingularLocusError as err:
         raise SingularAxisError(
             f"psi is not smooth at (xi', xi_n) = (0, +-1): {err}") from err
@@ -254,16 +273,11 @@ def check_admissibility(phase: GeneratingPhase,
     reports = {}
     worst = 0.0
     ok = True
-    for v in tangential_vars(phase.n) + ["xn"]:
-        sym = SymbolFn(ex.differentiate(phase.psi, v), order=1.0,
-                       homogeneous_degree=1.0, name=f"d/d{v} psi")
-        r = check_transmission(sym, max_orders)
-        reports[f"d{v}"] = r
-        worst = float(np.maximum(worst, r.max_residual))
-        ok = ok and r.passed
-    for v in cotangential_vars(phase.n) + ["kn"]:
-        sym = SymbolFn(ex.differentiate(phase.psi, v), order=0.0,
-                       homogeneous_degree=0.0, name=f"d/d{v} psi")
+    degrees = [(v, 1.0) for v in tangential_vars(phase.n) + ["xn"]] \
+        + [(v, 0.0) for v in cotangential_vars(phase.n) + ["kn"]]
+    for v, m in degrees:
+        sym = SymbolFn(ex.differentiate(phase.psi, v), order=m,
+                       homogeneous_degree=m, name=f"d/d{v} psi")
         r = check_transmission(sym, max_orders)
         reports[f"d{v}"] = r
         worst = float(np.maximum(worst, r.max_residual))

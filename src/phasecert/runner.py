@@ -7,8 +7,11 @@ check families in dependency order
     symplecto -> phase -> generating -> sg -> operator -> opsymb
 
 with downstream families skipped (not passed) when their prerequisites
-fail.  Reports are deterministic: on one machine the same scenario and
-seed produce byte-identical CSV bodies.
+fail.  The loader parses every expression once, so a bad one is a load
+error (CLI exit 2); each check is a call into the library whose
+(passed, metrics) ``ScenarioRunner.check`` records.  Reports are
+deterministic: on one machine the same scenario and seed produce
+byte-identical CSV bodies.
 
 The report digest is the SHA-256 of a canonical form of the result body
 (``RunReport.canonical_body``), made so that round-off does not move it:
@@ -67,7 +70,7 @@ import io
 import json
 import math
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,18 +82,18 @@ from .exceptions import (PhasecertError, ScenarioParseError,
 from .grammar import parse_expr
 from .normalop import NormalOperatorSpec, QuadratureSpec, apply_normal_op, \
     l2_smoke_check
-from .opsymb import ConjugatedFamily, fit_seminorm_ladder, transpose_check, \
-    default_t_grid, DEFAULT_RUNGS, FIT_TOL
+from .opsymb import FIT_TOL, sweep_symbol_orders, transpose_check
 from .phase import (GeneratingPhase, check_admissibility, check_generating,
-                    check_nondegeneracy, normal_coeffs)
+                    check_homogeneity, check_nondegeneracy, normal_coeffs)
 from .schwartz import SchwartzFn, hermite_fn
 from .sgphase import ZERO_FLOOR, Margins, calibrate, check_uniformity
 from .symbols import SymbolFn, check_transmission
-from .symplectic import (SymplectoMap, as_samples, check_boundary_preserving,
+from .symplectic import (SymplectoMap, check_boundary_preserving,
                          check_jacobian_structure, check_symplectic,
-                         collar_samples, induced_boundary_map, sup)
+                         collar_samples, induced_boundary_map)
 
 FAMILIES = ("symplecto", "phase", "generating", "sg", "operator", "opsymb")
+COLLAR_VARS = ("x1", "xn", "k1", "kn")     # the variables of an n = 2 scenario
 
 GRID_PRESETS = {
     "default": 1.0,
@@ -113,14 +116,13 @@ DEFAULT_TOL = 1e-10
 
 @dataclass
 class Scenario:
+    """A loaded scenario: psi (the declared phase), chi (the map) and
+    amplitude are the parsed expressions.  phase, the GeneratingPhase
+    of psi with its boundary part, is built by the runner's
+    phase.boundary_phase check, because building it can fail."""
     name: str
     n: int = 2
     collar_halfwidth: float = 1.0
-    phase_str: str | None = None
-    map_strs: dict[str, str] | None = None
-    amplitude_str: str | None = None
-    amplitude_order: float = 0.0
-    amplitude_homogeneous: float | None = None
     sg_params: dict | None = None
     checks: tuple[str, ...] = FAMILIES
     seed: int = 7
@@ -128,9 +130,22 @@ class Scenario:
     margins: Margins | None = None
     grid_scale: float | None = None
 
+    psi: ex.Expr | None = field(default=None, repr=False)
     phase: GeneratingPhase | None = field(default=None, repr=False)
     chi: SymplectoMap | None = field(default=None, repr=False)
     amplitude: SymbolFn | None = field(default=None, repr=False)
+
+    def generating_phase(self) -> GeneratingPhase:
+        """The declared phase with its boundary part; raises
+        BoundaryFlatnessError when psi moves the boundary."""
+        return GeneratingPhase(self.psi, n=self.n,
+                               collar_halfwidth=self.collar_halfwidth,
+                               name=self.name)
+
+    def operator_amplitude(self) -> SymbolFn:
+        """The declared amplitude, or the constant 1 of order 0."""
+        return self.amplitude or SymbolFn(ex.const(1.0), order=0.0,
+                                          homogeneous_degree=0.0)
 
 
 def _number(v, name: str, integer: bool = False, positive: bool = False):
@@ -149,8 +164,30 @@ def _number(v, name: str, integer: bool = False, positive: bool = False):
     return int(v) if integer else float(v)
 
 
+def _expression(text, name: str) -> ex.Expr:
+    """text, the value of scenario field name, parsed once it is checked to
+    be a string whose free variables are all collar variables."""
+    if not isinstance(text, str):
+        raise ScenarioValidationError(
+            f"{name} must be an expression string, got {text!r}")
+    try:
+        e = parse_expr(text)
+    except ScenarioParseError as err:
+        raise ScenarioParseError(f"{name}: {err}") from None
+    unknown = ex.free_vars(e) - set(COLLAR_VARS)
+    if unknown:
+        raise ScenarioValidationError(
+            f"{name} uses unknown variables {sorted(unknown)}; the collar "
+            f"variables are {', '.join(COLLAR_VARS)}")
+    return e
+
+
 def load_scenario(source) -> Scenario:
-    """Parse and validate a scenario from a dict, JSON text, or file path."""
+    """Parse and validate a scenario from a dict, JSON text, or file path.
+
+    Every expression (phase, map components, amplitude) is parsed here,
+    once, so a bad one is a load error, not a failed or errored check.
+    """
     if isinstance(source, dict):
         raw = source
     else:
@@ -180,17 +217,12 @@ def load_scenario(source) -> Scenario:
     bad = set(checks) - set(FAMILIES)
     if bad:
         raise ScenarioValidationError(f"unknown check families {bad}")
+    amp = raw.get("amplitude") or {}
+    collar_halfwidth = _number(raw.get("collar_halfwidth", 1.0),
+                               "collar_halfwidth", positive=True)
+    amp_order = _number(amp.get("order", 0.0), "amplitude.order")
     sc = Scenario(
-        name=raw["name"], n=n,
-        collar_halfwidth=_number(raw.get("collar_halfwidth", 1.0),
-                                 "collar_halfwidth", positive=True),
-        phase_str=raw.get("phase"),
-        map_strs=raw.get("map"),
-        amplitude_str=(raw.get("amplitude") or {}).get("expr"),
-        amplitude_order=_number(
-            (raw.get("amplitude") or {}).get("order", 0.0), "amplitude.order"),
-        amplitude_homogeneous=(raw.get("amplitude") or {}).get(
-            "homogeneous_degree"),
+        name=raw["name"], n=n, collar_halfwidth=collar_halfwidth,
         sg_params=raw.get("sg"),
         checks=checks,
         seed=_number(raw.get("seed", 7), "seed", integer=True),
@@ -212,20 +244,22 @@ def load_scenario(source) -> Scenario:
             raise ScenarioValidationError(f"unknown grid keys {bad}")
         sc.grid_scale = _number(g.get("scale"), "grids.scale",
                                  positive=True)
-    if sc.phase_str is None and sc.map_strs is None:
+    phase_str, map_strs = raw.get("phase"), raw.get("map")
+    if phase_str is None and map_strs is None:
         raise ScenarioValidationError("scenario declares no phase and no map")
-    if sc.map_strs is not None:
-        need = {"x1", "xn", "k1", "kn"}
-        if set(sc.map_strs) != need:
+    if phase_str is not None:
+        sc.psi = _expression(phase_str, "phase")
+    if map_strs is not None:
+        if set(map_strs) != set(COLLAR_VARS):
             raise ScenarioValidationError(
-                f"map components must be exactly {sorted(need)}")
-        comps = {k: parse_expr(v) for k, v in sc.map_strs.items()}
+                f"map components must be exactly {sorted(COLLAR_VARS)}")
+        comps = {k: _expression(v, f"map.{k}") for k, v in map_strs.items()}
         sc.chi = SymplectoMap(comps, n=n,
                               collar_halfwidth=sc.collar_halfwidth,
                               name=sc.name)
-    if sc.amplitude_str is not None:
+    if amp.get("expr") is not None:
         support = None
-        box = (raw.get("amplitude") or {}).get("support_xn")
+        box = amp.get("support_xn")
         if box is not None:
             if not isinstance(box, list) or len(box) != 2:
                 raise ScenarioValidationError(
@@ -233,8 +267,8 @@ def load_scenario(source) -> Scenario:
             lo, hi = (_number(b, "amplitude.support_xn") for b in box)
             support = ((-1e9, 1e9), (lo, hi))
         sc.amplitude = SymbolFn(
-            parse_expr(sc.amplitude_str), order=sc.amplitude_order,
-            homogeneous_degree=sc.amplitude_homogeneous, support=support,
+            _expression(amp["expr"], "amplitude.expr"), order=amp_order,
+            homogeneous_degree=amp.get("homogeneous_degree"), support=support,
             name="amplitude")
     return sc
 
@@ -358,17 +392,6 @@ def _environment_stamp() -> dict:
                             "1/(2 pi)")}
 
 
-def _catch(fn, check: str) -> CheckOutcome:
-    try:
-        return fn()
-    except PhasecertError as err:
-        return CheckOutcome(check, "fail",
-                            message=f"{type(err).__name__}: {err}")
-    except Exception as err:   # infrastructure problem, not a verdict
-        return CheckOutcome(check, "error",
-                            message=f"{type(err).__name__}: {err}")
-
-
 class ScenarioRunner:
     """Executes one scenario's checks with dependency gating."""
 
@@ -390,12 +413,28 @@ class ScenarioRunner:
     def skip(self, check: str, why: str):
         self.add(CheckOutcome(check, "skip", message=why))
 
+    def check(self, name: str, fn):
+        """Record check name from fn(), which returns (passed, metrics).  A
+        library error fails the check; any other exception is an
+        infrastructure problem, not a verdict, and reports an error."""
+        try:
+            passed, metrics = fn()
+            outcome = CheckOutcome(name, "pass" if passed else "fail",
+                                   metrics)
+        except PhasecertError as err:
+            outcome = CheckOutcome(name, "fail",
+                                   message=f"{type(err).__name__}: {err}")
+        except Exception as err:
+            outcome = CheckOutcome(name, "error",
+                                   message=f"{type(err).__name__}: {err}")
+        self.add(outcome)
+
     def run(self, selector=None) -> RunReport:
         families = [f for f in self.sc.checks
                     if selector is None or f in selector]
         if "symplecto" in families and self.sc.chi is not None:
             self._run_symplecto()
-        if "phase" in families and self.sc.phase_str is not None:
+        if "phase" in families and self.sc.psi is not None:
             self._run_phase()
         if "generating" in families:
             self._run_generating()
@@ -412,33 +451,27 @@ class ScenarioRunner:
 
     def _run_symplecto(self):
         chi = self.sc.chi
-        seed = self.sc.seed
+
+        def samples(base: int, offset: int, **kw):
+            return collar_samples(chi, count=self._count(base),
+                                  seed=self.sc.seed + offset, **kw)
 
         def homog():
-            pts = collar_samples(chi, count=self._count(20), seed=seed + 1)
-            res = chi.homogeneity_residual(pts)
-            ok = res <= 1e-10
-            return CheckOutcome("symplecto.homogeneity",
-                                "pass" if ok else "fail",
-                                {"residual": res, "tol": 1e-10})
-        self.add(_catch(homog, "symplecto.homogeneity"))
+            res = chi.homogeneity_residual(samples(20, 1))
+            return res <= 1e-10, {"residual": res, "tol": 1e-10}
+        self.check("symplecto.homogeneity", homog)
 
         def sympl():
-            rep = check_symplectic(chi, collar_samples(
-                chi, count=self._count(200), seed=seed + 2))
-            return CheckOutcome("symplecto.symplectic",
-                                "pass" if rep.passed else "fail",
-                                {"residual": rep.residual, "tol": rep.tol,
-                                 "worst_point": rep.worst_point})
-        self.add(_catch(sympl, "symplecto.symplectic"))
+            rep = check_symplectic(chi, samples(200, 2))
+            return rep.passed, {"residual": rep.residual, "tol": rep.tol,
+                                "worst_point": rep.worst_point}
+        self.check("symplecto.symplectic", sympl)
 
         def bp():
-            rep = check_boundary_preserving(chi, collar_samples(
-                chi, count=self._count(200), seed=seed + 3, boundary=True))
-            return CheckOutcome("symplecto.boundary_preserving",
-                                "pass" if rep.passed else "fail",
-                                {"residual": rep.residual, "tol": rep.tol})
-        self.add(_catch(bp, "symplecto.boundary_preserving"))
+            rep = check_boundary_preserving(chi, samples(200, 3,
+                                                         boundary=True))
+            return rep.passed, {"residual": rep.residual, "tol": rep.tol}
+        self.check("symplecto.boundary_preserving", bp)
 
         gate = self.state.get("symplecto.boundary_preserving") \
             and self.state.get("symplecto.symplectic")
@@ -450,31 +483,24 @@ class ScenarioRunner:
             return
 
         def struct():
-            rep = check_jacobian_structure(chi, collar_samples(
-                chi, count=self._count(100), seed=seed + 4, boundary=True))
-            return CheckOutcome("symplecto.jacobian_structure",
-                                "pass" if rep.passed else "fail",
-                                rep.details | {"tol_zero": 1e-10,
-                                               "tol_det": 1e-8})
-        self.add(_catch(struct, "symplecto.jacobian_structure"))
+            rep = check_jacobian_structure(chi, samples(100, 4,
+                                                        boundary=True))
+            return rep.passed, rep.details | {"tol_zero": 1e-10,
+                                              "tol_det": 1e-8}
+        self.check("symplecto.jacobian_structure", struct)
 
         def bmap():
-            _, rep = induced_boundary_map(chi, collar_samples(
-                chi, count=self._count(100), seed=seed + 5, boundary=True))
-            return CheckOutcome("symplecto.boundary_map",
-                                "pass" if rep.passed else "fail",
-                                rep.details)
-        self.add(_catch(bmap, "symplecto.boundary_map"))
+            _, rep = induced_boundary_map(chi, samples(100, 5,
+                                                       boundary=True))
+            return rep.passed, rep.details
+        self.check("symplecto.boundary_map", bmap)
 
     def _run_phase(self):
         def build():
-            self.sc.phase = GeneratingPhase(
-                parse_expr(self.sc.phase_str), n=self.sc.n,
-                collar_halfwidth=self.sc.collar_halfwidth, name=self.sc.name)
+            self.sc.phase = self.sc.generating_phase()
             d = self.sc.phase.boundary_diagnostics
-            return CheckOutcome("phase.boundary_phase",
-                                "pass" if d["passed"] else "fail", d)
-        self.add(_catch(build, "phase.boundary_phase"))
+            return d["passed"], d
+        self.check("phase.boundary_phase", build)
         if self.sc.phase is None:
             for name in ("phase.homogeneity", "phase.nondegeneracy",
                          "phase.normal_coeffs", "phase.admissibility"):
@@ -484,53 +510,34 @@ class ScenarioRunner:
 
         def homog():
             rng = np.random.default_rng(self.sc.seed + 11)
-            pts = []
-            for _ in range(self._count(20)):
-                pts.append({"x1": float(rng.uniform(-1, 1)),
-                            "xn": float(rng.uniform(-0.4, 0.4)),
-                            "k1": float(rng.uniform(0.3, 3)
-                                        * rng.choice([-1, 1])),
-                            "kn": float(rng.uniform(0.3, 3)
-                                        * rng.choice([-1, 1]))})
-            res = ex.homogeneity_residual(ph.psi, {"k1", "kn"}, 1.0, pts)
-            # Euler identity at the same points
-            lhs = ex.add(ex.mul(ex.var("k1"), ex.differentiate(ph.psi, "k1")),
-                         ex.mul(ex.var("kn"), ex.differentiate(ph.psi, "kn")))
-            lhs_v, psi_v = ex.eval_array_many([lhs, ph.psi], as_samples(pts))
-            euler, _ = sup((lhs_v - psi_v) / np.maximum(1.0, np.abs(psi_v)),
-                           len(pts))
-            ok = res <= 1e-10 and euler <= 1e-10
-            return CheckOutcome("phase.homogeneity",
-                                "pass" if ok else "fail",
-                                {"residual": res, "euler_residual": euler,
-                                 "tol": 1e-10})
-        self.add(_catch(homog, "phase.homogeneity"))
+            pts = [{"x1": float(rng.uniform(-1, 1)),
+                    "xn": float(rng.uniform(-0.4, 0.4)),
+                    "k1": float(rng.uniform(0.3, 3) * rng.choice([-1, 1])),
+                    "kn": float(rng.uniform(0.3, 3) * rng.choice([-1, 1]))}
+                   for _ in range(self._count(20))]
+            rep = check_homogeneity(ph, pts)
+            return rep.passed, rep.details
+        self.check("phase.homogeneity", homog)
 
         def nondeg():
             rep = check_nondegeneracy(ph)
-            return CheckOutcome("phase.nondegeneracy",
-                                "pass" if rep.passed else "fail",
-                                rep.details | {"worst_point": rep.worst_point})
-        self.add(_catch(nondeg, "phase.nondegeneracy"))
+            return rep.passed, rep.details | {"worst_point": rep.worst_point}
+        self.check("phase.nondegeneracy", nondeg)
 
         def ncoef():
             nc = normal_coeffs(ph)
-            return CheckOutcome("phase.normal_coeffs",
-                                "pass" if nc.passed else "fail",
-                                {"kappa": nc.kappa,
-                                 "symmetry_residual": nc.symmetry_residual,
-                                 "euler_residual": nc.euler_residual,
-                                 "degenerate": nc.degenerate, "tol": nc.tol})
-        self.add(_catch(ncoef, "phase.normal_coeffs"))
+            return nc.passed, {"kappa": nc.kappa,
+                               "symmetry_residual": nc.symmetry_residual,
+                               "euler_residual": nc.euler_residual,
+                               "degenerate": nc.degenerate, "tol": nc.tol}
+        self.check("phase.normal_coeffs", ncoef)
 
         def adm():
             rep = check_admissibility(ph)
             table = {name: r.max_residual for name, r in rep.reports.items()}
-            return CheckOutcome("phase.admissibility",
-                                "pass" if rep.passed else "fail",
-                                {"max_residual": rep.max_residual,
-                                 "per_derivative": table})
-        self.add(_catch(adm, "phase.admissibility"))
+            return rep.passed, {"max_residual": rep.max_residual,
+                                "per_derivative": table}
+        self.check("phase.admissibility", adm)
 
     def _run_generating(self):
         if self.sc.phase is None or self.sc.chi is None:
@@ -548,23 +555,24 @@ class ScenarioRunner:
                                                   count=self._count(200),
                                                   seed=self.sc.seed + 6,
                                                   eta_top=6.0))
-            return CheckOutcome("phase.generating",
-                                "pass" if rep.passed else "fail",
-                                {"residual": rep.residual, "tol": rep.tol})
-        self.add(_catch(gen, "phase.generating"))
+            return rep.passed, {"residual": rep.residual, "tol": rep.tol}
+        self.check("phase.generating", gen)
 
-    def _phase_gate(self) -> bool:
+    def _phase_gate(self, check: str) -> bool:
+        """Whether the phase invariants hold; if not, check is skipped."""
         need = ["phase.boundary_phase", "phase.homogeneity",
                 "phase.nondegeneracy", "phase.normal_coeffs",
                 "phase.admissibility"]
-        return all(self.state.get(k, False) for k in need)
+        if self.sc.phase is None:
+            self.skip(check, "no phase declared")
+        elif not all(self.state.get(k, False) for k in need):
+            self.skip(check, "phase invariants failed")
+        else:
+            return True
+        return False
 
     def _run_sg(self):
-        if self.sc.phase is None:
-            self.skip("sg.conditions", "no phase declared")
-            return
-        if not self._phase_gate():
-            self.skip("sg.conditions", "phase invariants failed")
+        if not self._phase_gate("sg.conditions"):
             return
 
         def sg():
@@ -588,40 +596,30 @@ class ScenarioRunner:
             # inf-side constants: certified minima across combos
             mins = {key: float(np.min([c[key] for c in rep.per_combo]))
                     for key in ("c_t", "c_tau", "eps")}
-            return CheckOutcome("sg.conditions",
-                                "pass" if rep.passed else "fail",
-                                {"k": k, "K": K, "trials": trials,
-                                 "ratios": {kk: rep.ratios[kk]
-                                            for kk in ("c_t", "c_tau", "eps")},
-                                 "spread": rep.spread,
-                                 "constants_max": worst,
-                                 "constants_min": mins,
-                                 "grid": ghash,
-                                 "failures": rep.failures[:5]})
-        self.add(_catch(sg, "sg.conditions"))
+            return rep.passed, {"k": k, "K": K, "trials": trials,
+                                "ratios": {kk: rep.ratios[kk]
+                                           for kk in ("c_t", "c_tau", "eps")},
+                                "spread": rep.spread,
+                                "constants_max": worst,
+                                "constants_min": mins,
+                                "grid": ghash,
+                                "failures": rep.failures[:5]}
+        self.check("sg.conditions", sg)
 
     def _operator_spec(self) -> NormalOperatorSpec:
-        amp = self.sc.amplitude or SymbolFn(ex.const(1.0), order=0.0,
-                                            homogeneous_degree=0.0)
-        return NormalOperatorSpec(self.sc.phase, amp, xprime=0.3,
-                                  xi_prime=1.0, name=self.sc.name)
+        return NormalOperatorSpec(self.sc.phase, self.sc.operator_amplitude(),
+                                  xprime=0.3, xi_prime=1.0, name=self.sc.name)
 
     def _run_operator(self):
-        if self.sc.phase is None:
-            self.skip("operator.apply", "no phase declared")
-            return
-        if not self._phase_gate():
-            self.skip("operator.apply", "phase invariants failed")
+        if not self._phase_gate("operator.apply"):
             return
         spec = self._operator_spec()
         if self.sc.amplitude is not None and \
                 self.sc.amplitude.homogeneous_degree is not None:
             def amp_trans():
                 rep = check_transmission(self.sc.amplitude, max_orders=1)
-                return CheckOutcome("operator.amplitude_transmission",
-                                    "pass" if rep.passed else "fail",
-                                    {"max_residual": rep.max_residual})
-            self.add(_catch(amp_trans, "operator.amplitude_transmission"))
+                return rep.passed, {"max_residual": rep.max_residual}
+            self.check("operator.amplitude_transmission", amp_trans)
 
         def linearity():
             u0, u2 = hermite_fn(0), hermite_fn(2)
@@ -635,91 +633,50 @@ class ScenarioRunner:
             v0, _ = apply_normal_op(spec, u0, xn)
             v2, _ = apply_normal_op(spec, u2, xn)
             res = float(np.max(np.abs(v - 0.7 * v0 + 1.3 * v2)))
-            return CheckOutcome("operator.linearity",
-                                "pass" if res <= 1e-9 else "fail",
-                                {"residual": res, "tol": 1e-9})
-        self.add(_catch(linearity, "operator.linearity"))
+            return res <= 1e-9, {"residual": res, "tol": 1e-9}
+        self.check("operator.linearity", linearity)
 
         def consistency():
             u = hermite_fn(1)
             xn = np.linspace(-2.5, 2.5, 21)
-            loose = NormalOperatorSpec(
-                spec.phase, spec.amplitude, spec.xprime, spec.xi_prime,
-                QuadratureSpec(panel_tol=1e-6))
-            tight = NormalOperatorSpec(
-                spec.phase, spec.amplitude, spec.xprime, spec.xi_prime,
-                QuadratureSpec(panel_tol=5e-7))
-            v1, e1 = apply_normal_op(loose, u, xn)
-            v2, _ = apply_normal_op(tight, u, xn)
+            v1, e1 = apply_normal_op(replace(
+                spec, quadrature=QuadratureSpec(panel_tol=1e-6)), u, xn)
+            v2, _ = apply_normal_op(replace(
+                spec, quadrature=QuadratureSpec(panel_tol=5e-7)), u, xn)
             ok = np.abs(v1 - v2) <= np.maximum(e1, 1e-14)
             frac = float(np.mean(ok))
-            return CheckOutcome("operator.quadrature_consistency",
-                                "pass" if frac >= 0.95 else "fail",
-                                {"fraction_within_estimate": frac})
-        self.add(_catch(consistency, "operator.quadrature_consistency"))
+            return frac >= 0.95, {"fraction_within_estimate": frac}
+        self.check("operator.quadrature_consistency", consistency)
 
         def l2():
             rep = l2_smoke_check(spec, hermite_fn(0))
-            return CheckOutcome("operator.l2_bound",
-                                "pass" if rep["passed"] else "fail", rep)
-        self.add(_catch(l2, "operator.l2_bound"))
+            return rep["passed"], rep
+        self.check("operator.l2_bound", l2)
 
     def _run_opsymb(self):
-        if self.sc.phase is None:
-            self.skip("opsymb.order_fit", "no phase declared")
-            return
-        if not self._phase_gate():
-            self.skip("opsymb.order_fit", "phase invariants failed")
+        if not self._phase_gate("opsymb.order_fit"):
             return
         spec = self._operator_spec()
 
         def orders():
-            # support-limited amplitudes suppress low-rung seminorms
-            # (outputs vanish outside |t| <= rung * support half-width), so
-            # their growth exponent is fitted on the saturated tail, where
-            # the rescaled support covers the whole seminorm grid
-            support = spec.amplitude.support
-            if support is not None:
-                h = max(abs(support[1][0]), abs(support[1][1]))
-                pos = np.array([0.05, 0.15, 0.3, 0.5, 0.75, 1.0, 1.5,
-                                2.0, 2.5, 3.0, 4.0, 5.0, 6.0])
-                t_grid = np.concatenate([-pos[::-1], [0.0], pos])
-                t_max = float(np.max(t_grid))
-                rungs = tuple(r for r in DEFAULT_RUNGS if r * h >= t_max)
-                window = "saturated tail (support-limited amplitude)"
-            else:
-                t_grid = default_t_grid()
-                rungs = DEFAULT_RUNGS
-                window = "full ladder"
-            fam = ConjugatedFamily(spec, 1, 1, 1)
-            fits = []
-            for u in (hermite_fn(0), hermite_fn(2)):
-                outs = fam.outputs(u, rungs, t_grid)
-                for (a, b, s), per_rung in outs.items():
-                    for l in (0, 1):
-                        sems = [float(np.max(np.abs(t_grid) ** l
-                                             * np.abs(o)))
-                                for o in per_rung]
-                        fits.append(fit_seminorm_ladder(
-                            rungs, sems, a, b, l, s, u.name,
-                            spec.amplitude.order - a, min_live=4))
-            bad = [f for f in fits if not f.passed]
+            # sweep_symbol_orders fits support-limited amplitudes on the
+            # saturated tail of the ladder (opsymb.ladder_window)
+            fits = sweep_symbol_orders(spec, [hermite_fn(0), hermite_fn(2)],
+                                       1, 1, 1, 1)
+            n_failing = sum(not f.passed for f in fits)
             table = [{"alpha": f.alpha, "beta": f.beta, "l": f.l, "s": f.s,
-                      "u": f.u_name,
-                      "slope": None if f.slope is None else f.slope,
-                      "target": f.target} for f in fits]
-            return CheckOutcome("opsymb.order_fit",
-                                "pass" if not bad else "fail",
-                                {"fits": table, "n_failing": len(bad),
-                                 "window": window})
-        self.add(_catch(orders, "opsymb.order_fit"))
+                      "u": f.u_name, "slope": f.slope, "target": f.target}
+                     for f in fits]
+            window = "full ladder" if spec.amplitude.support is None \
+                else "saturated tail (support-limited amplitude)"
+            return not n_failing, {"fits": table, "n_failing": n_failing,
+                                   "window": window}
+        self.check("opsymb.order_fit", orders)
 
         def transpose():
             rep = transpose_check(spec, hermite_fn(0), hermite_fn(1))
-            return CheckOutcome("opsymb.transpose",
-                                "pass" if rep["passed"] else "fail",
-                                {"residual": rep["residual"], "tol": 1e-6})
-        self.add(_catch(transpose, "opsymb.transpose"))
+            return rep["passed"], {"residual": rep["residual"], "tol": 1e-6}
+        self.check("opsymb.transpose", transpose)
 
 
 def run_scenario(source, selector=None, grid_preset: str = "default",
@@ -778,13 +735,11 @@ def _csv_bytes(rows: list[dict], fieldnames: list[str]) -> bytes:
 
 def csv_bundle(report: RunReport) -> dict[str, bytes]:
     """Machine-diffable CSV tables, one file per check, fixed ordering."""
-    out: dict[str, bytes] = {}
-    rows = []
-    for o in sorted(report.outcomes, key=lambda o: o.check):
-        rows.append({"check": o.check, "status": o.status,
-                     "message": o.message})
-    out["checks.csv"] = _csv_bytes(rows, ["check", "status", "message"])
-    for o in sorted(report.outcomes, key=lambda o: o.check):
+    ordered = sorted(report.outcomes, key=lambda o: o.check)
+    out = {"checks.csv": _csv_bytes(
+        [{"check": o.check, "status": o.status, "message": o.message}
+         for o in ordered], ["check", "status", "message"])}
+    for o in ordered:
         if o.check == "sg.conditions" and o.status == "pass":
             worst = o.metrics.get("constants_max", {})
             table = []

@@ -22,6 +22,7 @@ import numpy as np
 from . import expr as ex
 from .exceptions import DerivativeUnavailableError
 from .quadrature import integrate_fixed
+from .symbols import loglog_fit
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -150,34 +151,31 @@ def _support_radius(u: SchwartzFn, tol: float = 1e-18) -> float:
     return float(t[above[-1]] + 1.0)
 
 
-def fourier_transform(u: SchwartzFn, xi, order: int = 12):
-    """Numeric Fu(xi) by oscillation-resolving panels on [-T, T]."""
+def _panel_ft(u: SchwartzFn, xi, order: int, half_line: bool):
+    """integral_a^T e^{-i t xi} u(t) dt with a = 0 or -T, by panels on
+    [a, T] that resolve the oscillation."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     T = _support_radius(u)
+    a = 0.0 if half_line else -T
     out = np.empty(len(xi), dtype=complex)
     for i, x in enumerate(xi):
-        n = max(24, int(np.ceil(2 * T * (abs(x) + 1.0) / (2 * np.pi) * 3)))
+        n = max(24, int(np.ceil((T - a) * (abs(x) + 1.0) / (2 * np.pi) * 3)))
 
         def f(t, _x=x):
             return u(t) * np.exp(-1j * _x * t)
 
-        out[i] = integrate_fixed(f, -T, T, n, order)
+        out[i] = integrate_fixed(f, a, T, n, order)
     return out
+
+
+def fourier_transform(u: SchwartzFn, xi, order: int = 12):
+    """Numeric Fu(xi) by oscillation-resolving panels on [-T, T]."""
+    return _panel_ft(u, xi, order, half_line=False)
 
 
 def half_line_ft(u: SchwartzFn, xi, order: int = 12):
     """Numeric F(e+ u)(xi) = integral_0^T e^{-i t xi} u(t) dt."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    T = _support_radius(u)
-    out = np.empty(len(xi), dtype=complex)
-    for i, x in enumerate(xi):
-        n = max(24, int(np.ceil(T * (abs(x) + 1.0) / (2 * np.pi) * 3)))
-
-        def f(t, _x=x):
-            return u(t) * np.exp(-1j * _x * t)
-
-        out[i] = integrate_fixed(f, 0.0, T, n, order)
-    return out
+    return _panel_ft(u, xi, order, half_line=True)
 
 
 def measured_decay_exponent(u: SchwartzFn, lo: float = 10.0,
@@ -191,9 +189,7 @@ def measured_decay_exponent(u: SchwartzFn, lo: float = 10.0,
     """
     xi = np.geomspace(lo, hi, count)
     vals = np.abs(half_line_ft(u, xi))
-    A = np.vstack([np.log(xi), np.ones_like(xi)]).T
-    sol, *_ = np.linalg.lstsq(A, np.log(vals), rcond=None)
-    return float(sol[0]), float(np.median(xi * vals))
+    return loglog_fit(xi, vals)[0], float(np.median(xi * vals))
 
 
 def _golden_max(f, a: float, b: float, iters: int = 90) -> float:

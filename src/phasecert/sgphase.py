@@ -288,7 +288,8 @@ class UniformityReport:
 
     @property
     def spread(self) -> float:
-        return max(self.ratios[k] for k in RATIO_KEYS)
+        # np.max, not max(): a NaN ratio must show whatever its position
+        return float(np.max([self.ratios[k] for k in RATIO_KEYS]))
 
     @property
     def passed(self) -> bool:
@@ -305,7 +306,8 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
     Signs of xi' alternate along the ladder.  Per-constant spread is the
     max/min ratio over the samples, computed only where the constant is
     above the structural-zero floor; a constant that vanishes on every
-    sample is uniform by convention.
+    sample is uniform by convention, and a NaN constant on any sample
+    makes its ratio NaN.
     """
     margins = margins or Margins()
     if xprimes is None:
@@ -332,7 +334,9 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
     ratios = {}
     for key in per_combo[0]:
         vals = np.array([pc[key] for pc in per_combo])
-        if key.startswith("c_") or key == "eps":
+        if np.isnan(vals).any():
+            ratios[key] = float("nan")      # a NaN constant must show
+        elif key.startswith("c_") or key == "eps":
             ratios[key] = float(vals.max() / vals.min()) \
                 if vals.min() > 0 else float("inf")
         else:

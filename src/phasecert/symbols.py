@@ -166,12 +166,9 @@ def check_transmission(a: SymbolFn, max_orders: int = 2,
                     a.expr, {"xn": k, "k1": al, "x1": be})
                 sign = -1.0 if (m - al) % 2 else 1.0
                 try:
-                    plus = ex.eval_array(
-                        d, {"x1": xprime_samples, "xn": 0.0,
-                            "k1": 0.0, "kn": 1.0})
-                    minus = ex.eval_array(
-                        d, {"x1": xprime_samples, "xn": 0.0,
-                            "k1": 0.0, "kn": -1.0})
+                    plus, minus = (ex.eval_array(
+                        d, {"x1": xprime_samples, "xn": 0.0, "k1": 0.0,
+                            "kn": kn}) for kn in (1.0, -1.0))
                 except SingularLocusError:
                     report.singular_at_axis = True
                     report.table.append(
@@ -246,10 +243,15 @@ class BsReport:
         return rows
 
 
-def _lstsq_slope(logx: np.ndarray, logy: np.ndarray) -> float:
-    A = np.vstack([logx, np.ones_like(logx)]).T
-    sol, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    return float(sol[0])
+def loglog_fit(x, y) -> tuple[float, float]:
+    """Least-squares slope of log y against log x, with the RMS of the
+    fit residual (0 when lstsq reports none).  The one growth-exponent
+    fitter of the package."""
+    lx = np.log(x)
+    A = np.vstack([lx, np.ones_like(lx)]).T
+    sol, res, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
+    rms = float(np.sqrt(res[0] / len(lx))) if len(res) else 0.0
+    return float(sol[0]), rms
 
 
 def check_bs_membership(a, m: float, l: float,
@@ -339,8 +341,7 @@ def check_bs_membership(a, m: float, l: float,
         if live.sum() < 4:
             raise RegressionError(
                 f"fewer than 4 non-vanishing rungs at orders {(al, be)}")
-        slopes[(al, be)] = _lstsq_slope(np.log(rungs[live]),
-                                        np.log(V[live]))
+        slopes[(al, be)] = loglog_fit(rungs[live], V[live])[0]
         if (al, be) == (0, 0):
             rung_sups["V"] = V.tolist()
         # <xi_n>-order: per gamma, normalize out the certified growth
@@ -352,7 +353,7 @@ def check_bs_membership(a, m: float, l: float,
                 W = np.maximum(W, S.max(axis=0))
             ok = W > floor
             if ok.sum() >= 4:
-                sl = _lstsq_slope(np.log(xin_rungs[ok]), np.log(W[ok])) + g
+                sl = loglog_fit(xin_rungs[ok], W[ok])[0] + g
                 order = sl if order is None else max(order, sl)
         xin_orders[(al, be)] = order
 

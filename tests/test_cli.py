@@ -6,7 +6,9 @@ import pytest
 
 from phasecert import catalog
 from phasecert.cli import main
-from phasecert.exceptions import UnknownScenarioError
+from phasecert.exceptions import (ScenarioParseError,
+                                  ScenarioValidationError,
+                                  UnknownScenarioError)
 from phasecert.runner import (check_golden, csv_bundle, load_scenario,
                               render_report, run_scenario)
 
@@ -185,11 +187,15 @@ def test_entry_point_installed():
 
 def _edit(key, value):
     sc = catalog.emit("identity")
-    if key == "grids.scale":
-        sc["grids"] = {"scale": value}
+    head, _, leaf = key.partition(".")
+    if leaf:
+        sc.setdefault(head, {})[leaf] = value
     else:
         sc[key] = value
     return sc
+
+
+DEEP_PARENS = "(" * 3000 + "x1" + ")" * 3000
 
 
 BAD_FIELDS = {
@@ -209,15 +215,31 @@ BAD_FIELDS = {
     "amplitude-string": ("amplitude", "1"),
     "sg-list": ("sg", [0.5, 1.0]),
     "support-string": ("amplitude", {"expr": "1", "support_xn": ["a", 1]}),
+    # expression fields; a row may name its error and message pattern
+    "phase-number": ("phase", 3),
+    "map-number": ("map.xn", 1),
+    "amplitude-number": ("amplitude.expr", 1.0),
+    "phase-unknown-variable": ("phase", "x1*k1 + xn*kn + zz*xn*kn"),
+    "map-unknown-variable": ("map.k1", "k1 + zz*xn"),
+    "amplitude-unknown-variable": ("amplitude.expr", "1 + zz"),
+    "phase-malformed": ("phase", "x1*k1 + xn*kn +", ScenarioParseError,
+                        "phase: unexpected"),
+    "map-deep-parentheses": ("map.x1", DEEP_PARENS, ScenarioParseError,
+                             "map.x1: expression nests deeper"),
+    "phase-deep-minus": ("phase", "-" * 3000 + "x1*k1 + xn*kn",
+                         ScenarioParseError,
+                         "phase: expression nests deeper"),
+    "phase-scientific": ("phase", "x1*k1 + 1e-3*xn*kn", ScenarioParseError,
+                         "scientific notation '1e-3'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
 def test_cli_rejects_bad_scenario_field(tmp_path, capsys, case):
-    from phasecert.exceptions import ScenarioValidationError
-    key, value = BAD_FIELDS[case]
+    key, value, *want = BAD_FIELDS[case]
+    error, pattern = want or (ScenarioValidationError, key.split(".")[-1])
     sc = _edit(key, value)
-    with pytest.raises(ScenarioValidationError, match=key.split(".")[-1]):
+    with pytest.raises(error, match=pattern):
         load_scenario(sc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(sc))     # NaN and inf as JSON literals

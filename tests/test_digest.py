@@ -35,6 +35,35 @@ def reports():
             for name in catalog.names()}
 
 
+# RunReport.digest() of every catalog scenario at its defaults: all
+# families, default grid, the scenario's own seed.
+CATALOG_DIGESTS = {
+    "identity": "9d5d9665cdff79b33d19661fd3ab4892"
+                "9ba42f03acb905d9c2f4715f49f26772",
+    "dilation": "6041713046fb41368476fd50c20001fd"
+                "14631d3aa1ecfee4f83083f849208109",
+    "quadratic-collar": "9985e734eb407ee5b0df8196d8ab3291"
+                        "819c4f6a43e0f16f796ec21e2f193f69",
+    "boundary-shear": "73d284a83bf5b5d9113b3dcfce1e368a"
+                      "dc0cf2d76297e1b08c09fbe4a3a01fa0",
+    "bad-boundary-shift": "9c989a68487707a142ac34812a7c579f"
+                          "752b67c16e32070f475d98aec9d045a2",
+    "bad-transmission": "92daafcc00554ba1896d1511ee35d316"
+                        "ef03ec6dbbe0de3ed6e0bb79d712cb84",
+    "bad-symplectic": "f7481446118b0826ed49b9b6f0a9c8bd"
+                      "c67d7c2db8172b1f98c0054cfd42b278",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_DIGESTS))
+def test_catalog_digest_pinned(reports, name):
+    assert reports[name].digest() == CATALOG_DIGESTS[name]
+
+
+def test_every_catalog_digest_is_pinned():
+    assert set(CATALOG_DIGESTS) == set(catalog.names())
+
+
 def _is_tolerance(key) -> bool:
     return isinstance(key, str) and (key in ("tol", "floor")
                                      or key.startswith("tol_"))

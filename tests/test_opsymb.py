@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phasecert import catalog
 from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
@@ -14,6 +15,7 @@ from phasecert.opsymb import (ConjugatedFamily, GroupAction,
                               panel_fourier_sum, schwartz_seminorm,
                               sweep_symbol_orders, transpose_check)
 from phasecert.phase import GeneratingPhase
+from phasecert.runner import load_scenario, run_scenario
 from phasecert.schwartz import hermite_fn
 from phasecert.symbols import SymbolFn, check_bs_membership
 
@@ -192,6 +194,66 @@ def test_full_sweep_dilation_passes():
     fits = sweep_symbol_orders(DILATION_SPEC, HS)
     assert len(fits) == 5 * 27 * 3
     assert all(f.passed for f in fits)
+
+
+def test_ladder_window_full_ladder_without_support():
+    t_grid, rungs = opsymb.ladder_window(DILATION_SPEC)
+    assert np.array_equal(t_grid, default_t_grid())
+    assert rungs == opsymb.DEFAULT_RUNGS
+
+
+def quadratic_collar_spec():
+    sc = load_scenario(SCENARIOS["quadratic-collar"])
+    return NormalOperatorSpec(sc.generating_phase(), sc.operator_amplitude(),
+                              0.3, 1.0, name=sc.name)
+
+
+def test_sweep_takes_the_saturated_window_of_a_support_limited_amplitude():
+    spec = quadratic_collar_spec()
+    t_grid, rungs = opsymb.ladder_window(spec)
+    assert rungs == (16.0, 32.0, 64.0, 128.0, 256.0)
+    assert float(np.max(t_grid)) == 6.0 and len(t_grid) == 27
+    assert opsymb.SWEEP_MIN_LIVE == 4
+    fits = sweep_symbol_orders(spec, [HS[0], HS[2]], 1, 1, 1, 1)
+    assert len(fits) == 2 * 8 * 2
+    assert all(f.rungs == rungs for f in fits)
+    rep = run_scenario(catalog.emit("quadratic-collar"), {"phase", "opsymb"})
+    order_fit = next(o for o in rep.outcomes
+                     if o.check == "opsymb.order_fit")
+    assert order_fit.metrics["window"] == \
+        "saturated tail (support-limited amplitude)"
+    assert order_fit.metrics["fits"] == [
+        {"alpha": f.alpha, "beta": f.beta, "l": f.l, "s": f.s,
+         "u": f.u_name, "slope": f.slope, "target": f.target} for f in fits]
+
+
+def test_order_fit_fits_five_live_rungs_on_the_full_ladder():
+    # outputs are evaluated at k1 ~ rung, so exp(-k1^2/30) leaves rungs
+    # 1 to 16 live: 5 rungs, enough for a sweep fit (SWEEP_MIN_LIVE = 4)
+    sc = catalog.emit("identity")
+    sc["amplitude"] = {"expr": "exp(-k1^2/30)", "order": 0.0}
+    rep = run_scenario(sc, {"phase", "opsymb"})
+    order_fit = next(o for o in rep.outcomes
+                     if o.check == "opsymb.order_fit")
+    assert order_fit.status == "pass"
+    assert order_fit.metrics["window"] == "full ladder"
+    assert order_fit.metrics["n_failing"] == 0
+    slopes = {(f["alpha"], f["beta"], f["l"], f["s"], f["u"]): f["slope"]
+              for f in order_fit.metrics["fits"]}
+    assert slopes[(0, 0, 0, 0, "h0")] == pytest.approx(-2.74112057768903,
+                                                       rel=1e-9)
+    assert slopes[(1, 0, 1, 0, "h2")] == pytest.approx(-9.91874637579119,
+                                                       rel=1e-9)
+    assert slopes[(0, 1, 0, 0, "h0")] is None     # x-derivatives vanish
+
+
+def test_estimate_symbol_order_matches_the_sweep():
+    fits = sweep_symbol_orders(MIX_SPEC, [HS[0]], 1, 1, 2, 1)
+    for f in fits[::5]:
+        one = estimate_symbol_order(MIX_SPEC, f.alpha, f.beta, f.l, f.s,
+                                    [HS[0]],
+                                    family=ConjugatedFamily(MIX_SPEC, 1, 1, 1))
+        assert (one[0].slope, one[0].seminorms) == (f.slope, f.seminorms)
 
 
 def test_fit_raises_on_too_few_live_rungs():

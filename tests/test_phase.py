@@ -9,8 +9,9 @@ from phasecert.exceptions import GraphMismatchError
 from phasecert.grammar import parse_expr
 from phasecert.phase import (GeneratingPhase, boundary_phase,
                              check_admissibility, check_generating,
-                             check_nondegeneracy, normal_coeffs)
-from phasecert.symplectic import SymplectoMap
+                             check_homogeneity, check_nondegeneracy,
+                             normal_coeffs)
+from phasecert.symplectic import SymplectoMap, collar_samples
 
 
 def build_phase(name: str) -> GeneratingPhase:
@@ -180,3 +181,35 @@ def test_normal_coeffs_euler_residual_keeps_nan():
     with np.errstate(all="ignore"):
         nc = normal_coeffs(ph)
     assert np.isnan(nc.euler_residual)
+
+
+def test_check_homogeneity_passes_catalog_phases_and_reports_both_ways():
+    pts = collar_samples(build_map("dilation"), count=12, seed=5)
+    for ph in (IDENTITY, DILATION, QUADRATIC, SHEAR):
+        rep = check_homogeneity(ph, pts)
+        assert rep.passed, ph.name
+        assert set(rep.details) == {"residual", "euler_residual", "tol"}
+        assert rep.residual <= 1e-12
+
+
+def test_check_homogeneity_fails_both_ways_off_degree_one():
+    # bracket(kn) = sqrt(1 + kn^2) is not homogeneous; the boundary part
+    # x1*k1 is still flat, so the phase builds
+    ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn*bracket(kn)"), name="b")
+    pts = [{"x1": 0.2, "xn": 0.3, "k1": 1.0, "kn": 2.0},
+           {"x1": -0.4, "xn": 0.1, "k1": -2.0, "kn": 0.5}]
+    rep = check_homogeneity(ph, pts)
+    assert rep.details["residual"] > 1e-3
+    assert rep.details["euler_residual"] > 1e-3
+    assert not rep.passed
+
+
+def test_check_homogeneity_is_nan_strict():
+    # exp(1000*xn^2*k1^2 ...) overflows to inf at every rescaled point
+    ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn*exp(1000*xn^2*k1^2)"),
+                         name="blowup")
+    pts = [{"x1": 0.2, "xn": 0.9, "k1": 3.0, "kn": 2.0}]
+    with np.errstate(all="ignore"):
+        rep = check_homogeneity(ph, pts)
+    assert not math.isfinite(rep.residual)
+    assert not rep.passed

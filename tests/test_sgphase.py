@@ -322,3 +322,29 @@ def test_runner_sg_table_keeps_nan(monkeypatch):
                if o.check == "sg.conditions")
     assert math.isnan(out.metrics["constants_max"]["C_00"])
     assert math.isnan(out.metrics["constants_min"]["c_t"])
+
+
+@pytest.mark.parametrize("key", ["c_t", "eps", "C_t", "C_11"])
+def test_uniformity_ratio_is_nan_for_nan_constant(monkeypatch, key):
+    real = StarPhaseFamily.constants_at
+    calls = []
+
+    def poisoned(self, *args, **kwargs):
+        cs = real(self, *args, **kwargs)
+        calls.append(key)
+        if len(calls) == 2:           # one (x', rung) combo of six
+            if key == "C_11":
+                cs.table = cs.table | {(1, 1): math.nan}
+            else:
+                setattr(cs, key, math.nan)
+        return cs
+
+    monkeypatch.setattr(StarPhaseFamily, "constants_at", poisoned)
+    rep = check_uniformity(IDENTITY, 0.5, 1.0, xprimes=[-0.5, 0.5],
+                           rungs=[1.0, 4.0, 16.0])
+    assert len(calls) == 6
+    assert math.isnan(rep.ratios[key])
+    assert math.isnan(rep.per_combo[1][key])
+    if key in ("c_t", "eps"):
+        assert math.isnan(rep.spread)
+    assert not rep.passed

@@ -5,7 +5,8 @@ from phasecert import expr as ex
 from phasecert.grammar import parse_expr
 from phasecert.grids import GridSpec
 from phasecert.symbols import (SymbolFn, check_bs_membership,
-                               check_transmission, estimate_seminorm)
+                               check_transmission, estimate_seminorm,
+                               loglog_fit)
 
 
 
@@ -154,3 +155,20 @@ def test_transmission_fails_on_nan_residual():
     assert any(np.isnan(row["residual"]) for row in rep.table)
     assert np.isnan(rep.max_residual)
     assert not rep.passed
+
+
+def test_loglog_fit_exact_power_law():
+    x = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    for k in (-1.0, 0.0, 1.5, 3.0):
+        slope, rms = loglog_fit(x, 0.7 * x**k)
+        assert slope == pytest.approx(k, abs=1e-13)
+        assert rms == pytest.approx(0.0, abs=1e-13)
+
+
+def test_loglog_fit_rms_of_a_kinked_ladder():
+    # log y = 0, 0, 1, 2 against log x = 0, 1, 2, 3: slope 0.7, intercept
+    # -0.3, residuals 0.3, -0.4, -0.1, 0.2, RMS sqrt(0.3 / 4)
+    x = np.exp([0.0, 1.0, 2.0, 3.0])
+    slope, rms = loglog_fit(x, np.exp([0.0, 0.0, 1.0, 2.0]))
+    assert slope == pytest.approx(0.7, abs=1e-12)
+    assert rms == pytest.approx(np.sqrt(0.075), abs=1e-12)
