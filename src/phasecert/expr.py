@@ -438,6 +438,20 @@ def bump(c, order: int = 0) -> Expr:
     return BumpD(c, order)
 
 
+def cutoff_expr(u) -> Expr:
+    """Even smooth cutoff w(u): 1 on |u| <= 1/2, 0 on |u| >= 1.
+
+    w(u) = A/(A+B) with A = F(1 - u^2), B = F(u^2 - 1/4) and F the bump
+    transition.  Parametrizing by u^2 keeps the expression smooth through
+    u = 0 (no |u| kink) while keeping the plateau on [-1/2, 1/2] and
+    support in [-1, 1].
+    """
+    p = mul(u, u)
+    a = bump(sub(const(1.0), p))
+    b = bump(sub(p, const(0.25)))
+    return quot(a, add(a, b))
+
+
 def guard(gate, payload) -> Expr:
     gate = _coerce(gate)
     payload = _coerce(payload)
@@ -680,8 +694,9 @@ def substitute(e: Expr, mapping: dict[str, Expr | float]) -> Expr:
     return rebuild(e)
 
 
-def _topo(e: Expr) -> list[Expr]:
-    """Children-before-parents ordering of the DAG under e."""
+def _topo(e: Expr, children=lambda node: node.children()) -> list[Expr]:
+    """Children-before-parents ordering of the DAG under e, whose edges
+    are children(node)."""
     out = []
     seen = set()
     stack = [(e, False)]
@@ -694,7 +709,7 @@ def _topo(e: Expr) -> list[Expr]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for c in node.children():
+        for c in children(node):
             if id(c) not in seen:
                 stack.append((c, False))
     return out
@@ -719,25 +734,6 @@ def _compile_children(node: Expr) -> tuple[Expr, ...]:
     return node.children()
 
 
-def _topo_compile(e: Expr) -> list[Expr]:
-    out = []
-    seen = set()
-    stack = [(e, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            out.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for c in _compile_children(node):
-            if id(c) not in seen:
-                stack.append((c, False))
-    return out
-
-
 def _compile_many(exprs: list[Expr]) -> _Program:
     prog = _Program()
     reg_of: dict[int, int] = {}
@@ -751,7 +747,7 @@ def _compile_many(exprs: list[Expr]) -> _Program:
     nodes: list[Expr] = []
     seen: set[int] = set()
     for e in exprs:
-        for node in _topo_compile(e):
+        for node in _topo(e, _compile_children):
             if id(node) not in seen:
                 seen.add(id(node))
                 nodes.append(node)

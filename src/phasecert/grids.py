@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def bracket_ladder(top: float = 256.0, base: float = 2.0) -> np.ndarray:
-    """Rungs <xi> = 1, base, base^2, ..., up to top (inclusive)."""
+def bracket_ladder(top: float = 256.0) -> np.ndarray:
+    """Rungs <xi> = 1, 2, 4, ..., up to top (inclusive)."""
     rungs = [1.0]
-    while rungs[-1] * base <= top * (1 + 1e-12):
-        rungs.append(rungs[-1] * base)
+    while rungs[-1] * 2.0 <= top * (1 + 1e-12):
+        rungs.append(rungs[-1] * 2.0)
     return np.array(rungs)
 
 
@@ -80,10 +80,10 @@ class GridSpec:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def sg_ladder(tmax: float = 50.0, n_half: int = 20,
-              first: float = 0.25) -> np.ndarray:
-    """Symmetric ladder {0, +-first, ..., +-tmax} with geometric spacing."""
-    pos = np.geomspace(first, tmax, n_half)
+def sg_ladder(n_half: int = 20) -> np.ndarray:
+    """Symmetric ladder {0, +-0.25, ..., +-50} with n_half geometrically
+    spaced points on each side."""
+    pos = np.geomspace(0.25, 50.0, n_half)
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 

@@ -28,6 +28,9 @@ from .quadrature import cutoff_richardson, integrate_adaptive
 from .schwartz import SchwartzFn
 from .symbols import SymbolFn
 
+DIRECT_RADIUS_CAP = 4096.0  # largest truncation radius of the direct mode
+L2_SLACK = 0.05             # relative slack of the L2 smoke bound
+
 
 @dataclass
 class QuadratureSpec:
@@ -36,7 +39,6 @@ class QuadratureSpec:
     order: int = 12
     max_doubles: int = 12
     cutoff_radius: float = 256.0
-    direct_radius_cap: float = 4096.0
 
 
 @dataclass
@@ -73,19 +75,17 @@ class NormalOperatorSpec:
                              {"x1": self.xprime, "k1": self.xi_prime})
 
 
-def decay_order(spec: NormalOperatorSpec, half_line: bool) -> float:
-    """Total integrand decay order: amplitude order plus transform decay
-    (-inf for Schwartz, -1 for half-line transforms)."""
-    if not half_line:
-        return -math.inf
+def decay_order(spec: NormalOperatorSpec) -> float:
+    """Total decay order of the truncated operator's integrand: amplitude
+    order plus the -1 of a half-line transform."""
     return spec.amplitude.order - 1.0
 
 
-def _choose_mode(spec: NormalOperatorSpec, half_line: bool) -> str:
+def _choose_mode(spec: NormalOperatorSpec) -> str:
     mode = spec.quadrature.mode
     if mode != "auto":
         return mode
-    return "direct" if decay_order(spec, half_line) <= -1.5 else "cutoff"
+    return "direct" if decay_order(spec) <= -1.5 else "cutoff"
 
 
 def _integrand_factory(spec: NormalOperatorSpec, ft,
@@ -135,15 +135,15 @@ def apply_truncated_op(spec: NormalOperatorSpec, u: SchwartzFn,
     xn_grid = np.asarray(xn_grid, dtype=float)
     if np.any(xn_grid <= 0.0):
         raise ValueError("truncated operator evaluates on x_n > 0 only")
-    mode = _choose_mode(spec, half_line=True)
+    mode = _choose_mode(spec)
     f = _integrand_factory(spec, u.half_ft_values, xn_grid)
     if mode == "direct":
-        d = decay_order(spec, half_line=True)
+        d = decay_order(spec)
         if d > -1.5:
             raise DecayClassError(
                 f"direct mode needs decay <= -1.5, got {d:g}")
         # truncation so that the algebraic tail sits below the panel tol
-        R = min(q.direct_radius_cap,
+        R = min(DIRECT_RADIUS_CAP,
                 max(64.0, (10.0 / q.panel_tol) ** (-1.0 / (d + 1.0))))
         n0 = max(32, int(np.ceil(
             2 * R * (np.max(xn_grid) + 2.0) / (2 * np.pi))))
@@ -173,16 +173,15 @@ def l2_growth_factor(spec: NormalOperatorSpec) -> float:
     return max(math.sqrt(qv), 1.0 / math.sqrt(qv))
 
 
-def l2_smoke_check(spec: NormalOperatorSpec, u: SchwartzFn,
-                   slack: float = 0.05) -> dict:
+def l2_smoke_check(spec: NormalOperatorSpec, u: SchwartzFn) -> dict:
     """Discrete L2 bound: ||A u||_2 over |x_n| <= 6 against
-    (1 + slack) ||u||_2 times the dilation factor."""
+    (1 + L2_SLACK) ||u||_2 times the dilation factor."""
     xn = np.linspace(-6.0, 6.0, 241)
     vals, _ = apply_normal_op(spec, u, xn)
     h = xn[1] - xn[0]
     out_norm = float(np.sqrt(np.sum(np.abs(vals) ** 2) * h))
     t = np.linspace(-40.0, 40.0, 4001)
     in_norm = float(np.sqrt(np.trapezoid(np.abs(u(t)) ** 2, t)))
-    bound = (1.0 + slack) * in_norm * l2_growth_factor(spec)
+    bound = (1.0 + L2_SLACK) * in_norm * l2_growth_factor(spec)
     return {"output_norm": out_norm, "input_norm": in_norm,
             "bound": bound, "passed": out_norm <= bound}

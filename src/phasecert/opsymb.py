@@ -70,18 +70,17 @@ def apply_group_action(u: SchwartzFn, scale: float) -> SchwartzFn:
     return GroupAction(scale).apply(u)
 
 
-def schwartz_seminorm(u: SchwartzFn, l: int, s: int,
-                      t_max: float = 40.0, count: int = 1601) -> float:
-    """Grid sup of |t^l u^(s)(t)| on |t| <= t_max (closed-form path)."""
-    t = np.linspace(-t_max, t_max, count)
+def schwartz_seminorm(u: SchwartzFn, l: int, s: int) -> float:
+    """Grid sup of |t^l u^(s)(t)| at 1601 points of |t| <= 40 (closed-form
+    path)."""
+    t = np.linspace(-40.0, 40.0, 1601)
     return float(np.max(np.abs(t) ** l * np.abs(u.deriv_values(s, t))))
 
 
-def nested_seminorm(u: SchwartzFn, l: int, s: int,
-                    t_max: float = 40.0, count: int = 1601) -> float:
+def nested_seminorm(u: SchwartzFn, l: int, s: int) -> float:
     """max over l' <= l, s' <= s of the single-term sups: the nested
     seminorm family, monotone in (l, s) by construction."""
-    return max(schwartz_seminorm(u, lp, sp, t_max, count)
+    return max(schwartz_seminorm(u, lp, sp)
                for lp in range(l + 1) for sp in range(s + 1))
 
 
@@ -93,6 +92,7 @@ def default_t_grid() -> np.ndarray:
 
 DEFAULT_RUNGS = tuple(2.0**j for j in range(9))
 FIT_TOL = 0.1   # a fitted slope passes when slope <= target + FIT_TOL
+TRANSPOSE_TOL = 1e-6    # |<A u, v> - <u, A^t v>| of transpose_check
 SWEEP_MIN_LIVE = 4  # live rungs a sweep fit needs, on either window
 
 
@@ -122,8 +122,6 @@ class ConjugatedFamily:
 
     def __init__(self, spec: NormalOperatorSpec, max_xi: int = 2,
                  max_x: int = 2, max_s: int = 2):
-        if spec.phase.n != 2:
-            raise ValueError("conjugated sweeps are wired for n = 2")
         self.spec = spec
         self.max_xi = max_xi
         self.max_x = max_x
@@ -167,9 +165,10 @@ class ConjugatedFamily:
             exprs.append(ex.substitute(im, resc))
         self._prog = ex._compile_many(exprs)
 
-    def amp_pair(self, n_xi: int, n_x: int, s: int = 0):
-        """Unrescaled amplitude pair, for class-membership checks."""
-        return self.amp_pairs[(n_xi, n_x, s)]
+    def amp_pair(self, n_xi: int, n_x: int):
+        """Unrescaled amplitude pair with no output derivative, for
+        class-membership checks."""
+        return self.amp_pairs[(n_xi, n_x, 0)]
 
     def _nodes(self, u: SchwartzFn, t_max: float):
         S = u.ft_radius(tol=1e-16,
@@ -180,9 +179,9 @@ class ConjugatedFamily:
         return panel_nodes(-S, S, n_panels, order=10)
 
     def outputs(self, u: SchwartzFn, rungs=DEFAULT_RUNGS,
-                t_grid: np.ndarray | None = None,
-                sign: int = 1) -> dict:
-        """Conjugated outputs per (xi'-order, x'-order, s) and rung.
+                t_grid: np.ndarray | None = None) -> dict:
+        """Conjugated outputs per (xi'-order, x'-order, s) and rung, at
+        xi' = +sqrt(r^2 - 1).
 
         Returns {key: [complex array over t_grid per rung]}; the s-th
         entries already carry the r^(-s) factor from rescaling the output
@@ -195,7 +194,7 @@ class ConjugatedFamily:
         uhat = u.ft_values(nodes) / (2.0 * math.pi)
         out = {key: [] for key in self.keys}
         for rung in rungs:
-            xi = sign * math.sqrt(max(rung * rung - 1.0, 0.0))
+            xi = math.sqrt(max(rung * rung - 1.0, 0.0))
             env = {"t": t_grid[:, None], "s": nodes[None, :],
                    "x1": self.spec.xprime, "k1": xi, "r": float(rung)}
             vals = ex._exec(self._prog, env, False)
@@ -239,21 +238,20 @@ class OrderFit:
 
 def fit_seminorm_ladder(rungs, seminorms, alpha: int, beta: int, l: int,
                         s: int, u_name: str, target: float,
-                        tol: float = FIT_TOL,
                         min_live: int = 6) -> OrderFit:
     rungs = np.asarray(rungs, dtype=float)
     sems = np.asarray(seminorms, dtype=float)
     live = sems > 1e-14
     if int(live.sum()) == 0:
         return OrderFit(alpha, beta, l, s, u_name, tuple(rungs),
-                        tuple(sems), None, target, 0.0, tol)
+                        tuple(sems), None, target, 0.0)
     if int(live.sum()) < min_live:
         raise RegressionError(
             f"only {int(live.sum())} live rungs; need >= {min_live} "
             "for the fit")
     slope, resid = loglog_fit(rungs[live], sems[live])
     return OrderFit(alpha, beta, l, s, u_name, tuple(rungs), tuple(sems),
-                    slope, target, resid, tol)
+                    slope, target, resid)
 
 
 def _ladder_fits(spec: NormalOperatorSpec, family: ConjugatedFamily,
@@ -277,17 +275,14 @@ def _ladder_fits(spec: NormalOperatorSpec, family: ConjugatedFamily,
 
 def estimate_symbol_order(spec: NormalOperatorSpec, alpha: int, beta: int,
                           l: int, s: int, us: list[SchwartzFn],
-                          rungs=DEFAULT_RUNGS,
-                          family: ConjugatedFamily | None = None,
-                          t_grid: np.ndarray | None = None
+                          family: ConjugatedFamily | None = None
                           ) -> list[OrderFit]:
-    """OrderFit per test function for one (alpha, beta, l, s) selection."""
+    """OrderFit per test function for one (alpha, beta, l, s) selection,
+    on the full ladder."""
     if family is None:
         family = ConjugatedFamily(spec, max_xi=alpha, max_x=beta, max_s=s)
-    if t_grid is None:
-        t_grid = default_t_grid()
-    return _ladder_fits(spec, family, us, [(alpha, beta, s)], [l], rungs,
-                        t_grid, 6)
+    return _ladder_fits(spec, family, us, [(alpha, beta, s)], [l],
+                        DEFAULT_RUNGS, default_t_grid(), 6)
 
 
 def sweep_symbol_orders(spec: NormalOperatorSpec, us: list[SchwartzFn],
@@ -320,18 +315,19 @@ def panel_fourier_sum(c: np.ndarray, xi: np.ndarray, mid: np.ndarray,
 
 
 def transpose_check(spec: NormalOperatorSpec, u: SchwartzFn,
-                    v: SchwartzFn, x_half: float = 14.0,
-                    n_panels: int = 200, order: int = 10) -> dict:
+                    v: SchwartzFn) -> dict:
     """|<A u, v> - <u, A^t v>| with the transpose assembled through its own
     quantization route (frequency-first), not by reusing the forward path.
 
     A^t v(y) = 1/(2 pi) integral e^{-i y xi} W(xi) dxi with
     W(xi) = integral e^{i phi(x, xi)} a(x, xi) v(x) dx.  W is summed in
-    xi chunks over the x panel grid; A^t v is then wanted on that same
-    panel grid, where panel_fourier_sum factors the outer exponential.
+    xi chunks over the x panel grid, 200 panels of 10 Gauss points on
+    [-14, 14]; A^t v is then wanted on that same panel grid, where
+    panel_fourier_sum factors the outer exponential.
     """
     from .normalop import apply_normal_op
 
+    x_half, n_panels, order = 14.0, 200, 10
     xn, xw = panel_nodes(-x_half, x_half, n_panels, order)
     au = np.empty(len(xn), dtype=complex)
     for lo in range(0, len(xn), 256):
@@ -358,4 +354,4 @@ def transpose_check(spec: NormalOperatorSpec, u: SchwartzFn,
     pair2 = complex((u(xn) * atv) @ xw)
     resid = abs(pair1 - pair2)
     return {"pair_forward": pair1, "pair_transpose": pair2,
-            "residual": resid, "passed": resid <= 1e-6}
+            "residual": resid, "passed": resid <= TRANSPOSE_TOL}

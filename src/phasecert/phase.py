@@ -7,7 +7,8 @@ encodes a boundary-preserving map.  This module extracts the boundary
 phase psi_b(x', xi') = psi(x', 0, xi', *), forms phi = psi - psi_b,
 certifies the nondegenerate mixed derivative on the collar, computes the
 normal coefficients q+/q- with their sign symmetry, and checks the
-transmission condition on all first derivatives.
+transmission condition on all first derivatives.  Phases live on the
+n = 2 collar of :mod:`symplectic`, in the variables x1, xn, k1, kn.
 """
 
 from __future__ import annotations
@@ -21,9 +22,14 @@ from .exceptions import (BoundaryFlatnessError, GraphMismatchError,
                          SignChangeError, SingularAxisError,
                          SingularLocusError)
 from .symbols import SymbolFn, TransmissionReport, check_transmission
-from .symplectic import (SymplectoMap, CheckReport, as_samples,
-                         collar_samples, cotangential_vars, point_at, sup,
-                         tangential_vars)
+from .symplectic import (COLLAR_VARS, HOMOGENEITY_TOL, X_VARS, XI_VARS,
+                         CheckReport, SymplectoMap, as_samples,
+                         collar_samples, point_at, sup)
+
+BOUNDARY_PHASE_TOL = 1e-10      # boundary-flatness residuals of psi
+GENERATING_TOL = 1e-8           # the graph relation of phase and map
+NONDEGENERACY_FLOOR = 1e-3      # min |d2 psi / dx_n dxi_n| on the collar
+NORMAL_COEFFS_TOL = 1e-10       # q+ = -q- and the degeneracy test
 
 
 @dataclass
@@ -36,7 +42,6 @@ class GeneratingPhase:
     """
 
     psi: ex.Expr
-    n: int = 2
     collar_halfwidth: float = 1.0
     name: str = ""
     psi_boundary: ex.Expr = field(init=False)
@@ -45,37 +50,32 @@ class GeneratingPhase:
 
     def __post_init__(self):
         self.psi_boundary, self.boundary_diagnostics = boundary_phase(
-            self.psi, self.n)
+            self.psi)
         self.phi = ex.sub(self.psi, self.psi_boundary)
 
     def grad_xi(self) -> list[ex.Expr]:
-        names = cotangential_vars(self.n) + ["kn"]
-        return [ex.differentiate(self.psi, v) for v in names]
+        return [ex.differentiate(self.psi, v) for v in XI_VARS]
 
     def grad_x(self) -> list[ex.Expr]:
-        names = tangential_vars(self.n) + ["xn"]
-        return [ex.differentiate(self.psi, v) for v in names]
+        return [ex.differentiate(self.psi, v) for v in X_VARS]
 
 
-def boundary_phase(psi: ex.Expr, n: int = 2, tol: float = 1e-10,
-                   xprime_samples: np.ndarray | None = None
-                   ) -> tuple[ex.Expr, dict]:
+def boundary_phase(psi: ex.Expr) -> tuple[ex.Expr, dict]:
     """psi_b(x', xi') := psi(x', 0, xi', 1), with boundary diagnostics.
 
     xi_n-independence is verified by re-evaluating psi(x', 0, xi', s) at
     s in {-3, -1, 2, 5}; dependence signals a map that moves the boundary
     and raises BoundaryFlatnessError.  Linearity in xi' (vanishing second
-    xi'-derivatives) is verified on the same samples.
+    xi'-derivatives) is verified on the same samples, at 9 points x' in
+    [-1, 1].
     """
-    if xprime_samples is None:
-        xprime_samples = np.linspace(-1.0, 1.0, 9)
+    tol = BOUNDARY_PHASE_TOL
     psi_b = ex.substitute(psi, {"xn": 0.0, "kn": 1.0})
-    cvars = cotangential_vars(n)
     restricted = ex.substitute(psi, {"xn": 0.0})
 
-    base = {f"x{i}": xprime_samples for i in range(1, n)}
-    env = base | {c: np.array([-1.5, -0.4, 0.8, 2.0])[:, None] for c in cvars}
-    shape = (4, len(xprime_samples))
+    base = {"x1": np.linspace(-1.0, 1.0, 9)}
+    env = base | {"k1": np.array([-1.5, -0.4, 0.8, 2.0])[:, None]}
+    shape = (4, 9)
 
     def sup_abs(values) -> float:       # NaN-strict
         return float(np.max(np.abs(np.broadcast_to(values, shape))))
@@ -88,13 +88,11 @@ def boundary_phase(psi: ex.Expr, n: int = 2, tol: float = 1e-10,
         raise BoundaryFlatnessError(
             f"boundary restriction depends on xi_n (residual {kn_resid:.2e})")
 
-    lin_resid = float(np.max([
-        sup_abs(ex.eval_array(
-            ex.differentiate(ex.differentiate(psi_b, c1), c2), env))
-        for c1 in cvars for c2 in cvars], initial=0.0))
+    lin_resid = sup_abs(ex.eval_array(
+        ex.differentiate(ex.differentiate(psi_b, "k1"), "k1"), env))
 
     # psi(x', 0, 0, xi_n) must vanish identically
-    at_zero = ex.substitute(restricted, {c: 0.0 for c in cvars})
+    at_zero = ex.substitute(restricted, {"k1": 0.0})
     zero_resid = float(np.max([
         sup_abs(ex.eval_array(at_zero, base | {"kn": kv}))
         for kv in (-2.0, 1.0, 3.0)]))
@@ -111,56 +109,52 @@ def check_homogeneity(phase: GeneratingPhase, points) -> CheckReport:
     array or point dicts) by the scalar oracle expr.homogeneity_residual
     and by the Euler identity xi . grad_xi psi = psi; the residual is the
     NaN-strict larger of the two, and details carries both.  It passes at
-    or below 1e-10."""
+    or below HOMOGENEITY_TOL."""
     samples = as_samples(points)
-    fiber = cotangential_vars(phase.n) + ["kn"]
     res = ex.homogeneity_residual(
-        phase.psi, set(fiber), 1.0,
+        phase.psi, set(XI_VARS), 1.0,
         [point_at(samples, i) for i in range(len(samples))])
     lhs = ex.add(*(ex.mul(ex.var(v), ex.differentiate(phase.psi, v))
-                   for v in fiber))
+                   for v in XI_VARS))
     lhs_v, psi_v = ex.eval_array_many([lhs, phase.psi], samples)
     euler, _ = sup((lhs_v - psi_v) / np.maximum(1.0, np.abs(psi_v)),
                    len(samples))
-    tol = 1e-10
+    tol = HOMOGENEITY_TOL
     return CheckReport("homogeneity", float(np.maximum(res, euler)), tol,
                        details={"residual": res, "euler_residual": euler,
                                 "tol": tol})
 
 
 def check_generating(phase: GeneratingPhase, chi: SymplectoMap,
-                     samples=None, tol: float = 1e-8) -> CheckReport:
+                     samples=None) -> CheckReport:
     """Graph consistency: with y := grad_xi psi(x, eta), the map must send
-    (y, eta) to (x, grad_x psi(x, eta)) within tol.
+    (y, eta) to (x, grad_x psi(x, eta)) within GENERATING_TOL.
 
     samples is a sample array of (x, eta) points; both gradients and the
     map run once over all of them, and the residual is NaN-strict.
     """
     if samples is None:
         samples = collar_samples(chi, count=200, seed=13, eta_top=6.0)
-    n = phase.n
     count = len(samples)
-    base = tangential_vars(n) + ["xn"]
-    fiber = cotangential_vars(n) + ["kn"]
     # samples carry (x, eta) in the shared names
     grads = ex.eval_array_many(phase.grad_xi() + phase.grad_x(), samples)
-    y, xi = grads[:n], grads[n:]
-    src = dict(zip(base, y)) | {c: samples[c] for c in fiber}
-    got = ex.eval_array_many([chi.components[v] for v in base + fiber], src)
-    want = [samples[v] for v in base] + xi
+    y, xi = grads[:2], grads[2:]
+    src = dict(zip(X_VARS, y)) | {c: samples[c] for c in XI_VARS}
+    got = ex.eval_array_many([chi.components[v] for v in X_VARS + XI_VARS],
+                             src)
+    want = [samples[v] for v in X_VARS] + xi
     res = np.max([np.abs(np.broadcast_to(g - w, (count,)))
                   for g, w in zip(got, want)], axis=0)
     worst, i = sup(res, count)
     worst_p = point_at(samples, i)
-    rep = CheckReport("generating", worst, tol, worst_p)
+    rep = CheckReport("generating", worst, GENERATING_TOL, worst_p)
     if not rep.passed:
         raise GraphMismatchError(
             f"graph relation fails: residual {worst:.2e} at {worst_p}")
     return rep
 
 
-def check_nondegeneracy(phase: GeneratingPhase, grid=None,
-                        floor: float = 1e-3) -> CheckReport:
+def check_nondegeneracy(phase: GeneratingPhase, grid=None) -> CheckReport:
     """min |d2 psi / dx_n dxi_n| over a collar grid avoiding xi = 0.
 
     grid is a sample array (a list of point dicts is converted), evaluated
@@ -176,22 +170,22 @@ def check_nondegeneracy(phase: GeneratingPhase, grid=None,
             "mixed normal derivative changes sign on the collar grid")
     i = int(np.argmin(np.abs(vals)))
     m = float(np.abs(vals[i]))
+    floor = NONDEGENERACY_FLOOR
     rep = CheckReport("nondegeneracy", floor - m, 0.0, point_at(grid, i),
                       details={"min_abs": m, "floor": floor,
                                "sign": float(np.sign(vals[0]))})
     return rep
 
 
-def _collar_grid(phase: GeneratingPhase, nx: int = 13,
-                 nxi: int = 12) -> np.ndarray:
-    """Sample array over x1 x xn x direction x radius (radius fastest)."""
+def _collar_grid(phase: GeneratingPhase) -> np.ndarray:
+    """Sample array over 13 x1 x 7 xn x 12 directions x 3 radii (radius
+    fastest)."""
     h = phase.collar_halfwidth
-    theta = (np.arange(nxi) + 0.5) * (2 * np.pi / nxi)
-    x1, xn, t, r = np.meshgrid(np.linspace(-2.0, 2.0, nx),
+    theta = (np.arange(12) + 0.5) * (2 * np.pi / 12)
+    x1, xn, t, r = np.meshgrid(np.linspace(-2.0, 2.0, 13),
                                np.linspace(-h, h, 7), theta,
                                (1.0, 4.0, 64.0), indexing="ij")
-    grid = np.empty(x1.size, dtype=[(v, np.float64)
-                                    for v in ("x1", "xn", "k1", "kn")])
+    grid = np.empty(x1.size, dtype=[(v, np.float64) for v in COLLAR_VARS])
     grid["x1"], grid["xn"] = x1.ravel(), xn.ravel()
     grid["k1"], grid["kn"] = (r * np.cos(t)).ravel(), (r * np.sin(t)).ravel()
     return grid
@@ -212,7 +206,7 @@ class NormalCoeffs:
     symmetry_residual: float
     euler_residual: float
     degenerate: bool
-    tol: float = 1e-10
+    tol: float = NORMAL_COEFFS_TOL
 
     @property
     def passed(self) -> bool:
@@ -221,8 +215,7 @@ class NormalCoeffs:
 
 
 def normal_coeffs(phase: GeneratingPhase,
-                  xprime_samples: np.ndarray | None = None,
-                  tol: float = 1e-10) -> NormalCoeffs:
+                  xprime_samples: np.ndarray | None = None) -> NormalCoeffs:
     """q+-(x') := d psi/d x_n (x', 0, 0, +-1), with symmetry q+ = -q-.
 
     Also cross-checks q+- against +-d2 psi/dx_n dxi_n at the same points,
@@ -232,12 +225,12 @@ def normal_coeffs(phase: GeneratingPhase,
     """
     if xprime_samples is None:
         xprime_samples = np.linspace(-1.0, 1.0, 21)
+    tol = NORMAL_COEFFS_TOL
     dpsi = ex.differentiate(phase.psi, "xn")
-    zero_prime = {c: 0.0 for c in cotangential_vars(phase.n)}
-    base = {f"x{i}": xprime_samples for i in range(1, phase.n)}
+    base = {"x1": xprime_samples}
 
     def on_ray(e, kn):      # e at (x', 0, 0, kn), and its values on x'
-        e = ex.substitute(e, {"xn": 0.0, **zero_prime, "kn": kn})
+        e = ex.substitute(e, {"xn": 0.0, "k1": 0.0, "kn": kn})
         return e, np.broadcast_to(ex.eval_array(e, base),
                                   xprime_samples.shape)
     try:
@@ -273,8 +266,7 @@ def check_admissibility(phase: GeneratingPhase,
     reports = {}
     worst = 0.0
     ok = True
-    degrees = [(v, 1.0) for v in tangential_vars(phase.n) + ["xn"]] \
-        + [(v, 0.0) for v in cotangential_vars(phase.n) + ["kn"]]
+    degrees = [(v, 1.0) for v in X_VARS] + [(v, 0.0) for v in XI_VARS]
     for v, m in degrees:
         sym = SymbolFn(ex.differentiate(phase.psi, v), order=m,
                        homogeneous_degree=m, name=f"d/d{v} psi")

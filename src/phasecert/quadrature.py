@@ -12,7 +12,8 @@ Two modes, keyed on integrand decay:
   node, in chunks of at most CHUNK nodes, and each chunk is contracted
   against a (nodes x 3) weight matrix whose columns are the Gauss weights
   times the cutoff at R, 2R and 4R.  Memory is bounded by the chunk, not
-  by the grid.
+  by the grid.  The cutoff is the collar cutoff :func:`expr.cutoff_expr`,
+  evaluated at xi / 2R.
 
 Integrands are complex-vectorized over the last axis; any leading axes
 (e.g. output sample points) ride along, and error estimates are reported
@@ -25,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import expr as ex
 from .exceptions import QuadratureBudgetError
 
 # Largest number of nodes passed to the integrand in one call by
@@ -85,24 +87,10 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
 
 
 def smooth_freq_cutoff(xi, R: float):
-    """Even smooth cutoff: 1 for |xi| <= R, 0 for |xi| >= 2R.
-
-    Same transition profile as the collar cutoff, evaluated numerically.
-    """
-    u = np.asarray(xi, dtype=float) / (2.0 * R)
-    p = u * u
-
-    def F(s):
-        s = np.asarray(s, dtype=float)
-        mask = s > 1e-3
-        safe = np.where(mask, s, 1.0)
-        with np.errstate(under="ignore"):
-            v = np.exp(-1.0 / safe)
-        return np.where(mask, v, 0.0)
-
-    a = F(1.0 - p)
-    b = F(p - 0.25)
-    return a / (a + b)
+    """Even smooth cutoff: 1 for |xi| <= R, 0 for |xi| >= 2R; the collar
+    cutoff w(xi / 2R)."""
+    w = ex.cutoff_expr(ex.quot(ex.var("xi"), ex.const(2.0 * R)))
+    return ex.eval_array(w, {"xi": np.asarray(xi, dtype=float)})
 
 
 def cutoff_richardson(f, R: float, panels_per_unit: float,

@@ -82,18 +82,19 @@ from .exceptions import (PhasecertError, ScenarioParseError,
 from .grammar import parse_expr
 from .normalop import NormalOperatorSpec, QuadratureSpec, apply_normal_op, \
     l2_smoke_check
-from .opsymb import FIT_TOL, sweep_symbol_orders, transpose_check
+from .opsymb import (FIT_TOL, TRANSPOSE_TOL, sweep_symbol_orders,
+                     transpose_check)
 from .phase import (GeneratingPhase, check_admissibility, check_generating,
                     check_homogeneity, check_nondegeneracy, normal_coeffs)
 from .schwartz import SchwartzFn, hermite_fn
 from .sgphase import ZERO_FLOOR, Margins, calibrate, check_uniformity
 from .symbols import SymbolFn, check_transmission
-from .symplectic import (SymplectoMap, check_boundary_preserving,
+from .symplectic import (COLLAR_VARS, DET_TOL, HOMOGENEITY_TOL, ZERO_TOL,
+                         SymplectoMap, check_boundary_preserving,
                          check_jacobian_structure, check_symplectic,
                          collar_samples, induced_boundary_map)
 
 FAMILIES = ("symplecto", "phase", "generating", "sg", "operator", "opsymb")
-COLLAR_VARS = ("x1", "xn", "k1", "kn")     # the variables of an n = 2 scenario
 
 GRID_PRESETS = {
     "default": 1.0,
@@ -121,7 +122,6 @@ class Scenario:
     of psi with its boundary part, is built by the runner's
     phase.boundary_phase check, because building it can fail."""
     name: str
-    n: int = 2
     collar_halfwidth: float = 1.0
     sg_params: dict | None = None
     checks: tuple[str, ...] = FAMILIES
@@ -138,7 +138,7 @@ class Scenario:
     def generating_phase(self) -> GeneratingPhase:
         """The declared phase with its boundary part; raises
         BoundaryFlatnessError when psi moves the boundary."""
-        return GeneratingPhase(self.psi, n=self.n,
+        return GeneratingPhase(self.psi,
                                collar_halfwidth=self.collar_halfwidth,
                                name=self.name)
 
@@ -208,8 +208,7 @@ def load_scenario(source) -> Scenario:
     for key in ("map", "amplitude", "sg", "margins", "grids"):
         if raw.get(key) is not None and not isinstance(raw[key], dict):
             raise ScenarioValidationError(f"{key} must be an object")
-    n = _number(raw.get("n", 2), "n", integer=True)
-    if n != 2:
+    if _number(raw.get("n", 2), "n", integer=True) != 2:
         raise ScenarioValidationError(
             "catalog checks run at n = 2; higher dimensions are not wired "
             "into the scenario runner")
@@ -222,7 +221,7 @@ def load_scenario(source) -> Scenario:
                                "collar_halfwidth", positive=True)
     amp_order = _number(amp.get("order", 0.0), "amplitude.order")
     sc = Scenario(
-        name=raw["name"], n=n, collar_halfwidth=collar_halfwidth,
+        name=raw["name"], collar_halfwidth=collar_halfwidth,
         sg_params=raw.get("sg"),
         checks=checks,
         seed=_number(raw.get("seed", 7), "seed", integer=True),
@@ -254,8 +253,7 @@ def load_scenario(source) -> Scenario:
             raise ScenarioValidationError(
                 f"map components must be exactly {sorted(COLLAR_VARS)}")
         comps = {k: _expression(v, f"map.{k}") for k, v in map_strs.items()}
-        sc.chi = SymplectoMap(comps, n=n,
-                              collar_halfwidth=sc.collar_halfwidth,
+        sc.chi = SymplectoMap(comps, collar_halfwidth=sc.collar_halfwidth,
                               name=sc.name)
     if amp.get("expr") is not None:
         support = None
@@ -458,7 +456,8 @@ class ScenarioRunner:
 
         def homog():
             res = chi.homogeneity_residual(samples(20, 1))
-            return res <= 1e-10, {"residual": res, "tol": 1e-10}
+            return res <= HOMOGENEITY_TOL, {"residual": res,
+                                            "tol": HOMOGENEITY_TOL}
         self.check("symplecto.homogeneity", homog)
 
         def sympl():
@@ -485,8 +484,8 @@ class ScenarioRunner:
         def struct():
             rep = check_jacobian_structure(chi, samples(100, 4,
                                                         boundary=True))
-            return rep.passed, rep.details | {"tol_zero": 1e-10,
-                                              "tol_det": 1e-8}
+            return rep.passed, rep.details | {"tol_zero": ZERO_TOL,
+                                              "tol_det": DET_TOL}
         self.check("symplecto.jacobian_structure", struct)
 
         def bmap():
@@ -675,7 +674,8 @@ class ScenarioRunner:
 
         def transpose():
             rep = transpose_check(spec, hermite_fn(0), hermite_fn(1))
-            return rep["passed"], {"residual": rep["residual"], "tol": 1e-6}
+            return rep["passed"], {"residual": rep["residual"],
+                                   "tol": TRANSPOSE_TOL}
         self.check("opsymb.transpose", transpose)
 
 

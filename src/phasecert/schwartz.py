@@ -25,6 +25,7 @@ from .quadrature import integrate_fixed
 from .symbols import loglog_fit
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SUPPORT_TOL = 1e-18     # |u| below this counts as outside its support
 
 
 @dataclass
@@ -41,29 +42,26 @@ class SchwartzFn:
     analytic_ft: object | None = None
     analytic_half_ft: object | None = None
     l2_norm: float | None = None
-    _deriv_cache: dict = field(default_factory=dict, repr=False)
     _cert: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, t):
         return ex.eval_array(self.expr, {"t": np.asarray(t, dtype=float)})
 
     def derivative(self, s: int) -> ex.Expr:
-        if s not in self._deriv_cache:
-            d = self.expr
-            for _ in range(s):
-                d = ex.differentiate(d, "t")
-            self._deriv_cache[s] = d
-        return self._deriv_cache[s]
+        """The s-th t-derivative; each step is memoised on its node."""
+        d = self.expr
+        for _ in range(s):
+            d = ex.differentiate(d, "t")
+        return d
 
     def deriv_values(self, s: int, t):
         return ex.eval_array(self.derivative(s),
                              {"t": np.asarray(t, dtype=float)})
 
-    def decay_certificate(self, l_max: int = 6, s_max: int = 6,
-                          t_max: float = 40.0) -> dict:
-        key = (l_max, s_max, t_max)
+    def decay_certificate(self, l_max: int = 6, s_max: int = 6) -> dict:
+        key = (l_max, s_max)
         if key not in self._cert:
-            t = np.linspace(-t_max, t_max, 3201)
+            t = np.linspace(-40.0, 40.0, 3201)
             out = {}
             for s in range(s_max + 1):
                 ds = np.abs(self.deriv_values(s, t))
@@ -72,18 +70,19 @@ class SchwartzFn:
             self._cert[key] = out
         return self._cert[key]
 
-    def ft_radius(self, tol: float = 1e-16, weight_order: float = 0.0,
-                  cap: float = 120.0) -> float:
-        """Smallest radius beyond which the (weighted) transform modulus
-        stays below tol; used to truncate frequency integrals."""
-        xi = np.linspace(0.0, cap, 1201)
+    def ft_radius(self, tol: float = 1e-16,
+                  weight_order: float = 0.0) -> float:
+        """Smallest radius, at most 120, beyond which the (weighted)
+        transform modulus stays below tol; used to truncate frequency
+        integrals."""
+        xi = np.linspace(0.0, 120.0, 1201)
         vals = np.abs(self.ft_values(xi))
         w = (1.0 + xi * xi) ** (max(weight_order, 0.0) / 2.0)
         g = vals * w
         above = np.nonzero(g > tol)[0]
         if len(above) == 0:
             return 4.0
-        return float(min(cap, xi[above[-1]] + 2.0))
+        return float(min(120.0, xi[above[-1]] + 2.0))
 
     def ft_values(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -142,16 +141,16 @@ def catalog() -> dict[str, SchwartzFn]:
     return out
 
 
-def _support_radius(u: SchwartzFn, tol: float = 1e-18) -> float:
+def _support_radius(u: SchwartzFn) -> float:
     t = np.linspace(0.0, 45.0, 901)
     vals = np.maximum(np.abs(u(t)), np.abs(u(-t)))
-    above = np.nonzero(vals > tol)[0]
+    above = np.nonzero(vals > SUPPORT_TOL)[0]
     if len(above) == 0:
         return 1.0
     return float(t[above[-1]] + 1.0)
 
 
-def _panel_ft(u: SchwartzFn, xi, order: int, half_line: bool):
+def _panel_ft(u: SchwartzFn, xi, half_line: bool):
     """integral_a^T e^{-i t xi} u(t) dt with a = 0 or -T, by panels on
     [a, T] that resolve the oscillation."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -164,41 +163,41 @@ def _panel_ft(u: SchwartzFn, xi, order: int, half_line: bool):
         def f(t, _x=x):
             return u(t) * np.exp(-1j * _x * t)
 
-        out[i] = integrate_fixed(f, a, T, n, order)
+        out[i] = integrate_fixed(f, a, T, n)
     return out
 
 
-def fourier_transform(u: SchwartzFn, xi, order: int = 12):
+def fourier_transform(u: SchwartzFn, xi):
     """Numeric Fu(xi) by oscillation-resolving panels on [-T, T]."""
-    return _panel_ft(u, xi, order, half_line=False)
+    return _panel_ft(u, xi, half_line=False)
 
 
-def half_line_ft(u: SchwartzFn, xi, order: int = 12):
+def half_line_ft(u: SchwartzFn, xi):
     """Numeric F(e+ u)(xi) = integral_0^T e^{-i t xi} u(t) dt."""
-    return _panel_ft(u, xi, order, half_line=True)
+    return _panel_ft(u, xi, half_line=True)
 
 
 def measured_decay_exponent(u: SchwartzFn, lo: float = 10.0,
-                            hi: float = 1000.0, count: int = 12
-                            ) -> tuple[float, float]:
-    """Least-squares log-log slope of |F(e+ u)| on [lo, hi], numeric path.
+                            hi: float = 1000.0) -> tuple[float, float]:
+    """Least-squares log-log slope of |F(e+ u)| at 12 points of [lo, hi],
+    numeric path.
 
     Returns (slope, limit_constant) where limit_constant is the median of
     |xi| * |F(e+ u)(xi)| over the fit window (the first-order decay
     coefficient, equal to |u(0)| for smooth u).
     """
-    xi = np.geomspace(lo, hi, count)
+    xi = np.geomspace(lo, hi, 12)
     vals = np.abs(half_line_ft(u, xi))
     return loglog_fit(xi, vals)[0], float(np.median(xi * vals))
 
 
-def _golden_max(f, a: float, b: float, iters: int = 90) -> float:
-    """Golden-section maximum of a scalar function on [a, b]."""
+def _golden_max(f, a: float, b: float) -> float:
+    """Golden-section maximum of a scalar function on [a, b], 90 steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(90):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
@@ -211,8 +210,9 @@ def _golden_max(f, a: float, b: float, iters: int = 90) -> float:
 
 
 def schwartz_seminorm_expr(u: SchwartzFn, l: int, s: int,
-                           t_max: float = 40.0, count: int = 1601) -> float:
-    """sup over |t| <= t_max of |t^l u^(s)(t)| for closed-form u.
+                           count: int = 1601) -> float:
+    """sup over |t| <= 40 of |t^l u^(s)(t)| for closed-form u, scanned at
+    count points.
 
     A grid scan brackets the maximum and a golden-section refinement pins
     it, so the result matches a high-resolution recomputation to well
@@ -220,7 +220,7 @@ def schwartz_seminorm_expr(u: SchwartzFn, l: int, s: int,
     """
     if s > 12:
         raise DerivativeUnavailableError(f"derivative order {s} too high")
-    t = np.linspace(-t_max, t_max, count)
+    t = np.linspace(-40.0, 40.0, count)
     vals = np.abs(t) ** l * np.abs(u.deriv_values(s, t))
     i = int(np.argmax(vals))
     lo = t[max(i - 1, 0)]

@@ -14,12 +14,9 @@ with r = <xi'> and a smooth even cutoff w_k(s) = w(s/k) that is 1 for
   P3:  |d_t d_tau *Phi| >= eps > 0, with constant sign
 
 together with uniformity of the constants over (x', <xi'>) samples, and a
-deterministic search for the smallest working (k, K) pair.
-
-The cutoff is built from the smooth transition F(s) = exp(-1/s):
-w(u) = A/(A+B) with A = F(1 - u^2), B = F(u^2 - 1/4).  Parametrizing by
-u^2 keeps the expression smooth through u = 0 (no |u| kink) while keeping
-the plateau on [-1/2, 1/2] and support in [-1, 1].
+deterministic search for the smallest working (k, K) pair.  The cutoff w
+is :func:`expr.cutoff_expr`, and the (t, tau) grid is the pinned ladder
+:func:`grids.sg_ladder` in both variables.
 """
 
 from __future__ import annotations
@@ -32,18 +29,11 @@ import numpy as np
 from . import expr as ex
 from .exceptions import (CalibrationError, CollarBoundsError,
                          SignChangeError)
+from .expr import cutoff_expr
 from .grids import grid_digest, sg_ladder
 from .phase import GeneratingPhase
 
 ZERO_FLOOR = 1e-9   # constants below this count as structurally zero
-
-
-def cutoff_expr(u: ex.Expr) -> ex.Expr:
-    """Even smooth cutoff w(u): 1 on |u| <= 1/2, 0 on |u| >= 1."""
-    p = ex.mul(u, u)
-    a = ex.bump(ex.sub(ex.const(1.0), p))
-    b = ex.bump(ex.sub(p, ex.const(0.25)))
-    return ex.quot(a, ex.add(a, b))
 
 
 @dataclass
@@ -111,10 +101,6 @@ class StarPhaseFamily:
             raise CollarBoundsError(
                 f"cutoff scale k = {k} exceeds half the collar width "
                 f"{phase.collar_halfwidth}")
-        if phase.n != 2:
-            raise ValueError(
-                "the frozen-sample sweep is wired for n = 2; the expression "
-                "and derivative layers underneath are dimension-generic")
         self.phase = phase
         self.k = float(k)
         self.K = float(K)
@@ -254,14 +240,13 @@ class RegularizedPhase:
     def deriv_value(self, a: int, al: int, t, tau):
         return ex.eval_array(self.family.deriv(a, al), self._env(t, tau))
 
-    def constants(self, tgrid=None, taugrid=None) -> PhaseConstants:
+    def constants(self) -> PhaseConstants:
         sign = 1 if self.xi_prime >= 0 else -1
-        return self.family.constants_at(self.xprime, self.rung, sign,
-                                        tgrid, taugrid)
+        return self.family.constants_at(self.xprime, self.rung, sign)
 
 
-def verify_p3(rp: RegularizedPhase, tgrid=None, taugrid=None) -> float:
-    cs = rp.constants(tgrid, taugrid)
+def verify_p3(rp: RegularizedPhase) -> float:
+    cs = rp.constants()
     if cs.eps_sign == 0.0:
         raise SignChangeError(
             "mixed derivative of *Phi changes sign on the grid "
@@ -299,7 +284,6 @@ class UniformityReport:
 def check_uniformity(phase: GeneratingPhase, k: float, K: float,
                      xprimes=None, rungs=None,
                      margins: Margins | None = None,
-                     tgrid=None, taugrid=None,
                      order_bound: int = 3) -> UniformityReport:
     """Spread of the P1/P2/P3 constants over (x', <xi'>) samples.
 
@@ -315,14 +299,15 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
     if rungs is None:
         rungs = [2.0**j for j in range(9)]
     fam = StarPhaseFamily(phase, k, K, order_bound)
+    ladder = sg_ladder()
     combos = []
     per_combo = []
     failures = []
     for xp in xprimes:
         for j, rung in enumerate(rungs):
             sign = 1 if j % 2 == 0 else -1
-            cs = fam.constants_at(float(xp), float(rung), sign,
-                                  tgrid, taugrid)
+            cs = fam.constants_at(float(xp), float(rung), sign, ladder,
+                                  ladder)
             combos.append((float(xp), float(rung), sign))
             per_combo.append(cs.flat())
             if cs.eps_sign == 0.0:
@@ -364,10 +349,8 @@ class Calibration:
                             "ratio_max": self.margins.ratio_max}}
 
 
-def calibrate(phase: GeneratingPhase, xprimes=None,
-              margins: Margins | None = None,
-              max_steps: int = 12,
-              tgrid=None, taugrid=None) -> Calibration:
+def calibrate(phase: GeneratingPhase, margins: Margins | None = None,
+              max_steps: int = 12) -> Calibration:
     """Deterministic search for the first (k, K) passing P1-P3 + uniformity.
 
     K doubles from 1 and k halves from collar/2, at most max_steps each;
@@ -375,10 +358,6 @@ def calibrate(phase: GeneratingPhase, xprimes=None,
     reduced 3 x 3 sample and confirmed on the full sweep before acceptance.
     """
     margins = margins or Margins()
-    if tgrid is None:
-        tgrid = sg_ladder()
-    if taugrid is None:
-        taugrid = sg_ladder()
     half = phase.collar_halfwidth / 2.0
     pairs = sorted(
         ((ik + jk, ik, jk) for ik in range(max_steps)
@@ -392,22 +371,22 @@ def calibrate(phase: GeneratingPhase, xprimes=None,
         k = half / 2.0**jk
         trials += 1
         quick = check_uniformity(phase, k, K, screen_x, screen_rungs,
-                                 margins, tgrid, taugrid, order_bound=1)
+                                 margins, order_bound=1)
         if not quick.passed:
             continue
-        full = check_uniformity(phase, k, K, xprimes, None, margins,
-                                tgrid, taugrid)
+        full = check_uniformity(phase, k, K, margins=margins)
         if full.passed:
+            ladder = sg_ladder()
             return Calibration(k, K, trials, full, margins,
-                               grid_digest(t=tgrid, tau=taugrid))
+                               grid_digest(t=ladder, tau=ladder))
     raise CalibrationError(
         f"no (k, K) pair accepted within {trials} trials "
         f"(K <= {2.0**(max_steps - 1):g}, k >= {half / 2.0**(max_steps - 1):g})")
 
 
 def phi_envelope(phase: GeneratingPhase, xprime: float, rung: float,
-                 alpha_max: int = 3, k: float | None = None,
-                 tgrid=None, taugrid=None) -> dict[int, float]:
+                 alpha_max: int = 3, k: float | None = None
+                 ) -> dict[int, float]:
     """Cutoff-localized tau-derivative envelope of the rescaled remainder.
 
     For each alpha returns sup of  w_k(t/r) |d_tau^alpha phi(x', t/r, xi',
@@ -416,10 +395,7 @@ def phi_envelope(phase: GeneratingPhase, xprime: float, rung: float,
     """
     if k is None:
         k = phase.collar_halfwidth
-    if tgrid is None:
-        tgrid = sg_ladder()
-    if taugrid is None:
-        taugrid = sg_ladder()
+    tgrid = taugrid = sg_ladder()
     t, tau, r = ex.var("t"), ex.var("tau"), ex.var("r")
     phi_resc = ex.substitute(phase.phi,
                              {"xn": ex.quot(t, r), "kn": ex.mul(tau, r)})

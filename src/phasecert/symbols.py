@@ -22,9 +22,9 @@ import numpy as np
 from . import expr as ex
 from .exceptions import RegressionError, SingularLocusError
 from .grids import GridSpec, bracket_ladder, grid_digest
+from .symplectic import X_VARS, XI_VARS
 
-XI_VARS = ("k1", "kn")
-X_VARS = ("x1", "xn")
+TRANSMISSION_TOL = 1e-10    # the parity residual of check_transmission
 
 
 @dataclass
@@ -48,7 +48,7 @@ class SymbolFn:
             pts = [{"x1": 0.3, "xn": 0.2, "k1": c, "kn": s}
                    for c, s in _ray_samples(20)]
             res = ex.homogeneity_residual(
-                self.expr, {"k1", "kn"}, self.homogeneous_degree, pts)
+                self.expr, set(XI_VARS), self.homogeneous_degree, pts)
             if res > 1e-10:
                 raise ValueError(
                     f"declared homogeneity degree {self.homogeneous_degree} "
@@ -131,24 +131,24 @@ class TransmissionReport:
     max_residual: float
     table: list[dict] = field(default_factory=list)
     singular_at_axis: bool = False
-    tol: float = 1e-10
+    tol: float = TRANSMISSION_TOL
 
     @property
     def passed(self) -> bool:
         return (not self.singular_at_axis) and self.max_residual <= self.tol
 
 
-def check_transmission(a: SymbolFn, max_orders: int = 2,
-                       xprime_samples: np.ndarray | None = None,
-                       tol: float = 1e-10) -> TransmissionReport:
+def check_transmission(a: SymbolFn, max_orders: int = 2
+                       ) -> TransmissionReport:
     """Parity relation at (xi', xi_n) = (0, +-1) for homogeneous symbols.
 
     For every x_n-order k, xi'-order al and x'-order be up to max_orders,
     the derivative at (x', 0, 0, +1) must equal (-1)^(m - al) times its
-    value at (x', 0, 0, -1), on sampled x'.  Normal derivatives in the
-    second copy of the collar variable are not taken: symbols here are
-    left-quantized and x-only.  A symbol that is not smooth at the axis
-    points is reported as a transmission failure mode (singular_at_axis).
+    value at (x', 0, 0, -1), on 11 sampled x' in [-1, 1].  Normal
+    derivatives in the second copy of the collar variable are not taken:
+    symbols here are left-quantized and x-only.  A symbol that is not
+    smooth at the axis points is reported as a transmission failure mode
+    (singular_at_axis).
     """
     if a.homogeneous_degree is None:
         raise ValueError("transmission check requires declared homogeneity")
@@ -156,9 +156,8 @@ def check_transmission(a: SymbolFn, max_orders: int = 2,
     if abs(m - round(m)) > 1e-12:
         raise ValueError("transmission parity needs an integer degree")
     m = int(round(m))
-    if xprime_samples is None:
-        xprime_samples = np.linspace(-1.0, 1.0, 11)
-    report = TransmissionReport(order=m, max_residual=0.0, tol=tol)
+    xprime_samples = np.linspace(-1.0, 1.0, 11)
+    report = TransmissionReport(order=m, max_residual=0.0)
     for k in range(max_orders + 1):
         for al in range(max_orders + 1):
             for be in range(max_orders + 1):
@@ -255,23 +254,20 @@ def loglog_fit(x, y) -> tuple[float, float]:
 
 
 def check_bs_membership(a, m: float, l: float,
-                        ab_bound: int = 1,
                         rung_top: float = 256.0,
-                        xin_top: float = 64.0,
-                        deriv_bound: int = 2,
-                        xprime_samples: np.ndarray | None = None,
-                        xn_box: tuple[float, float] = (-1.0, 1.0),
                         xn_count: int = 33,
-                        tol: float = 0.1,
-                        direction_sign: int = 1) -> BsReport:
+                        tol: float = 0.1) -> BsReport:
     """Fit growth exponents of the rescaled symbol on geometric ladders.
 
     `a` is a SymbolFn, a bare Expr, or an (re, im) pair of Exprs (the
     modulus is swept).  For each <xi'> rung r the symbol is evaluated at
-    (x', x_n/r, xi', xi_n r) with xi' = sign * sqrt(r^2 - 1); normal
-    derivatives of the rescale pick up the exact factor r^(gamma - delta),
-    and tangential derivative orders (alpha, beta) each run up to ab_bound.
+    (x', x_n/r, xi', xi_n r) with xi' = sqrt(r^2 - 1), on 7 x' and xn_count
+    x_n in [-1, 1], and <xi_n> rungs up to 64; normal derivatives of the
+    rescale pick up the exact factor r^(gamma - delta) with gamma, delta
+    up to 2, and tangential derivative orders (alpha, beta) each run up
+    to 1.
     """
+    ab_bound, deriv_bound = 1, 2
     if isinstance(a, SymbolFn):
         parts = [a.expr]
     elif isinstance(a, ex.Expr):
@@ -281,11 +277,9 @@ def check_bs_membership(a, m: float, l: float,
     rungs = bracket_ladder(rung_top)
     if len(rungs) < 4:
         raise RegressionError("need at least 4 <xi'> rungs for the fit")
-    xin_rungs = bracket_ladder(xin_top)
-    if xprime_samples is None:
-        xprime_samples = np.linspace(-1.0, 1.0, 7)
-
-    xn_vals = np.linspace(*xn_box, xn_count)
+    xin_rungs = bracket_ladder(64.0)
+    xprime_samples = np.linspace(-1.0, 1.0, 7)
+    xn_vals = np.linspace(-1.0, 1.0, xn_count)
     # shell values of xi_n with <xi_n> equal to each rung (both signs)
     shells = []
     for R in xin_rungs:
@@ -307,7 +301,7 @@ def check_bs_membership(a, m: float, l: float,
     X1 = xprime_samples[:, None, None]
     XN = xn_vals[None, :, None]
     for i, r in enumerate(rungs):
-        k1v = direction_sign * float(np.sqrt(max(r * r - 1.0, 0.0)))
+        k1v = float(np.sqrt(max(r * r - 1.0, 0.0)))
         for j, shell in enumerate(shells):
             KN = shell[None, None, :] * r
             env = {"x1": X1, "xn": XN / r, "k1": k1v, "kn": KN}

@@ -30,7 +30,7 @@ from phasecert.symplectic import SymplectoMap, check_jacobian_structure
 
 def scenario_phase(name: str) -> GeneratingPhase:
     sc = catalog.emit(name)
-    return GeneratingPhase(parse_expr(sc["phase"]), n=sc["n"],
+    return GeneratingPhase(parse_expr(sc["phase"]),
                            collar_halfwidth=sc["collar_halfwidth"],
                            name=name)
 
@@ -38,7 +38,7 @@ def scenario_phase(name: str) -> GeneratingPhase:
 def scenario_map(name: str) -> SymplectoMap:
     sc = catalog.emit(name)
     comps = {k: parse_expr(v) for k, v in sc["map"].items()}
-    return SymplectoMap(comps, n=sc["n"],
+    return SymplectoMap(comps,
                         collar_halfwidth=sc["collar_halfwidth"], name=name)
 
 

@@ -13,8 +13,8 @@ from phasecert.grammar import parse_expr
 from phasecert.runner import (CheckOutcome, RunReport, run_scenario,
                               write_report)
 from phasecert.symplectic import (SymplectoMap, check_boundary_preserving,
-                                  collar_samples, jacobian, point_at,
-                                  source_order, sup)
+                                  SOURCE_ORDER, collar_samples, jacobian,
+                                  point_at, sup)
 
 FAMILIES = {"symplecto", "phase", "generating"}
 
@@ -52,12 +52,12 @@ def test_pointwise_families_digest_pinned(name, grid):
 def build_map(name: str) -> SymplectoMap:
     sc = catalog.SCENARIOS[name]
     return SymplectoMap({k: parse_expr(v) for k, v in sc["map"].items()},
-                        n=sc["n"], collar_halfwidth=sc["collar_halfwidth"],
+                        collar_halfwidth=sc["collar_halfwidth"],
                         name=name)
 
 
 def pointwise_jacobian(chi: SymplectoMap, samples) -> np.ndarray:
-    cols = source_order(chi.n)
+    cols = SOURCE_ORDER
     return np.array([[[ex.evaluate(ex.differentiate(chi.components[r], c),
                                    point_at(samples, i))
                        for c in cols] for r in chi.target_order()]

@@ -203,6 +203,7 @@ BAD_FIELDS = {
     "seed-fraction": ("seed", 1.5),
     "n-string": ("n", "two"),
     "n-null": ("n", None),
+    "n-three": ("n", 3),
     "collar-string": ("collar_halfwidth", "wide"),
     "collar-negative": ("collar_halfwidth", -1.0),
     "collar-zero": ("collar_halfwidth", 0.0),

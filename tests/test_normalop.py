@@ -18,7 +18,7 @@ from oracles import trapezoid
 
 def phase_of(name):
     sc = SCENARIOS[name]
-    return GeneratingPhase(parse_expr(sc["phase"]), n=sc["n"],
+    return GeneratingPhase(parse_expr(sc["phase"]),
                            collar_halfwidth=sc["collar_halfwidth"], name=name)
 
 
@@ -143,7 +143,7 @@ def test_convergence_when_tolerance_tightened():
 
 def test_truncated_identity_reproduces_on_half_line():
     spec = identity_spec()
-    assert decay_order(spec, half_line=True) == -1.0   # cutoff mode
+    assert decay_order(spec) == -1.0   # cutoff mode
     u = exp_decay()
     xn = np.linspace(0.25, 3.0, 12)
     vals, _ = apply_truncated_op(spec, u, xn)
@@ -152,7 +152,7 @@ def test_truncated_identity_reproduces_on_half_line():
 
 def test_truncated_smoothing_matches_bruteforce():
     spec = identity_spec(AMP_SMOOTHING)
-    assert decay_order(spec, half_line=True) == -3.0   # direct mode
+    assert decay_order(spec) == -3.0   # direct mode
     u = exp_decay()
     xn = np.array([0.5, 1.0, 2.0])
     vals, _ = apply_truncated_op(spec, u, xn)

@@ -24,7 +24,7 @@ from oracles import trapezoid
 
 def phase_of(name):
     sc = SCENARIOS[name]
-    return GeneratingPhase(parse_expr(sc["phase"]), n=sc["n"],
+    return GeneratingPhase(parse_expr(sc["phase"]),
                            collar_halfwidth=sc["collar_halfwidth"], name=name)
 
 

@@ -16,14 +16,14 @@ from phasecert.symplectic import SymplectoMap, collar_samples
 
 def build_phase(name: str) -> GeneratingPhase:
     sc = SCENARIOS[name]
-    return GeneratingPhase(parse_expr(sc["phase"]), n=sc["n"],
+    return GeneratingPhase(parse_expr(sc["phase"]),
                            collar_halfwidth=sc["collar_halfwidth"], name=name)
 
 
 def build_map(name: str) -> SymplectoMap:
     sc = SCENARIOS[name]
     comps = {k: parse_expr(v) for k, v in sc["map"].items()}
-    return SymplectoMap(comps, n=sc["n"],
+    return SymplectoMap(comps,
                         collar_halfwidth=sc["collar_halfwidth"], name=name)
 
 

@@ -21,7 +21,7 @@ AMP_ONE = SymbolFn(parse_expr("1"), order=0.0)
 
 def spec_of(name) -> NormalOperatorSpec:
     sc = SCENARIOS[name]
-    phase = GeneratingPhase(parse_expr(sc["phase"]), n=sc["n"],
+    phase = GeneratingPhase(parse_expr(sc["phase"]),
                             collar_halfwidth=sc["collar_halfwidth"],
                             name=name)
     return NormalOperatorSpec(phase, AMP_ONE, xprime=0.3, xi_prime=1.0,

@@ -18,7 +18,7 @@ from oracles import central_diff
 
 def build_phase(name):
     sc = SCENARIOS[name]
-    return GeneratingPhase(parse_expr(sc["phase"]), n=sc["n"],
+    return GeneratingPhase(parse_expr(sc["phase"]),
                            collar_halfwidth=sc["collar_halfwidth"], name=name)
 
 

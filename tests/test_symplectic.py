@@ -18,7 +18,7 @@ from oracles import central_diff
 def build_map(name: str) -> SymplectoMap:
     sc = SCENARIOS[name]
     comps = {k: parse_expr(v) for k, v in sc["map"].items()}
-    return SymplectoMap(comps, n=sc["n"],
+    return SymplectoMap(comps,
                         collar_halfwidth=sc["collar_halfwidth"], name=name)
 
 
