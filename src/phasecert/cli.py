@@ -27,8 +27,8 @@ from .exceptions import PhasecertError, ScenarioParseError, \
     ScenarioValidationError, UnknownScenarioError
 from .grammar import parse_expr
 from .normalop import NormalOperatorSpec, apply_normal_op
-from .runner import (RunReport, CheckOutcome, check_golden, jsonable,
-                     load_scenario, render_report, run_scenario,
+from .runner import (RunReport, CheckOutcome, check_golden, is_file,
+                     jsonable, load_scenario, render_report, run_scenario,
                      write_report)
 from .schwartz import SchwartzFn, catalog as schwartz_catalog
 from .sgphase import calibrate
@@ -48,9 +48,10 @@ FAMILY_COMMANDS = {
 def _scenario_source(args):
     if args.scenario is None:
         raise ScenarioValidationError("--scenario is required")
-    p = Path(args.scenario)
-    if p.exists():
-        return p
+    if args.scenario.lstrip().startswith("{"):
+        return args.scenario            # JSON text
+    if is_file(args.scenario):
+        return Path(args.scenario)
     if args.scenario in cat.names():
         return cat.emit(args.scenario)
     raise ScenarioParseError(

@@ -30,6 +30,7 @@ import numpy as np
 from .exceptions import NodeBudgetError, SingularLocusError
 
 NODE_BUDGET = 10**6
+HOMOGENEITY_LAMBDAS = (2.0, 10.0, 100.0)  # fiber scalings of the oracle
 
 # Opcodes for the compiled evaluator.
 _CONST, _VAR, _SUM, _NEG, _PROD, _QUOT, _POW, _EXP, _LOG, _SIN, _COS, \
@@ -1029,16 +1030,16 @@ def fd_crosscheck(e: Expr, point: dict[str, float], v: str,
 
 
 def homogeneity_residual(e: Expr, fiber_vars: set[str], degree: float,
-                         points: list[dict[str, float]],
-                         lambdas=(2.0, 10.0, 100.0)) -> float:
-    """Worst relative error of eval(lambda*xi) against lambda^d * eval(xi).
+                         points: list[dict[str, float]]) -> float:
+    """Worst relative error of eval(lambda*xi) against lambda^d * eval(xi)
+    over lambda in HOMOGENEITY_LAMBDAS.
 
     A non-finite error anywhere makes the result NaN or inf.
     """
     errs = []
     for p in points:
         base = evaluate(e, p)
-        for lam in lambdas:
+        for lam in HOMOGENEITY_LAMBDAS:
             q = {k: (val * lam if k in fiber_vars else val)
                  for k, val in p.items()}
             target = lam**degree * base

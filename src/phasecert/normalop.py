@@ -12,6 +12,13 @@ integrands handled by direct adaptive panels; half-line transforms decay
 only to first order, so unless the amplitude supplies decay of order
 <= -1.5 in total, the integral runs through the smooth-cutoff Richardson
 mode.  Evaluation at x_n = 0 is excluded for the truncated operator.
+
+The integrand at the output points is a quadrature.Oscillatory.  The
+paper's local phases are linear in xi_n, phi = xi_n h(x_n) + c(x_n), and
+the exact DAG test d^2 phi / d xi_n^2 == Const(0) lets both modes factor
+e^{i phi} over their Gauss panels instead of taking one complex
+exponential per (point, node) pair; a phase that fails the test is summed
+densely.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 from . import expr as ex
 from .exceptions import DecayClassError
 from .phase import GeneratingPhase
-from .quadrature import cutoff_richardson, integrate_adaptive
+from .quadrature import Oscillatory, cutoff_richardson, integrate_adaptive
 from .schwartz import SchwartzFn
 from .symbols import SymbolFn
 
@@ -89,19 +96,11 @@ def _choose_mode(spec: NormalOperatorSpec) -> str:
 
 
 def _integrand_factory(spec: NormalOperatorSpec, ft,
-                       xn_grid: np.ndarray):
-    phi = spec.frozen_phi()
-    amp = spec.frozen_amplitude()
-    xn = np.asarray(xn_grid, dtype=float)[:, None]
-
-    def f(nodes: np.ndarray) -> np.ndarray:
-        env = {"xn": xn, "kn": nodes[None, :]}
-        shape = (len(xn_grid), len(nodes))
-        ph = np.broadcast_to(ex.eval_array(phi, env), shape)
-        am = np.broadcast_to(ex.eval_array(amp, env), shape)
-        return np.exp(1j * ph) * am * ft(nodes)[None, :] / (2.0 * np.pi)
-
-    return f
+                       xn_grid: np.ndarray) -> Oscillatory:
+    """e^{i phi} a ft / (2 pi) over kn at the points xn_grid."""
+    return Oscillatory(spec.frozen_phi(), spec.frozen_amplitude(),
+                       {"xn": np.asarray(xn_grid, dtype=float)},
+                       spectrum=lambda nodes: ft(nodes) / (2.0 * np.pi))
 
 
 def apply_normal_op(spec: NormalOperatorSpec, u: SchwartzFn,

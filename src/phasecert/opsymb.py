@@ -31,7 +31,7 @@ import numpy as np
 from . import expr as ex
 from .exceptions import RegressionError
 from .normalop import NormalOperatorSpec
-from .quadrature import gauss_rule, panel_frame, panel_nodes
+from .quadrature import Oscillatory, gauss_rule, panel_frame, panel_nodes
 from .schwartz import SchwartzFn
 from .symbols import loglog_fit
 
@@ -158,7 +158,7 @@ class ConjugatedFamily:
         resc = {"xn": ex.quot(t, r), "kn": ex.mul(sv, r)}
         self.phi_resc = ex.substitute(phi, resc)
         self.keys = sorted(self.amp_pairs)
-        exprs = [self.phi_resc]
+        exprs = []
         for key in self.keys:
             re, im = self.amp_pairs[key]
             exprs.append(ex.substitute(re, resc))
@@ -170,13 +170,14 @@ class ConjugatedFamily:
         class-membership checks."""
         return self.amp_pairs[(n_xi, n_x, 0)]
 
-    def _nodes(self, u: SchwartzFn, t_max: float):
+    def _panels(self, u: SchwartzFn, t_max: float):
+        """(a, b, n_panels) of the s grid resolving u_hat against the
+        oscillation up to |t| <= t_max."""
         S = u.ft_radius(tol=1e-16,
                         weight_order=max(self.spec.amplitude.order, 0.0)
                         + self.max_xi + self.max_x + self.max_s)
         rate = t_max * 2.5 / (2.0 * math.pi)
-        n_panels = max(24, int(math.ceil(2 * S * rate * 1.5)))
-        return panel_nodes(-S, S, n_panels, order=10)
+        return -S, S, max(24, int(math.ceil(2 * S * rate * 1.5)))
 
     def outputs(self, u: SchwartzFn, rungs=DEFAULT_RUNGS,
                 t_grid: np.ndarray | None = None) -> dict:
@@ -190,20 +191,26 @@ class ConjugatedFamily:
         if t_grid is None:
             t_grid = default_t_grid()
         t_grid = np.asarray(t_grid, dtype=float)
-        nodes, weights = self._nodes(u, float(np.max(np.abs(t_grid))))
+        a, b, n_panels = self._panels(u, float(np.max(np.abs(t_grid))))
+        nodes, weights = panel_nodes(a, b, n_panels, order=10)
+        mid, half = panel_frame(a, b, n_panels)
+        g = gauss_rule(10)[0]
         uhat = u.ft_values(nodes) / (2.0 * math.pi)
         out = {key: [] for key in self.keys}
+        one = ex.const(1.0)
         for rung in rungs:
             xi = math.sqrt(max(rung * rung - 1.0, 0.0))
-            env = {"t": t_grid[:, None], "s": nodes[None, :],
-                   "x1": self.spec.xprime, "k1": xi, "r": float(rung)}
-            vals = ex._exec(self._prog, env, False)
+            consts = {"x1": self.spec.xprime, "k1": xi, "r": float(rung)}
+            # e^{i phi_resc}, factored over the panels: phi_resc is
+            # linear in s whenever phi is linear in xi_n
+            osc = Oscillatory(self.phi_resc, one, dict(consts, t=t_grid),
+                              kvar="s").grid(mid, half, g)
+            vals = ex._exec(self._prog, dict(consts, t=t_grid[:, None],
+                                             s=nodes[None, :]), False)
             shape = (len(t_grid), len(nodes))
-            ph = np.broadcast_to(vals[0], shape)
-            osc = np.exp(1j * ph)
             for i, key in enumerate(self.keys):
-                re = np.broadcast_to(vals[1 + 2 * i], shape)
-                im = np.broadcast_to(vals[2 + 2 * i], shape)
+                re = np.broadcast_to(vals[2 * i], shape)
+                im = np.broadcast_to(vals[1 + 2 * i], shape)
                 integ = osc * (re + 1j * im) * uhat[None, :]
                 res = integ @ weights
                 out[key].append(res * rung ** (-key[2]))
@@ -301,17 +308,19 @@ def sweep_symbol_orders(spec: NormalOperatorSpec, us: list[SchwartzFn],
 # formal transpose pairing
 # ---------------------------------------------------------------------------
 
+_FOURIER_PHASE = ex.neg(ex.mul(ex.var("y"), ex.var("xi")))
+
+
 def panel_fourier_sum(c: np.ndarray, xi: np.ndarray, mid: np.ndarray,
                       half: float, g: np.ndarray) -> np.ndarray:
     """sum_q c_q e^{-i y xi_q} at the panel nodes y = mid_p + half g_k.
 
-    The phase factors as e^{-i mid_p xi} e^{-i half g_k xi}, so the sum is
-    one (panels x nodes) @ (nodes x order) product and needs only
-    (panels + order) * len(xi) complex exponentials.  Returned
-    panel-major, in the node order of quadrature.panel_nodes.
+    This is the kernel's point sum for the phase -y xi, which is linear in
+    y, so it needs only (panels + order) * len(xi) complex exponentials.
+    Returned panel-major, in the node order of quadrature.panel_nodes.
     """
-    inner = np.exp(-1j * half * np.outer(g, xi)) * c
-    return (np.exp(-1j * np.outer(mid, xi)) @ inner.T).ravel()
+    return Oscillatory(_FOURIER_PHASE, ex.const(1.0), {"xi": xi},
+                       kvar="y").point_sum(c, mid, half, g)
 
 
 def transpose_check(spec: NormalOperatorSpec, u: SchwartzFn,
@@ -320,10 +329,11 @@ def transpose_check(spec: NormalOperatorSpec, u: SchwartzFn,
     quantization route (frequency-first), not by reusing the forward path.
 
     A^t v(y) = 1/(2 pi) integral e^{-i y xi} W(xi) dxi with
-    W(xi) = integral e^{i phi(x, xi)} a(x, xi) v(x) dx.  W is summed in
-    xi chunks over the x panel grid, 200 panels of 10 Gauss points on
-    [-14, 14]; A^t v is then wanted on that same panel grid, where
-    panel_fourier_sum factors the outer exponential.
+    W(xi) = integral e^{i phi(x, xi)} a(x, xi) v(x) dx.  W is the
+    kernel's point sum over the x panel grid, 200 panels of 10 Gauss
+    points on [-14, 14], at the nodes of a Gauss panel grid in xi, where a
+    phase linear in xi factors; A^t v is then wanted on the x panel grid,
+    where panel_fourier_sum factors the outer exponential.
     """
     from .normalop import apply_normal_op
 
@@ -334,23 +344,16 @@ def transpose_check(spec: NormalOperatorSpec, u: SchwartzFn,
         au[lo:lo + 256], _ = apply_normal_op(spec, u, xn[lo:lo + 256])
     pair1 = complex((au * v(xn)) @ xw)
 
-    phi = spec.frozen_phi()
-    amp = spec.frozen_amplitude()
     R = u.ft_radius(tol=1e-15) + v.ft_radius(tol=1e-15)
-    qn, qw = panel_nodes(-R, R, max(120, int(R * x_half / math.pi)), order)
-    # W(xi) = integral e^{i phi(x, xi)} a(x, xi) v(x) dx, in xi chunks
-    W = np.empty(len(qn), dtype=complex)
-    vx = v(xn) * xw
-    for lo in range(0, len(qn), 256):
-        chunk = qn[lo:lo + 256]
-        env = {"xn": xn[:, None], "kn": chunk[None, :]}
-        shape = (len(xn), len(chunk))
-        ph = np.broadcast_to(ex.eval_array(phi, env), shape)
-        am = np.broadcast_to(ex.eval_array(amp, env), shape)
-        W[lo:lo + 256] = (np.exp(1j * ph) * am * vx[:, None]).sum(axis=0)
+    n_q = max(120, int(R * x_half / math.pi))
+    qn, qw = panel_nodes(-R, R, n_q, order)
+    g = gauss_rule(order)[0]
+    # W(xi) = integral e^{i phi(x, xi)} a(x, xi) v(x) dx on the xi panels
+    W = Oscillatory(spec.frozen_phi(), spec.frozen_amplitude(),
+                    {"xn": xn}).point_sum(v(xn) * xw,
+                                          *panel_frame(-R, R, n_q), g)
     mid, half = panel_frame(-x_half, x_half, n_panels)
-    atv = panel_fourier_sum(W * qw, qn, mid, half,
-                            gauss_rule(order)[0]) / (2.0 * np.pi)
+    atv = panel_fourier_sum(W * qw, qn, mid, half, g) / (2.0 * np.pi)
     pair2 = complex((u(xn) * atv) @ xw)
     resid = abs(pair1 - pair2)
     return {"pair_forward": pair1, "pair_transpose": pair2,

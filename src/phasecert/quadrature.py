@@ -8,12 +8,28 @@ Two modes, keyed on integrand decay:
 * smooth frequency cutoff at radii R, 2R, 4R with Richardson
   extrapolation in 1/R, for integrands decaying only to first order,
   where sharp truncation does not converge.  The three cutoffs share one
-  composite Gauss grid on [-8R, 8R]: the integrand is evaluated once per
-  node, in chunks of at most CHUNK nodes, and each chunk is contracted
-  against a (nodes x 3) weight matrix whose columns are the Gauss weights
-  times the cutoff at R, 2R and 4R.  Memory is bounded by the chunk, not
-  by the grid.  The cutoff is the collar cutoff :func:`expr.cutoff_expr`,
-  evaluated at xi / 2R.
+  composite Gauss grid on [-8R, 8R], summed in chunks of whole panels
+  (at most CHUNK nodes) against a (panels x order x 3) weight array whose
+  columns are the Gauss weights times the cutoff at R, 2R and 4R.  Memory
+  is bounded by the chunk, not by the grid.  The cutoff is the collar
+  cutoff :func:`expr.cutoff_expr`, evaluated at xi / 2R and compiled once.
+
+Both modes sum through one kernel, :func:`panel_sum`, over the panel frame
+(midpoints mid, half-width half, Gauss abscissae g).  The frozen
+operators' integrand e^{i phi(x, xi)} a(x, xi) s(xi) at fixed points x is
+an :class:`Oscillatory`.  When d^2 phi / d xi^2 folds to exactly Const(0) in
+the expression DAG, phi = xi h(x) + c(x), and at a node
+xi = mid_p + half g_k the exponential factors as
+
+    e^{i phi} = e^{i (c + mid_p h)} e^{i half g_k h},
+
+the factoring of Filon- and Levin-type quadrature (Levin 1982; Iserles &
+Norsett 2005): P panels of Q nodes take (P + Q) complex exponentials per
+point instead of P Q.  If the amplitude is xi-free as well, the sum over
+nodes is a matrix product (points x Q) @ (Q x panels * columns) followed
+by a reduction over panels.  A phase that fails the test (the
+bad-transmission phase) takes the dense path, one exponential per
+(point, node) pair.
 
 Integrands are complex-vectorized over the last axis; any leading axes
 (e.g. output sample points) ride along, and error estimates are reported
@@ -29,9 +45,14 @@ import numpy as np
 from . import expr as ex
 from .exceptions import QuadratureBudgetError
 
-# Largest number of nodes passed to the integrand in one call by
-# cutoff_richardson; the (points x nodes) intermediates scale with it.
+# Largest number of nodes summed in one step by cutoff_richardson; the
+# (points x nodes) intermediates scale with it.
 CHUNK = 2048
+# Largest (points x nodes) block of one step of Oscillatory.point_sum.
+BLOCK = 2**19
+
+# w(xi / 2R) with 2R bound at evaluation, so it is compiled once
+_FREQ_CUTOFF = ex.cutoff_expr(ex.quot(ex.var("xi"), ex.var("two_r")))
 
 
 @lru_cache(maxsize=None)
@@ -56,9 +77,126 @@ def panel_nodes(a: float, b: float, n_panels: int, order: int = 12):
     return nodes, weights
 
 
+class Oscillatory:
+    """The integrand e^{i phi(x, xi)} a(x, xi) s(xi) at fixed points x.
+
+    phi and amp are expressions in the frequency kvar and in the names of
+    points, which maps each name to a 1-D array over the points or to a
+    scalar; spectrum is s, a function of the frequency alone (None for 1).
+    Grids are given by their panel frame: midpoints mid, half-width half
+    and Gauss abscissae g, node mid_p + half g_k.
+    """
+
+    def __init__(self, phi: ex.Expr, amp: ex.Expr, points: dict,
+                 spectrum=None, kvar: str = "kn"):
+        self.phi, self.amp, self.spectrum, self.kvar = \
+            phi, amp, spectrum, kvar
+        self.env = {k: (v[:, None] if np.ndim(v) else v)
+                    for k, v in points.items()}
+        self.size = max(len(v) for v in self.env.values() if np.ndim(v))
+        d2 = ex.differentiate(ex.differentiate(phi, kvar), kvar)
+        self.linear = isinstance(d2, ex.Const) and d2.value == 0.0
+        if self.linear:
+            # phi = kvar * slope + offset
+            at_zero = dict(self.env, **{kvar: 0.0})
+            self.slope = self._column(ex.differentiate(phi, kvar), at_zero)
+            self.offset = self._column(phi, at_zero)
+        self.amp0 = None        # the amplitude, when it is kvar-free
+        if kvar not in ex.free_vars(amp):
+            self.amp0 = self._column(amp, self.env)
+
+    def _column(self, e: ex.Expr, env: dict) -> np.ndarray:
+        return np.broadcast_to(ex.eval_array(e, env), (self.size, 1))
+
+    def _dense(self, e: ex.Expr, nodes: np.ndarray) -> np.ndarray:
+        env = dict(self.env, **{self.kvar: nodes[None, :]})
+        return np.broadcast_to(ex.eval_array(e, env),
+                               (self.size, len(nodes)))
+
+    def _amp(self, nodes: np.ndarray) -> np.ndarray:
+        return self.amp0 if self.amp0 is not None \
+            else self._dense(self.amp, nodes)
+
+    def __call__(self, nodes: np.ndarray) -> np.ndarray:
+        """Dense (points x nodes) values, one complex exp per pair."""
+        out = np.exp(1j * self._dense(self.phi, nodes)) * self._amp(nodes)
+        return out if self.spectrum is None \
+            else out * self.spectrum(nodes)[None, :]
+
+    def _factors(self, mid, half, g):
+        """e^{i (offset + mid_p slope)} (points x P) and
+        e^{i half g_k slope} (points x Q) of a linear phase."""
+        return (np.exp(1j * (self.offset + mid[None, :] * self.slope)),
+                np.exp(1j * (half * g)[None, :] * self.slope))
+
+    def grid(self, mid, half, g) -> np.ndarray:
+        """e^{i phi} a at every point and grid node, (points x P*Q),
+        panel-major; the spectrum is not applied."""
+        nodes = (mid[:, None] + half * g).ravel()
+        if not self.linear:
+            osc = np.exp(1j * self._dense(self.phi, nodes))
+        else:
+            outer, inner = self._factors(mid, half, g)
+            osc = (outer[:, :, None] * inner[:, None, :]).reshape(
+                self.size, -1)
+        return osc * self._amp(nodes)
+
+    def panel_sum(self, mid, half, g, weights) -> np.ndarray:
+        """sum over the grid nodes of the integrand times weights[p, k, ...]
+        at every point: shape (points,) + weights.shape[2:]."""
+        n_p, n_q = weights.shape[:2]
+        cols = weights.shape[2:]
+        weights = weights.reshape(n_p, n_q, -1)
+        if self.spectrum is not None:
+            nodes = (mid[:, None] + half * g).ravel()
+            weights = weights * self.spectrum(nodes).reshape(n_p, n_q, 1)
+        if self.linear and self.amp0 is not None:
+            # (points x Q) @ (Q x P*cols), then the sum over panels
+            outer, inner = self._factors(mid, half, g)
+            per_panel = inner @ weights.transpose(1, 0, 2).reshape(n_q, -1)
+            per_panel = per_panel.reshape(self.size, n_p, -1)
+            out = np.matmul(outer[:, None, :], per_panel)[:, 0, :] \
+                * self.amp0
+        else:
+            out = self.grid(mid, half, g) @ weights.reshape(n_p * n_q, -1)
+        return out.reshape((self.size,) + cols)
+
+    def point_sum(self, b: np.ndarray, mid, half, g) -> np.ndarray:
+        """sum_x b(x) times the integrand at every grid node, panel-major,
+        in steps of whole panels of at most BLOCK (point, node) pairs."""
+        step = max(1, BLOCK // (self.size * len(g)))
+        parts = []
+        for lo in range(0, len(mid), step):
+            m = mid[lo:lo + step]
+            if self.linear and self.amp0 is not None:
+                # (b a e^{i (offset + mid slope)})^T @ e^{i half g slope}
+                outer, inner = self._factors(m, half, g)
+                parts.append(((b[:, None] * self.amp0 * outer).T
+                              @ inner).ravel())
+            else:
+                parts.append(b @ self.grid(m, half, g))
+        out = np.concatenate(parts)
+        if self.spectrum is not None:
+            out = out * self.spectrum((mid[:, None] + half * g).ravel())
+        return out
+
+
+def panel_sum(f, mid, half, g, weights) -> np.ndarray:
+    """The quadrature kernel: f summed over the grid nodes mid_p + half g_k
+    against weights shaped (panels, order) or (panels, order, columns).
+    An Oscillatory integrand sums itself, factored when its phase is
+    linear; any other callable is evaluated on the nodes.
+    """
+    if isinstance(f, Oscillatory):
+        return f.panel_sum(mid, half, g, weights)
+    nodes = (mid[:, None] + half * g).ravel()
+    return f(nodes) @ weights.reshape(len(nodes), *weights.shape[2:])
+
+
 def integrate_fixed(f, a: float, b: float, n_panels: int, order: int = 12):
-    nodes, weights = panel_nodes(a, b, n_panels, order)
-    return f(nodes) @ weights
+    x, w = gauss_rule(order)
+    mid, half = panel_frame(a, b, n_panels)
+    return panel_sum(f, mid, half, x, np.tile(half * w, (n_panels, 1)))
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
@@ -89,8 +227,8 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
 def smooth_freq_cutoff(xi, R: float):
     """Even smooth cutoff: 1 for |xi| <= R, 0 for |xi| >= 2R; the collar
     cutoff w(xi / 2R)."""
-    w = ex.cutoff_expr(ex.quot(ex.var("xi"), ex.const(2.0 * R)))
-    return ex.eval_array(w, {"xi": np.asarray(xi, dtype=float)})
+    return ex.eval_array(_FREQ_CUTOFF, {"xi": np.asarray(xi, dtype=float),
+                                        "two_r": 2.0 * R})
 
 
 def cutoff_richardson(f, R: float, panels_per_unit: float,
@@ -101,9 +239,9 @@ def cutoff_richardson(f, R: float, panels_per_unit: float,
     m = max(min_panels, ceil(4R * panels_per_unit)), serves all three
     radii: each panel is as wide as an m-panel grid on [-2R, 2R].  The
     cutoff at radius L*R vanishes for |xi| >= 2LR, so integrating f times
-    it over the whole grid gives the radius-L integral.  f is evaluated
-    once per node, in chunks of at most CHUNK nodes, and each chunk is
-    contracted with the weight matrix W[:, j] = weights * cutoff(L_j R).
+    it over the whole grid gives the radius-L integral.  f is summed by
+    panel_sum over chunks of CHUNK // order whole panels against the
+    weight array W[p, k, j] = weights * cutoff(L_j R).
 
     Models the truncation error as c1/R + c2/R^2 (the tail of a
     first-order-decay oscillatory integrand under a smooth cutoff) and
@@ -112,10 +250,14 @@ def cutoff_richardson(f, R: float, panels_per_unit: float,
     """
     m = max(min_panels, int(np.ceil(4.0 * R * panels_per_unit)))
     nodes, weights = panel_nodes(-8.0 * R, 8.0 * R, 4 * m, order)
+    mid, half = panel_frame(-8.0 * R, 8.0 * R, 4 * m)
     W = np.stack([weights * smooth_freq_cutoff(nodes, R * level)
-                  for level in (1.0, 2.0, 4.0)], axis=1)
-    acc = sum(f(nodes[lo:lo + CHUNK]) @ W[lo:lo + CHUNK]
-              for lo in range(0, len(nodes), CHUNK))
+                  for level in (1.0, 2.0, 4.0)], axis=1).reshape(4 * m,
+                                                                order, 3)
+    g = gauss_rule(order)[0]
+    step = max(1, CHUNK // order)
+    acc = sum(panel_sum(f, mid[lo:lo + step], half, g, W[lo:lo + step])
+              for lo in range(0, 4 * m, step))
     i1, i2, i3 = np.moveaxis(acc, -1, 0)
     j2 = 2.0 * i3 - i2
     extrap = (8.0 * i3 - 6.0 * i2 + i1) / 3.0

@@ -182,6 +182,15 @@ def _expression(text, name: str) -> ex.Expr:
     return e
 
 
+def is_file(name: str) -> bool:
+    """Whether name is an existing file; a name the OS cannot hold as a
+    path (a component longer than NAME_MAX, say) is not one."""
+    try:
+        return Path(name).is_file()
+    except OSError:
+        return False
+
+
 def load_scenario(source) -> Scenario:
     """Parse and validate a scenario from a dict, JSON text, or file path.
 
@@ -191,8 +200,9 @@ def load_scenario(source) -> Scenario:
     if isinstance(source, dict):
         raw = source
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() \
-            else str(source)
+        text = str(source)
+        if not text.lstrip().startswith("{") and is_file(text):
+            text = Path(text).read_text()
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as err:

@@ -230,14 +230,15 @@ def induced_boundary_map(chi: SymplectoMap, samples=None,
 
     Verifies eta_n-independence of both parts, eta'-independence of x',
     linearity of xi' in eta', and unimodularity of the boundary Jacobian.
-    Requires check_boundary_preserving to have passed.
+    Requires x_n to vanish on the boundary samples (the
+    check_boundary_preserving test, on these samples).
     """
-    bp = check_boundary_preserving(chi)
+    if samples is None:
+        samples = collar_samples(chi, boundary=True)
+    bp = check_boundary_preserving(chi, samples)
     if not bp.passed:
         raise BoundaryPreservationError(
             f"x_n does not vanish on the boundary (sup {bp.residual:.2e})")
-    if samples is None:
-        samples = collar_samples(chi, boundary=True)
     count = len(samples)
     b = ex.substitute(chi.components["x1"], {"xn": 0.0})
     xib = ex.substitute(chi.components["k1"], {"xn": 0.0})
@@ -277,15 +278,16 @@ def check_jacobian_structure(chi: SymplectoMap,
     Verifies |dx'/deta_n|, |dxi'/deta_n|, |dx_n/dy'|, |dx_n/deta'|,
     |dx_n/deta_n| <= ZERO_TOL, det of the boundary (y', eta') block
     = 1 +- DET_TOL, and dx_n/dy_n * dxi_n/deta_n = 1 +- DET_TOL; reports
-    min |dx_n/dy_n| over the collar.
+    min |dx_n/dy_n| over the collar.  Requires x_n to vanish on the
+    boundary samples.
     """
-    bp = check_boundary_preserving(chi)
+    if samples is None:
+        samples = collar_samples(chi, boundary=True)
+    bp = check_boundary_preserving(chi, samples)
     if not bp.passed:
         raise BoundaryPreservationError(
             f"structure check needs a boundary-preserving map "
             f"(sup |x_n| = {bp.residual:.2e})")
-    if samples is None:
-        samples = collar_samples(chi, boundary=True)
     # (x', xi') rows vs the eta_n column, then the x_n row vs the
     # (y', eta') columns and the eta_n column
     zi, zj = [0, 1, 2, 2, 2], [3, 3, 0, 1, 3]

@@ -137,6 +137,24 @@ def test_cli_run_exit_codes(tmp_path):
     assert main(["run", "--scenario", "does-not-exist"]) == 2
 
 
+def test_cli_overlong_scenario_name_exits_2(capsys):
+    # one path component longer than NAME_MAX: not a file, not a name
+    assert main(["run", "--scenario", "x" * 300]) == 2
+    assert "neither a file nor a catalog name" in capsys.readouterr().err
+
+
+def test_cli_directory_scenario_exits_2(tmp_path, capsys):
+    assert main(["run", "--scenario", str(tmp_path)]) == 2
+    assert "neither a file nor a catalog name" in capsys.readouterr().err
+
+
+def test_scenario_given_as_json_text():
+    # the whole text is one path component longer than NAME_MAX
+    text = json.dumps(catalog.emit("identity"))
+    assert load_scenario(text).name == "identity"
+    assert main(["check-phase", "--scenario", text]) == 0
+
+
 def test_cli_catalog_and_emit(tmp_path, capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

@@ -146,14 +146,13 @@ def test_fd_crosscheck_catalog_first_and_second_derivatives():
                 assert ex.fd_crosscheck(d, p, v, 1e-4) <= 1e-6
 
 
-@given(lam=st.sampled_from([2.0, 10.0, 100.0]),
-       k1v=st.floats(-3, 3), knv=st.floats(0.5, 3))
+@given(k1v=st.floats(-3, 3), knv=st.floats(0.5, 3))
 @settings(max_examples=60, deadline=None)
-def test_homogeneity_detector(lam, k1v, knv):
+def test_homogeneity_detector(k1v, knv):
     # kn^2/|k| is positively homogeneous of degree 1 in (k1, kn)
     e = parse_expr("kn^2 / norm(k1, kn)")
     res = ex.homogeneity_residual(e, {"k1", "kn"}, 1.0,
-                                  [{"k1": k1v, "kn": knv}], lambdas=(lam,))
+                                  [{"k1": k1v, "kn": knv}])
     assert res <= 1e-10
 
 

@@ -4,14 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phasecert import expr as ex
 from phasecert import quadrature
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
 from phasecert.normalop import (NormalOperatorSpec, _integrand_factory,
-                                apply_truncated_op)
+                                apply_normal_op, apply_truncated_op)
+from phasecert.opsymb import ConjugatedFamily, default_t_grid
 from phasecert.phase import GeneratingPhase
-from phasecert.quadrature import cutoff_richardson
-from phasecert.schwartz import exp_decay
+from phasecert.quadrature import (Oscillatory, cutoff_richardson,
+                                  gauss_rule, panel_frame, panel_nodes,
+                                  smooth_freq_cutoff)
+from phasecert.schwartz import exp_decay, hermite_fn
 from phasecert.symbols import SymbolFn
 
 from oracles import cutoff_richardson_separate
@@ -105,3 +109,153 @@ def test_truncated_op_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# ------------------------------------------------------- oscillation kernel
+
+POSITIVE = ["identity", "dilation", "quadratic-collar", "boundary-shear"]
+KERNEL_XN = np.linspace(-3.0, 3.0, 13)
+
+
+def kernel_grid():
+    """Panel frame on [-40, 40] and three weight columns: Gauss weights
+    times the cutoff at radii 5, 10 and 20."""
+    mid, half = panel_frame(-40.0, 40.0, 160)
+    g = gauss_rule(12)[0]
+    nodes, weights = panel_nodes(-40.0, 40.0, 160, 12)
+    W = np.stack([weights * smooth_freq_cutoff(nodes, r)
+                  for r in (5.0, 10.0, 20.0)], axis=-1)
+    return mid, half, g, nodes, W.reshape(160, 12, 3)
+
+
+def dense_values(phi, amp, xn, nodes, spectrum=None):
+    """The dense formula: e^{i phi} a s on every (point, node) pair."""
+    env = {"xn": xn[:, None], "kn": nodes[None, :]}
+    shape = (len(xn), len(nodes))
+    ph = np.broadcast_to(ex.eval_array(phi, env), shape)
+    am = np.broadcast_to(ex.eval_array(amp, env), shape)
+    vals = np.exp(1j * ph) * am
+    return vals if spectrum is None else vals * spectrum(nodes)[None, :]
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture
+def complex_exp_sizes(monkeypatch):
+    """Sizes of the complex arrays passed to np.exp while the test runs."""
+    sizes = []
+    real_exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            sizes.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_factored_kernel_matches_dense_sum(name, complex_exp_sizes):
+    # each positive phase with its scenario's xi_n-free amplitude
+    phi = spec_of(name).frozen_phi()
+    amp = parse_expr(SCENARIOS[name]["amplitude"]["expr"])
+    ft = hermite_fn(2).ft_values
+    mid, half, g, nodes, W = kernel_grid()
+    osc = Oscillatory(phi, amp, {"xn": KERNEL_XN}, spectrum=ft)
+    assert osc.linear and osc.amp0 is not None
+    got = osc.panel_sum(mid, half, g, W)
+    assert max(complex_exp_sizes) <= len(KERNEL_XN) * len(mid)
+    want = dense_values(phi, amp, KERNEL_XN, nodes, ft) @ W.reshape(-1, 3)
+    assert got.shape == (len(KERNEL_XN), 3)
+    assert_close(got, want)
+    b = hermite_fn(1)(KERNEL_XN)
+    assert_close(osc.point_sum(b, mid, half, g),
+                 b @ dense_values(phi, amp, KERNEL_XN, nodes, ft))
+
+
+@pytest.mark.parametrize("amp", ["bracket(kn)^(-2)", "xn*kn/bracket(kn)"])
+def test_linear_phase_with_xi_dependent_amplitude(amp, complex_exp_sizes):
+    phi = spec_of("dilation").frozen_phi()
+    amp = parse_expr(amp)
+    mid, half, g, nodes, W = kernel_grid()
+    osc = Oscillatory(phi, amp, {"xn": KERNEL_XN})
+    assert osc.linear and osc.amp0 is None
+    dense = dense_values(phi, amp, KERNEL_XN, nodes)
+    n_exps = len(complex_exp_sizes)
+    assert_close(osc.panel_sum(mid, half, g, W), dense @ W.reshape(-1, 3))
+    b = hermite_fn(1)(KERNEL_XN)
+    assert_close(osc.point_sum(b, mid, half, g), b @ dense)
+    assert max(complex_exp_sizes[n_exps:]) <= len(KERNEL_XN) * len(mid)
+
+
+def test_nonlinear_phase_takes_the_dense_path(complex_exp_sizes):
+    sc = SCENARIOS["bad-transmission"]
+    phase = GeneratingPhase(parse_expr(sc["phase"]),
+                            collar_halfwidth=sc["collar_halfwidth"])
+    phi = NormalOperatorSpec(phase, AMP_ONE, 0.3, 1.0).frozen_phi()
+    amp = parse_expr("1")
+    mid, half, g, nodes, W = kernel_grid()
+    osc = Oscillatory(phi, amp, {"xn": KERNEL_XN})
+    assert not osc.linear
+    got = osc.panel_sum(mid, half, g, W)
+    assert max(complex_exp_sizes) == len(KERNEL_XN) * len(nodes)
+    assert_close(got, dense_values(phi, amp, KERNEL_XN, nodes)
+                 @ W.reshape(-1, 3))
+
+
+def test_cutoff_richardson_sums_whole_panels(monkeypatch):
+    f, R, ppu = halfline_integrand("dilation", XN)
+    shapes = []
+    real = Oscillatory.panel_sum
+
+    def spy(self, mid, half, g, weights):
+        shapes.append(weights.shape)
+        return real(self, mid, half, g, weights)
+
+    monkeypatch.setattr(Oscillatory, "panel_sum", spy)
+    val, err, evals = cutoff_richardson(f, R, ppu)
+    assert len(shapes) > 1
+    assert all(s[1:] == (12, 3) and s[0] <= quadrature.CHUNK // 12
+               for s in shapes)
+    assert sum(s[0] for s in shapes) * 12 == evals
+    n_chunked = len(shapes)
+    monkeypatch.setattr(quadrature, "CHUNK", 10**7)
+    one, one_err, _ = cutoff_richardson(f, R, ppu)
+    assert shapes[n_chunked:] == [(evals // 12, 12, 3)]
+    assert_close(val, one)
+    # err is a difference of integrals: its round-off is on their scale
+    assert np.max(np.abs(err - one_err)) <= 1e-12 * np.max(np.abs(one))
+
+
+def test_operators_take_no_dense_exponential_on_a_linear_phase(
+        complex_exp_sizes):
+    spec = spec_of("dilation")
+    xn = np.linspace(0.05, 3.0, 64)
+    apply_truncated_op(spec, exp_decay(), xn)
+    apply_normal_op(spec, hermite_fn(1), xn)
+    # the widest factor: one chunk of panels at every point
+    assert max(complex_exp_sizes) <= len(xn) * (quadrature.CHUNK // 12)
+
+
+def test_conjugated_outputs_factor_the_rescaled_phase(complex_exp_sizes):
+    family = ConjugatedFamily(spec_of("dilation"), 1, 1, 1)
+    u, t = hermite_fn(0), default_t_grid()
+    family.outputs(u, rungs=(1.0, 4.0), t_grid=t)
+    n_panels = family._panels(u, float(np.max(np.abs(t))))[2]
+    assert max(complex_exp_sizes) <= len(t) * n_panels
+
+
+@pytest.mark.parametrize("R", [0.3, 1.0, 3.7, 256.0, 512.0, 1024.0])
+def test_compiled_cutoff_is_bit_identical_to_a_fresh_expression(R):
+    for ppu in (0.5, 1.5 * 5.0 / (2.0 * math.pi), 3.0):
+        m = max(64, math.ceil(4.0 * R * ppu))
+        nodes, _ = panel_nodes(-8.0 * R, 8.0 * R, 4 * m, 12)
+        for level in (1.0, 2.0, 4.0):
+            fresh = ex.cutoff_expr(ex.quot(ex.var("xi"),
+                                           ex.const(2.0 * R * level)))
+            want = ex.eval_array(fresh, {"xi": nodes})
+            assert np.array_equal(smooth_freq_cutoff(nodes, R * level),
+                                  want)
