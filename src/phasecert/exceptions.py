@@ -57,10 +57,6 @@ class DecayClassError(PhasecertError):
     """Integrand decay class not supported by any quadrature mode."""
 
 
-class DerivativeUnavailableError(PhasecertError):
-    """A requested derivative of a sampled function is not available."""
-
-
 class ScenarioParseError(PhasecertError):
     """Scenario file does not parse."""
 

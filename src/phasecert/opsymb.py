@@ -40,50 +40,6 @@ INDEX_NOTE = ("order target m - |alpha| with alpha counting xi'-derivatives; "
               "used")
 
 
-@dataclass
-class GroupAction:
-    """L2-unitary dilation (kappa u)(t) = scale^(1/2) u(scale t)."""
-
-    scale: float
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("group action needs a positive scale")
-
-    def apply(self, u: SchwartzFn) -> SchwartzFn:
-        c = self.scale
-        expr = ex.mul(ex.const(math.sqrt(c)),
-                      ex.substitute(u.expr,
-                                    {"t": ex.mul(ex.const(c), ex.var("t"))}))
-        ft = None
-        if u.analytic_ft is not None:
-            def ft(xi, _c=c, _u=u):
-                return _u.analytic_ft(np.asarray(xi) / _c) / math.sqrt(_c)
-        return SchwartzFn(f"k[{c:g}]{u.name}", expr, analytic_ft=ft,
-                          l2_norm=u.l2_norm)
-
-    def compose(self, other: "GroupAction") -> "GroupAction":
-        return GroupAction(self.scale * other.scale)
-
-
-def apply_group_action(u: SchwartzFn, scale: float) -> SchwartzFn:
-    return GroupAction(scale).apply(u)
-
-
-def schwartz_seminorm(u: SchwartzFn, l: int, s: int) -> float:
-    """Grid sup of |t^l u^(s)(t)| at 1601 points of |t| <= 40 (closed-form
-    path)."""
-    t = np.linspace(-40.0, 40.0, 1601)
-    return float(np.max(np.abs(t) ** l * np.abs(u.deriv_values(s, t))))
-
-
-def nested_seminorm(u: SchwartzFn, l: int, s: int) -> float:
-    """max over l' <= l, s' <= s of the single-term sups: the nested
-    seminorm family, monotone in (l, s) by construction."""
-    return max(schwartz_seminorm(u, lp, sp)
-               for lp in range(l + 1) for sp in range(s + 1))
-
-
 def default_t_grid() -> np.ndarray:
     pos = np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.25, 1.5,
                     2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0])
@@ -205,16 +161,31 @@ class ConjugatedFamily:
             # linear in s whenever phi is linear in xi_n
             osc = Oscillatory(self.phi_resc, one, dict(consts, t=t_grid),
                               kvar="s").grid(mid, half, g)
+            # e^{i phi_resc} u_hat w is the same for every key of the rung;
+            # its real and imaginary parts as (t, 2, nodes), and their sums
+            kern = osc * (uhat * weights)
+            kern = np.stack([kern.real, kern.imag], axis=1)
+            ksum = kern.sum(axis=2)
             vals = ex._exec(self._prog, dict(consts, t=t_grid[:, None],
                                              s=nodes[None, :]), False)
-            shape = (len(t_grid), len(nodes))
             for i, key in enumerate(self.keys):
-                re = np.broadcast_to(vals[2 * i], shape)
-                im = np.broadcast_to(vals[1 + 2 * i], shape)
-                integ = osc * (re + 1j * im) * uhat[None, :]
-                res = integ @ weights
+                re, im = (_contract(v, kern, ksum)
+                          for v in vals[2 * i:2 * i + 2])
+                res = (re[:, 0] - im[:, 1]) + 1j * (re[:, 1] + im[:, 0])
                 out[key].append(res * rung ** (-key[2]))
         return out
+
+
+def _contract(v, kern: np.ndarray, ksum: np.ndarray) -> np.ndarray:
+    """sum over the nodes of v * kern, (t, 2), for an amplitude part v
+    that is a scalar or broadcasts to (t, nodes); ksum is kern summed
+    over the nodes."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0 or v.shape[-1] == 1:          # constant in s
+        return np.reshape(v, (-1, 1)) * ksum
+    if v.shape[0] == 1:                          # constant in t
+        return kern @ v[0]
+    return (kern @ v[:, :, None])[:, :, 0]
 
 
 @dataclass

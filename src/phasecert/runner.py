@@ -102,6 +102,11 @@ GRID_PRESETS = {
     "fine": 2.0,
 }
 
+# grids.scale multiplies the sample counts of the map, phase and generating
+# checks, and their cost with them: at this bound, 8 times the "fine"
+# preset, a map check draws 3,200 samples
+GRID_SCALE_MAX = 16.0
+
 MARGIN_PRESETS = {
     "default": Margins(),
     "strict": Margins(c_min=5e-2, eps_min=5e-2, c_max=1e3, ratio_max=2.5),
@@ -230,6 +235,9 @@ def load_scenario(source) -> Scenario:
     collar_halfwidth = _number(raw.get("collar_halfwidth", 1.0),
                                "collar_halfwidth", positive=True)
     amp_order = _number(amp.get("order", 0.0), "amplitude.order")
+    degree = amp.get("homogeneous_degree")
+    if degree is not None:
+        degree = _number(degree, "amplitude.homogeneous_degree")
     sc = Scenario(
         name=raw["name"], collar_halfwidth=collar_halfwidth,
         sg_params=raw.get("sg"),
@@ -253,6 +261,10 @@ def load_scenario(source) -> Scenario:
             raise ScenarioValidationError(f"unknown grid keys {bad}")
         sc.grid_scale = _number(g.get("scale"), "grids.scale",
                                  positive=True)
+        if sc.grid_scale > GRID_SCALE_MAX:
+            raise ScenarioValidationError(
+                f"grids.scale must be at most {GRID_SCALE_MAX:g}, got "
+                f"{g['scale']!r}")
     phase_str, map_strs = raw.get("phase"), raw.get("map")
     if phase_str is None and map_strs is None:
         raise ScenarioValidationError("scenario declares no phase and no map")
@@ -274,10 +286,16 @@ def load_scenario(source) -> Scenario:
                     "amplitude.support_xn must be a list [lo, hi]")
             lo, hi = (_number(b, "amplitude.support_xn") for b in box)
             support = ((-1e9, 1e9), (lo, hi))
-        sc.amplitude = SymbolFn(
-            _expression(amp["expr"], "amplitude.expr"), order=amp_order,
-            homogeneous_degree=amp.get("homogeneous_degree"), support=support,
-            name="amplitude")
+        expr = _expression(amp["expr"], "amplitude.expr")
+        try:
+            sc.amplitude = SymbolFn(expr, order=amp_order,
+                                    homogeneous_degree=degree,
+                                    support=support, name="amplitude")
+        except ValueError as err:
+            # the declared degree fails on sampled rays: a false statement
+            # in the file, not a check verdict
+            raise ScenarioValidationError(
+                f"amplitude.homogeneous_degree: {err}") from None
     return sc
 
 

@@ -15,12 +15,11 @@ first order at infinity; measured_decay_exponent fits that exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
-from .exceptions import DerivativeUnavailableError
 from .quadrature import integrate_fixed
 from .symbols import loglog_fit
 
@@ -32,9 +31,7 @@ SUPPORT_TOL = 1e-18     # |u| below this counts as outside its support
 class SchwartzFn:
     """A test function given in closed form on the line (or half-line).
 
-    analytic_ft / analytic_half_ft are optional closed-form transforms;
-    decay certificates (sup |t^l u^(s)| on |t| <= 40) are computed on
-    demand and cached.
+    analytic_ft / analytic_half_ft are optional closed-form transforms.
     """
 
     name: str
@@ -42,33 +39,9 @@ class SchwartzFn:
     analytic_ft: object | None = None
     analytic_half_ft: object | None = None
     l2_norm: float | None = None
-    _cert: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, t):
         return ex.eval_array(self.expr, {"t": np.asarray(t, dtype=float)})
-
-    def derivative(self, s: int) -> ex.Expr:
-        """The s-th t-derivative; each step is memoised on its node."""
-        d = self.expr
-        for _ in range(s):
-            d = ex.differentiate(d, "t")
-        return d
-
-    def deriv_values(self, s: int, t):
-        return ex.eval_array(self.derivative(s),
-                             {"t": np.asarray(t, dtype=float)})
-
-    def decay_certificate(self, l_max: int = 6, s_max: int = 6) -> dict:
-        key = (l_max, s_max)
-        if key not in self._cert:
-            t = np.linspace(-40.0, 40.0, 3201)
-            out = {}
-            for s in range(s_max + 1):
-                ds = np.abs(self.deriv_values(s, t))
-                for l in range(l_max + 1):
-                    out[(l, s)] = float(np.max(np.abs(t) ** l * ds))
-            self._cert[key] = out
-        return self._cert[key]
 
     def ft_radius(self, tol: float = 1e-16,
                   weight_order: float = 0.0) -> float:
@@ -189,44 +162,3 @@ def measured_decay_exponent(u: SchwartzFn, lo: float = 10.0,
     xi = np.geomspace(lo, hi, 12)
     vals = np.abs(half_line_ft(u, xi))
     return loglog_fit(xi, vals)[0], float(np.median(xi * vals))
-
-
-def _golden_max(f, a: float, b: float) -> float:
-    """Golden-section maximum of a scalar function on [a, b], 90 steps."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(90):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-    return max(fc, fd)
-
-
-def schwartz_seminorm_expr(u: SchwartzFn, l: int, s: int,
-                           count: int = 1601) -> float:
-    """sup over |t| <= 40 of |t^l u^(s)(t)| for closed-form u, scanned at
-    count points.
-
-    A grid scan brackets the maximum and a golden-section refinement pins
-    it, so the result matches a high-resolution recomputation to well
-    below 1e-6.
-    """
-    if s > 12:
-        raise DerivativeUnavailableError(f"derivative order {s} too high")
-    t = np.linspace(-40.0, 40.0, count)
-    vals = np.abs(t) ** l * np.abs(u.deriv_values(s, t))
-    i = int(np.argmax(vals))
-    lo = t[max(i - 1, 0)]
-    hi = t[min(i + 1, count - 1)]
-
-    def f(x):
-        return abs(x) ** l * abs(float(u.deriv_values(s, np.array([x]))[0]))
-
-    return max(float(vals[i]), _golden_max(f, lo, hi))

@@ -27,27 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .exceptions import (CalibrationError, CollarBoundsError,
-                         SignChangeError)
+from .exceptions import CalibrationError, CollarBoundsError
 from .expr import cutoff_expr
 from .grids import grid_digest, sg_ladder
 from .phase import GeneratingPhase
 
 ZERO_FLOOR = 1e-9   # constants below this count as structurally zero
-
-
-@dataclass
-class Cutoff:
-    """The scaled cutoff w_k(s) = w(s/k)."""
-
-    k: float = 1.0
-
-    def expr(self, s: ex.Expr) -> ex.Expr:
-        return cutoff_expr(ex.quot(s, ex.const(self.k)))
-
-    def __call__(self, s):
-        e = self.expr(ex.var("s"))
-        return ex.eval_array(e, {"s": np.asarray(s, dtype=float)})
 
 
 @dataclass
@@ -209,51 +194,6 @@ class StarPhaseFamily:
             worst, grid_digest(t=tgrid, tau=taugrid))
 
 
-def build_star_phi(phase: GeneratingPhase, xprime: float, xi_prime: float,
-                   k: float, K: float) -> "RegularizedPhase":
-    """Freeze (x', xi') in the regularized phase; xi' must be nonzero or at
-    least sit on a declared ladder rung."""
-    fam = StarPhaseFamily(phase, k, K)
-    rung = math.sqrt(1.0 + xi_prime * xi_prime)
-    return RegularizedPhase(fam, xprime, xi_prime, rung, k, K)
-
-
-@dataclass
-class RegularizedPhase:
-    """*Phi with (x', xi') frozen; a thin view over a StarPhaseFamily."""
-
-    family: StarPhaseFamily
-    xprime: float
-    xi_prime: float
-    rung: float
-    k: float
-    K: float
-
-    def _env(self, t, tau):
-        return {"t": np.asarray(t, dtype=float),
-                "tau": np.asarray(tau, dtype=float),
-                "x1": self.xprime, "k1": self.xi_prime, "r": self.rung}
-
-    def value(self, t, tau):
-        return ex.eval_array(self.family.expr, self._env(t, tau))
-
-    def deriv_value(self, a: int, al: int, t, tau):
-        return ex.eval_array(self.family.deriv(a, al), self._env(t, tau))
-
-    def constants(self) -> PhaseConstants:
-        sign = 1 if self.xi_prime >= 0 else -1
-        return self.family.constants_at(self.xprime, self.rung, sign)
-
-
-def verify_p3(rp: RegularizedPhase) -> float:
-    cs = rp.constants()
-    if cs.eps_sign == 0.0:
-        raise SignChangeError(
-            "mixed derivative of *Phi changes sign on the grid "
-            f"(worst point {cs.worst['eps']})")
-    return cs.eps
-
-
 # Constants whose spread across (x', <xi'>) is the grid statement of
 # "do not depend on (x', xi')": the inf-side bounds, which are the ones
 # that could degenerate.  Sup-side constants carry cutoff-derivative
@@ -382,37 +322,3 @@ def calibrate(phase: GeneratingPhase, margins: Margins | None = None,
     raise CalibrationError(
         f"no (k, K) pair accepted within {trials} trials "
         f"(K <= {2.0**(max_steps - 1):g}, k >= {half / 2.0**(max_steps - 1):g})")
-
-
-def phi_envelope(phase: GeneratingPhase, xprime: float, rung: float,
-                 alpha_max: int = 3, k: float | None = None
-                 ) -> dict[int, float]:
-    """Cutoff-localized tau-derivative envelope of the rescaled remainder.
-
-    For each alpha returns sup of  w_k(t/r) |d_tau^alpha phi(x', t/r, xi',
-    tau r)| / (<t> <tau>^(1-alpha)), whose stability across rungs is the
-    grid form of the linear-growth bound on the remainder.
-    """
-    if k is None:
-        k = phase.collar_halfwidth
-    tgrid = taugrid = sg_ladder()
-    t, tau, r = ex.var("t"), ex.var("tau"), ex.var("r")
-    phi_resc = ex.substitute(phase.phi,
-                             {"xn": ex.quot(t, r), "kn": ex.mul(tau, r)})
-    gate = cutoff_expr(ex.quot(t, ex.mul(r, ex.const(k))))
-    xi = math.sqrt(max(rung * rung - 1.0, 0.0))
-    env = {"t": tgrid[:, None], "tau": taugrid[None, :],
-           "x1": xprime, "k1": xi, "r": rung}
-    bt = np.sqrt(1.0 + tgrid * tgrid)[:, None]
-    btau = np.sqrt(1.0 + taugrid * taugrid)[None, :]
-    out = {}
-    d = phi_resc
-    for alpha in range(alpha_max + 1):
-        if alpha > 0:
-            d = ex.differentiate(d, "tau")
-        g = ex.guard(gate, d)
-        vals = np.abs(np.broadcast_to(
-            ex.eval_array(g, env), (len(tgrid), len(taugrid))))
-        weighted = vals / (bt * btau ** (1 - alpha))
-        out[alpha] = float(weighted.max())
-    return out

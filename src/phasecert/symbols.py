@@ -1,9 +1,7 @@
 """Symbol-class membership estimation on grids.
 
-Three checks live here:
+Two checks live here:
 
-* Hoermander seminorms  sup |d_xi^alpha d_x^beta a| * <xi>^(|alpha| - m),
-  estimated as suprema over pinned grids with refinement cross-checks.
 * The transmission (symmetry) condition for positively homogeneous
   symbols: parity relation between the rescaled symbol's derivative
   values at (xi', xi_n) = (0, +1) and (0, -1).
@@ -21,8 +19,8 @@ import numpy as np
 
 from . import expr as ex
 from .exceptions import RegressionError, SingularLocusError
-from .grids import GridSpec, bracket_ladder, grid_digest
-from .symplectic import X_VARS, XI_VARS
+from .grids import bracket_ladder, grid_digest
+from .symplectic import XI_VARS
 
 TRANSMISSION_TOL = 1e-10    # the parity residual of check_transmission
 
@@ -49,76 +47,15 @@ class SymbolFn:
                    for c, s in _ray_samples(20)]
             res = ex.homogeneity_residual(
                 self.expr, set(XI_VARS), self.homogeneous_degree, pts)
-            if res > 1e-10:
+            if not res <= 1e-10:    # a NaN residual must fail too
                 raise ValueError(
                     f"declared homogeneity degree {self.homogeneous_degree} "
                     f"fails on sampled rays (residual {res:.2e})")
-
-    def derivative(self, alpha: dict[str, int], beta: dict[str, int]) -> ex.Expr:
-        orders = {**alpha, **beta}
-        return ex.derivative_multi(self.expr, orders)
 
 
 def _ray_samples(count: int):
     theta = (np.arange(count) + 0.5) * (2 * np.pi / count)
     return zip(np.cos(theta), np.sin(theta))
-
-
-@dataclass
-class SeminormReport:
-    alpha: dict[str, int]
-    beta: dict[str, int]
-    grid: str
-    constant: float
-    worst_point: dict[str, float]
-    budget: float | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.budget is None or self.constant <= self.budget
-
-    def as_record(self) -> dict:
-        """JSON record in the report schema."""
-        return {"check": "seminorm",
-                "params": {"alpha": self.alpha, "beta": self.beta,
-                           "grid": self.grid, "budget": self.budget},
-                "constant": self.constant,
-                "worst_point": self.worst_point,
-                "pass": self.passed}
-
-
-def estimate_seminorm(a: SymbolFn, alpha: dict[str, int],
-                      beta: dict[str, int], g: GridSpec,
-                      budget: float | None = None) -> SeminormReport:
-    """Grid supremum of |d_xi^alpha d_x^beta a| * <xi>^(|alpha| - m).
-
-    alpha indexes covariable derivatives (k1, kn), beta position
-    derivatives (x1, xn).  The returned worst point attains the supremum.
-    """
-    bad_a = set(alpha) - set(XI_VARS)
-    bad_b = set(beta) - set(X_VARS)
-    if bad_a or bad_b:
-        raise ValueError(f"misplaced derivative indices: {bad_a | bad_b}")
-    d = a.derivative(alpha, beta)
-    x1v = g.x1_values()
-    xnv = g.xn_values()
-    xi = g.xi_points()
-    X1 = x1v[:, None, None]
-    XN = xnv[None, :, None]
-    K1 = xi[None, None, :, 0]
-    KN = xi[None, None, :, 1]
-    vals = np.abs(np.broadcast_to(
-        ex.eval_array(d, {"x1": X1, "xn": XN, "k1": K1, "kn": KN}),
-        (len(x1v), len(xnv), len(xi))))
-    tot_alpha = sum(alpha.values())
-    weight = np.sqrt(1.0 + K1**2 + KN**2) ** (tot_alpha - a.order)
-    weighted = vals * weight
-    flat = int(np.argmax(weighted))
-    i, j, k = np.unravel_index(flat, weighted.shape)
-    worst = {"x1": float(x1v[i]), "xn": float(xnv[j]),
-             "k1": float(xi[k, 0]), "kn": float(xi[k, 1])}
-    return SeminormReport(dict(alpha), dict(beta), g.digest(),
-                          float(weighted[i, j, k]), worst, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +162,6 @@ class BsReport:
             if order is not None and order > self.l + self.tol:
                 return False
         return True
-
-    def csv_rows(self) -> list[dict]:
-        """One row per (alpha, beta, rung) with the fitted context."""
-        rows = []
-        rungs = self.rung_sups.get("rungs", [])
-        sups = self.rung_sups.get("V", [])
-        for al, be in sorted(self.slopes):
-            slope = self.slopes[(al, be)]
-            for i, r in enumerate(rungs):
-                rows.append({"alpha": al, "beta": be, "rung": r,
-                             "sup": sups[i] if (al, be) == (0, 0) and
-                             i < len(sups) else "",
-                             "slope": "" if slope is None else slope,
-                             "target": self.m - al})
-        return rows
 
 
 def loglog_fit(x, y) -> tuple[float, float]:

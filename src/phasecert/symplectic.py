@@ -98,14 +98,6 @@ class SymplectoMap:
         if have != need:
             raise ValueError(f"map components must be exactly {sorted(need)}")
 
-    def target_order(self) -> list[str]:
-        """Row order of the Jacobian: (x', xi', x_n, xi_n)."""
-        return list(SOURCE_ORDER)
-
-    def eval_at(self, point: dict[str, float]) -> dict[str, float]:
-        return {name: ex.evaluate(comp, point)
-                for name, comp in self.components.items()}
-
     def homogeneity_residual(self, samples) -> float:
         """Worst homogeneity error over the components, by the scalar
         oracle :func:`expr.homogeneity_residual`; NaN-strict."""
@@ -214,13 +206,6 @@ class BoundaryMap:
 
     b: dict[str, ex.Expr]
     cotangent: list[list[ex.Expr]]
-
-    def eval_b(self, point: dict[str, float]) -> list[float]:
-        return [ex.evaluate(e, point) for e in self.b.values()]
-
-    def eval_cotangent(self, point: dict[str, float]) -> np.ndarray:
-        return np.array([[ex.evaluate(e, point) for e in row]
-                         for row in self.cotangent])
 
 
 def induced_boundary_map(chi: SymplectoMap, samples=None,

@@ -2,14 +2,20 @@
 
 These deliberately avoid the package's own differentiation/quadrature
 paths: finite differences with Richardson extrapolation, brute-force
-trapezoid quadrature, and refined-grid suprema.
+trapezoid quadrature, and refined-grid suprema.  The jets and
+fd_crosscheck at the end tabulate the package's symbolic derivatives at a
+point and hold them against central differences of its evaluator.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+
+from phasecert.expr import Expr, derivative_multi, differentiate, evaluate
 
 
 def central_diff(f, x: float, h: float = 1e-4) -> float:
@@ -83,3 +89,73 @@ def cutoff_richardson_separate(f, R: float, panels_per_unit: float,
         vals.append(f(nodes) @ (weights * smooth_cutoff(nodes, R * level)))
     i1, i2, i4 = vals
     return i1, i2, i4, (8.0 * i4 - 6.0 * i2 + i1) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# jets and finite-difference cross checks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MultiIndex:
+    """Per-variable non-negative derivative orders."""
+
+    orders: tuple[tuple[str, int], ...]
+
+    def __post_init__(self):
+        if any(k < 0 for _, k in self.orders):
+            raise ValueError("multi-index entries must be >= 0")
+
+    @classmethod
+    def of(cls, **orders: int) -> "MultiIndex":
+        return cls(tuple(sorted(orders.items())))
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(self.orders)
+
+    @property
+    def total(self) -> int:
+        return sum(k for _, k in self.orders)
+
+
+@dataclass
+class Jet:
+    """Table of partial derivatives of one expression at one point.
+
+    Keys are order tuples aligned with ``vars``; every multi-index up to
+    the requested bound is present, each computed once in canonical
+    variable order (so permuted mixed partials are identical by
+    construction).
+    """
+
+    vars: tuple[str, ...]
+    point: dict[str, float]
+    table: dict[tuple[int, ...], float]
+
+    def value(self, **orders: int) -> float:
+        key = tuple(orders.get(v, 0) for v in self.vars)
+        return self.table[key]
+
+
+def jet(e: Expr, point: dict[str, float], bound: MultiIndex) -> Jet:
+    names = tuple(v for v, _ in bound.orders)
+    limits = [k for _, k in bound.orders]
+    table = {}
+    for combo in itertools.product(*(range(m + 1) for m in limits)):
+        d = derivative_multi(e, dict(zip(names, combo)))
+        table[combo] = evaluate(d, point)
+    return Jet(names, dict(point), table)
+
+
+def fd_crosscheck(e: Expr, point: dict[str, float], v: str,
+                  h: float = 1e-4) -> float:
+    """Relative gap between the symbolic derivative and a central difference.
+
+    Returns |symbolic - (e(p+h) - e(p-h)) / 2h| / max(1, |symbolic|).
+    """
+    up = dict(point)
+    dn = dict(point)
+    up[v] = point[v] + h
+    dn[v] = point[v] - h
+    fd = (evaluate(e, up) - evaluate(e, dn)) / (2.0 * h)
+    sym = evaluate(differentiate(e, v), point)
+    return abs(sym - fd) / max(1.0, abs(sym))

@@ -60,7 +60,7 @@ def pointwise_jacobian(chi: SymplectoMap, samples) -> np.ndarray:
     cols = SOURCE_ORDER
     return np.array([[[ex.evaluate(ex.differentiate(chi.components[r], c),
                                    point_at(samples, i))
-                       for c in cols] for r in chi.target_order()]
+                       for c in cols] for r in SOURCE_ORDER]
                      for i in range(len(samples))])
 
 

@@ -250,6 +250,16 @@ BAD_FIELDS = {
                          "phase: expression nests deeper"),
     "phase-scientific": ("phase", "x1*k1 + 1e-3*xn*kn", ScenarioParseError,
                          "scientific notation '1e-3'"),
+    # a declared homogeneity degree is a statement the loader verifies
+    "degree-string": ("amplitude.homogeneous_degree", "0"),
+    "degree-false": ("amplitude", {"expr": "1+xn*kn/bracket(k1,kn)",
+                                   "order": 0.0, "homogeneous_degree": 0},
+                     ScenarioValidationError,
+                     "amplitude.homogeneous_degree: declared homogeneity "
+                     "degree 0.0 fails"),
+    "degree-nonfinite": ("amplitude", {"expr": "exp(1000*kn)", "order": 0.0,
+                                       "homogeneous_degree": 0.0},
+                         ScenarioValidationError, "residual nan"),
 }
 
 

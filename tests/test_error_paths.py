@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from phasecert.normalop import (NormalOperatorSpec, QuadratureSpec,
 from phasecert.phase import (GeneratingPhase, check_nondegeneracy,
                              normal_coeffs)
 from phasecert.schwartz import exp_decay
-from phasecert.sgphase import build_star_phi, verify_p3
+from phasecert.sgphase import StarPhaseFamily
 from phasecert.symbols import SymbolFn
 
 
@@ -32,12 +34,11 @@ def test_normal_coeffs_singular_at_axis():
         normal_coeffs(ph)
 
 
-def test_verify_p3_sign_change_raises():
+def test_p3_sign_change_is_detected():
     # K far below the dilation factor flips the mixed derivative somewhere
     ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn*exp(sin(x1)/2)"))
-    rp = build_star_phi(ph, 1.0, 4.0, 0.5, 0.25)
-    with pytest.raises(SignChangeError):
-        verify_p3(rp)
+    cs = StarPhaseFamily(ph, 0.5, 0.25).constants_at(1.0, math.sqrt(17.0))
+    assert cs.eps_sign == 0.0
 
 
 def test_forced_direct_mode_rejects_slow_decay():

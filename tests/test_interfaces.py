@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,11 @@ from phasecert import catalog
 from phasecert.exceptions import (QuadratureBudgetError,
                                   ScenarioValidationError)
 from phasecert.grammar import parse_expr
-from phasecert.grids import GridSpec
 from phasecert.normalop import NormalOperatorSpec
 from phasecert.phase import GeneratingPhase
 from phasecert.quadrature import integrate_adaptive
-from phasecert.runner import load_scenario, run_scenario
-from phasecert.symbols import (SymbolFn, check_bs_membership,
-                               estimate_seminorm)
+from phasecert.runner import GRID_SCALE_MAX, load_scenario, run_scenario
+from phasecert.symbols import SymbolFn
 
 
 def test_scenario_margin_and_grid_overrides():
@@ -25,6 +25,15 @@ def test_scenario_margin_and_grid_overrides():
     assert sc.margins.ratio_max == 2.0
     assert sc.margins.c_min == 1e-2          # untouched default
     assert sc.grid_scale == 0.5
+
+
+def test_grid_scale_is_bounded_at_load():
+    sc = {"name": "custom", "phase": "x1*k1 + xn*kn", "checks": ["phase"]}
+    top = load_scenario(dict(sc, grids={"scale": GRID_SCALE_MAX}))
+    assert top.grid_scale == GRID_SCALE_MAX
+    above = math.nextafter(GRID_SCALE_MAX, math.inf)
+    with pytest.raises(ScenarioValidationError, match="grids.scale"):
+        load_scenario(dict(sc, grids={"scale": above}))
 
 
 def test_scenario_rejects_unknown_margin_keys():
@@ -43,24 +52,6 @@ def test_scenario_margins_flow_into_sg_check():
     base["checks"] = ["phase", "sg"]
     rep = run_scenario(base)
     assert "sg.conditions" in rep.failed
-
-
-def test_seminorm_json_record_shape():
-    a = SymbolFn(parse_expr("bracket(kn)"), order=1.0)
-    rep = estimate_seminorm(a, {"kn": 1}, {}, GridSpec(), budget=10.0)
-    rec = rep.as_record()
-    assert set(rec) == {"check", "params", "constant", "worst_point", "pass"}
-    assert rec["check"] == "seminorm"
-    assert rec["pass"] is True
-    assert set(rec["worst_point"]) == {"x1", "xn", "k1", "kn"}
-
-
-def test_bs_report_csv_rows():
-    rep = check_bs_membership(parse_expr("xn"), m=-1.0, l=0.0)
-    rows = rep.csv_rows()
-    # one row per (alpha, beta, rung): (ab_bound+1)^2 * 9 rungs
-    assert len(rows) == 4 * 9
-    assert {"alpha", "beta", "rung", "sup", "slope", "target"} == set(rows[0])
 
 
 def test_operator_spec_rejects_support_outside_collar():

@@ -9,12 +9,12 @@ from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
 from phasecert.normalop import NormalOperatorSpec
 from phasecert import opsymb
-from phasecert.opsymb import (ConjugatedFamily, GroupAction,
-                              apply_group_action, default_t_grid,
+from phasecert.opsymb import (ConjugatedFamily, default_t_grid,
                               estimate_symbol_order, fit_seminorm_ladder,
-                              panel_fourier_sum, schwartz_seminorm,
-                              sweep_symbol_orders, transpose_check)
+                              panel_fourier_sum, sweep_symbol_orders,
+                              transpose_check)
 from phasecert.phase import GeneratingPhase
+from phasecert.quadrature import panel_nodes
 from phasecert.runner import load_scenario, run_scenario
 from phasecert.schwartz import hermite_fn
 from phasecert.symbols import SymbolFn, check_bs_membership
@@ -37,77 +37,6 @@ MIX_PHASE = GeneratingPhase(
     parse_expr("x1*k1 + xn*kn*exp(sin(x1)/2) + 0.1*xn^2*k1"), name="mix")
 MIX_SPEC = NormalOperatorSpec(MIX_PHASE, AMP_ONE, 0.3, 1.0, name="mix-op")
 HS = [hermite_fn(j) for j in range(5)]
-
-
-# ------------------------------------------------------------ group action
-
-def test_group_action_identity_scale():
-    u = HS[1]
-    w = apply_group_action(u, 1.0)
-    t = np.linspace(-5, 5, 41)
-    assert np.max(np.abs(w(t) - u(t))) == 0.0
-
-
-def test_group_action_value():
-    # (kappa_4 h0)(0) = 2
-    w = apply_group_action(HS[0], 4.0)
-    assert w(0.0) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_group_law_across_six_decades():
-    u = HS[2]
-    t = np.linspace(-3, 3, 31)
-    for lam in (1e-3, 0.1, 2.0, 1e3):
-        for mu in (1e-3, 8.0):
-            w1 = apply_group_action(apply_group_action(u, mu), lam)
-            w2 = apply_group_action(u, lam * mu)
-            assert np.max(np.abs(w1(t) - w2(t))) <= 1e-12 * max(
-                1.0, float(np.max(np.abs(w2(t)))))
-
-
-def test_group_action_l2_isometry():
-    for u in (HS[1], HS[3]):
-        base = trapezoid(lambda t: np.abs(u(t)) ** 2, -60, 60)
-        for lam in (1.0 / 8, 8.0, 1e-2, 1e3):
-            w = apply_group_action(u, lam)
-            half = 60.0 / min(lam, 1.0)
-            n = int(min(4_000_001, max(200_001, half * 4000)))
-            got = trapezoid(lambda t: np.abs(w(t)) ** 2, -half, half, n)
-            assert abs(got - base) <= 1e-9 * base
-
-
-def test_group_action_transform_consistency():
-    u = HS[2]
-    w = apply_group_action(u, 3.0)
-    xi = np.linspace(-4, 4, 17)
-    want = u.ft_values(xi / 3.0) / math.sqrt(3.0)
-    assert np.max(np.abs(w.ft_values(xi) - want)) <= 1e-12
-
-
-def test_group_action_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        GroupAction(0.0)
-
-
-# -------------------------------------------------------------- seminorms
-
-def test_schwartz_seminorm_gaussian():
-    assert schwartz_seminorm(HS[0], 0, 0) == pytest.approx(1.0, abs=1e-12)
-    assert schwartz_seminorm(HS[0], 1, 0) == pytest.approx(
-        math.exp(-0.5), abs=1e-4)
-
-
-def test_nested_seminorm_monotone_in_l_s():
-    from phasecert.opsymb import nested_seminorm
-    for u in (HS[0], HS[2]):
-        vals = {(l, s): nested_seminorm(u, l, s)
-                for l in range(3) for s in range(3)}
-        for l in range(3):
-            for s in range(3):
-                if l:
-                    assert vals[(l, s)] >= vals[(l - 1, s)] - 1e-12
-                if s:
-                    assert vals[(l, s)] >= vals[(l, s - 1)] - 1e-12
 
 
 # ------------------------------------------------------ conjugated family
@@ -150,6 +79,37 @@ def test_first_derivative_output_matches_fd_in_t():
     dn = fam.outputs(HS[2], rungs=(4.0,), t_grid=t - h)[(0, 0, 0)][0]
     fd = (up - dn) / (2 * h)
     assert np.max(np.abs(out_s1 - fd)) <= 1e-6
+
+
+T_ONLY_SPEC = NormalOperatorSpec(
+    phase_of("identity"), SymbolFn(parse_expr("exp(-xn^2)"), order=0.0),
+    0.3, 1.0, name="t-only-op")
+
+
+@pytest.mark.parametrize("spec", [IDENTITY_SPEC, T_ONLY_SPEC, MIX_SPEC],
+                         ids=["constant", "t-only", "mix"])
+def test_outputs_match_the_dense_sum(spec):
+    # amplitude parts that are scalars, depend on t or on s alone, or on
+    # both, against the sum of e^{i phi} (re + i im) u_hat w over the nodes
+    fam = ConjugatedFamily(spec, 1, 1, 1)
+    u, t, rungs = HS[1], default_t_grid(), (1.0, 8.0)
+    a, b, n = fam._panels(u, float(np.max(np.abs(t))))
+    nodes, weights = panel_nodes(a, b, n, order=10)
+    uhat = u.ft_values(nodes) / (2.0 * math.pi)
+    outs = fam.outputs(u, rungs, t)
+    tv, rv, sv = ex.var("t"), ex.var("r"), ex.var("s")
+    resc = {"xn": ex.quot(tv, rv), "kn": ex.mul(sv, rv)}
+    for i, rung in enumerate(rungs):
+        env = {"x1": spec.xprime, "k1": math.sqrt(rung * rung - 1.0),
+               "r": rung, "t": t[:, None], "s": nodes[None, :]}
+        osc = np.exp(1j * ex.eval_array(fam.phi_resc, env))
+        for key in fam.keys:
+            re, im = (ex.eval_array(ex.substitute(p, resc), env)
+                      for p in fam.amp_pairs[key])
+            want = (osc * (re + 1j * im) * uhat) @ weights \
+                * rung ** (-key[2])
+            err = np.max(np.abs(outs[key][i] - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), (key, rung)
 
 
 # --------------------------------------------------------------- order fits

@@ -5,8 +5,7 @@ import pytest
 
 from phasecert.schwartz import (SQRT_2PI, catalog, exp_decay, fourier_transform,
                                 half_line_ft, hermite_fn,
-                                measured_decay_exponent,
-                                schwartz_seminorm_expr)
+                                measured_decay_exponent)
 
 from oracles import trapezoid
 
@@ -63,28 +62,6 @@ def test_measured_decay_exponent_first_order():
     slope, const = measured_decay_exponent(u, 10.0, 1000.0)
     assert slope == pytest.approx(-1.0, abs=0.05)
     assert const == pytest.approx(1.0, abs=0.05)   # |u(0)| = 1
-
-
-def test_decay_certificate_bounds():
-    h0 = hermite_fn(0)
-    cert = h0.decay_certificate(l_max=2, s_max=2)
-    assert cert[(0, 0)] == pytest.approx(1.0, abs=1e-12)
-    assert cert[(1, 0)] == pytest.approx(math.exp(-0.5), abs=1e-6)
-    assert all(v < np.inf for v in cert.values())
-
-
-def test_seminorm_closed_forms():
-    h0 = hermite_fn(0)
-    assert schwartz_seminorm_expr(h0, 0, 0) == pytest.approx(1.0, abs=1e-12)
-    assert schwartz_seminorm_expr(h0, 1, 0) == pytest.approx(
-        math.exp(-0.5), abs=1e-6)
-
-
-def test_seminorm_matches_refined_grid():
-    h2 = hermite_fn(2)
-    coarse = schwartz_seminorm_expr(h2, 2, 1)
-    fine = schwartz_seminorm_expr(h2, 2, 1, count=25601)
-    assert abs(coarse - fine) <= 1e-6 * max(1.0, fine)
 
 
 def test_catalog_names():

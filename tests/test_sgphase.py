@@ -6,12 +6,12 @@ import pytest
 from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.exceptions import CollarBoundsError
+from phasecert.expr import cutoff_expr
 from phasecert.grammar import parse_expr
 from phasecert.grids import sg_ladder
 from phasecert.phase import GeneratingPhase
-from phasecert.sgphase import (Cutoff, Margins, PhaseConstants,
-                               StarPhaseFamily, build_star_phi, calibrate, check_uniformity,
-                               cutoff_expr, phi_envelope)
+from phasecert.sgphase import (Margins, PhaseConstants, StarPhaseFamily,
+                               calibrate, check_uniformity)
 
 from oracles import central_diff
 
@@ -28,12 +28,31 @@ QUADRATIC = build_phase("quadratic-collar")
 SHEAR = build_phase("boundary-shear")
 
 
+def cutoff(k, s):
+    """The scaled cutoff w_k(s) = w(s / k) at s."""
+    e = cutoff_expr(ex.quot(ex.var("s"), ex.const(k)))
+    return ex.eval_array(e, {"s": np.asarray(s, dtype=float)})
+
+
+def frozen(phase, xprime, xi_prime, k, K):
+    """The regularized phase family of phase, and the scalars that freeze
+    (x', xi') in it, with r = <xi'>."""
+    return StarPhaseFamily(phase, k, K), {
+        "x1": xprime, "k1": xi_prime,
+        "r": math.sqrt(1.0 + xi_prime * xi_prime)}
+
+
+def at(e, env, t, tau):
+    """A family expression at frozen (x', xi') and the points (t, tau)."""
+    return ex.eval_array(e, dict(env, t=np.asarray(t, dtype=float),
+                                 tau=np.asarray(tau, dtype=float)))
+
+
 # ----------------------------------------------------------------- cutoff
 
 def test_cutoff_plateau_support_and_symmetry():
-    w = Cutoff(1.0)
     s = np.linspace(-2, 2, 1601)
-    v = w(s)
+    v = cutoff(1.0, s)
     assert np.all(v[np.abs(s) <= 0.5] == 1.0)
     assert np.all(v[np.abs(s) >= 1.0] == 0.0)
     assert np.allclose(v, v[::-1], atol=0)          # even
@@ -42,9 +61,8 @@ def test_cutoff_plateau_support_and_symmetry():
 
 
 def test_cutoff_monotone_at_thousand_points():
-    w = Cutoff(1.0)
     s = np.linspace(0.0, 1.0, 1000)
-    v = w(s)
+    v = cutoff(1.0, s)
     assert np.all(np.diff(v) <= 1e-12)
 
 
@@ -65,29 +83,28 @@ def test_cutoff_slope_sign_fact():
 
 
 def test_cutoff_scaled():
-    w = Cutoff(0.25)
-    assert w(0.1) == 1.0
-    assert w(0.3) == 0.0
-    assert 0.0 < w(0.18) < 1.0
+    assert cutoff(0.25, 0.1) == 1.0
+    assert cutoff(0.25, 0.3) == 0.0
+    assert 0.0 < cutoff(0.25, 0.18) < 1.0
 
 
 # ------------------------------------------------------------ *Phi build
 
 def test_star_phi_identity_is_t_tau_exactly():
-    rp = build_star_phi(IDENTITY, 0.3, 2.0, 0.5, 1.0)
+    fam, env = frozen(IDENTITY, 0.3, 2.0, 0.5, 1.0)
     t = sg_ladder()
     tau = sg_ladder()
-    V = rp.value(t[:, None], tau[None, :])
+    V = at(fam.expr, env, t[:, None], tau[None, :])
     target = t[:, None] * tau[None, :]
     assert np.max(np.abs(V - target) / (1.0 + np.abs(target))) <= 1e-12
 
 
 def test_star_phi_zero_dilation_factor_is_identity():
     ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn*exp(0*sin(x1))"))
-    rp = build_star_phi(ph, 0.1, 1.0, 0.5, 1.0)
+    fam, env = frozen(ph, 0.1, 1.0, 0.5, 1.0)
     t = sg_ladder()
     tau = sg_ladder()
-    V = rp.value(t[:, None], tau[None, :])
+    V = at(fam.expr, env, t[:, None], tau[None, :])
     target = t[:, None] * tau[None, :]
     assert np.max(np.abs(V - target) / (1.0 + np.abs(target))) <= 1e-12
 
@@ -95,9 +112,9 @@ def test_star_phi_zero_dilation_factor_is_identity():
 def test_star_phi_vanishes_at_t_zero():
     for ph in (IDENTITY, DILATION, QUADRATIC):
         k = ph.collar_halfwidth / 2
-        rp = build_star_phi(ph, 0.4, 1.5, k, 2.0)
+        fam, env = frozen(ph, 0.4, 1.5, k, 2.0)
         tau = np.linspace(-50, 50, 31)
-        assert np.max(np.abs(rp.value(0.0, tau))) == 0.0
+        assert np.max(np.abs(at(fam.expr, env, 0.0, tau))) == 0.0
 
 
 def test_star_phi_transition_value_dilation():
@@ -106,7 +123,7 @@ def test_star_phi_transition_value_dilation():
     K = 2.0
     xi = 4.0
     r = math.sqrt(1.0 + xi * xi)
-    rp = build_star_phi(DILATION, x1, xi, k, K)
+    fam, env = frozen(DILATION, x1, xi, k, K)
     t0, tau0 = 1.7, 1.0
     s = t0 / (r * k)
     p = s * s
@@ -115,25 +132,24 @@ def test_star_phi_transition_value_dilation():
     g = math.sin(x1) / 2.0
     phi_val = (t0 / r) * (tau0 * r) * math.exp(g)
     want = w * phi_val + (1 - w) * K * t0 * tau0
-    got = float(rp.value(t0, tau0))
+    got = float(at(fam.expr, env, t0, tau0))
     assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_star_phi_rejects_large_k():
     with pytest.raises(CollarBoundsError):
-        build_star_phi(QUADRATIC, 0.0, 1.0, 0.4, 1.0)
+        StarPhaseFamily(QUADRATIC, 0.4, 1.0)
 
 
 def test_star_phi_derivatives_match_fd():
-    rp = build_star_phi(DILATION, -0.4, 3.0, 0.5, 2.0)
+    fam, env = frozen(DILATION, -0.4, 3.0, 0.5, 2.0)
     for (a, al) in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-        d = rp.deriv_value(a, al, 0.9, 1.3)
+        d = at(fam.deriv(a, al), env, 0.9, 1.3)
         if a > 0:
-            lower = rp.deriv_value(a - 1, al, 0.9, 1.3)
-            f = lambda t: float(rp.deriv_value(a - 1, al, t, 1.3))
+            f = lambda t: float(at(fam.deriv(a - 1, al), env, t, 1.3))
             fd = central_diff(f, 0.9, 1e-5)
         else:
-            f = lambda u: float(rp.deriv_value(0, al - 1, 0.9, u))
+            f = lambda u: float(at(fam.deriv(0, al - 1), env, 0.9, u))
             fd = central_diff(f, 1.3, 1e-5)
         assert abs(float(d) - fd) <= 1e-6 * max(1.0, abs(fd))
 
@@ -141,8 +157,8 @@ def test_star_phi_derivatives_match_fd():
 # ------------------------------------------------------------- P1 P2 P3
 
 def test_identity_constants():
-    rp = build_star_phi(IDENTITY, 0.0, 1.0, 0.5, 1.0)
-    cs = rp.constants()
+    fam, env = frozen(IDENTITY, 0.0, 1.0, 0.5, 1.0)
+    cs = fam.constants_at(0.0, env["r"])
     assert all(v <= 1.0 + 1e-12 for v in cs.table.values())
     assert cs.table[(1, 1)] == pytest.approx(1.0, abs=1e-12)
     assert cs.c_t == pytest.approx(1.0, abs=1e-12)
@@ -194,22 +210,22 @@ def test_tiny_K_with_large_variation_fails():
 def test_p3_region_where_mixing_is_pure_K():
     # for |t|/r >= k the cutoff vanishes identically: d2*Phi = K exactly
     for K in (2.0, 4.0):
-        rp = build_star_phi(DILATION, 0.3, 1.0, 0.25, K)
-        r = rp.rung
+        fam, env = frozen(DILATION, 0.3, 1.0, 0.25, K)
+        r = env["r"]
         t = np.array([v for v in sg_ladder() if abs(v) >= 0.25 * r + 0.01])
         tau = sg_ladder()
-        d11 = rp.deriv_value(1, 1, t[:, None], tau[None, :])
+        d11 = at(fam.deriv(1, 1), env, t[:, None], tau[None, :])
         assert np.allclose(d11, K, atol=1e-12)
 
 
 def test_monotone_robustness_increasing_K():
-    rp2 = build_star_phi(DILATION, 0.3, 1.0, 0.25, 2.0)
-    rp4 = build_star_phi(DILATION, 0.3, 1.0, 0.25, 4.0)
-    r = rp2.rung
+    fam2, env = frozen(DILATION, 0.3, 1.0, 0.25, 2.0)
+    fam4, _ = frozen(DILATION, 0.3, 1.0, 0.25, 4.0)
+    r = env["r"]
     t = np.array([v for v in sg_ladder() if abs(v) >= 0.25 * r])
     tau = sg_ladder()
-    e2 = np.min(np.abs(rp2.deriv_value(1, 1, t[:, None], tau[None, :])))
-    e4 = np.min(np.abs(rp4.deriv_value(1, 1, t[:, None], tau[None, :])))
+    e2 = np.min(np.abs(at(fam2.deriv(1, 1), env, t[:, None], tau[None, :])))
+    e4 = np.min(np.abs(at(fam4.deriv(1, 1), env, t[:, None], tau[None, :])))
     assert e4 >= e2 - 1e-12
 
 
@@ -264,25 +280,6 @@ def test_calibrate_exhaustion():
                           collar_halfwidth=1.0)
     with pytest.raises(CalibrationError):
         calibrate(bad, max_steps=3)
-
-
-# -------------------------------------------------- remainder envelope
-
-def test_phi_envelope_stable_across_rungs():
-    # constants of the cutoff-localized remainder bound: factor-2 stable on
-    # rungs with xi' != 0; the rung at <xi'> = 1 (the excluded axis xi' = 0)
-    # sees a strictly smaller t-window, so its sup can only drop below
-    rungs = [1.0, 2.0, 4.0, 16.0, 64.0, 256.0]
-    for ph in (DILATION, QUADRATIC):
-        k = ph.collar_halfwidth
-        per_rung = {r: phi_envelope(ph, 0.3, r, alpha_max=3, k=k)
-                    for r in rungs}
-        for alpha in range(4):
-            vals = np.array([per_rung[r][alpha] for r in rungs[1:]])
-            live = vals[vals > 1e-12]
-            if len(live) >= 2:
-                assert live.max() <= 2.0 * live.min(), (ph.name, alpha)
-            assert per_rung[1.0][alpha] <= vals.max() + 1e-12
 
 
 def _constants(**over):

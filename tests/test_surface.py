@@ -1,0 +1,124 @@
+"""Surface guard: every definition in src/phasecert is run by the program.
+
+A top-level function or class, or a non-dunder method, must be referenced
+in src/ or perfbench/ outside its own definition, or be named in
+ACCEPTANCE_SUBJECTS: the definitions that only an acceptance criterion of
+tests/test_acceptance.py calls, because that criterion certifies them.
+A reference is a name read, an attribute, or a dotted identifier string
+such as the patch targets of perfbench/tracer.py.  Docstrings and import lines
+do not count, and neither does a reference from inside a definition that
+is itself unreferenced, so a helper that only dead code calls is named
+too.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "phasecert"
+
+ACCEPTANCE_SUBJECTS = (
+    "check_bs_membership",       # criterion 7
+    "BsReport",                  # criterion 7
+    "amp_pair",                  # criterion 7 (ConjugatedFamily)
+    "estimate_symbol_order",     # criterion 6
+    "measured_decay_exponent",   # criterion 10
+)
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring nodes of a module and its defs."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                out.add(id(body[0].value))
+    return out
+
+
+def _references(tree: ast.AST):
+    """(name, line) of every reference in a module."""
+    docs = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs and _DOTTED.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of every top-level function and
+    class and every non-dunder method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, defs[:2])
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def unreferenced() -> list[str]:
+    """Definitions in src/ that nothing live references, to a fixed
+    point: each round drops the references made from inside the
+    definitions found dead so far."""
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {f: ast.parse(f.read_text(), str(f)) for f in files}
+    refs = {f: list(_references(t)) for f, t in trees.items()}
+    defs = [(f, name, lo, hi) for f in sorted(SRC.glob("*.py"))
+            for name, lo, hi in _definitions(trees[f])
+            if name not in ACCEPTANCE_SUBJECTS]
+
+    def inside(g, line, spans):
+        return any(g == f and lo <= line <= hi for f, _, lo, hi in spans)
+
+    dead: list[tuple] = []
+    while True:
+        found = [d for d in defs if d not in dead and not any(
+            n == d[1] and not inside(g, line, [d, *dead])
+            for g, rs in refs.items() for n, line in rs)]
+        if not found:
+            return [f"{f.stem}.{name} (line {lo})"
+                    for f, name, lo, _ in sorted(dead)]
+        dead += found
+
+
+def test_every_definition_is_run_by_the_program():
+    missing = unreferenced()
+    assert not missing, ("defined in src/ but referenced by neither src/ "
+                         "nor perfbench/: " + ", ".join(missing))
+
+
+def test_acceptance_subjects_are_defined_and_reached_by_the_gate():
+    """Each subject is defined in src/, and the acceptance module names it
+    or another subject does (as check_bs_membership returns BsReport)."""
+    reached = {n for n, _ in _references(
+        ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))}
+    defined = set()
+    for f in SRC.glob("*.py"):
+        tree = ast.parse(f.read_text())
+        refs = list(_references(tree))
+        for name, lo, hi in _definitions(tree):
+            defined.add(name)
+            if name in ACCEPTANCE_SUBJECTS:
+                reached |= {n for n, line in refs if lo <= line <= hi}
+    for name in ACCEPTANCE_SUBJECTS:
+        assert name in defined, name
+        assert name in reached, name

@@ -3,44 +3,9 @@ import pytest
 
 from phasecert import expr as ex
 from phasecert.grammar import parse_expr
-from phasecert.grids import GridSpec
 from phasecert.symbols import (SymbolFn, check_bs_membership,
-                               check_transmission, estimate_seminorm,
-                               loglog_fit)
+                               check_transmission, loglog_fit)
 
-
-
-def test_seminorm_of_bracket_is_one():
-    a = SymbolFn(parse_expr("bracket(kn)"), order=1.0)
-    rep = estimate_seminorm(a, {}, {}, GridSpec())
-    # sup of <kn>/<xi> over the shells; equals 1 where kn is the whole fiber
-    assert rep.constant <= 1.0 + 1e-12
-    assert rep.constant >= 0.5
-
-
-def test_seminorm_of_constant_derivative_is_zero():
-    a = SymbolFn(parse_expr("1"), order=0.0)
-    rep = estimate_seminorm(a, {"kn": 1}, {}, GridSpec())
-    assert rep.constant == 0.0
-
-
-def test_seminorm_matches_refined_grid_oracle():
-    # a = kn^2/|xi|, m = 1, one xi_n derivative, zeroth x orders
-    a = SymbolFn(parse_expr("kn^2 / norm(k1, kn)"), order=1.0,
-                 homogeneous_degree=1.0)
-    g = GridSpec(directions=32)
-    rep = estimate_seminorm(a, {"kn": 1}, {}, g)
-    fine = estimate_seminorm(a, {"kn": 1}, {}, g.refined(4))
-    assert rep.constant > 0.1
-    assert abs(fine.constant - rep.constant) <= 0.02 * fine.constant
-
-
-def test_seminorm_monotone_under_refinement():
-    a = SymbolFn(parse_expr("xn*kn*exp(sin(x1)/2)"), order=1.0)
-    g = GridSpec()
-    c0 = estimate_seminorm(a, {"kn": 1}, {"x1": 1}, g).constant
-    c1 = estimate_seminorm(a, {"kn": 1}, {"x1": 1}, g.refined(2)).constant
-    assert c1 >= c0 - 1e-14
 
 
 def test_transmission_xi_n_passes():
