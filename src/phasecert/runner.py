@@ -169,6 +169,15 @@ def _number(v, name: str, integer: bool = False, positive: bool = False):
     return int(v) if integer else float(v)
 
 
+def _strings(v, name: str) -> tuple[str, ...]:
+    """v, the value of scenario field name, as a tuple once it is checked
+    to be a list of strings."""
+    if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
+        raise ScenarioValidationError(
+            f"{name} must be a list of strings, got {v!r}")
+    return tuple(v)
+
+
 def _expression(text, name: str) -> ex.Expr:
     """text, the value of scenario field name, parsed once it is checked to
     be a string whose free variables are all collar variables."""
@@ -227,7 +236,7 @@ def load_scenario(source) -> Scenario:
         raise ScenarioValidationError(
             "catalog checks run at n = 2; higher dimensions are not wired "
             "into the scenario runner")
-    checks = tuple(raw.get("checks", FAMILIES))
+    checks = _strings(raw.get("checks", list(FAMILIES)), "checks")
     bad = set(checks) - set(FAMILIES)
     if bad:
         raise ScenarioValidationError(f"unknown check families {bad}")
@@ -238,12 +247,20 @@ def load_scenario(source) -> Scenario:
     degree = amp.get("homogeneous_degree")
     if degree is not None:
         degree = _number(degree, "amplitude.homogeneous_degree")
+    sg = raw.get("sg")
+    if sg is not None:
+        if set(sg) != {"k", "K"}:
+            raise ScenarioValidationError(
+                f"sg must have exactly the keys k and K, got {sorted(sg)}")
+        sg = {key: _number(sg[key], f"sg.{key}", positive=True)
+              for key in ("k", "K")}
     sc = Scenario(
         name=raw["name"], collar_halfwidth=collar_halfwidth,
-        sg_params=raw.get("sg"),
+        sg_params=sg,
         checks=checks,
         seed=_number(raw.get("seed", 7), "seed", integer=True),
-        intended_failures=tuple(raw.get("intended_failures", ())),
+        intended_failures=_strings(raw.get("intended_failures", []),
+                                   "intended_failures"),
     )
     if raw.get("margins") is not None:
         mdef = Margins()
@@ -607,8 +624,7 @@ class ScenarioRunner:
             ladder = sg_ladder()
             ghash = grid_digest(t=ladder, tau=ladder)
             if self.sc.sg_params:
-                k = float(self.sc.sg_params["k"])
-                K = float(self.sc.sg_params["K"])
+                k, K = self.sc.sg_params["k"], self.sc.sg_params["K"]
                 rep = check_uniformity(self.sc.phase, k, K,
                                        margins=self.margins)
                 trials = 0

@@ -38,7 +38,6 @@ class SchwartzFn:
     expr: ex.Expr
     analytic_ft: object | None = None
     analytic_half_ft: object | None = None
-    l2_norm: float | None = None
 
     def __call__(self, t):
         return ex.eval_array(self.expr, {"t": np.asarray(t, dtype=float)})
@@ -93,9 +92,7 @@ def hermite_fn(j: int) -> SchwartzFn:
         hj = ex.eval_array(expr, {"t": np.asarray(xi, dtype=float)})
         return SQRT_2PI * (-1j) ** _j * hj
 
-    # ||h_j||^2 = 2^j j! sqrt(pi)
-    l2 = math.sqrt(2.0**j * math.factorial(j) * math.sqrt(math.pi))
-    return SchwartzFn(f"h{j}", expr, analytic_ft=ft, l2_norm=l2)
+    return SchwartzFn(f"h{j}", expr, analytic_ft=ft)
 
 
 def exp_decay() -> SchwartzFn:

@@ -76,8 +76,10 @@ class StarPhaseFamily:
     """The regularized phase with (x', xi') left symbolic.
 
     One expression (and one derivative table) serves every frozen sample:
-    freezing only binds scalars at evaluation time, so the symbolic work
+    freezing only binds values at evaluation time, so the symbolic work
     and the compiled DAG are shared across the whole uniformity sweep.
+    A rung binds r and xi' as scalars and may bind x1 as an array of x'
+    samples, so the sweep runs the table once per rung.
     """
 
     def __init__(self, phase: GeneratingPhase, k: float, K: float,
@@ -125,7 +127,8 @@ class StarPhaseFamily:
             self._compiled = ex._compile_many(exprs)
         return keys, self._compiled
 
-    def env_for(self, xprime: float, rung: float, sign: int = 1) -> dict:
+    def env_for(self, xprime: float | np.ndarray, rung: float,
+                sign: int = 1) -> dict:
         xi = sign * math.sqrt(max(rung * rung - 1.0, 0.0))
         return {"x1": xprime, "k1": xi, "r": float(rung)}
 
@@ -145,53 +148,72 @@ class StarPhaseFamily:
             return tgrid
         return np.unique(np.concatenate([tgrid, band, -band]))
 
-    def constants_at(self, xprime: float, rung: float, sign: int = 1,
+    def constants_at(self, xprime, rung: float, sign: int = 1,
                      tgrid: np.ndarray | None = None,
-                     taugrid: np.ndarray | None = None) -> PhaseConstants:
+                     taugrid: np.ndarray | None = None
+                     ) -> PhaseConstants | list[PhaseConstants]:
         """Evaluate the full derivative table on the pinned grid and reduce
-        to the P1/P2/P3 constants for one frozen sample."""
+        to the P1/P2/P3 constants for frozen samples at one rung.
+
+        xprime is one x' (a float: one PhaseConstants) or a 1-D array of
+        them (a list of PhaseConstants, in order).  The (t, tau) grid
+        depends on the rung alone, so every x' shares it and the table is
+        one program execution with x1 bound as a leading axis: (m, 1, 1)
+        against t (1, T, 1) and tau (1, 1, U).
+        """
         if tgrid is None:
             tgrid = sg_ladder()
         if taugrid is None:
             taugrid = sg_ladder()
         tgrid = self.eval_tgrid(rung, np.asarray(tgrid, dtype=float))
+        xs = np.asarray(xprime, dtype=float)
+        m, nt, nu = xs.size, len(tgrid), len(taugrid)
         keys, prog = self._deriv_table()
-        env = self.env_for(xprime, rung, sign)
-        env["t"] = tgrid[:, None]
-        env["tau"] = taugrid[None, :]
-        shape = (len(tgrid), len(taugrid))
+        env = self.env_for(xs.reshape(m, 1, 1), rung, sign)
+        env["t"] = tgrid[None, :, None]
+        env["tau"] = taugrid[None, None, :]
+        shape = (m, nt, nu)
         vals = {k: np.broadcast_to(v, shape)
                 for k, v in zip(keys, ex._exec(prog, env, False))}
-        bt = np.sqrt(1.0 + tgrid * tgrid)[:, None]
-        btau = np.sqrt(1.0 + taugrid * taugrid)[None, :]
+        bt = np.sqrt(1.0 + tgrid * tgrid)[None, :, None]
+        btau = np.sqrt(1.0 + taugrid * taugrid)[None, None, :]
+        rows = np.arange(m)
 
-        table = {}
-        worst = {}
+        def points(idx):
+            # the (t, tau) grid point of each x' slab's flat index
+            return list(zip(tgrid[idx // nu].tolist(),
+                            taugrid[idx % nu].tolist()))
+
+        tables = [{} for _ in rows]
+        worst = [{} for _ in rows]
         for (a, al), D in vals.items():
-            w = np.abs(D) * bt ** (a - 1) * btau ** (al - 1)
-            idx = np.unravel_index(int(np.argmax(w)), shape)
-            table[(a, al)] = float(w[idx])
-            worst[f"C_{a}{al}"] = (float(tgrid[idx[0]]),
-                                   float(taugrid[idx[1]]))
+            w = (np.abs(D) * bt ** (a - 1) * btau ** (al - 1)).reshape(m, -1)
+            idx = np.argmax(w, axis=1)
+            for i, v, pt in zip(rows, w[rows, idx].tolist(), points(idx)):
+                tables[i][(a, al)] = v
+                worst[i][f"C_{a}{al}"] = pt
 
         d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
         q_t = np.sqrt(1.0 + d10 * d10) / btau
         q_tau = np.sqrt(1.0 + d01 * d01) / bt
-        c_t, C_t = float(q_t.min()), float(q_t.max())
-        c_tau, C_tau = float(q_tau.min()), float(q_tau.max())
-        i = np.unravel_index(int(np.argmin(q_t)), shape)
-        worst["c_t"] = (float(tgrid[i[0]]), float(taugrid[i[1]]))
+        c_t, C_t = q_t.min(axis=(1, 2)), q_t.max(axis=(1, 2))
+        c_tau, C_tau = q_tau.min(axis=(1, 2)), q_tau.max(axis=(1, 2))
+        at_c_t = points(np.argmin(q_t.reshape(m, -1), axis=1))
 
-        lo, hi = float(d11.min()), float(d11.max())
-        sign_ok = lo > 0.0 or hi < 0.0
-        eps = float(np.min(np.abs(d11)))
-        i = np.unravel_index(int(np.argmin(np.abs(d11))), shape)
-        worst["eps"] = (float(tgrid[i[0]]), float(taugrid[i[1]]))
-        return PhaseConstants(
-            table, c_t, C_t, c_tau, C_tau,
-            eps if sign_ok else -eps,
-            float(np.sign(hi)) if sign_ok else 0.0,
-            worst, grid_digest(t=tgrid, tau=taugrid))
+        abs11 = np.abs(d11).reshape(m, -1)
+        lo, hi = d11.min(axis=(1, 2)), d11.max(axis=(1, 2))
+        eps = abs11.min(axis=1)
+        at_eps = points(np.argmin(abs11, axis=1))
+        grid = grid_digest(t=tgrid, tau=taugrid)
+        out = []
+        for i in rows:
+            worst[i].update(c_t=at_c_t[i], eps=at_eps[i])
+            sign_ok = lo[i] > 0.0 or hi[i] < 0.0
+            out.append(PhaseConstants(
+                tables[i], float(c_t[i]), float(C_t[i]), float(c_tau[i]),
+                float(C_tau[i]), float(eps[i] if sign_ok else -eps[i]),
+                float(np.sign(hi[i])) if sign_ok else 0.0, worst[i], grid))
+        return out if xs.ndim else out[0]
 
 
 # Constants whose spread across (x', <xi'>) is the grid statement of
@@ -227,7 +249,9 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
                      order_bound: int = 3) -> UniformityReport:
     """Spread of the P1/P2/P3 constants over (x', <xi'>) samples.
 
-    Signs of xi' alternate along the ladder.  Per-constant spread is the
+    Signs of xi' alternate along the ladder, and each rung evaluates every
+    x' in one :meth:`StarPhaseFamily.constants_at` call; combos run x'
+    outer, rung inner.  Per-constant spread is the
     max/min ratio over the samples, computed only where the constant is
     above the structural-zero floor; a constant that vanishes on every
     sample is uniform by convention, and a NaN constant on any sample
@@ -240,14 +264,16 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
         rungs = [2.0**j for j in range(9)]
     fam = StarPhaseFamily(phase, k, K, order_bound)
     ladder = sg_ladder()
+    signs = [1 if j % 2 == 0 else -1 for j in range(len(rungs))]
+    xs = np.asarray(xprimes, dtype=float)
+    by_rung = [fam.constants_at(xs, float(rung), sign, ladder, ladder)
+               for rung, sign in zip(rungs, signs)]
     combos = []
     per_combo = []
     failures = []
-    for xp in xprimes:
-        for j, rung in enumerate(rungs):
-            sign = 1 if j % 2 == 0 else -1
-            cs = fam.constants_at(float(xp), float(rung), sign, ladder,
-                                  ladder)
+    for i, xp in enumerate(xprimes):
+        for rung, sign, batch in zip(rungs, signs, by_rung):
+            cs = batch[i]
             combos.append((float(xp), float(rung), sign))
             per_combo.append(cs.flat())
             if cs.eps_sign == 0.0:

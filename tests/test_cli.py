@@ -233,6 +233,23 @@ BAD_FIELDS = {
     "grids-number": ("grids", 3),
     "amplitude-string": ("amplitude", "1"),
     "sg-list": ("sg", [0.5, 1.0]),
+    "sg-k-string": ("sg.k", "a", ScenarioValidationError, "sg.k must be a"),
+    "sg-K-negative": ("sg.K", -1.0, ScenarioValidationError,
+                      "sg.K must be positive"),
+    "sg-missing-K": ("sg", {"k": 0.5}, ScenarioValidationError,
+                     "exactly the keys k and K"),
+    "sg-unknown-key": ("sg.c", 1.0, ScenarioValidationError,
+                       "exactly the keys k and K"),
+    "checks-string": ("checks", "phase", ScenarioValidationError,
+                      "checks must be a list of strings"),
+    "checks-number-entry": ("checks", ["phase", 1], ScenarioValidationError,
+                            "checks must be a list of strings"),
+    "intended-failures-number": ("intended_failures", 5,
+                                 ScenarioValidationError,
+                                 "intended_failures must be a list"),
+    "intended-failures-number-entry": ("intended_failures", [5],
+                                       ScenarioValidationError,
+                                       "intended_failures must be a list"),
     "support-string": ("amplitude", {"expr": "1", "support_xn": ["a", 1]}),
     # expression fields; a row may name its error and message pattern
     "phase-number": ("phase", 3),

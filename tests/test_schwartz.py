@@ -67,5 +67,3 @@ def test_measured_decay_exponent_first_order():
 def test_catalog_names():
     c = catalog()
     assert set(c) == {"h0", "h1", "h2", "h3", "h4", "exp-decay"}
-    assert c["h4"].l2_norm == pytest.approx(
-        math.sqrt(2.0**4 * 24 * math.sqrt(math.pi)))

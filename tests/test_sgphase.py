@@ -327,21 +327,72 @@ def test_uniformity_ratio_is_nan_for_nan_constant(monkeypatch, key):
     calls = []
 
     def poisoned(self, *args, **kwargs):
-        cs = real(self, *args, **kwargs)
+        batch = real(self, *args, **kwargs)
         calls.append(key)
-        if len(calls) == 2:           # one (x', rung) combo of six
+        if len(calls) == 2:           # rung 4: its first x' is combo 1 of 6
+            cs = batch[0]
             if key == "C_11":
                 cs.table = cs.table | {(1, 1): math.nan}
             else:
                 setattr(cs, key, math.nan)
-        return cs
+        return batch
 
     monkeypatch.setattr(StarPhaseFamily, "constants_at", poisoned)
     rep = check_uniformity(IDENTITY, 0.5, 1.0, xprimes=[-0.5, 0.5],
                            rungs=[1.0, 4.0, 16.0])
-    assert len(calls) == 6
+    assert len(calls) == 3              # one call per rung
+    assert len(rep.combos) == 6
     assert math.isnan(rep.ratios[key])
     assert math.isnan(rep.per_combo[1][key])
     if key in ("c_t", "eps"):
         assert math.isnan(rep.spread)
     assert not rep.passed
+
+
+def test_nan_in_one_xprime_slab_stays_in_its_combo(monkeypatch):
+    # NaN in the x' = 0 slab of the rung-4 derivative table must reach
+    # that combo's constants, and only them
+    real = ex._exec
+
+    def poisoned(prog, env, relaxed):
+        out = real(prog, env, relaxed)
+        if relaxed or env.get("r") != 4.0:
+            return out
+        shape = np.broadcast_shapes(*(np.shape(env[v])
+                                      for v in ("x1", "t", "tau")))
+        table = []
+        for v in out:
+            v = np.array(np.broadcast_to(v, shape))
+            v[1] = math.nan
+            table.append(v)
+        return table
+
+    monkeypatch.setattr(ex, "_exec", poisoned)
+    rep = check_uniformity(IDENTITY, 0.5, 1.0, xprimes=[-0.5, 0.0, 0.5],
+                           rungs=[1.0, 4.0])
+    assert rep.combos[3] == (0.0, 4.0, -1)
+    for i, pc in enumerate(rep.per_combo):
+        vals = np.array(list(pc.values()))
+        assert np.isnan(vals).all() if i == 3 else np.isfinite(vals).all()
+    assert rep.failures == ["sign change at x'=0.000, rung=4"]
+    assert math.isnan(rep.spread)
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("name", ["identity", "dilation", "quadratic-collar",
+                                  "boundary-shear"])
+def test_batched_constants_equal_scalar_calls(name):
+    phase = build_phase(name)
+    fam = StarPhaseFamily(phase, phase.collar_halfwidth / 2.0, 1.0)
+    xprimes = np.linspace(-1, 1, 9)
+    for j, rung in enumerate([2.0**j for j in range(9)]):
+        sign = 1 if j % 2 == 0 else -1
+        batch = fam.constants_at(xprimes, rung, sign)
+        assert len(batch) == len(xprimes)
+        for xp, cs in zip(xprimes, batch):
+            one = fam.constants_at(float(xp), rung, sign)
+            assert isinstance(one, PhaseConstants)
+            # exact equality, field for field: the batch is no approximation
+            for f in ("table", "worst", "c_t", "C_t", "c_tau", "C_tau",
+                      "eps", "eps_sign", "grid"):
+                assert getattr(cs, f) == getattr(one, f), (xp, rung, f)
