@@ -53,10 +53,6 @@ class QuadratureBudgetError(PhasecertError):
     """Adaptive quadrature failed to converge within its refinement budget."""
 
 
-class DecayClassError(PhasecertError):
-    """Integrand decay class not supported by any quadrature mode."""
-
-
 class ScenarioParseError(PhasecertError):
     """Scenario file does not parse."""
 

@@ -57,37 +57,6 @@ class Expr:
     def children(self) -> tuple["Expr", ...]:
         return ()
 
-    # -- convenience operators so tests and catalog code read naturally --
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return quot(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return quot(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, k):
-        return powi(self, k)
-
 
 class Const(Expr):
     __slots__ = ("value",)
@@ -960,14 +929,17 @@ def evaluate(e: Expr, point: dict[str, float]) -> float:
 
 
 def homogeneity_residual(e: Expr, fiber_vars: set[str], degree: float,
-                         points: list[dict[str, float]]) -> float:
+                         samples: np.ndarray) -> float:
     """Worst relative error of eval(lambda*xi) against lambda^d * eval(xi)
-    over lambda in HOMOGENEITY_LAMBDAS.
+    over lambda in HOMOGENEITY_LAMBDAS, at the points of a structured
+    sample array, each evaluated as a scalar point.
 
     A non-finite error anywhere makes the result NaN or inf.
     """
+    names = samples.dtype.names
     errs = []
-    for p in points:
+    for row in samples.tolist():
+        p = dict(zip(names, row))
         base = evaluate(e, p)
         for lam in HOMOGENEITY_LAMBDAS:
             q = {k: (val * lam if k in fiber_vars else val)

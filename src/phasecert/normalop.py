@@ -8,14 +8,14 @@ With (x', xi') frozen, the operator acts on one variable:
                   x_n > 0,
 
 where phi = psi - psi_b.  Schwartz transforms give absolutely convergent
-integrands handled by direct adaptive panels; half-line transforms decay
-only to first order, so unless the amplitude supplies decay of order
-<= -1.5 in total, the integral runs through the smooth-cutoff Richardson
-mode.  Evaluation at x_n = 0 is excluded for the truncated operator.
+integrands handled by adaptive panels; half-line transforms decay only to
+first order, so the truncated operator always runs through the
+smooth-cutoff Richardson integral at radius CUTOFF_RADIUS.  Evaluation at
+x_n = 0 is excluded for the truncated operator.
 
 The integrand at the output points is a quadrature.Oscillatory.  The
 paper's local phases are linear in xi_n, phi = xi_n h(x_n) + c(x_n), and
-the exact DAG test d^2 phi / d xi_n^2 == Const(0) lets both modes factor
+the exact DAG test d^2 phi / d xi_n^2 == Const(0) lets both integrals factor
 e^{i phi} over their Gauss panels instead of taking one complex
 exponential per (point, node) pair; a phase that fails the test is summed
 densely.
@@ -29,23 +29,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .exceptions import DecayClassError
 from .phase import GeneratingPhase
 from .quadrature import Oscillatory, cutoff_richardson, integrate_adaptive
 from .schwartz import SchwartzFn
 from .symbols import SymbolFn
 
-DIRECT_RADIUS_CAP = 4096.0  # largest truncation radius of the direct mode
-L2_SLACK = 0.05             # relative slack of the L2 smoke bound
+CUTOFF_RADIUS = 256.0   # base radius R of the half-line cutoff integral
+L2_SLACK = 0.05         # relative slack of the L2 smoke bound
 
 
 @dataclass
 class QuadratureSpec:
-    mode: str = "auto"            # auto | direct | cutoff
     panel_tol: float = 1e-9
     order: int = 12
     max_doubles: int = 12
-    cutoff_radius: float = 256.0
 
 
 @dataclass
@@ -82,19 +79,6 @@ class NormalOperatorSpec:
                              {"x1": self.xprime, "k1": self.xi_prime})
 
 
-def decay_order(spec: NormalOperatorSpec) -> float:
-    """Total decay order of the truncated operator's integrand: amplitude
-    order plus the -1 of a half-line transform."""
-    return spec.amplitude.order - 1.0
-
-
-def _choose_mode(spec: NormalOperatorSpec) -> str:
-    mode = spec.quadrature.mode
-    if mode != "auto":
-        return mode
-    return "direct" if decay_order(spec) <= -1.5 else "cutoff"
-
-
 def _integrand_factory(spec: NormalOperatorSpec, ft,
                        xn_grid: np.ndarray) -> Oscillatory:
     """e^{i phi} a ft / (2 pi) over kn at the points xn_grid."""
@@ -108,9 +92,9 @@ def apply_normal_op(spec: NormalOperatorSpec, u: SchwartzFn,
     """Sample (A u) on xn_grid; returns (values, per-point error estimate).
 
     u must have a full-line transform (catalog analytic or numeric); the
-    integrand is then absolutely convergent and handled directly, with the
-    truncation radius taken from the transform's decay against the
-    amplitude's growth order.
+    integrand is then absolutely convergent and takes adaptive panels,
+    with the truncation radius taken from the transform's decay against
+    the amplitude's growth order.
     """
     q = spec.quadrature
     xn_grid = np.asarray(xn_grid, dtype=float)
@@ -127,34 +111,18 @@ def apply_truncated_op(spec: NormalOperatorSpec, u: SchwartzFn,
                        xn_grid) -> tuple[np.ndarray, np.ndarray]:
     """Sample (A+ u) = restriction of the half-line-transform integral.
 
-    Requires every x_n > 0 (the jump at 0 is not certified).  Mode is
-    selected from the total decay order unless pinned by the spec.
+    Requires every x_n > 0 (the jump at 0 is not certified).  The
+    half-line transform decays only to first order, so the integral is
+    always the smooth-cutoff Richardson extrapolation at CUTOFF_RADIUS.
     """
-    q = spec.quadrature
     xn_grid = np.asarray(xn_grid, dtype=float)
     if np.any(xn_grid <= 0.0):
         raise ValueError("truncated operator evaluates on x_n > 0 only")
-    mode = _choose_mode(spec)
     f = _integrand_factory(spec, u.half_ft_values, xn_grid)
-    if mode == "direct":
-        d = decay_order(spec)
-        if d > -1.5:
-            raise DecayClassError(
-                f"direct mode needs decay <= -1.5, got {d:g}")
-        # truncation so that the algebraic tail sits below the panel tol
-        R = min(DIRECT_RADIUS_CAP,
-                max(64.0, (10.0 / q.panel_tol) ** (-1.0 / (d + 1.0))))
-        n0 = max(32, int(np.ceil(
-            2 * R * (np.max(xn_grid) + 2.0) / (2 * np.pi))))
-        val, err, _ = integrate_adaptive(f, -R, R, q.panel_tol, n0, q.order,
-                                         q.max_doubles)
-        return val, err
-    if mode != "cutoff":
-        raise DecayClassError(f"unknown quadrature mode {mode!r}")
     rate = (np.max(np.abs(xn_grid)) + 2.0) / (2.0 * np.pi)
-    val, err, _ = cutoff_richardson(f, q.cutoff_radius,
+    val, err, _ = cutoff_richardson(f, CUTOFF_RADIUS,
                                     panels_per_unit=1.5 * rate,
-                                    order=q.order)
+                                    order=spec.quadrature.order)
     return val, err
 
 

@@ -18,7 +18,7 @@ and their growth exponent is fitted by symbols.loglog_fit in one loop
 that estimate_symbol_order and sweep_symbol_orders share; the declared
 order bound is m - (number of xi'-derivatives), following the convention
 in which the covariable decay tracks covariable derivatives (the printed
-index pairing in the source estimate differs; reports carry a note).
+index pairing in the source estimate differs).
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ from .normalop import NormalOperatorSpec
 from .quadrature import Oscillatory, gauss_rule, panel_frame, panel_nodes
 from .schwartz import SchwartzFn
 from .symbols import loglog_fit
-
-INDEX_NOTE = ("order target m - |alpha| with alpha counting xi'-derivatives; "
-              "the x'-index pairing printed in the source estimate is not "
-              "used")
-
 
 def default_t_grid() -> np.ndarray:
     pos = np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.25, 1.5,
@@ -201,9 +196,7 @@ class OrderFit:
     seminorms: tuple
     slope: float | None
     target: float
-    fit_residual: float
     tol: float = FIT_TOL
-    note: str = INDEX_NOTE
 
     @property
     def identically_zero(self) -> bool:
@@ -222,14 +215,14 @@ def fit_seminorm_ladder(rungs, seminorms, alpha: int, beta: int, l: int,
     live = sems > 1e-14
     if int(live.sum()) == 0:
         return OrderFit(alpha, beta, l, s, u_name, tuple(rungs),
-                        tuple(sems), None, target, 0.0)
+                        tuple(sems), None, target)
     if int(live.sum()) < min_live:
         raise RegressionError(
             f"only {int(live.sum())} live rungs; need >= {min_live} "
             "for the fit")
-    slope, resid = loglog_fit(rungs[live], sems[live])
+    slope, _ = loglog_fit(rungs[live], sems[live])
     return OrderFit(alpha, beta, l, s, u_name, tuple(rungs), tuple(sems),
-                    slope, target, resid)
+                    slope, target)
 
 
 def _ladder_fits(spec: NormalOperatorSpec, family: ConjugatedFamily,

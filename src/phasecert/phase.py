@@ -22,9 +22,9 @@ from .exceptions import (BoundaryFlatnessError, GraphMismatchError,
                          SignChangeError, SingularAxisError,
                          SingularLocusError)
 from .symbols import SymbolFn, TransmissionReport, check_transmission
-from .symplectic import (COLLAR_VARS, HOMOGENEITY_TOL, X_VARS, XI_VARS,
-                         CheckReport, SymplectoMap, as_samples,
-                         collar_samples, point_at, sup)
+from .symplectic import (HOMOGENEITY_TOL, SAMPLE_DTYPE, X_VARS, XI_VARS,
+                         CheckReport, SymplectoMap, collar_samples,
+                         point_at, sup)
 
 BOUNDARY_PHASE_TOL = 1e-10      # boundary-flatness residuals of psi
 GENERATING_TOL = 1e-8           # the graph relation of phase and map
@@ -104,16 +104,14 @@ def boundary_phase(psi: ex.Expr) -> tuple[ex.Expr, dict]:
     return psi_b, diag
 
 
-def check_homogeneity(phase: GeneratingPhase, points) -> CheckReport:
-    """Degree-1 homogeneity of psi in the covariables at points (a sample
-    array or point dicts) by the scalar oracle expr.homogeneity_residual
-    and by the Euler identity xi . grad_xi psi = psi; the residual is the
-    NaN-strict larger of the two, and details carries both.  It passes at
-    or below HOMOGENEITY_TOL."""
-    samples = as_samples(points)
-    res = ex.homogeneity_residual(
-        phase.psi, set(XI_VARS), 1.0,
-        [point_at(samples, i) for i in range(len(samples))])
+def check_homogeneity(phase: GeneratingPhase,
+                      samples: np.ndarray) -> CheckReport:
+    """Degree-1 homogeneity of psi in the covariables at a sample array by
+    the scalar oracle expr.homogeneity_residual and by the Euler identity
+    xi . grad_xi psi = psi; the residual is the NaN-strict larger of the
+    two, and details carries both.  It passes at or below
+    HOMOGENEITY_TOL."""
+    res = ex.homogeneity_residual(phase.psi, set(XI_VARS), 1.0, samples)
     lhs = ex.add(*(ex.mul(ex.var(v), ex.differentiate(phase.psi, v))
                    for v in XI_VARS))
     lhs_v, psi_v = ex.eval_array_many([lhs, phase.psi], samples)
@@ -154,16 +152,17 @@ def check_generating(phase: GeneratingPhase, chi: SymplectoMap,
     return rep
 
 
-def check_nondegeneracy(phase: GeneratingPhase, grid=None) -> CheckReport:
+def check_nondegeneracy(phase: GeneratingPhase,
+                        grid: np.ndarray | None = None) -> CheckReport:
     """min |d2 psi / dx_n dxi_n| over a collar grid avoiding xi = 0.
 
-    grid is a sample array (a list of point dicts is converted), evaluated
-    in one pass; a NaN on it makes the minimum NaN and fails the check.
+    grid is a sample array, evaluated in one pass; a NaN on it makes the
+    minimum NaN and fails the check.
     The mixed derivative must also keep one sign on the grid; a sign
     change raises SignChangeError.
     """
     mixed = ex.differentiate(ex.differentiate(phase.psi, "xn"), "kn")
-    grid = _collar_grid(phase) if grid is None else as_samples(grid)
+    grid = _collar_grid(phase) if grid is None else grid
     vals = np.broadcast_to(ex.eval_array(mixed, grid), (len(grid),))
     if vals.max() > 0.0 and vals.min() < 0.0:
         raise SignChangeError(
@@ -185,7 +184,7 @@ def _collar_grid(phase: GeneratingPhase) -> np.ndarray:
     x1, xn, t, r = np.meshgrid(np.linspace(-2.0, 2.0, 13),
                                np.linspace(-h, h, 7), theta,
                                (1.0, 4.0, 64.0), indexing="ij")
-    grid = np.empty(x1.size, dtype=[(v, np.float64) for v in COLLAR_VARS])
+    grid = np.empty(x1.size, dtype=SAMPLE_DTYPE)
     grid["x1"], grid["xn"] = x1.ravel(), xn.ravel()
     grid["k1"], grid["kn"] = (r * np.cos(t)).ravel(), (r * np.sin(t)).ravel()
     return grid

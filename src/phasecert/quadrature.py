@@ -1,20 +1,19 @@
 """Panel quadrature for the oscillatory frequency integrals.
 
-Two modes, keyed on integrand decay:
+Two integrals, one per transform class:
 
-* direct adaptive Gauss panels with doubling refinement, for absolutely
-  convergent integrands (Schwartz transforms, or amplitude decay at least
-  ~|xi|^-1.5 combined with first-order transform decay);
+* adaptive Gauss panels with doubling refinement, for absolutely
+  convergent integrands (full-line Schwartz transforms);
 * smooth frequency cutoff at radii R, 2R, 4R with Richardson
-  extrapolation in 1/R, for integrands decaying only to first order,
-  where sharp truncation does not converge.  The three cutoffs share one
+  extrapolation in 1/R, for integrands decaying only to first order
+  (half-line transforms), where sharp truncation does not converge.  The three cutoffs share one
   composite Gauss grid on [-8R, 8R], summed in chunks of whole panels
   (at most CHUNK nodes) against a (panels x order x 3) weight array whose
   columns are the Gauss weights times the cutoff at R, 2R and 4R.  Memory
   is bounded by the chunk, not by the grid.  The cutoff is the collar
   cutoff :func:`expr.cutoff_expr`, evaluated at xi / 2R and compiled once.
 
-Both modes sum through one kernel, :func:`panel_sum`, over the panel frame
+Both integrals sum through one kernel, :func:`panel_sum`, over the panel frame
 (midpoints mid, half-width half, Gauss abscissae g).  The frozen
 operators' integrand e^{i phi(x, xi)} a(x, xi) s(xi) at fixed points x is
 an :class:`Oscillatory`.  When d^2 phi / d xi^2 folds to exactly Const(0) in

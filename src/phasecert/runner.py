@@ -89,10 +89,11 @@ from .phase import (GeneratingPhase, check_admissibility, check_generating,
 from .schwartz import SchwartzFn, hermite_fn
 from .sgphase import ZERO_FLOOR, Margins, calibrate, check_uniformity
 from .symbols import SymbolFn, check_transmission
-from .symplectic import (COLLAR_VARS, DET_TOL, HOMOGENEITY_TOL, ZERO_TOL,
-                         SymplectoMap, check_boundary_preserving,
-                         check_jacobian_structure, check_symplectic,
-                         collar_samples, induced_boundary_map)
+from .symplectic import (COLLAR_VARS, DET_TOL, HOMOGENEITY_TOL,
+                         SAMPLE_DTYPE, ZERO_TOL, SymplectoMap,
+                         check_boundary_preserving, check_jacobian_structure,
+                         check_symplectic, collar_samples,
+                         induced_boundary_map)
 
 FAMILIES = ("symplecto", "phase", "generating", "sg", "operator", "opsymb")
 
@@ -554,11 +555,13 @@ class ScenarioRunner:
 
         def homog():
             rng = np.random.default_rng(self.sc.seed + 11)
-            pts = [{"x1": float(rng.uniform(-1, 1)),
-                    "xn": float(rng.uniform(-0.4, 0.4)),
-                    "k1": float(rng.uniform(0.3, 3) * rng.choice([-1, 1])),
-                    "kn": float(rng.uniform(0.3, 3) * rng.choice([-1, 1]))}
-                   for _ in range(self._count(20))]
+            # per point, in COLLAR_VARS order: x1, xn, then |k| and a sign
+            # for each covariable
+            pts = np.array([(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4),
+                             rng.uniform(0.3, 3) * rng.choice([-1, 1]),
+                             rng.uniform(0.3, 3) * rng.choice([-1, 1]))
+                            for _ in range(self._count(20))],
+                           dtype=SAMPLE_DTYPE)
             rep = check_homogeneity(ph, pts)
             return rep.passed, rep.details
         self.check("phase.homogeneity", homog)

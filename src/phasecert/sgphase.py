@@ -46,7 +46,7 @@ class Margins:
 @dataclass
 class PhaseConstants:
     """Grid constants for one frozen (x', xi'): the P1 table, the P2
-    two-sided bounds, and the P3 floor, with attained worst points."""
+    two-sided bounds, and the P3 floor."""
 
     table: dict[tuple[int, int], float]
     c_t: float
@@ -55,7 +55,6 @@ class PhaseConstants:
     C_tau: float
     eps: float
     eps_sign: float
-    worst: dict[str, tuple[float, float]]
     grid: str
 
     def flat(self) -> dict[str, float]:
@@ -177,42 +176,28 @@ class StarPhaseFamily:
                 for k, v in zip(keys, ex._exec(prog, env, False))}
         bt = np.sqrt(1.0 + tgrid * tgrid)[None, :, None]
         btau = np.sqrt(1.0 + taugrid * taugrid)[None, None, :]
-        rows = np.arange(m)
-
-        def points(idx):
-            # the (t, tau) grid point of each x' slab's flat index
-            return list(zip(tgrid[idx // nu].tolist(),
-                            taugrid[idx % nu].tolist()))
-
+        rows = range(m)
         tables = [{} for _ in rows]
-        worst = [{} for _ in rows]
         for (a, al), D in vals.items():
-            w = (np.abs(D) * bt ** (a - 1) * btau ** (al - 1)).reshape(m, -1)
-            idx = np.argmax(w, axis=1)
-            for i, v, pt in zip(rows, w[rows, idx].tolist(), points(idx)):
+            w = np.abs(D) * bt ** (a - 1) * btau ** (al - 1)
+            for i, v in zip(rows, w.max(axis=(1, 2)).tolist()):
                 tables[i][(a, al)] = v
-                worst[i][f"C_{a}{al}"] = pt
 
         d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
         q_t = np.sqrt(1.0 + d10 * d10) / btau
         q_tau = np.sqrt(1.0 + d01 * d01) / bt
         c_t, C_t = q_t.min(axis=(1, 2)), q_t.max(axis=(1, 2))
         c_tau, C_tau = q_tau.min(axis=(1, 2)), q_tau.max(axis=(1, 2))
-        at_c_t = points(np.argmin(q_t.reshape(m, -1), axis=1))
-
-        abs11 = np.abs(d11).reshape(m, -1)
         lo, hi = d11.min(axis=(1, 2)), d11.max(axis=(1, 2))
-        eps = abs11.min(axis=1)
-        at_eps = points(np.argmin(abs11, axis=1))
+        eps = np.abs(d11).min(axis=(1, 2))
         grid = grid_digest(t=tgrid, tau=taugrid)
         out = []
         for i in rows:
-            worst[i].update(c_t=at_c_t[i], eps=at_eps[i])
             sign_ok = lo[i] > 0.0 or hi[i] < 0.0
             out.append(PhaseConstants(
                 tables[i], float(c_t[i]), float(C_t[i]), float(c_tau[i]),
                 float(C_tau[i]), float(eps[i] if sign_ok else -eps[i]),
-                float(np.sign(hi[i])) if sign_ok else 0.0, worst[i], grid))
+                float(np.sign(hi[i])) if sign_ok else 0.0, grid))
         return out if xs.ndim else out[0]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as ex
 from .exceptions import RegressionError, SingularLocusError
 from .grids import bracket_ladder, grid_digest
-from .symplectic import XI_VARS
+from .symplectic import SAMPLE_DTYPE, XI_VARS
 
 TRANSMISSION_TOL = 1e-10    # the parity residual of check_transmission
 
@@ -43,19 +43,22 @@ class SymbolFn:
 
     def __post_init__(self):
         if self.homogeneous_degree is not None:
-            pts = [{"x1": 0.3, "xn": 0.2, "k1": c, "kn": s}
-                   for c, s in _ray_samples(20)]
             res = ex.homogeneity_residual(
-                self.expr, set(XI_VARS), self.homogeneous_degree, pts)
+                self.expr, set(XI_VARS), self.homogeneous_degree,
+                _ray_samples(20))
             if not res <= 1e-10:    # a NaN residual must fail too
                 raise ValueError(
                     f"declared homogeneity degree {self.homogeneous_degree} "
                     f"fails on sampled rays (residual {res:.2e})")
 
 
-def _ray_samples(count: int):
+def _ray_samples(count: int) -> np.ndarray:
+    """Sample array of count unit covectors at (x1, xn) = (0.3, 0.2)."""
     theta = (np.arange(count) + 0.5) * (2 * np.pi / count)
-    return zip(np.cos(theta), np.sin(theta))
+    out = np.empty(count, dtype=SAMPLE_DTYPE)
+    out["x1"], out["xn"] = 0.3, 0.2
+    out["k1"], out["kn"] = np.cos(theta), np.sin(theta)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .exceptions import (BoundaryPreservationError, FiberLinearityError)
 X_VARS = ("x1", "xn")                   # positions (x', x_n)
 XI_VARS = ("k1", "kn")                  # covariables (xi', xi_n)
 COLLAR_VARS = X_VARS + XI_VARS          # the fields of a sample array
+SAMPLE_DTYPE = np.dtype([(v, np.float64) for v in COLLAR_VARS])
 # row and column order of the Jacobian: (y', eta', y_n, eta_n)
 SOURCE_ORDER = (X_VARS[0], XI_VARS[0], X_VARS[1], XI_VARS[1])
 
@@ -45,16 +46,6 @@ BOUNDARY_TOL = 1e-12        # sup |x_n| on the boundary
 LINEARITY_TOL = 1e-10       # fiber derivatives of the boundary map
 ZERO_TOL = 1e-10            # structural zero blocks of J at the boundary
 DET_TOL = 1e-8              # unimodular factors of J at the boundary
-
-
-def as_samples(points) -> np.ndarray:
-    """Sample array of points; a list of point dicts is converted, with
-    the fields in the key order of its first point."""
-    if isinstance(points, np.ndarray):
-        return points
-    names = list(points[0])
-    return np.array([tuple(p[v] for v in names) for p in points],
-                    dtype=[(v, np.float64) for v in names])
 
 
 def point_at(samples: np.ndarray, i: int | None) -> dict[str, float] | None:
@@ -102,10 +93,9 @@ class SymplectoMap:
         """Worst homogeneity error over the components, by the scalar
         oracle :func:`expr.homogeneity_residual`; NaN-strict."""
         fiber = set(XI_VARS)
-        pts = [point_at(samples, i) for i in range(len(samples))]
         return float(np.max([
             ex.homogeneity_residual(comp, fiber,
-                                    1.0 if name in fiber else 0.0, pts)
+                                    1.0 if name in fiber else 0.0, samples)
             for name, comp in self.components.items()]))
 
 
@@ -119,7 +109,7 @@ def collar_samples(chi: SymplectoMap, count: int = 200, seed: int = 7,
     """
     rng = np.random.default_rng(seed)
     h = chi.collar_halfwidth
-    out = np.empty(count, dtype=[(v, np.float64) for v in COLLAR_VARS])
+    out = np.empty(count, dtype=SAMPLE_DTYPE)
     # per point the uniform draws x1, xn (not on the boundary), |eta| and
     # its angle, scaled as Generator.uniform scales them
     u = rng.random((count, 3 if boundary else 4)).T

@@ -50,6 +50,14 @@ def grid_sup(f, grids) -> float:
     return float(np.max(np.abs(f(*mesh))))
 
 
+def sample_array(points: list[dict[str, float]]) -> np.ndarray:
+    """Structured sample array of point dicts, with the fields in the key
+    order of the first point."""
+    names = list(points[0])
+    return np.array([tuple(p[v] for v in names) for p in points],
+                    dtype=[(v, np.float64) for v in names])
+
+
 def loglog_slope(x, y):
     x = np.log(np.asarray(x, dtype=float))
     y = np.log(np.asarray(y, dtype=float))

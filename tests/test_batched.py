@@ -16,6 +16,8 @@ from phasecert.symplectic import (SymplectoMap, check_boundary_preserving,
                                   SOURCE_ORDER, collar_samples, jacobian,
                                   point_at, sup)
 
+from oracles import sample_array
+
 FAMILIES = {"symplecto", "phase", "generating"}
 
 # RunReport.digest() of the symplecto, phase and generating families at
@@ -123,8 +125,8 @@ def test_nonfinite_boundary_samples_fail_boundary_preserving():
 
 def test_nonfinite_values_fail_homogeneity_oracle():
     e = parse_expr(BLOWUP["xn"])
-    pts = [{"x1": 0.1, "xn": 0.0, "k1": 0.5, "kn": 1.0},
-           {"x1": 0.1, "xn": 0.0, "k1": 1.0, "kn": 1.0}]
+    pts = sample_array([{"x1": 0.1, "xn": 0.0, "k1": 0.5, "kn": 1.0},
+                        {"x1": 0.1, "xn": 0.0, "k1": 1.0, "kn": 1.0}])
     assert math.isnan(ex.homogeneity_residual(e, {"k1", "kn"}, 0.0, pts))
 
 

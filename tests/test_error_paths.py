@@ -1,18 +1,13 @@
 import math
 
-import numpy as np
 import pytest
 
-from phasecert.exceptions import (BoundaryFlatnessError, DecayClassError,
-                                  SignChangeError, SingularAxisError)
+from phasecert.exceptions import (BoundaryFlatnessError, SignChangeError,
+                                  SingularAxisError)
 from phasecert.grammar import parse_expr
-from phasecert.normalop import (NormalOperatorSpec, QuadratureSpec,
-                                apply_truncated_op)
 from phasecert.phase import (GeneratingPhase, check_nondegeneracy,
                              normal_coeffs)
-from phasecert.schwartz import exp_decay
 from phasecert.sgphase import StarPhaseFamily
-from phasecert.symbols import SymbolFn
 
 
 def test_boundary_phase_rejects_xi_n_dependence():
@@ -39,12 +34,3 @@ def test_p3_sign_change_is_detected():
     ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn*exp(sin(x1)/2)"))
     cs = StarPhaseFamily(ph, 0.5, 0.25).constants_at(1.0, math.sqrt(17.0))
     assert cs.eps_sign == 0.0
-
-
-def test_forced_direct_mode_rejects_slow_decay():
-    ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn"))
-    amp = SymbolFn(parse_expr("1"), order=0.0, homogeneous_degree=0.0)
-    spec = NormalOperatorSpec(ph, amp, 0.3, 1.0,
-                              QuadratureSpec(mode="direct"))
-    with pytest.raises(DecayClassError):
-        apply_truncated_op(spec, exp_decay(), np.array([1.0]))

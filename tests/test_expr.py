@@ -11,7 +11,7 @@ from phasecert.exceptions import SingularLocusError
 from phasecert.grammar import parse_expr
 
 from oracles import (MultiIndex, central_diff, fd_crosscheck, jet,
-                     richardson_diff)
+                     richardson_diff, sample_array)
 
 xn = ex.var("xn")
 kn = ex.var("kn")
@@ -153,7 +153,7 @@ def test_homogeneity_detector(k1v, knv):
     # kn^2/|k| is positively homogeneous of degree 1 in (k1, kn)
     e = parse_expr("kn^2 / norm(k1, kn)")
     res = ex.homogeneity_residual(e, {"k1", "kn"}, 1.0,
-                                  [{"k1": k1v, "kn": knv}])
+                                  sample_array([{"k1": k1v, "kn": knv}]))
     assert res <= 1e-10
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from phasecert import expr as ex
+from phasecert import normalop
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
 from phasecert.normalop import (NormalOperatorSpec, QuadratureSpec,
                                 apply_normal_op, apply_truncated_op,
-                                decay_order, l2_smoke_check)
+                                l2_smoke_check)
 from phasecert.phase import GeneratingPhase
 from phasecert.schwartz import exp_decay, hermite_fn
 from phasecert.symbols import SymbolFn
@@ -143,7 +144,6 @@ def test_convergence_when_tolerance_tightened():
 
 def test_truncated_identity_reproduces_on_half_line():
     spec = identity_spec()
-    assert decay_order(spec) == -1.0   # cutoff mode
     u = exp_decay()
     xn = np.linspace(0.25, 3.0, 12)
     vals, _ = apply_truncated_op(spec, u, xn)
@@ -152,7 +152,6 @@ def test_truncated_identity_reproduces_on_half_line():
 
 def test_truncated_smoothing_matches_bruteforce():
     spec = identity_spec(AMP_SMOOTHING)
-    assert decay_order(spec) == -3.0   # direct mode
     u = exp_decay()
     xn = np.array([0.5, 1.0, 2.0])
     vals, _ = apply_truncated_op(spec, u, xn)
@@ -176,6 +175,27 @@ def test_truncated_dilation_with_smoothing_against_composed_oracle():
             lambda k: np.exp(1j * x * c * k) / (1 + k * k)
             / (1 + 1j * k) / (2 * np.pi), -4000.0, 4000.0, 400_001)
         assert abs(vals[i] - want) <= 1e-5
+
+
+def test_truncated_op_takes_the_cutoff_path_for_a_smoothing_amplitude(
+        monkeypatch):
+    # order -2 adds decay to the half-line transform; the integral is still
+    # the one cutoff Richardson call, never adaptive panels
+    calls = {"cutoff": 0, "adaptive": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(normalop, "cutoff_richardson",
+                        counted("cutoff", normalop.cutoff_richardson))
+    monkeypatch.setattr(normalop, "integrate_adaptive",
+                        counted("adaptive", normalop.integrate_adaptive))
+    apply_truncated_op(identity_spec(AMP_SMOOTHING), exp_decay(),
+                       np.array([0.5, 1.0]))
+    assert calls == {"cutoff": 1, "adaptive": 0}
 
 
 def test_truncated_rejects_nonpositive_points():

@@ -13,6 +13,8 @@ from phasecert.phase import (GeneratingPhase, boundary_phase,
                              normal_coeffs)
 from phasecert.symplectic import SymplectoMap, collar_samples
 
+from oracles import sample_array
+
 
 def build_phase(name: str) -> GeneratingPhase:
     sc = SCENARIOS[name]
@@ -109,7 +111,7 @@ def test_nondegeneracy_dilation_closed_form_min():
     for x1 in x1v:
         for xn in (-0.5, 0.0, 0.5):
             grid.append({"x1": float(x1), "xn": xn, "k1": 1.0, "kn": 1.0})
-    rep = check_nondegeneracy(DILATION, grid=grid)
+    rep = check_nondegeneracy(DILATION, grid=sample_array(grid))
     oracle = min(math.exp(math.sin(x) / 2) for x in x1v)
     assert rep.details["min_abs"] == pytest.approx(oracle, rel=1e-12)
     assert rep.details["min_abs"] == pytest.approx(math.exp(-0.5), rel=1e-6)
@@ -196,8 +198,8 @@ def test_check_homogeneity_fails_both_ways_off_degree_one():
     # bracket(kn) = sqrt(1 + kn^2) is not homogeneous; the boundary part
     # x1*k1 is still flat, so the phase builds
     ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn*bracket(kn)"), name="b")
-    pts = [{"x1": 0.2, "xn": 0.3, "k1": 1.0, "kn": 2.0},
-           {"x1": -0.4, "xn": 0.1, "k1": -2.0, "kn": 0.5}]
+    pts = sample_array([{"x1": 0.2, "xn": 0.3, "k1": 1.0, "kn": 2.0},
+                        {"x1": -0.4, "xn": 0.1, "k1": -2.0, "kn": 0.5}])
     rep = check_homogeneity(ph, pts)
     assert rep.details["residual"] > 1e-3
     assert rep.details["euler_residual"] > 1e-3
@@ -208,7 +210,7 @@ def test_check_homogeneity_is_nan_strict():
     # exp(1000*xn^2*k1^2 ...) overflows to inf at every rescaled point
     ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn*exp(1000*xn^2*k1^2)"),
                          name="blowup")
-    pts = [{"x1": 0.2, "xn": 0.9, "k1": 3.0, "kn": 2.0}]
+    pts = sample_array([{"x1": 0.2, "xn": 0.9, "k1": 3.0, "kn": 2.0}])
     with np.errstate(all="ignore"):
         rep = check_homogeneity(ph, pts)
     assert not math.isfinite(rep.residual)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phasecert import expr as ex
-from phasecert import quadrature
+from phasecert import normalop, quadrature
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
 from phasecert.normalop import (NormalOperatorSpec, _integrand_factory,
@@ -38,7 +38,7 @@ def halfline_integrand(name, xn):
     spec = spec_of(name)
     f = _integrand_factory(spec, exp_decay().half_ft_values, xn)
     rate = (np.max(np.abs(xn)) + 2.0) / (2.0 * np.pi)
-    return f, spec.quadrature.cutoff_radius, 1.5 * rate
+    return f, normalop.CUTOFF_RADIUS, 1.5 * rate
 
 
 XN = np.linspace(0.05, 3.0, 8)

@@ -284,8 +284,7 @@ def test_calibrate_exhaustion():
 
 def _constants(**over):
     base = dict(table={(0, 0): 1.0, (1, 1): 2.0}, c_t=0.5, C_t=2.0,
-                c_tau=0.5, C_tau=2.0, eps=0.3, eps_sign=1.0, worst={},
-                grid="g")
+                c_tau=0.5, C_tau=2.0, eps=0.3, eps_sign=1.0, grid="g")
     base.update(over)
     return PhaseConstants(**base)
 
@@ -393,6 +392,6 @@ def test_batched_constants_equal_scalar_calls(name):
             one = fam.constants_at(float(xp), rung, sign)
             assert isinstance(one, PhaseConstants)
             # exact equality, field for field: the batch is no approximation
-            for f in ("table", "worst", "c_t", "C_t", "c_tau", "C_tau",
+            for f in ("table", "c_t", "C_t", "c_tau", "C_tau",
                       "eps", "eps_sign", "grid"):
                 assert getattr(cs, f) == getattr(one, f), (xp, rung, f)

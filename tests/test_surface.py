@@ -1,4 +1,5 @@
-"""Surface guard: every definition in src/phasecert is run by the program.
+"""Surface guard: every definition in src/phasecert is run by the program,
+and every field it stores is read.
 
 A top-level function or class, or a non-dunder method, must be referenced
 in src/ or perfbench/ outside its own definition, or be named in
@@ -9,6 +10,11 @@ such as the patch targets of perfbench/tracer.py.  Docstrings and import lines
 do not count, and neither does a reference from inside a definition that
 is itself unreferenced, so a helper that only dead code calls is named
 too.
+
+A dataclass field, or a public attribute that a class's __init__ or
+__post_init__ sets on self, must be read: an attribute load of its name
+in src/, perfbench/ or tests/, or a dotted identifier string naming it in
+src/ or perfbench/.  Fields of ACCEPTANCE_SUBJECTS classes are exempt.
 """
 
 from __future__ import annotations
@@ -122,3 +128,61 @@ def test_acceptance_subjects_are_defined_and_reached_by_the_gate():
     for name in ACCEPTANCE_SUBJECTS:
         assert name in defined, name
         assert name in reached, name
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _fields(tree: ast.Module):
+    """(class, name, line) of every dataclass field and every public
+    attribute that __init__ or __post_init__ sets on self."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                yield node.name, item.target.id, item.lineno
+            elif (isinstance(item, ast.FunctionDef)
+                  and item.name in ("__init__", "__post_init__")):
+                for sub in ast.walk(item):
+                    if (isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self"):
+                        yield node.name, sub.attr, sub.lineno
+
+
+def _reads(tree: ast.Module, strings: bool):
+    """Names of the attribute loads of a module, and with strings the
+    parts of its dotted identifier strings outside docstrings."""
+    docs = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and id(node) not in docs
+              and _DOTTED.fullmatch(node.value)):
+            yield from node.value.split(".")
+
+
+def unread_fields() -> list[str]:
+    program = sorted(SRC.glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    read = set()
+    for f in program + sorted((ROOT / "tests").glob("*.py")):
+        read |= set(_reads(ast.parse(f.read_text(), str(f)),
+                           strings=f in program))
+    return sorted({f"{cls}.{name}" for f in SRC.glob("*.py")
+                   for cls, name, _ in _fields(ast.parse(f.read_text()))
+                   if not name.startswith("_") and name not in read
+                   and cls not in ACCEPTANCE_SUBJECTS})
+
+
+def test_every_stored_field_is_read():
+    unread = unread_fields()
+    assert not unread, ("stored in src/ but read by neither src/, "
+                        "perfbench/ nor tests/: " + ", ".join(unread))
