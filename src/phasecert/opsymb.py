@@ -146,7 +146,8 @@ class ConjugatedFamily:
         nodes, weights = panel_nodes(a, b, n_panels, order=10)
         mid, half = panel_frame(a, b, n_panels)
         g = gauss_rule(10)[0]
-        uhat = u.ft_values(nodes) / (2.0 * math.pi)
+        # u_hat w, the same for every rung and key
+        uhat_w = u.ft_values(nodes) / (2.0 * math.pi) * weights
         out = {key: [] for key in self.keys}
         one = ex.const(1.0)
         for rung in rungs:
@@ -155,32 +156,37 @@ class ConjugatedFamily:
             # e^{i phi_resc}, factored over the panels: phi_resc is
             # linear in s whenever phi is linear in xi_n
             osc = Oscillatory(self.phi_resc, one, dict(consts, t=t_grid),
-                              kvar="s").grid(mid, half, g)
-            # e^{i phi_resc} u_hat w is the same for every key of the rung;
-            # its real and imaginary parts as (t, 2, nodes), and their sums
-            kern = osc * (uhat * weights)
-            kern = np.stack([kern.real, kern.imag], axis=1)
-            ksum = kern.sum(axis=2)
-            vals = ex._exec(self._prog, dict(consts, t=t_grid[:, None],
-                                             s=nodes[None, :]), False)
+                              kvar="s")
+            vals = [np.asarray(v, dtype=float) for v in ex._exec(
+                self._prog, dict(consts, t=t_grid[:, None],
+                                 s=nodes[None, :]), False)]
+            # the sum over nodes of each real amplitude part times
+            # e^{i phi_resc} u_hat w, by the part's shape: free of s it
+            # scales the plain sum, free of t it is a weight column of
+            # one panel sum, and only a part in both needs the dense grid
+            free_s, free_t, both = [], [], []
+            for i, v in enumerate(vals):
+                (free_s if v.ndim == 0 or v.shape[-1] == 1
+                 else free_t if v.shape[0] == 1 else both).append(i)
+            cols = np.stack([uhat_w] + [uhat_w * vals[i][0] for i in free_t],
+                            axis=-1)
+            col_sums = osc.panel_sum(mid, half, g,
+                                     cols.reshape(n_panels, 10, -1))
+            sums = [None] * len(vals)
+            for i in free_s:
+                sums[i] = np.reshape(vals[i], -1) * col_sums[:, 0]
+            for j, i in enumerate(free_t, start=1):
+                sums[i] = col_sums[:, j]
+            if both:
+                kern = osc.grid(mid, half, g) * uhat_w
+                kern = np.stack([kern.real, kern.imag], axis=1)
+                for i in both:
+                    re, im = (kern @ vals[i][:, :, None])[:, :, 0].T
+                    sums[i] = re + 1j * im
             for i, key in enumerate(self.keys):
-                re, im = (_contract(v, kern, ksum)
-                          for v in vals[2 * i:2 * i + 2])
-                res = (re[:, 0] - im[:, 1]) + 1j * (re[:, 1] + im[:, 0])
+                res = sums[2 * i] + 1j * sums[2 * i + 1]
                 out[key].append(res * rung ** (-key[2]))
         return out
-
-
-def _contract(v, kern: np.ndarray, ksum: np.ndarray) -> np.ndarray:
-    """sum over the nodes of v * kern, (t, 2), for an amplitude part v
-    that is a scalar or broadcasts to (t, nodes); ksum is kern summed
-    over the nodes."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0 or v.shape[-1] == 1:          # constant in s
-        return np.reshape(v, (-1, 1)) * ksum
-    if v.shape[0] == 1:                          # constant in t
-        return kern @ v[0]
-    return (kern @ v[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -280,7 +286,8 @@ def panel_fourier_sum(c: np.ndarray, xi: np.ndarray, mid: np.ndarray,
     """sum_q c_q e^{-i y xi_q} at the panel nodes y = mid_p + half g_k.
 
     This is the kernel's point sum for the phase -y xi, which is linear in
-    y, so it needs only (panels + order) * len(xi) complex exponentials.
+    y, so each frequency xi_q takes order complex exponentials plus about
+    2 sqrt(n) for each step of n panels, not panels * order.
     Returned panel-major, in the node order of quadrature.panel_nodes.
     """
     return Oscillatory(_FOURIER_PHASE, ex.const(1.0), {"xi": xi},

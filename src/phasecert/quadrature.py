@@ -23,12 +23,17 @@ xi = mid_p + half g_k the exponential factors as
     e^{i phi} = e^{i (c + mid_p h)} e^{i half g_k h},
 
 the factoring of Filon- and Levin-type quadrature (Levin 1982; Iserles &
-Norsett 2005): P panels of Q nodes take (P + Q) complex exponentials per
-point instead of P Q.  If the amplitude is xi-free as well, the sum over
-nodes is a matrix product (points x Q) @ (Q x panels * columns) followed
-by a reduction over panels.  A phase that fails the test (the
-bad-transmission phase) takes the dense path, one exponential per
-(point, node) pair.
+Norsett 2005).  The midpoints are equally spaced, so with B = isqrt(P) and
+p = jB + l the panel factor splits again,
+
+    e^{i (c + mid_p h)} = e^{i (c + mid_{jB} h)} e^{i (mid_l - mid_0) h},
+
+both factors read from the midpoint array: P panels of Q nodes take
+ceil(P / B) + B + Q complex exponentials per point instead of P Q.  If the
+amplitude is xi-free as well, the panels are contracted first,
+(points x P) @ (P x Q * columns), and the Q nodes after.  A phase that
+fails the test (the bad-transmission phase) takes the dense path, one
+exponential per (point, node) pair.
 
 Integrands are complex-vectorized over the last axis; any leading axes
 (e.g. output sample points) ride along, and error estimates are reported
@@ -37,6 +42,7 @@ per leading element.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -122,23 +128,35 @@ class Oscillatory:
         return out if self.spectrum is None \
             else out * self.spectrum(nodes)[None, :]
 
-    def _factors(self, mid, half, g):
-        """e^{i (offset + mid_p slope)} (points x P) and
-        e^{i half g_k slope} (points x Q) of a linear phase."""
-        return (np.exp(1j * (self.offset + mid[None, :] * self.slope)),
-                np.exp(1j * (half * g)[None, :] * self.slope))
+    def _outer(self, mid) -> np.ndarray:
+        """e^{i (offset + mid_p slope)} of a linear phase, (points x P),
+        from ceil(P / B) + B complex exponentials per point, B = isqrt(P):
+        the equally spaced midpoint p = jB + l is mid_{jB} + (mid_l - mid_0).
+        """
+        n_b = math.isqrt(len(mid))
+        coarse = np.exp(1j * (self.offset + mid[None, ::n_b] * self.slope))
+        fine = np.exp(1j * (mid[None, :n_b] - mid[0]) * self.slope)
+        return (coarse[:, :, None] * fine[:, None, :]).reshape(
+            self.size, -1)[:, :len(mid)]
+
+    def _inner(self, half, g) -> np.ndarray:
+        """e^{i half g_k slope} of a linear phase, (points x Q)."""
+        return np.exp(1j * (half * g)[None, :] * self.slope)
 
     def grid(self, mid, half, g) -> np.ndarray:
         """e^{i phi} a at every point and grid node, (points x P*Q),
         panel-major; the spectrum is not applied."""
         nodes = (mid[:, None] + half * g).ravel()
         if not self.linear:
-            osc = np.exp(1j * self._dense(self.phi, nodes))
-        else:
-            outer, inner = self._factors(mid, half, g)
-            osc = (outer[:, :, None] * inner[:, None, :]).reshape(
-                self.size, -1)
-        return osc * self._amp(nodes)
+            return np.exp(1j * self._dense(self.phi, nodes)) \
+                * self._amp(nodes)
+        outer = self._outer(mid)
+        if self.amp0 is not None:
+            outer = outer * self.amp0
+        osc = (outer[:, :, None] * self._inner(half, g)[:, None, :]
+               ).reshape(self.size, -1)
+        return osc if self.amp0 is not None \
+            else osc * self._dense(self.amp, nodes)
 
     def panel_sum(self, mid, half, g, weights) -> np.ndarray:
         """sum over the grid nodes of the integrand times weights[p, k, ...]
@@ -150,12 +168,11 @@ class Oscillatory:
             nodes = (mid[:, None] + half * g).ravel()
             weights = weights * self.spectrum(nodes).reshape(n_p, n_q, 1)
         if self.linear and self.amp0 is not None:
-            # (points x Q) @ (Q x P*cols), then the sum over panels
-            outer, inner = self._factors(mid, half, g)
-            per_panel = inner @ weights.transpose(1, 0, 2).reshape(n_q, -1)
-            per_panel = per_panel.reshape(self.size, n_p, -1)
-            out = np.matmul(outer[:, None, :], per_panel)[:, 0, :] \
-                * self.amp0
+            # panels first, (points x P) @ (P x Q*cols), then the Q nodes
+            per_node = (self._outer(mid) @ weights.reshape(n_p, -1)
+                        ).reshape(self.size, n_q, -1)
+            out = np.matmul(self._inner(half, g)[:, None, :],
+                            per_node)[:, 0, :] * self.amp0
         else:
             out = self.grid(mid, half, g) @ weights.reshape(n_p * n_q, -1)
         return out.reshape((self.size,) + cols)
@@ -164,14 +181,16 @@ class Oscillatory:
         """sum_x b(x) times the integrand at every grid node, panel-major,
         in steps of whole panels of at most BLOCK (point, node) pairs."""
         step = max(1, BLOCK // (self.size * len(g)))
+        factored = self.linear and self.amp0 is not None
+        if factored:
+            inner = self._inner(half, g)
+            b_amp = b[:, None] * self.amp0
         parts = []
         for lo in range(0, len(mid), step):
             m = mid[lo:lo + step]
-            if self.linear and self.amp0 is not None:
+            if factored:
                 # (b a e^{i (offset + mid slope)})^T @ e^{i half g slope}
-                outer, inner = self._factors(m, half, g)
-                parts.append(((b[:, None] * self.amp0 * outer).T
-                              @ inner).ravel())
+                parts.append(((b_amp * self._outer(m)).T @ inner).ravel())
             else:
                 parts.append(b @ self.grid(m, half, g))
         out = np.concatenate(parts)
@@ -225,9 +244,15 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
 
 def smooth_freq_cutoff(xi, R: float):
     """Even smooth cutoff: 1 for |xi| <= R, 0 for |xi| >= 2R; the collar
-    cutoff w(xi / 2R)."""
-    return ex.eval_array(_FREQ_CUTOFF, {"xi": np.asarray(xi, dtype=float),
-                                        "two_r": 2.0 * R})
+    cutoff w(xi / 2R).  w is exactly 1 and 0 there, so it is evaluated
+    only on the transition band R < |xi| < 2R."""
+    xi = np.asarray(xi, dtype=float)
+    size = np.abs(xi)
+    out = (size <= R).astype(float)
+    band = (size > R) & (size < 2.0 * R)
+    out[band] = ex.eval_array(_FREQ_CUTOFF, {"xi": xi[band],
+                                             "two_r": 2.0 * R})
+    return out
 
 
 def cutoff_richardson(f, R: float, panels_per_unit: float,

@@ -248,6 +248,37 @@ def test_conjugated_outputs_factor_the_rescaled_phase(complex_exp_sizes):
     assert max(complex_exp_sizes) <= len(t) * n_panels
 
 
+def test_linear_phase_takes_a_two_level_outer_factor(complex_exp_sizes):
+    # one panel sum and one point sum each take ceil(P / B) + B + Q
+    # complex exps per point, B = isqrt(P), not P + Q
+    phi = spec_of("dilation").frozen_phi()
+    mid, half, g, _, W = kernel_grid()
+    b = hermite_fn(1)(KERNEL_XN)
+    osc = Oscillatory(phi, parse_expr("1"), {"xn": KERNEL_XN})
+    n_b = math.isqrt(len(mid))
+    bound = len(KERNEL_XN) * (-(-len(mid) // n_b) + n_b + len(g))
+    n_exps = len(complex_exp_sizes)
+    osc.panel_sum(mid, half, g, W)
+    assert sum(complex_exp_sizes[n_exps:]) <= bound
+    n_exps = len(complex_exp_sizes)
+    osc.point_sum(b, mid, half, g)
+    assert sum(complex_exp_sizes[n_exps:]) <= bound
+
+
+@pytest.mark.parametrize("n_panels", [1, 2, 3, 7, 160, 4888])
+def test_two_level_outer_factor_matches_one_exponential_per_panel(n_panels):
+    # on [-8R, 8R] at R = CUTOFF_RADIUS, whole and in cutoff_richardson's
+    # chunks of panels
+    osc = Oscillatory(spec_of("dilation").frozen_phi(), parse_expr("1"),
+                      {"xn": np.linspace(0.05, 3.0, 64)})
+    edge = 8.0 * normalop.CUTOFF_RADIUS
+    mid, _ = panel_frame(-edge, edge, n_panels)
+    step = quadrature.CHUNK // 12
+    for m in [mid] + [mid[lo:lo + step] for lo in range(0, n_panels, step)]:
+        want = np.exp(1j * (osc.offset + m[None, :] * osc.slope))
+        assert np.max(np.abs(osc._outer(m) - want)) <= 1e-11
+
+
 @pytest.mark.parametrize("R", [0.3, 1.0, 3.7, 256.0, 512.0, 1024.0])
 def test_compiled_cutoff_is_bit_identical_to_a_fresh_expression(R):
     for ppu in (0.5, 1.5 * 5.0 / (2.0 * math.pi), 3.0):

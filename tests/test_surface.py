@@ -15,11 +15,17 @@ A dataclass field, or a public attribute that a class's __init__ or
 __post_init__ sets on self, must be read: an attribute load of its name
 in src/, perfbench/ or tests/, or a dotted identifier string naming it in
 src/ or perfbench/.  Fields of ACCEPTANCE_SUBJECTS classes are exempt.
+
+Every name the benchmark patches or calls resolves in the loaded package:
+the (module, attribute) boundaries of perfbench/tracer.py and the names
+perfbench/worker.py calls, so that a rename fails here rather than as a
+crashed benchmark worker.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -186,3 +192,45 @@ def test_every_stored_field_is_read():
     unread = unread_fields()
     assert not unread, ("stored in src/ but read by neither src/, "
                         "perfbench/ nor tests/: " + ", ".join(unread))
+
+
+# What perfbench/worker.py calls in the package besides the traced
+# boundaries, as (module, dotted attribute).
+WORKER_CALLS = (
+    ("runner", "ScenarioRunner.run"),
+    ("runner", "ScenarioRunner._operator_spec"),
+    ("catalog", "emit"),
+    ("normalop", "apply_truncated_op"),
+    ("normalop", "NormalOperatorSpec.frozen_phi"),
+    ("normalop", "NormalOperatorSpec.frozen_amplitude"),
+    ("schwartz", "exp_decay"),
+)
+
+
+def _tracer_boundaries() -> list:
+    """BOUNDARIES of perfbench/tracer.py, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["BOUNDARIES"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py assigns no BOUNDARIES")
+
+
+def _resolve(module: str, attr: str):
+    obj = importlib.import_module(f"phasecert.{module}")
+    for part in attr.split("."):
+        assert hasattr(obj, part), f"phasecert.{module}.{attr}"
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_benchmark_names_resolve_in_the_package():
+    boundaries = [(module, attr) for _, module, attr in _tracer_boundaries()]
+    assert boundaries
+    for module, attr in boundaries + list(WORKER_CALLS):
+        assert callable(_resolve(module, attr)), f"{module}.{attr}"
+    # the worker's grid presets ("default", "fine") and margin preset
+    assert {"default", "fine"} <= set(_resolve("runner", "GRID_PRESETS"))
+    assert "default" in _resolve("runner", "MARGIN_PRESETS")
