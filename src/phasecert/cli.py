@@ -29,7 +29,7 @@ from .grammar import parse_expr
 from .normalop import NormalOperatorSpec, apply_normal_op
 from .runner import (RunReport, CheckOutcome, check_golden, is_file,
                      jsonable, load_scenario, render_report, run_scenario,
-                     write_report)
+                     scenario_margins, write_report)
 from .schwartz import SchwartzFn, catalog as schwartz_catalog
 from .sgphase import calibrate
 
@@ -62,7 +62,7 @@ def _finish(report: RunReport, args) -> int:
     if args.out:
         write_report(report, args.out)
     print(render_report(report))
-    if getattr(args, "golden_update", False):
+    if args.golden_update:
         res = check_golden(report, update=True)
         print(f"golden: {res['status']} {res['digest'][:16]}")
     return 0 if report.passed else 1
@@ -78,7 +78,7 @@ def cmd_calibrate(args) -> int:
     sc = load_scenario(_scenario_source(args))
     if sc.psi is None:
         raise ScenarioValidationError("calibrate needs a phase")
-    cal = calibrate(sc.generating_phase())
+    cal = calibrate(sc.generating_phase(), scenario_margins(sc, args.margin))
     payload = cal.as_dict()
     payload["scenario"] = sc.name
     text = json.dumps(jsonable(payload), sort_keys=True, indent=1,
@@ -151,24 +151,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="phasecert", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, margin=True):
         p.add_argument("--scenario", help="scenario file or catalog name")
-        p.add_argument("--grid", default="default",
-                       choices=["coarse", "default", "fine"])
-        p.add_argument("--margin", default="default",
-                       choices=["default", "strict"])
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
         p.add_argument("--out", help="directory for reports and CSVs")
-        p.add_argument("--golden-update", action="store_true",
-                       help="re-pin the golden digest for this scenario")
+        if margin:
+            p.add_argument("--margin", default="default",
+                           choices=["default", "strict"])
+        return p
 
     for name, (_, text) in FAMILY_COMMANDS.items():
-        common(sub.add_parser(name, help=text))
+        p = common(sub.add_parser(name, help=text))
+        p.add_argument("--grid", default="default",
+                       choices=["coarse", "default", "fine"])
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed")
+        p.add_argument("--golden-update", action="store_true",
+                       help="re-pin the golden digest for this scenario")
     common(sub.add_parser("calibrate", help="search the cutoff/slope pair"))
 
-    p = sub.add_parser("apply", help="sample the normal operator")
-    common(p)
+    p = common(sub.add_parser("apply", help="sample the normal operator"),
+               margin=False)
     p.add_argument("--function", default="h0",
                    help="catalog test function or inline expression in t")
     p.add_argument("--xprime", type=float, default=0.3)

@@ -286,8 +286,8 @@ def panel_fourier_sum(c: np.ndarray, xi: np.ndarray, mid: np.ndarray,
     """sum_q c_q e^{-i y xi_q} at the panel nodes y = mid_p + half g_k.
 
     This is the kernel's point sum for the phase -y xi, which is linear in
-    y, so each frequency xi_q takes order complex exponentials plus about
-    2 sqrt(n) for each step of n panels, not panels * order.
+    y, so each frequency xi_q takes ceil(P / B) + B + order complex
+    exponentials per call over P panels, B = isqrt(P), not P * order.
     Returned panel-major, in the node order of quadrature.panel_nodes.
     """
     return Oscillatory(_FOURIER_PHASE, ex.const(1.0), {"xi": xi},
@@ -303,8 +303,8 @@ def transpose_check(spec: NormalOperatorSpec, u: SchwartzFn,
     W(xi) = integral e^{i phi(x, xi)} a(x, xi) v(x) dx.  W is the
     kernel's point sum over the x panel grid, 200 panels of 10 Gauss
     points on [-14, 14], at the nodes of a Gauss panel grid in xi, where a
-    phase linear in xi factors; A^t v is then wanted on the x panel grid,
-    where panel_fourier_sum factors the outer exponential.
+    phase linear in xi factors; A^t v is then wanted on the x panel grid
+    by panel_fourier_sum.  Each sum takes its panel factor once per call.
     """
     from .normalop import apply_normal_op
 

@@ -6,11 +6,10 @@ Two integrals, one per transform class:
   convergent integrands (full-line Schwartz transforms);
 * smooth frequency cutoff at radii R, 2R, 4R with Richardson
   extrapolation in 1/R, for integrands decaying only to first order
-  (half-line transforms), where sharp truncation does not converge.  The three cutoffs share one
-  composite Gauss grid on [-8R, 8R], summed in chunks of whole panels
-  (at most CHUNK nodes) against a (panels x order x 3) weight array whose
-  columns are the Gauss weights times the cutoff at R, 2R and 4R.  Memory
-  is bounded by the chunk, not by the grid.  The cutoff is the collar
+  (half-line transforms), where sharp truncation does not converge.  The
+  three cutoffs share one composite Gauss grid on [-8R, 8R], summed in one
+  call against a (panels x order x 3) weight array whose columns are the
+  Gauss weights times the cutoff at R, 2R and 4R.  The cutoff is the collar
   cutoff :func:`expr.cutoff_expr`, evaluated at xi / 2R and compiled once.
 
 Both integrals sum through one kernel, :func:`panel_sum`, over the panel frame
@@ -29,11 +28,13 @@ p = jB + l the panel factor splits again,
     e^{i (c + mid_p h)} = e^{i (c + mid_{jB} h)} e^{i (mid_l - mid_0) h},
 
 both factors read from the midpoint array: P panels of Q nodes take
-ceil(P / B) + B + Q complex exponentials per point instead of P Q.  If the
-amplitude is xi-free as well, the panels are contracted first,
-(points x P) @ (P x Q * columns), and the Q nodes after.  A phase that
-fails the test (the bad-transmission phase) takes the dense path, one
-exponential per (point, node) pair.
+ceil(P / B) + B + Q complex exponentials per point, once per call, instead
+of P Q.  If the amplitude is xi-free as well, the panels are contracted
+first, (points x P) @ (P x Q * columns), and the Q nodes after.  A phase
+that fails the test (the bad-transmission phase) takes the dense path, one
+exponential per (point, node) pair.  Every Oscillatory sum runs over
+blocks of whole panels of at most BLOCK (point, node) pairs, so on either
+path its memory is bounded by the block, not by the grid.
 
 Integrands are complex-vectorized over the last axis; any leading axes
 (e.g. output sample points) ride along, and error estimates are reported
@@ -50,11 +51,9 @@ import numpy as np
 from . import expr as ex
 from .exceptions import QuadratureBudgetError
 
-# Largest number of nodes summed in one step by cutoff_richardson; the
-# (points x nodes) intermediates scale with it.
-CHUNK = 2048
-# Largest (points x nodes) block of one step of Oscillatory.point_sum.
-BLOCK = 2**19
+# Most (point, node) pairs an Oscillatory sums in one step, which bounds its
+# intermediates: 2048 nodes at 64 points.
+BLOCK = 2**17
 
 # w(xi / 2R) with 2R bound at evaluation, so it is compiled once
 _FREQ_CUTOFF = ex.cutoff_expr(ex.quot(ex.var("xi"), ex.var("two_r")))
@@ -124,79 +123,83 @@ class Oscillatory:
 
     def __call__(self, nodes: np.ndarray) -> np.ndarray:
         """Dense (points x nodes) values, one complex exp per pair."""
-        out = np.exp(1j * self._dense(self.phi, nodes)) * self._amp(nodes)
+        out = self._values(nodes, None, None)
         return out if self.spectrum is None \
             else out * self.spectrum(nodes)[None, :]
 
-    def _outer(self, mid) -> np.ndarray:
-        """e^{i (offset + mid_p slope)} of a linear phase, (points x P),
-        from ceil(P / B) + B complex exponentials per point, B = isqrt(P):
-        the equally spaced midpoint p = jB + l is mid_{jB} + (mid_l - mid_0).
+    def _blocks(self, mid, half, g):
+        """The grid in blocks of whole panels of at most BLOCK (point, node)
+        pairs: yields (panels, nodes, outer, inner), panels a slice of mid,
+        nodes the block's nodes panel-major and, for a linear phase, outer
+        = e^{i (offset + mid_p slope)} (points x panels) and inner =
+        e^{i half g_k slope} (points x Q); None for a dense phase.  The
+        equally spaced midpoint p = jB + l, B = isqrt(P), is mid_{jB} +
+        (mid_l - mid_0), so the ceil(P / B) coarse and B fine exponentials
+        are taken once per call and each block gathers its outer factor.
         """
-        n_b = math.isqrt(len(mid))
-        coarse = np.exp(1j * (self.offset + mid[None, ::n_b] * self.slope))
-        fine = np.exp(1j * (mid[None, :n_b] - mid[0]) * self.slope)
-        return (coarse[:, :, None] * fine[:, None, :]).reshape(
-            self.size, -1)[:, :len(mid)]
+        step = max(1, BLOCK // (self.size * len(g)))
+        outer = inner = None
+        if self.linear:
+            n_b = math.isqrt(len(mid))
+            coarse = np.exp(1j * (self.offset + mid[None, ::n_b] * self.slope))
+            fine = np.exp(1j * (mid[None, :n_b] - mid[0]) * self.slope)
+            inner = np.exp(1j * (half * g)[None, :] * self.slope)
+        for lo in range(0, len(mid), step):
+            p = np.arange(lo, min(lo + step, len(mid)))
+            if self.linear:
+                outer = coarse[:, p // n_b] * fine[:, p % n_b]
+            yield (slice(lo, lo + step), (mid[p, None] + half * g).ravel(),
+                   outer, inner)
 
-    def _inner(self, half, g) -> np.ndarray:
-        """e^{i half g_k slope} of a linear phase, (points x Q)."""
-        return np.exp(1j * (half * g)[None, :] * self.slope)
+    def _values(self, nodes, outer, inner) -> np.ndarray:
+        """e^{i phi} a at every point and the nodes, from a block's outer
+        and inner factors, or densely when outer is None."""
+        if outer is None:
+            osc = np.exp(1j * self._dense(self.phi, nodes))
+        else:
+            osc = (outer[..., None] * inner[:, None, :]).reshape(self.size, -1)
+        return osc * self._amp(nodes)
 
     def grid(self, mid, half, g) -> np.ndarray:
         """e^{i phi} a at every point and grid node, (points x P*Q),
         panel-major; the spectrum is not applied."""
-        nodes = (mid[:, None] + half * g).ravel()
-        if not self.linear:
-            return np.exp(1j * self._dense(self.phi, nodes)) \
-                * self._amp(nodes)
-        outer = self._outer(mid)
-        if self.amp0 is not None:
-            outer = outer * self.amp0
-        osc = (outer[:, :, None] * self._inner(half, g)[:, None, :]
-               ).reshape(self.size, -1)
-        return osc if self.amp0 is not None \
-            else osc * self._dense(self.amp, nodes)
+        blocks = self._blocks(mid, half, g)
+        return np.concatenate([self._values(nodes, outer, inner)
+                               for _, nodes, outer, inner in blocks], axis=1)
 
     def panel_sum(self, mid, half, g, weights) -> np.ndarray:
         """sum over the grid nodes of the integrand times weights[p, k, ...]
         at every point: shape (points,) + weights.shape[2:]."""
-        n_p, n_q = weights.shape[:2]
-        cols = weights.shape[2:]
-        weights = weights.reshape(n_p, n_q, -1)
-        if self.spectrum is not None:
-            nodes = (mid[:, None] + half * g).ravel()
-            weights = weights * self.spectrum(nodes).reshape(n_p, n_q, 1)
-        if self.linear and self.amp0 is not None:
-            # panels first, (points x P) @ (P x Q*cols), then the Q nodes
-            per_node = (self._outer(mid) @ weights.reshape(n_p, -1)
-                        ).reshape(self.size, n_q, -1)
-            out = np.matmul(self._inner(half, g)[:, None, :],
-                            per_node)[:, 0, :] * self.amp0
-        else:
-            out = self.grid(mid, half, g) @ weights.reshape(n_p * n_q, -1)
+        n_q, cols = weights.shape[1], weights.shape[2:]
+        weights = weights.reshape(len(mid), n_q, -1)
+        out = 0.0
+        for panels, nodes, outer, inner in self._blocks(mid, half, g):
+            w = weights[panels]
+            if self.spectrum is not None:
+                w = w * self.spectrum(nodes).reshape(len(w), n_q, 1)
+            if self.linear and self.amp0 is not None:
+                # panels first, (points x P) @ (P x Q*cols), then the Q nodes
+                per_node = (outer @ w.reshape(len(w), -1)
+                            ).reshape(self.size, n_q, -1)
+                out = out + np.matmul(inner[:, None, :], per_node)[:, 0, :] \
+                    * self.amp0
+            else:
+                out = out + self._values(nodes, outer, inner) \
+                    @ w.reshape(len(nodes), -1)
         return out.reshape((self.size,) + cols)
 
     def point_sum(self, b: np.ndarray, mid, half, g) -> np.ndarray:
-        """sum_x b(x) times the integrand at every grid node, panel-major,
-        in steps of whole panels of at most BLOCK (point, node) pairs."""
-        step = max(1, BLOCK // (self.size * len(g)))
-        factored = self.linear and self.amp0 is not None
-        if factored:
-            inner = self._inner(half, g)
-            b_amp = b[:, None] * self.amp0
+        """sum_x b(x) times the integrand at every grid node, panel-major."""
         parts = []
-        for lo in range(0, len(mid), step):
-            m = mid[lo:lo + step]
-            if factored:
+        for _, nodes, outer, inner in self._blocks(mid, half, g):
+            if self.linear and self.amp0 is not None:
                 # (b a e^{i (offset + mid slope)})^T @ e^{i half g slope}
-                parts.append(((b_amp * self._outer(m)).T @ inner).ravel())
+                part = ((b[:, None] * self.amp0 * outer).T @ inner).ravel()
             else:
-                parts.append(b @ self.grid(m, half, g))
-        out = np.concatenate(parts)
-        if self.spectrum is not None:
-            out = out * self.spectrum((mid[:, None] + half * g).ravel())
-        return out
+                part = b @ self._values(nodes, outer, inner)
+            parts.append(part if self.spectrum is None
+                         else part * self.spectrum(nodes))
+        return np.concatenate(parts)
 
 
 def panel_sum(f, mid, half, g, weights) -> np.ndarray:
@@ -263,9 +266,8 @@ def cutoff_richardson(f, R: float, panels_per_unit: float,
     m = max(min_panels, ceil(4R * panels_per_unit)), serves all three
     radii: each panel is as wide as an m-panel grid on [-2R, 2R].  The
     cutoff at radius L*R vanishes for |xi| >= 2LR, so integrating f times
-    it over the whole grid gives the radius-L integral.  f is summed by
-    panel_sum over chunks of CHUNK // order whole panels against the
-    weight array W[p, k, j] = weights * cutoff(L_j R).
+    it over the whole grid gives the radius-L integral.  f is summed by one
+    panel_sum against the weight array W[p, k, j] = weights * cutoff(L_j R).
 
     Models the truncation error as c1/R + c2/R^2 (the tail of a
     first-order-decay oscillatory integrand under a smooth cutoff) and
@@ -278,10 +280,7 @@ def cutoff_richardson(f, R: float, panels_per_unit: float,
     W = np.stack([weights * smooth_freq_cutoff(nodes, R * level)
                   for level in (1.0, 2.0, 4.0)], axis=1).reshape(4 * m,
                                                                 order, 3)
-    g = gauss_rule(order)[0]
-    step = max(1, CHUNK // order)
-    acc = sum(panel_sum(f, mid[lo:lo + step], half, g, W[lo:lo + step])
-              for lo in range(0, 4 * m, step))
+    acc = panel_sum(f, mid, half, gauss_rule(order)[0], W)
     i1, i2, i3 = np.moveaxis(acc, -1, 0)
     j2 = 2.0 * i3 - i2
     extrap = (8.0 * i3 - 6.0 * i2 + i1) / 3.0

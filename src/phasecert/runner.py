@@ -678,7 +678,9 @@ class ScenarioRunner:
             v, _ = apply_normal_op(spec, w, xn)
             v0, _ = apply_normal_op(spec, u0, xn)
             v2, _ = apply_normal_op(spec, u2, xn)
-            res = float(np.max(np.abs(v - 0.7 * v0 + 1.3 * v2)))
+            # relative to the outputs, so round-off scales with them
+            scale = np.maximum(1.0, np.max(np.abs([v0, v2])))
+            res = float(np.max(np.abs(v - 0.7 * v0 + 1.3 * v2)) / scale)
             return res <= 1e-9, {"residual": res, "tol": 1e-9}
         self.check("operator.linearity", linearity)
 
@@ -737,11 +739,16 @@ def run_scenario(source, selector=None, grid_preset: str = "default",
     scale = GRID_PRESETS[grid_preset]
     if grid_preset == "default" and sc.grid_scale is not None:
         scale = sc.grid_scale
-    margins = MARGIN_PRESETS[margin_preset]
-    if margin_preset == "default" and sc.margins is not None:
-        margins = sc.margins
-    runner = ScenarioRunner(sc, scale, margins)
+    runner = ScenarioRunner(sc, scale, scenario_margins(sc, margin_preset))
     return runner.run(selector)
+
+
+def scenario_margins(sc: Scenario, margin_preset: str) -> Margins:
+    """The scenario's own margins under the default preset, else the
+    preset's."""
+    if margin_preset == "default" and sc.margins is not None:
+        return sc.margins
+    return MARGIN_PRESETS[margin_preset]
 
 
 # ---------------------------------------------------------------------------

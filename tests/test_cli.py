@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import phasecert
 from phasecert import catalog
 from phasecert.cli import main
 from phasecert.exceptions import (ScenarioParseError,
@@ -186,6 +189,26 @@ def test_cli_calibrate_identity(tmp_path, capsys):
     assert data["K"] == 1.0 and data["k"] == 0.5
 
 
+def test_cli_calibrate_reads_scenario_margins(capsys):
+    # no (k, K) pair meets eps >= 2, as verify-sg finds on the same file
+    sc = catalog.emit("identity")
+    sc["margins"] = {"eps_min": 2.0}
+    assert main(["calibrate", "--scenario", json.dumps(sc)]) == 2
+    assert "CalibrationError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--grid", "fine"], ["calibrate", "--seed", "3"],
+    ["calibrate", "--golden-update"], ["apply", "--margin", "strict"],
+    ["apply", "--grid", "fine"], ["apply", "--seed", "3"],
+    ["apply", "--golden-update"]], ids=" ".join)
+def test_cli_rejects_flags_the_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scenario", "identity"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_report_render(tmp_path, capsys):
     main(["run", "--scenario", "identity", "--out", str(tmp_path)])
     capsys.readouterr()
@@ -196,9 +219,12 @@ def test_cli_report_render(tmp_path, capsys):
 
 
 def test_entry_point_installed():
+    src = str(Path(phasecert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "phasecert.cli",
                            "catalog", "list"], capture_output=True,
-                          text=True)
+                          text=True, env=env)
     assert proc.returncode == 0
     assert "dilation" in proc.stdout
 

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from phasecert import catalog, normalop, runner
 from phasecert import expr as ex
-from phasecert import normalop
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
 from phasecert.normalop import (NormalOperatorSpec, QuadratureSpec,
                                 apply_normal_op, apply_truncated_op,
                                 l2_smoke_check)
 from phasecert.phase import GeneratingPhase
+from phasecert.runner import run_scenario
 from phasecert.schwartz import exp_decay, hermite_fn
 from phasecert.symbols import SymbolFn
 
@@ -108,6 +109,30 @@ def test_linearity():
     v0, _ = apply_normal_op(spec, u0, xn)
     v2, _ = apply_normal_op(spec, u2, xn)
     assert np.max(np.abs(v - 0.7 * v0 + 1.3 * v2)) <= 1e-9
+
+
+def linearity_outcome(amplitude="1"):
+    sc = catalog.emit("dilation")
+    sc["amplitude"] = {"expr": amplitude, "order": 0.0}
+    rep = run_scenario(sc, {"phase", "operator"})
+    return next(o for o in rep.outcomes if o.check == "operator.linearity")
+
+
+def test_linearity_check_is_relative_to_the_outputs():
+    # an operator linear by construction, whose outputs are of order 1e7
+    out = linearity_outcome("10000000")
+    assert out.status == "pass", out.metrics
+    assert set(out.metrics) == {"residual", "tol"}
+
+
+def test_linearity_check_fails_a_nonlinear_operator(monkeypatch):
+    def bent(spec, u, xn_grid):
+        v, err = apply_normal_op(spec, u, xn_grid)
+        return v + 1e-6 * v * np.abs(v), err
+
+    monkeypatch.setattr(runner, "apply_normal_op", bent)
+    out = linearity_outcome()
+    assert out.status == "fail", out.metrics
 
 
 def test_quadrature_consistency_error_estimates():

@@ -53,27 +53,38 @@ def test_shared_grid_matches_three_grid_oracle(name):
     assert np.max(np.abs(err - np.abs(want - (2.0 * i4 - i2)))) <= 1e-10
 
 
-@pytest.mark.parametrize("chunk", [100, 777, 10**7])
-def test_result_does_not_depend_on_chunk_size(monkeypatch, chunk):
+def block_spy(monkeypatch):
+    """The (panels, nodes) of every block an Oscillatory sums."""
+    seen = []
+    real = Oscillatory._blocks
+
+    def spy(self, mid, half, g):
+        for block in real(self, mid, half, g):
+            seen.append((range(len(mid))[block[0]], block[1]))
+            yield block
+
+    monkeypatch.setattr(Oscillatory, "_blocks", spy)
+    return seen
+
+
+# blocks of 3 panels, of 77 panels and one block at XN's 8 points
+@pytest.mark.parametrize("block", [3 * 8 * 12, 77 * 8 * 12, 10**9])
+def test_result_does_not_depend_on_block_size(monkeypatch, block):
     f, R, ppu = halfline_integrand("dilation", XN)
     ref, ref_err, ref_evals = cutoff_richardson(f, R, ppu)
-    monkeypatch.setattr(quadrature, "CHUNK", chunk)
+    monkeypatch.setattr(quadrature, "BLOCK", block)
     val, err, evals = cutoff_richardson(f, R, ppu)
     assert evals == ref_evals
     assert np.max(np.abs(val - ref)) <= 1e-13
     assert np.max(np.abs(err - ref_err)) <= 1e-13
 
 
-def test_integrand_sees_each_node_once_in_bounded_chunks():
+def test_integrand_sees_each_node_once_in_bounded_chunks(monkeypatch):
     f, R, ppu = halfline_integrand("identity", XN)
-    seen = []
-
-    def spy(nodes):
-        seen.append(np.array(nodes))
-        return f(nodes)
-
-    _, _, evals = cutoff_richardson(spy, R, ppu)
-    assert max(len(s) for s in seen) <= quadrature.CHUNK
+    blocks = block_spy(monkeypatch)
+    _, _, evals = cutoff_richardson(f, R, ppu)
+    seen = [nodes for _, nodes in blocks]
+    assert max(len(s) for s in seen) * len(XN) <= quadrature.BLOCK
     nodes = np.concatenate(seen)
     assert len(nodes) == evals
     assert len(np.unique(nodes)) == evals
@@ -97,6 +108,24 @@ def test_one_dimensional_integrand_keeps_scalar_shape():
     val, err, _ = cutoff_richardson(lambda x: np.exp(-x * x) + 0j, 8.0, 1.0)
     assert np.shape(val) == () and np.shape(err) == ()
     assert abs(val - math.sqrt(math.pi)) <= 1e-13
+
+
+def test_dense_path_memory_is_bounded():
+    # a non-linear phase at 256 points on 2,048 panels: the whole
+    # (points x nodes) grid would take about 190 MB
+    sc = SCENARIOS["bad-transmission"]
+    phase = GeneratingPhase(parse_expr(sc["phase"]),
+                            collar_halfwidth=sc["collar_halfwidth"])
+    osc = Oscillatory(NormalOperatorSpec(phase, AMP_ONE).frozen_phi(),
+                      parse_expr("1"), {"xn": np.linspace(-3.0, 3.0, 256)})
+    assert not osc.linear
+    tracemalloc.start()
+    try:
+        quadrature.integrate_fixed(osc, -40.0, 40.0, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_truncated_op_memory_is_bounded():
@@ -208,23 +237,18 @@ def test_nonlinear_phase_takes_the_dense_path(complex_exp_sizes):
 
 def test_cutoff_richardson_sums_whole_panels(monkeypatch):
     f, R, ppu = halfline_integrand("dilation", XN)
-    shapes = []
-    real = Oscillatory.panel_sum
-
-    def spy(self, mid, half, g, weights):
-        shapes.append(weights.shape)
-        return real(self, mid, half, g, weights)
-
-    monkeypatch.setattr(Oscillatory, "panel_sum", spy)
+    blocks = block_spy(monkeypatch)
     val, err, evals = cutoff_richardson(f, R, ppu)
-    assert len(shapes) > 1
-    assert all(s[1:] == (12, 3) and s[0] <= quadrature.CHUNK // 12
-               for s in shapes)
-    assert sum(s[0] for s in shapes) * 12 == evals
-    n_chunked = len(shapes)
-    monkeypatch.setattr(quadrature, "CHUNK", 10**7)
+    assert len(blocks) > 1
+    assert all(len(nodes) == 12 * len(panels)
+               and len(panels) <= quadrature.BLOCK // (len(XN) * 12)
+               for panels, nodes in blocks)
+    assert sum(len(panels) for panels, _ in blocks) * 12 == evals
+    n_blocked = len(blocks)
+    monkeypatch.setattr(quadrature, "BLOCK", 10**9)
     one, one_err, _ = cutoff_richardson(f, R, ppu)
-    assert shapes[n_chunked:] == [(evals // 12, 12, 3)]
+    assert [len(panels) for panels, _ in blocks[n_blocked:]] \
+        == [evals // 12]
     assert_close(val, one)
     # err is a difference of integrals: its round-off is on their scale
     assert np.max(np.abs(err - one_err)) <= 1e-12 * np.max(np.abs(one))
@@ -236,8 +260,9 @@ def test_operators_take_no_dense_exponential_on_a_linear_phase(
     xn = np.linspace(0.05, 3.0, 64)
     apply_truncated_op(spec, exp_decay(), xn)
     apply_normal_op(spec, hermite_fn(1), xn)
-    # the widest factor: one chunk of panels at every point
-    assert max(complex_exp_sizes) <= len(xn) * (quadrature.CHUNK // 12)
+    # no wider than one block of panels at every point
+    assert max(complex_exp_sizes) <= len(xn) * (
+        quadrature.BLOCK // (len(xn) * 12))
 
 
 def test_conjugated_outputs_factor_the_rescaled_phase(complex_exp_sizes):
@@ -248,35 +273,41 @@ def test_conjugated_outputs_factor_the_rescaled_phase(complex_exp_sizes):
     assert max(complex_exp_sizes) <= len(t) * n_panels
 
 
-def test_linear_phase_takes_a_two_level_outer_factor(complex_exp_sizes):
+def test_linear_phase_takes_a_two_level_outer_factor(monkeypatch,
+                                                     complex_exp_sizes):
     # one panel sum and one point sum each take ceil(P / B) + B + Q
-    # complex exps per point, B = isqrt(P), not P + Q
+    # complex exps per point, B = isqrt(P), not P + Q, in one block and
+    # in blocks of 7 panels
     phi = spec_of("dilation").frozen_phi()
     mid, half, g, _, W = kernel_grid()
     b = hermite_fn(1)(KERNEL_XN)
     osc = Oscillatory(phi, parse_expr("1"), {"xn": KERNEL_XN})
     n_b = math.isqrt(len(mid))
     bound = len(KERNEL_XN) * (-(-len(mid) // n_b) + n_b + len(g))
-    n_exps = len(complex_exp_sizes)
-    osc.panel_sum(mid, half, g, W)
-    assert sum(complex_exp_sizes[n_exps:]) <= bound
-    n_exps = len(complex_exp_sizes)
-    osc.point_sum(b, mid, half, g)
-    assert sum(complex_exp_sizes[n_exps:]) <= bound
+    for block in (quadrature.BLOCK, 7 * len(KERNEL_XN) * len(g)):
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        n_exps = len(complex_exp_sizes)
+        osc.panel_sum(mid, half, g, W)
+        assert sum(complex_exp_sizes[n_exps:]) <= bound
+        n_exps = len(complex_exp_sizes)
+        osc.point_sum(b, mid, half, g)
+        assert sum(complex_exp_sizes[n_exps:]) <= bound
 
 
 @pytest.mark.parametrize("n_panels", [1, 2, 3, 7, 160, 4888])
-def test_two_level_outer_factor_matches_one_exponential_per_panel(n_panels):
-    # on [-8R, 8R] at R = CUTOFF_RADIUS, whole and in cutoff_richardson's
-    # chunks of panels
+def test_two_level_outer_factor_matches_one_exponential_per_panel(
+        monkeypatch, n_panels):
+    # on [-8R, 8R] at R = CUTOFF_RADIUS, in the blocks of panels of
+    # cutoff_richardson's 64 points, and whole
     osc = Oscillatory(spec_of("dilation").frozen_phi(), parse_expr("1"),
                       {"xn": np.linspace(0.05, 3.0, 64)})
     edge = 8.0 * normalop.CUTOFF_RADIUS
-    mid, _ = panel_frame(-edge, edge, n_panels)
-    step = quadrature.CHUNK // 12
-    for m in [mid] + [mid[lo:lo + step] for lo in range(0, n_panels, step)]:
-        want = np.exp(1j * (osc.offset + m[None, :] * osc.slope))
-        assert np.max(np.abs(osc._outer(m) - want)) <= 1e-11
+    mid, half = panel_frame(-edge, edge, n_panels)
+    for block in (quadrature.BLOCK, 10**9):
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        for panels, _, outer, _ in osc._blocks(mid, half, gauss_rule(12)[0]):
+            want = np.exp(1j * (osc.offset + mid[None, panels] * osc.slope))
+            assert np.max(np.abs(outer - want)) <= 1e-11
 
 
 @pytest.mark.parametrize("R", [0.3, 1.0, 3.7, 256.0, 512.0, 1024.0])
