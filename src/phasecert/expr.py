@@ -1,17 +1,40 @@
 """Smooth expression trees with exact symbolic differentiation.
 
 Every analytic object in the toolkit (phases, symbols, map components,
-cutoffs) is a :class:`Expr`: an immutable DAG of smooth primitives closed
+cutoffs) is an :class:`Expr`: an immutable DAG of smooth primitives closed
 under differentiation.  Derivatives are built symbolically, so sup-norm
 estimates downstream carry no finite-difference noise; evaluation is a
 pure function of (expression, point) and is deterministic bit for bit.
 
-Node kinds: constants, named variables, n-ary sums and products, negation,
-quotients, integer powers, exp/log/sin/cos/sqrt, the japanese bracket
-``<u> = sqrt(1 + sum u_i^2)``, the euclidean norm of a variable tuple, the
-smooth bump transition ``F(s) = exp(-1/s) for s > 0 else 0`` (including its
-derivative tower), and a guarded product used to extend cutoff-localized
-terms by zero outside the cutoff's support.
+A node is ``Expr(op, args, aux)``: its kind ``op`` is also the opcode of
+the compiled evaluator, ``args`` are its child nodes and ``aux`` is the
+kind's datum (None where none is listed).
+
+=========  ==========================  ===============================
+kind       args                        aux
+=========  ==========================  ===============================
+CONST      ()                          the value (a float)
+VAR        ()                          the variable name
+SUM        the terms                   -
+NEG        (child,)                    -
+PROD       the factors                 -
+QUOT       (numerator, denominator)    -
+POW        (base,)                     the integer exponent
+EXP, LOG,  (child,)                    -
+SIN, COS,
+SQRT
+BRACKET    (u_1, ..., u_m)             -
+NORM       ()                          the variable names
+BUMPD      (s,)                        the derivative order
+GUARD      (gate, payload)             -
+=========  ==========================  ===============================
+
+BRACKET is the japanese bracket ``<u> = sqrt(1 + sum u_i^2)``, NORM the
+euclidean norm of a variable tuple, BUMPD a derivative of the smooth bump
+transition ``F(s) = exp(-1/s) for s > 0 else 0``, and GUARD a guarded
+product used to extend cutoff-localized terms by zero outside the
+cutoff's support.  Nodes are built through the smart constructors below,
+which fold constants.
 
 Expressions containing the euclidean norm, quotients, logs or square roots
 declare a singular locus; evaluation requests inside it raise
@@ -23,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +54,13 @@ from .exceptions import NodeBudgetError, SingularLocusError
 NODE_BUDGET = 10**6
 HOMOGENEITY_LAMBDAS = (2.0, 10.0, 100.0)  # fiber scalings of the oracle
 
-# Opcodes for the compiled evaluator.
-_CONST, _VAR, _SUM, _NEG, _PROD, _QUOT, _POW, _EXP, _LOG, _SIN, _COS, \
-    _SQRT, _BRACKET, _NORM, _BUMPD, _GUARD = range(16)
+# Node kinds, which are also the opcodes of the compiled evaluator.
+CONST, VAR, SUM, NEG, PROD, QUOT, POW, EXP, LOG, SIN, COS, \
+    SQRT, BRACKET, NORM, BUMPD, GUARD = range(16)
 
 
 class Expr:
-    """Immutable smooth expression node.
+    """Immutable smooth expression node: kind op, children args, datum aux.
 
     Instances are shared freely; derivative and compilation caches live on
     the node, so repeated differentiation and evaluation reuse work across
@@ -46,188 +68,19 @@ class Expr:
     which are fill-once, so concurrent evaluation is safe.
     """
 
-    __slots__ = ("_vars", "_dcache", "_prog", "_size")
+    __slots__ = ("op", "args", "aux", "_vars", "_dcache", "_prog", "_size")
 
-    def __init__(self):
+    def __init__(self, op: int, args=(), aux=None):
+        self.op = op
+        self.args = tuple(args)
+        self.aux = aux
         self._vars = None
         self._dcache = None
         self._prog = None
         self._size = None
 
-    def children(self) -> tuple["Expr", ...]:
-        return ()
-
-
-class Const(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        super().__init__()
-        self.value = float(value)
-
     def __repr__(self):
-        return f"Const({self.value!r})"
-
-
-class Var(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        super().__init__()
-        self.name = name
-
-    def __repr__(self):
-        return f"Var({self.name})"
-
-
-class Sum(Expr):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        super().__init__()
-        self.terms = tuple(terms)
-
-    def children(self):
-        return self.terms
-
-
-class Neg(Expr):
-    __slots__ = ("child",)
-
-    def __init__(self, child):
-        super().__init__()
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-
-class Prod(Expr):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        super().__init__()
-        self.factors = tuple(factors)
-
-    def children(self):
-        return self.factors
-
-
-class Quot(Expr):
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        super().__init__()
-        self.num = num
-        self.den = den
-
-    def children(self):
-        return (self.num, self.den)
-
-
-class Pow(Expr):
-    """Integer power.  Fractional powers are spelled sqrt/bracket/norm."""
-
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent: int):
-        super().__init__()
-        self.base = base
-        self.exponent = int(exponent)
-
-    def children(self):
-        return (self.base,)
-
-
-class _Unary(Expr):
-    __slots__ = ("child",)
-
-    def __init__(self, child):
-        super().__init__()
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-
-class Exp(_Unary):
-    __slots__ = ()
-
-
-class Log(_Unary):
-    __slots__ = ()
-
-
-class Sin(_Unary):
-    __slots__ = ()
-
-
-class Cos(_Unary):
-    __slots__ = ()
-
-
-class Sqrt(_Unary):
-    __slots__ = ()
-
-
-class Bracket(Expr):
-    """Japanese bracket <u_1, ..., u_m> = sqrt(1 + u_1^2 + ... + u_m^2)."""
-
-    __slots__ = ("args",)
-
-    def __init__(self, args):
-        super().__init__()
-        self.args = tuple(args)
-
-    def children(self):
-        return self.args
-
-
-class NormVars(Expr):
-    """Euclidean norm of a variable tuple; singular where all vanish."""
-
-    __slots__ = ("names",)
-
-    def __init__(self, names):
-        super().__init__()
-        self.names = tuple(names)
-
-
-class BumpD(Expr):
-    """order-th derivative of F(s) = exp(-1/s) (s > 0), 0 (s <= 0), at s = child.
-
-    The derivative tower is closed: F^(n)(s) = q_n(1/s) * exp(-1/s) with
-    integer-coefficient polynomials q_n obeying
-    q_{n+1}(y) = y^2 * (q_n(y) - q_n'(y)), q_0 = 1.
-    """
-
-    __slots__ = ("child", "order")
-
-    def __init__(self, child, order: int = 0):
-        super().__init__()
-        self.child = child
-        self.order = int(order)
-
-    def children(self):
-        return (self.child,)
-
-
-class Guard(Expr):
-    """gate * payload with the payload extended by zero where gate == 0.
-
-    Used for cutoff-localized phase terms: wherever the cutoff vanishes the
-    payload is never evaluated, so it may be undefined there.
-    """
-
-    __slots__ = ("gate", "payload")
-
-    def __init__(self, gate, payload):
-        super().__init__()
-        self.gate = gate
-        self.payload = payload
-
-    def children(self):
-        return (self.gate, self.payload)
+        return f"Expr({self.op}, {len(self.args)} args, {self.aux!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +90,20 @@ class Guard(Expr):
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    return Const(x)
+    return const(x)
+
+
+def is_const(e: Expr, value: float) -> bool:
+    """Whether e folded to exactly the constant value."""
+    return e.op == CONST and e.aux == value
 
 
 def const(v: float) -> Expr:
-    return Const(v)
+    return Expr(CONST, (), float(v))
 
 
 def var(name: str) -> Expr:
-    return Var(name)
+    return Expr(VAR, (), name)
 
 
 def add(*terms) -> Expr:
@@ -254,28 +112,28 @@ def add(*terms) -> Expr:
     has_const = False
     for t in terms:
         t = _coerce(t)
-        if isinstance(t, Sum):
-            items = t.terms
+        if t.op == SUM:
+            items = t.args
         else:
             items = (t,)
         for it in items:
-            if isinstance(it, Const):
-                acc += it.value
+            if it.op == CONST:
+                acc += it.aux
                 has_const = True
             else:
                 flat.append(it)
-    # structural cancellation of X + Neg(X) pairs (same node object):
+    # structural cancellation of X + NEG(X) pairs (same node object):
     # differences of expressions sharing subtrees then fold to exact zeros
     # instead of round-off residue
-    if any(isinstance(t, Neg) for t in flat):
+    if any(t.op == NEG for t in flat):
         pos_ids = {}
         for i, t in enumerate(flat):
-            if not isinstance(t, Neg):
+            if t.op != NEG:
                 pos_ids.setdefault(id(t), []).append(i)
         drop: set[int] = set()
         for i, t in enumerate(flat):
-            if isinstance(t, Neg):
-                stack = pos_ids.get(id(t.child))
+            if t.op == NEG:
+                stack = pos_ids.get(id(t.args[0]))
                 while stack:
                     j = stack.pop()
                     if j not in drop:
@@ -285,12 +143,12 @@ def add(*terms) -> Expr:
         if drop:
             flat = [t for i, t in enumerate(flat) if i not in drop]
     if has_const and acc != 0.0:
-        flat.append(Const(acc))
+        flat.append(const(acc))
     if not flat:
-        return Const(0.0)
+        return const(0.0)
     if len(flat) == 1:
         return flat[0]
-    return Sum(flat)
+    return Expr(SUM, flat)
 
 
 def sub(a, b) -> Expr:
@@ -299,11 +157,11 @@ def sub(a, b) -> Expr:
 
 def neg(a) -> Expr:
     a = _coerce(a)
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.child
-    return Neg(a)
+    if a.op == CONST:
+        return const(-a.aux)
+    if a.op == NEG:
+        return a.args[0]
+    return Expr(NEG, (a,))
 
 
 def mul(*factors) -> Expr:
@@ -312,100 +170,108 @@ def mul(*factors) -> Expr:
     has_const = False
     for f in factors:
         f = _coerce(f)
-        if isinstance(f, Prod):
-            items = f.factors
+        if f.op == PROD:
+            items = f.args
         else:
             items = (f,)
         for it in items:
-            if isinstance(it, Const):
-                if it.value == 0.0:
-                    return Const(0.0)
-                acc *= it.value
+            if it.op == CONST:
+                if it.aux == 0.0:
+                    return const(0.0)
+                acc *= it.aux
                 has_const = True
             else:
                 flat.append(it)
     if has_const and acc != 1.0:
-        flat.insert(0, Const(acc))
+        flat.insert(0, const(acc))
     if not flat:
-        return Const(acc if has_const else 1.0)
+        return const(acc if has_const else 1.0)
     if len(flat) == 1:
         return flat[0]
-    return Prod(flat)
+    return Expr(PROD, flat)
 
 
 def quot(num, den) -> Expr:
     num = _coerce(num)
     den = _coerce(den)
-    if isinstance(den, Const) and den.value != 0.0:
+    if den.op == CONST and den.aux != 0.0:
         # a zero constant denominator is NOT folded: the node stays so
         # evaluation rejects it as a singular-locus point
-        if isinstance(num, Const):
-            return Const(num.value / den.value)
-        if den.value == 1.0:
+        if num.op == CONST:
+            return const(num.aux / den.aux)
+        if den.aux == 1.0:
             return num
-    if isinstance(num, Const) and num.value == 0.0 \
-            and not (isinstance(den, Const) and den.value == 0.0):
-        return Const(0.0)
-    return Quot(num, den)
+    if is_const(num, 0.0) and not is_const(den, 0.0):
+        return const(0.0)
+    return Expr(QUOT, (num, den))
 
 
 def powi(base, exponent: int) -> Expr:
+    """Integer power.  Fractional powers are spelled sqrt/bracket/norm."""
     base = _coerce(base)
     exponent = int(exponent)
     if exponent == 0:
-        return Const(1.0)
+        return const(1.0)
     if exponent == 1:
         return base
-    if isinstance(base, Const) and (exponent > 0 or base.value != 0.0):
-        return Const(base.value**exponent)
-    return Pow(base, exponent)
+    if base.op == CONST and (exponent > 0 or base.aux != 0.0):
+        return const(base.aux**exponent)
+    return Expr(POW, (base,), exponent)
 
 
-def _fold_unary(cls, fn, child, domain=None) -> Expr:
+def _fold_unary(op, fn, child, domain=None) -> Expr:
     # folding only happens strictly inside the smooth domain, so singular
     # points keep their node and are rejected at evaluation time
     child = _coerce(child)
-    if isinstance(child, Const) and (domain is None or domain(child.value)):
-        return Const(fn(child.value))
-    return cls(child)
+    if child.op == CONST and (domain is None or domain(child.aux)):
+        return const(fn(child.aux))
+    return Expr(op, (child,))
 
 
 def exp_(c) -> Expr:
-    return _fold_unary(Exp, math.exp, c)
+    return _fold_unary(EXP, math.exp, c)
 
 
 def log_(c) -> Expr:
-    return _fold_unary(Log, math.log, c, domain=lambda v: v > 0.0)
+    return _fold_unary(LOG, math.log, c, domain=lambda v: v > 0.0)
 
 
 def sin_(c) -> Expr:
-    return _fold_unary(Sin, math.sin, c)
+    return _fold_unary(SIN, math.sin, c)
 
 
 def cos_(c) -> Expr:
-    return _fold_unary(Cos, math.cos, c)
+    return _fold_unary(COS, math.cos, c)
 
 
 def sqrt_(c) -> Expr:
-    return _fold_unary(Sqrt, math.sqrt, c, domain=lambda v: v > 0.0)
+    return _fold_unary(SQRT, math.sqrt, c, domain=lambda v: v > 0.0)
 
 
 def bracket(*args) -> Expr:
+    """Japanese bracket <u_1, ..., u_m> = sqrt(1 + u_1^2 + ... + u_m^2)."""
     args = tuple(_coerce(a) for a in args)
-    if all(isinstance(a, Const) for a in args):
-        return Const(math.sqrt(1.0 + sum(a.value**2 for a in args)))
-    return Bracket(args)
+    if all(a.op == CONST for a in args):
+        return const(math.sqrt(1.0 + sum(a.aux**2 for a in args)))
+    return Expr(BRACKET, args)
 
 
 def norm_vars(*names: str) -> Expr:
-    return NormVars(names)
+    """Euclidean norm of a variable tuple; singular where all vanish."""
+    return Expr(NORM, (), names)
 
 
 def bump(c, order: int = 0) -> Expr:
+    """order-th derivative of F(s) = exp(-1/s) (s > 0), 0 (s <= 0), at s = c.
+
+    The derivative tower is closed: F^(n)(s) = q_n(1/s) * exp(-1/s) with
+    integer-coefficient polynomials q_n obeying
+    q_{n+1}(y) = y^2 * (q_n(y) - q_n'(y)), q_0 = 1.
+    """
     c = _coerce(c)
-    if isinstance(c, Const):
-        return Const(_bump_scalar(c.value, order))
-    return BumpD(c, order)
+    if c.op == CONST:
+        return const(_bump_scalar(c.aux, order))
+    return Expr(BUMPD, (c,), int(order))
 
 
 def cutoff_expr(u) -> Expr:
@@ -423,13 +289,18 @@ def cutoff_expr(u) -> Expr:
 
 
 def guard(gate, payload) -> Expr:
+    """gate * payload with the payload extended by zero where gate == 0.
+
+    Used for cutoff-localized phase terms: wherever the cutoff vanishes the
+    payload is never evaluated, so it may be undefined there.
+    """
     gate = _coerce(gate)
     payload = _coerce(payload)
-    if isinstance(gate, Const):
-        if gate.value == 0.0:
-            return Const(0.0)
+    if gate.op == CONST:
+        if gate.aux == 0.0:
+            return const(0.0)
         return mul(gate, payload)
-    return Guard(gate, payload)
+    return Expr(GUARD, (gate, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +337,22 @@ def _bump_scalar(s: float, order: int) -> float:
 def free_vars(e: Expr) -> frozenset[str]:
     if e._vars is not None:
         return e._vars
-    out: dict[int, frozenset] = {}
     stack = [(e, False)]
     while stack:
         node, done = stack.pop()
         if node._vars is not None:
             continue
         if done:
-            if isinstance(node, Var):
-                v = frozenset((node.name,))
-            elif isinstance(node, NormVars):
-                v = frozenset(node.names)
+            if node.op == VAR:
+                v = frozenset((node.aux,))
+            elif node.op == NORM:
+                v = frozenset(node.aux)
             else:
-                v = frozenset().union(*(c._vars for c in node.children())) \
-                    if node.children() else frozenset()
+                v = frozenset().union(*(c._vars for c in node.args))
             node._vars = v
         else:
             stack.append((node, True))
-            for c in node.children():
+            for c in node.args:
                 if c._vars is None:
                     stack.append((c, False))
     return e._vars
@@ -499,7 +368,7 @@ def dag_size(e: Expr) -> int:
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            stack.extend(node.children())
+            stack.extend(node.args)
         e._size = len(seen)
     return e._size
 
@@ -509,58 +378,59 @@ def dag_size(e: Expr) -> int:
 # ---------------------------------------------------------------------------
 
 def _diff_node(e: Expr, v: str) -> Expr:
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0) if e.name == v else Const(0.0)
-    if isinstance(e, Sum):
-        return add(*(_diff(t, v) for t in e.terms))
-    if isinstance(e, Neg):
-        return neg(_diff(e.child, v))
-    if isinstance(e, Prod):
+    op, args = e.op, e.args
+    if op == CONST:
+        return const(0.0)
+    if op == VAR:
+        return const(1.0) if e.aux == v else const(0.0)
+    if op == SUM:
+        return add(*(_diff(t, v) for t in args))
+    if op == NEG:
+        return neg(_diff(args[0], v))
+    if op == PROD:
         terms = []
-        fs = e.factors
-        for i, f in enumerate(fs):
+        for i, f in enumerate(args):
             df = _diff(f, v)
-            if isinstance(df, Const) and df.value == 0.0:
+            if is_const(df, 0.0):
                 continue
-            terms.append(mul(*fs[:i], df, *fs[i + 1:]))
+            terms.append(mul(*args[:i], df, *args[i + 1:]))
         return add(*terms)
-    if isinstance(e, Quot):
-        du = _diff(e.num, v)
-        dv = _diff(e.den, v)
-        return quot(sub(mul(du, e.den), mul(e.num, dv)), mul(e.den, e.den))
-    if isinstance(e, Pow):
-        return mul(Const(e.exponent), powi(e.base, e.exponent - 1),
-                   _diff(e.base, v))
-    if isinstance(e, Exp):
-        return mul(e, _diff(e.child, v))
-    if isinstance(e, Log):
-        return quot(_diff(e.child, v), e.child)
-    if isinstance(e, Sin):
-        return mul(cos_(e.child), _diff(e.child, v))
-    if isinstance(e, Cos):
-        return neg(mul(sin_(e.child), _diff(e.child, v)))
-    if isinstance(e, Sqrt):
-        return quot(_diff(e.child, v), mul(Const(2.0), e))
-    if isinstance(e, Bracket):
-        num = add(*(mul(a, _diff(a, v)) for a in e.args))
+    if op == QUOT:
+        num, den = args
+        du = _diff(num, v)
+        dv = _diff(den, v)
+        return quot(sub(mul(du, den), mul(num, dv)), mul(den, den))
+    if op == POW:
+        return mul(const(e.aux), powi(args[0], e.aux - 1), _diff(args[0], v))
+    if op == EXP:
+        return mul(e, _diff(args[0], v))
+    if op == LOG:
+        return quot(_diff(args[0], v), args[0])
+    if op == SIN:
+        return mul(cos_(args[0]), _diff(args[0], v))
+    if op == COS:
+        return neg(mul(sin_(args[0]), _diff(args[0], v)))
+    if op == SQRT:
+        return quot(_diff(args[0], v), mul(const(2.0), e))
+    if op == BRACKET:
+        num = add(*(mul(a, _diff(a, v)) for a in args))
         return quot(num, e)
-    if isinstance(e, NormVars):
-        if v in e.names:
-            return quot(Var(v), e)
-        return Const(0.0)
-    if isinstance(e, BumpD):
-        return mul(BumpD(e.child, e.order + 1), _diff(e.child, v))
-    if isinstance(e, Guard):
-        return add(guard(_diff(e.gate, v), e.payload),
-                   guard(e.gate, _diff(e.payload, v)))
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+    if op == NORM:
+        if v in e.aux:
+            return quot(var(v), e)
+        return const(0.0)
+    if op == BUMPD:
+        return mul(Expr(BUMPD, args, e.aux + 1), _diff(args[0], v))
+    if op == GUARD:
+        gate, payload = args
+        return add(guard(_diff(gate, v), payload),
+                   guard(gate, _diff(payload, v)))
+    raise TypeError(f"cannot differentiate node kind {op}")
 
 
 def _diff(e: Expr, v: str) -> Expr:
     if v not in free_vars(e):
-        return Const(0.0)
+        return const(0.0)
     if e._dcache is None:
         e._dcache = {}
     hit = e._dcache.get(v)
@@ -600,11 +470,19 @@ def derivative_multi(e: Expr, orders: dict[str, int]) -> Expr:
 # substitution
 # ---------------------------------------------------------------------------
 
+# the smart constructor of each kind with children; POW and BUMPD also
+# take their aux (exponent, order) as the last argument
+_REBUILD = {SUM: add, NEG: neg, PROD: mul, QUOT: quot, POW: powi,
+            EXP: exp_, LOG: log_, SIN: sin_, COS: cos_, SQRT: sqrt_,
+            BRACKET: bracket, BUMPD: bump, GUARD: guard}
+
+
 def substitute(e: Expr, mapping: dict[str, Expr | float]) -> Expr:
     """Replace variables by expressions (or numbers), rebuilding with folding.
 
     Subtrees that touch none of the substituted variables are reused as-is.
-    NormVars arguments may only be replaced by other variables.
+    A NORM whose variables are all replaced by variables stays a NORM;
+    otherwise it is lowered to the square root of a sum of squares.
     """
     subs = {k: _coerce(v) for k, v in mapping.items()}
     touched = set(subs)
@@ -616,44 +494,21 @@ def substitute(e: Expr, mapping: dict[str, Expr | float]) -> Expr:
         got = memo.get(id(node))
         if got is not None:
             return got
-        if isinstance(node, Var):
-            out = subs.get(node.name, node)
-        elif isinstance(node, NormVars):
-            reps = [subs.get(n, Var(n)) for n in node.names]
-            if all(isinstance(r, Var) for r in reps):
-                out = NormVars([r.name for r in reps])
+        if node.op == VAR:
+            out = subs.get(node.aux, node)
+        elif node.op == NORM:
+            reps = [subs.get(n, var(n)) for n in node.aux]
+            if all(r.op == VAR for r in reps):
+                out = norm_vars(*(r.aux for r in reps))
             else:
                 # lower to sqrt of squares; the sqrt singular point at 0
                 # coincides with the norm's singular locus
                 out = sqrt_(add(*(powi(r, 2) for r in reps)))
-        elif isinstance(node, Sum):
-            out = add(*(rebuild(t) for t in node.terms))
-        elif isinstance(node, Neg):
-            out = neg(rebuild(node.child))
-        elif isinstance(node, Prod):
-            out = mul(*(rebuild(f) for f in node.factors))
-        elif isinstance(node, Quot):
-            out = quot(rebuild(node.num), rebuild(node.den))
-        elif isinstance(node, Pow):
-            out = powi(rebuild(node.base), node.exponent)
-        elif isinstance(node, Exp):
-            out = exp_(rebuild(node.child))
-        elif isinstance(node, Log):
-            out = log_(rebuild(node.child))
-        elif isinstance(node, Sin):
-            out = sin_(rebuild(node.child))
-        elif isinstance(node, Cos):
-            out = cos_(rebuild(node.child))
-        elif isinstance(node, Sqrt):
-            out = sqrt_(rebuild(node.child))
-        elif isinstance(node, Bracket):
-            out = bracket(*(rebuild(a) for a in node.args))
-        elif isinstance(node, BumpD):
-            out = bump(rebuild(node.child), node.order)
-        elif isinstance(node, Guard):
-            out = guard(rebuild(node.gate), rebuild(node.payload))
         else:
-            raise TypeError(f"cannot substitute into {type(node).__name__}")
+            args = [rebuild(c) for c in node.args]
+            if node.aux is not None:
+                args.append(node.aux)
+            out = _REBUILD[node.op](*args)
         memo[id(node)] = out
         return out
 
@@ -664,7 +519,7 @@ def substitute(e: Expr, mapping: dict[str, Expr | float]) -> Expr:
     return rebuild(e)
 
 
-def _topo(e: Expr, children=lambda node: node.children()) -> list[Expr]:
+def _topo(e: Expr, children=lambda node: node.args) -> list[Expr]:
     """Children-before-parents ordering of the DAG under e, whose edges
     are children(node)."""
     out = []
@@ -689,98 +544,48 @@ def _topo(e: Expr, children=lambda node: node.children()) -> list[Expr]:
 # compiled evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Program:
-    instrs: list = field(default_factory=list)
-    n_regs: int = 0
-    out_regs: tuple[int, ...] = ()
-    consumers: list = field(default_factory=list)
+class Program:
+    """Several expressions compiled to one straight-line register program
+    over their shared DAG; calling it on an environment evaluates them all.
+
+    Each node is one instruction (op, dst, source registers, aux).  A GUARD
+    reads only its gate: its aux is the payload's own program, which runs
+    only where the gate is live.  consumers counts the reads of each
+    register, so that a register is freed after its last read.
+    """
+
+    def __init__(self, exprs: list[Expr]):
+        self.instrs: list = []
+        reg_of: dict[int, int] = {}
+
+        def operands(node):
+            return node.args[:1] if node.op == GUARD else node.args
+
+        for e in exprs:
+            for node in _topo(e, operands):
+                if id(node) in reg_of:
+                    continue
+                reg_of[id(node)] = dst = len(self.instrs)
+                srcs = tuple(reg_of[id(c)] for c in operands(node))
+                aux = _compiled(node.args[1]) if node.op == GUARD \
+                    else node.aux
+                self.instrs.append((node.op, dst, srcs, aux))
+        self.n_regs = len(self.instrs)
+        self.consumers = [0] * self.n_regs
+        for _, _, srcs, _ in self.instrs:
+            for s in srcs:
+                self.consumers[s] += 1
+        self.out_regs = tuple(reg_of[id(e)] for e in exprs)
+        for r in self.out_regs:
+            self.consumers[r] += 1
+
+    def __call__(self, env: dict) -> list:
+        return _exec(self, env, False)
 
 
-def _compile_children(node: Expr) -> tuple[Expr, ...]:
-    # Guard payloads run in their own subprogram, only when the gate is live
-    if isinstance(node, Guard):
-        return (node.gate,)
-    return node.children()
-
-
-def _compile_many(exprs: list[Expr]) -> _Program:
-    prog = _Program()
-    reg_of: dict[int, int] = {}
-
-    def alloc() -> int:
-        r = prog.n_regs
-        prog.n_regs += 1
-        prog.consumers.append(0)
-        return r
-
-    nodes: list[Expr] = []
-    seen: set[int] = set()
-    for e in exprs:
-        for node in _topo(e, _compile_children):
-            if id(node) not in seen:
-                seen.add(id(node))
-                nodes.append(node)
-
-    for node in nodes:
-        dst = alloc()
-        reg_of[id(node)] = dst
-        if isinstance(node, Const):
-            prog.instrs.append((_CONST, dst, (), node.value))
-        elif isinstance(node, Var):
-            prog.instrs.append((_VAR, dst, (), node.name))
-        elif isinstance(node, Sum):
-            srcs = tuple(reg_of[id(c)] for c in node.terms)
-            prog.instrs.append((_SUM, dst, srcs, None))
-        elif isinstance(node, Neg):
-            prog.instrs.append((_NEG, dst, (reg_of[id(node.child)],), None))
-        elif isinstance(node, Prod):
-            srcs = tuple(reg_of[id(c)] for c in node.factors)
-            prog.instrs.append((_PROD, dst, srcs, None))
-        elif isinstance(node, Quot):
-            prog.instrs.append((_QUOT, dst,
-                                (reg_of[id(node.num)], reg_of[id(node.den)]),
-                                None))
-        elif isinstance(node, Pow):
-            prog.instrs.append((_POW, dst, (reg_of[id(node.base)],),
-                                node.exponent))
-        elif isinstance(node, Exp):
-            prog.instrs.append((_EXP, dst, (reg_of[id(node.child)],), None))
-        elif isinstance(node, Log):
-            prog.instrs.append((_LOG, dst, (reg_of[id(node.child)],), None))
-        elif isinstance(node, Sin):
-            prog.instrs.append((_SIN, dst, (reg_of[id(node.child)],), None))
-        elif isinstance(node, Cos):
-            prog.instrs.append((_COS, dst, (reg_of[id(node.child)],), None))
-        elif isinstance(node, Sqrt):
-            prog.instrs.append((_SQRT, dst, (reg_of[id(node.child)],), None))
-        elif isinstance(node, Bracket):
-            srcs = tuple(reg_of[id(a)] for a in node.args)
-            prog.instrs.append((_BRACKET, dst, srcs, None))
-        elif isinstance(node, NormVars):
-            prog.instrs.append((_NORM, dst, (), node.names))
-        elif isinstance(node, BumpD):
-            prog.instrs.append((_BUMPD, dst, (reg_of[id(node.child)],),
-                                node.order))
-        elif isinstance(node, Guard):
-            sub_prog = _compiled(node.payload)
-            prog.instrs.append((_GUARD, dst, (reg_of[id(node.gate)],),
-                                sub_prog))
-        else:
-            raise TypeError(f"cannot compile {type(node).__name__}")
-
-    for _, _, srcs, _ in prog.instrs:
-        for s in srcs:
-            prog.consumers[s] += 1
-    prog.out_regs = tuple(reg_of[id(e)] for e in exprs)
-    for r in prog.out_regs:
-        prog.consumers[r] += 1
-    return prog
-
-
-def _compiled(e: Expr) -> _Program:
+def _compiled(e: Expr) -> Program:
     if e._prog is None:
-        e._prog = _compile_many([e])
+        e._prog = Program([e])
     return e._prog
 
 
@@ -806,7 +611,7 @@ def _lookup(env, name: str):
         raise KeyError(f"no value bound for variable {name!r}") from None
 
 
-def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
+def _exec(prog: Program, env: dict, relaxed: bool) -> list:
     regs: list = [None] * prog.n_regs
     remaining = prog.consumers[:]
     nan = np.float64("nan")
@@ -819,21 +624,21 @@ def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
 
     with np.errstate(all="ignore"):
         for op, dst, srcs, aux in prog.instrs:
-            if op == _CONST:
+            if op == CONST:
                 val = np.float64(aux)
-            elif op == _VAR:
+            elif op == VAR:
                 val = _lookup(env, aux)
-            elif op == _SUM:
+            elif op == SUM:
                 val = regs[srcs[0]]
                 for s in srcs[1:]:
                     val = val + regs[s]
-            elif op == _NEG:
+            elif op == NEG:
                 val = -regs[srcs[0]]
-            elif op == _PROD:
+            elif op == PROD:
                 val = regs[srcs[0]]
                 for s in srcs[1:]:
                     val = val * regs[s]
-            elif op == _QUOT:
+            elif op == QUOT:
                 num, den = regs[srcs[0]], regs[srcs[1]]
                 bad = den == 0.0
                 if np.any(bad):
@@ -842,7 +647,7 @@ def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
                     val = np.where(bad, nan, num / np.where(bad, 1.0, den))
                 else:
                     val = num / den
-            elif op == _POW:
+            elif op == POW:
                 base = regs[srcs[0]]
                 if aux < 0 and np.any(base == 0.0):
                     if not relaxed:
@@ -850,9 +655,9 @@ def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
                             "zero base with negative exponent")
                     base = np.where(base == 0.0, nan, base)
                 val = base**aux
-            elif op == _EXP:
+            elif op == EXP:
                 val = np.exp(regs[srcs[0]])
-            elif op == _LOG:
+            elif op == LOG:
                 arg = regs[srcs[0]]
                 bad = arg <= 0.0
                 if np.any(bad):
@@ -861,11 +666,11 @@ def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
                     val = np.where(bad, nan, np.log(np.where(bad, 1.0, arg)))
                 else:
                     val = np.log(arg)
-            elif op == _SIN:
+            elif op == SIN:
                 val = np.sin(regs[srcs[0]])
-            elif op == _COS:
+            elif op == COS:
                 val = np.cos(regs[srcs[0]])
-            elif op == _SQRT:
+            elif op == SQRT:
                 arg = regs[srcs[0]]
                 bad = arg <= 0.0
                 if np.any(bad):
@@ -875,12 +680,12 @@ def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
                     val = np.where(bad, nan, np.sqrt(np.where(bad, 1.0, arg)))
                 else:
                     val = np.sqrt(arg)
-            elif op == _BRACKET:
+            elif op == BRACKET:
                 acc = np.float64(1.0)
                 for s in srcs:
                     acc = acc + regs[s] * regs[s]
                 val = np.sqrt(acc)
-            elif op == _NORM:
+            elif op == NORM:
                 acc = np.float64(0.0)
                 for name in aux:
                     x = _lookup(env, name)
@@ -893,9 +698,9 @@ def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
                     val = np.where(bad, nan, np.sqrt(acc))
                 else:
                     val = np.sqrt(acc)
-            elif op == _BUMPD:
+            elif op == BUMPD:
                 val = _bump_eval(regs[srcs[0]], aux)
-            elif op == _GUARD:
+            elif op == GUARD:
                 gate = regs[srcs[0]]
                 garr = np.asarray(gate)
                 if not np.any(garr != 0.0):
@@ -915,12 +720,12 @@ def _exec(prog: _Program, env: dict, relaxed: bool) -> list:
 
 def eval_array(e: Expr, values: dict[str, float | np.ndarray]):
     """Evaluate e with numpy broadcasting over array-valued variables."""
-    return _exec(_compiled(e), values, False)[0]
+    return _compiled(e)(values)[0]
 
 
 def eval_array_many(exprs: list[Expr], values: dict) -> list:
     """Evaluate several expressions sharing one DAG traversal."""
-    return _exec(_compile_many(exprs), values, False)
+    return Program(exprs)(values)
 
 
 def evaluate(e: Expr, point: dict[str, float]) -> float:

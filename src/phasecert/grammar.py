@@ -196,10 +196,10 @@ class _Parser:
         if name == "norm":
             names = []
             for a in args:
-                if not isinstance(a, ex.Var):
+                if a.op != ex.VAR:
                     raise ScenarioParseError(
                         "norm() arguments must be plain variables")
-                names.append(a.name)
+                names.append(a.aux)
             return ex.norm_vars(*names)
         fn = _FUNCTIONS.get(name)
         if fn is None:

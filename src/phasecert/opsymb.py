@@ -114,7 +114,7 @@ class ConjugatedFamily:
             re, im = self.amp_pairs[key]
             exprs.append(ex.substitute(re, resc))
             exprs.append(ex.substitute(im, resc))
-        self._prog = ex._compile_many(exprs)
+        self._prog = ex.Program(exprs)
 
     def amp_pair(self, n_xi: int, n_x: int):
         """Unrescaled amplitude pair with no output derivative, for
@@ -157,9 +157,8 @@ class ConjugatedFamily:
             # linear in s whenever phi is linear in xi_n
             osc = Oscillatory(self.phi_resc, one, dict(consts, t=t_grid),
                               kvar="s")
-            vals = [np.asarray(v, dtype=float) for v in ex._exec(
-                self._prog, dict(consts, t=t_grid[:, None],
-                                 s=nodes[None, :]), False)]
+            vals = [np.asarray(v, dtype=float) for v in self._prog(
+                dict(consts, t=t_grid[:, None], s=nodes[None, :]))]
             # the sum over nodes of each real amplitude part times
             # e^{i phi_resc} u_hat w, by the part's shape: free of s it
             # scales the plain sum, free of t it is a weight column of
@@ -198,8 +197,6 @@ class OrderFit:
     l: int
     s: int
     u_name: str
-    rungs: tuple
-    seminorms: tuple
     slope: float | None
     target: float
     tol: float = FIT_TOL
@@ -220,15 +217,13 @@ def fit_seminorm_ladder(rungs, seminorms, alpha: int, beta: int, l: int,
     sems = np.asarray(seminorms, dtype=float)
     live = sems > 1e-14
     if int(live.sum()) == 0:
-        return OrderFit(alpha, beta, l, s, u_name, tuple(rungs),
-                        tuple(sems), None, target)
+        return OrderFit(alpha, beta, l, s, u_name, None, target)
     if int(live.sum()) < min_live:
         raise RegressionError(
             f"only {int(live.sum())} live rungs; need >= {min_live} "
             "for the fit")
     slope, _ = loglog_fit(rungs[live], sems[live])
-    return OrderFit(alpha, beta, l, s, u_name, tuple(rungs), tuple(sems),
-                    slope, target)
+    return OrderFit(alpha, beta, l, s, u_name, slope, target)
 
 
 def _ladder_fits(spec: NormalOperatorSpec, family: ConjugatedFamily,

@@ -194,13 +194,14 @@ def _collar_grid(phase: GeneratingPhase) -> np.ndarray:
 class NormalCoeffs:
     """Normal derivative coefficients of psi on the two covariable rays.
 
-    q_plus/q_minus are expressions in x' equal to d psi/d x_n at
-    (x', 0, 0, +-1); kappa is a positive margin with min |q_plus| >= 4k.
+    q_plus is the expression in x' equal to d psi/d x_n at (x', 0, 0, 1);
+    symmetry_residual is the sup of |q_plus + q_minus| over the x' samples,
+    with q_minus the same derivative at (x', 0, 0, -1); kappa is a positive
+    margin with min |q_plus| >= 4k.
     The first-order Taylor remainder in x_n is not computed.
     """
 
     q_plus: ex.Expr
-    q_minus: ex.Expr
     kappa: float
     symmetry_residual: float
     euler_residual: float
@@ -233,7 +234,7 @@ def normal_coeffs(phase: GeneratingPhase,
         return e, np.broadcast_to(ex.eval_array(e, base),
                                   xprime_samples.shape)
     try:
-        (qp, qpv), (qm, qmv) = on_ray(dpsi, 1.0), on_ray(dpsi, -1.0)
+        (qp, qpv), (_, qmv) = on_ray(dpsi, 1.0), on_ray(dpsi, -1.0)
         mixed = ex.differentiate(dpsi, "kn")
         (_, mp), (_, mm) = on_ray(mixed, 1.0), on_ray(mixed, -1.0)
     except SingularLocusError as err:
@@ -244,7 +245,7 @@ def normal_coeffs(phase: GeneratingPhase,
                           np.max(np.abs(qmv + mm))]))
     kappa = float(np.min(np.abs(qpv))) / 4.0
     degenerate = sym <= tol and float(np.max(np.abs(qpv - qmv))) <= tol
-    return NormalCoeffs(qp, qm, kappa, sym, euler, degenerate, tol)
+    return NormalCoeffs(qp, kappa, sym, euler, degenerate, tol)
 
 
 @dataclass

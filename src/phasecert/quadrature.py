@@ -99,7 +99,7 @@ class Oscillatory:
                     for k, v in points.items()}
         self.size = max(len(v) for v in self.env.values() if np.ndim(v))
         d2 = ex.differentiate(ex.differentiate(phi, kvar), kvar)
-        self.linear = isinstance(d2, ex.Const) and d2.value == 0.0
+        self.linear = ex.is_const(d2, 0.0)
         if self.linear:
             # phi = kvar * slope + offset
             at_zero = dict(self.env, **{kvar: 0.0})
@@ -225,8 +225,11 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
                        max_doubles: int = 10):
     """Panel doubling until successive values agree within tol.
 
-    Returns (value, err_estimate, evals); err is the last doubling
-    difference, elementwise over the leading axes of f's output.
+    The floor is relative to the output: a doubling is accepted when every
+    difference is at most tol * max(1, max |value|), the largest value over
+    all points, since the round-off of the sums scales with the largest
+    of them.  Returns (value, err_estimate, evals); err is the last
+    doubling difference, elementwise over the leading axes of f's output.
     """
     n = n0
     prev = integrate_fixed(f, a, b, n, order)
@@ -236,7 +239,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
         cur = integrate_fixed(f, a, b, n, order)
         evals += n * order
         err = np.abs(cur - prev)
-        scale = np.maximum(1.0, np.abs(cur))
+        scale = np.maximum(1.0, np.max(np.abs(cur)))
         if np.all(err <= tol * scale):
             return cur, err, evals
         prev = cur

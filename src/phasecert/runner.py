@@ -535,7 +535,7 @@ class ScenarioRunner:
         self.check("symplecto.jacobian_structure", struct)
 
         def bmap():
-            _, rep = induced_boundary_map(chi, samples(100, 5,
+            rep = induced_boundary_map(chi, samples(100, 5,
                                                        boundary=True))
             return rep.passed, rep.details
         self.check("symplecto.boundary_map", bmap)

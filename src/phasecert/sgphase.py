@@ -99,8 +99,6 @@ class StarPhaseFamily:
             phase.phi, {"xn": ex.quot(t, r), "kn": ex.mul(tau, r)})
         gate = cutoff_expr(ex.quot(t, ex.mul(r, ex.const(self.k))))
         ktt = ex.mul(ex.const(self.K), t, tau)
-        self.gate = gate
-        self.phi_resc = phi_resc
         self.expr = ex.add(ex.guard(gate, phi_resc),
                            ex.mul(ex.sub(ex.const(1.0), gate), ktt))
         self._derivs: dict[tuple[int, int], ex.Expr] = {(0, 0): self.expr}
@@ -123,7 +121,7 @@ class StarPhaseFamily:
                 for al in range(self.order_bound + 1)]
         exprs = [self.deriv(a, al) for a, al in keys]
         if self._compiled is None:
-            self._compiled = ex._compile_many(exprs)
+            self._compiled = ex.Program(exprs)
         return keys, self._compiled
 
     def env_for(self, xprime: float | np.ndarray, rung: float,
@@ -173,7 +171,7 @@ class StarPhaseFamily:
         env["tau"] = taugrid[None, None, :]
         shape = (m, nt, nu)
         vals = {k: np.broadcast_to(v, shape)
-                for k, v in zip(keys, ex._exec(prog, env, False))}
+                for k, v in zip(keys, prog(env))}
         bt = np.sqrt(1.0 + tgrid * tgrid)[None, :, None]
         btau = np.sqrt(1.0 + taugrid * taugrid)[None, None, :]
         rows = range(m)
@@ -214,7 +212,6 @@ RATIO_KEYS = ("c_t", "c_tau", "eps")
 class UniformityReport:
     ratios: dict[str, float]
     per_combo: list[dict]
-    combos: list[tuple[float, float, int]]
     ratio_max: float
     failures: list[str] = field(default_factory=list)
 
@@ -253,13 +250,11 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
     xs = np.asarray(xprimes, dtype=float)
     by_rung = [fam.constants_at(xs, float(rung), sign, ladder, ladder)
                for rung, sign in zip(rungs, signs)]
-    combos = []
     per_combo = []
     failures = []
     for i, xp in enumerate(xprimes):
-        for rung, sign, batch in zip(rungs, signs, by_rung):
+        for rung, batch in zip(rungs, by_rung):
             cs = batch[i]
-            combos.append((float(xp), float(rung), sign))
             per_combo.append(cs.flat())
             if cs.eps_sign == 0.0:
                 failures.append(
@@ -278,8 +273,7 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
         else:
             live = vals[np.abs(vals) > ZERO_FLOOR]
             ratios[key] = float(live.max() / live.min()) if len(live) else 1.0
-    return UniformityReport(ratios, per_combo, combos,
-                            margins.ratio_max, failures)
+    return UniformityReport(ratios, per_combo, margins.ratio_max, failures)
 
 
 @dataclass

@@ -5,8 +5,9 @@ A map chi sends source collar coordinates (y', y_n, eta', eta_n) to
 are written in the shared variable names x1, xn (positions) and k1, kn
 (covariables), read as the source point.  Checks: the symplectic matrix
 identity J^T O J = O, vanishing of x_n on the boundary, the structural
-zero blocks and unimodular sub-blocks of the boundary Jacobian, and
-extraction of the induced boundary map with its linear cotangent action.
+zero blocks and unimodular sub-blocks of the boundary Jacobian, and a
+check that the induced boundary map acts linearly on the cotangent fiber
+with a unimodular Jacobian.
 
 Sample points are one numpy structured array with a float field per
 variable: ``len(samples)`` is the number of points, ``samples["x1"]`` is
@@ -132,11 +133,11 @@ def jacobian(chi: SymplectoMap, points) -> np.ndarray:
     every sample.
     """
     if chi._jacobian is None:
-        chi._jacobian = ex._compile_many(
+        chi._jacobian = ex.Program(
             [ex.differentiate(chi.components[r], c)
              for r in SOURCE_ORDER for c in SOURCE_ORDER])
     shape = points.shape if isinstance(points, np.ndarray) else ()
-    return _matrices(ex._exec(chi._jacobian, points, False), shape, 4)
+    return _matrices(chi._jacobian(points), shape, 4)
 
 
 def _matrices(entries: list, shape: tuple, m: int) -> np.ndarray:
@@ -185,23 +186,9 @@ def check_boundary_preserving(chi: SymplectoMap,
                        point_at(samples, i))
 
 
-@dataclass
-class BoundaryMap:
-    """Induced boundary map: base diffeo b and linear cotangent action.
-
-    b holds the expression of the tangential target x1 in the y' variables
-    only; cotangent is the 1 x 1 matrix of expressions M with
-    xi'_boundary = M(y') eta'.
-    """
-
-    b: dict[str, ex.Expr]
-    cotangent: list[list[ex.Expr]]
-
-
 def induced_boundary_map(chi: SymplectoMap, samples=None,
-                         det_tol: float = DET_TOL
-                         ) -> tuple[BoundaryMap, CheckReport]:
-    """Restrict (x', xi') to y_n = 0 and package the boundary symplectomorphism.
+                         det_tol: float = DET_TOL) -> CheckReport:
+    """Restrict (x', xi') to y_n = 0 and check the boundary symplectomorphism.
 
     Verifies eta_n-independence of both parts, eta'-independence of x',
     linearity of xi' in eta', and unimodularity of the boundary Jacobian.
@@ -230,10 +217,6 @@ def induced_boundary_map(chi: SymplectoMap, samples=None,
         raise FiberLinearityError(
             f"boundary map not fiber-trivial: {vanish[i][0]} = {worst:.2e}")
 
-    cot = [[ex.substitute(ex.differentiate(chi.components["k1"], "k1"),
-                          {"xn": 0.0})]]
-    bm = BoundaryMap({"x1": b}, cot)
-
     # unimodularity of the composed boundary Jacobian in (y', eta')
     Jb = _matrices(ex.eval_array_many(
         [ex.differentiate(r, s) for r in (b, xib) for s in ("x1", "k1")],
@@ -243,7 +226,7 @@ def induced_boundary_map(chi: SymplectoMap, samples=None,
                       det_tol, point_at(samples, i),
                       details={"linearity_residual": worst,
                                "det_residual": det_worst})
-    return bm, rep
+    return rep
 
 
 def check_jacobian_structure(chi: SymplectoMap,

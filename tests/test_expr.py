@@ -192,7 +192,7 @@ def test_substitute_reuses_untouched_subtrees():
     out = ex.substitute(e, {"xn": ex.quot(ex.var("t"), ex.var("r"))})
     assert ex.evaluate(out, {"t": 2.0, "r": 4.0, "x1": 0.0}) == 0.5
     # the x1-subtree must be shared, not copied
-    assert any(c is g for c in out.children())
+    assert any(c is g for c in out.args)
 
 
 def test_parser_roundtrip_evaluation():
@@ -215,3 +215,73 @@ def test_dag_size_and_budget():
         e = ex.mul(e, e)
     assert ex.dag_size(e) <= 8  # shared, not exponential
     assert ex.evaluate(e, {"xn": 1.1}) == pytest.approx(1.1 ** 64, rel=1e-12)
+
+
+# One expression per node kind, each over non-constant children, at the
+# point P in variables x and y.
+X, Y = ex.var("x"), ex.var("y")
+P = {"x": 0.7, "y": 1.3}
+KINDS = {
+    ex.CONST: ex.const(2.5),
+    ex.VAR: X,
+    ex.SUM: ex.add(X, ex.mul(X, Y)),
+    ex.NEG: ex.neg(ex.mul(X, Y)),
+    ex.PROD: ex.mul(X, Y, ex.sin_(X)),
+    ex.QUOT: ex.quot(X, ex.add(Y, 2.0)),
+    ex.POW: ex.powi(ex.add(X, Y), 3),
+    ex.EXP: ex.exp_(ex.mul(X, Y)),
+    ex.LOG: ex.log_(ex.add(X, Y)),
+    ex.SIN: ex.sin_(ex.mul(X, Y)),
+    ex.COS: ex.cos_(ex.mul(X, Y)),
+    ex.SQRT: ex.sqrt_(ex.add(X, Y)),
+    ex.BRACKET: ex.bracket(X, ex.mul(X, Y)),
+    ex.NORM: ex.norm_vars("x", "y"),
+    ex.BUMPD: ex.bump(ex.sub(X, 0.2), 2),
+    ex.GUARD: ex.guard(ex.bump(X), ex.quot(1.0, X)),
+}
+
+
+def test_every_node_kind_has_a_row():
+    assert sorted(KINDS) == list(range(16))
+    assert all(e.op == kind for kind, e in KINDS.items())
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_node_kind_derivative_matches_central_difference(kind):
+    for v in ("x", "y"):
+        assert fd_crosscheck(KINDS[kind], P, v, 1e-4) <= 1e-6, v
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_node_kind_substitution_evaluates_at_the_shifted_point(kind):
+    e = KINDS[kind]
+    shifted = ex.substitute(e, {"x": ex.add(X, 0.25)})
+    assert ex.evaluate(shifted, P) == ex.evaluate(e, dict(P, x=0.7 + 0.25))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_node_kind_eval_array_equals_evaluate(kind):
+    e = KINDS[kind]
+    xs = np.array([0.7, 0.9, 1.1])
+    arr = np.broadcast_to(ex.eval_array(e, {"x": xs, "y": 1.3}), xs.shape)
+    for i, x in enumerate(xs):
+        assert arr[i] == ex.evaluate(e, {"x": float(x), "y": 1.3})
+
+
+def test_norm_variables_renamed_by_substitution_stay_a_norm():
+    e = ex.substitute(KINDS[ex.NORM], {"x": ex.var("z")})
+    assert (e.op, e.aux) == (ex.NORM, ("z", "y"))
+    assert ex.evaluate(e, {"z": 3.0, "y": 4.0}) == 5.0
+
+
+def test_log_rejects_its_singular_locus():
+    e = KINDS[ex.LOG]
+    for x in (-1.3, -2.0):
+        with pytest.raises(SingularLocusError):
+            ex.evaluate(e, {"x": x, "y": 1.3})
+    with pytest.raises(SingularLocusError):
+        ex.eval_array(e, {"x": np.array([0.5, -1.3]), "y": 1.3})
+    # a non-positive constant stays a node and is rejected when evaluated
+    assert ex.log_(0.0).op == ex.LOG
+    with pytest.raises(SingularLocusError):
+        ex.evaluate(ex.log_(0.0), {})

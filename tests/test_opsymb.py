@@ -39,6 +39,20 @@ MIX_SPEC = NormalOperatorSpec(MIX_PHASE, AMP_ONE, 0.3, 1.0, name="mix-op")
 HS = [hermite_fn(j) for j in range(5)]
 
 
+def recorded_ladders(monkeypatch) -> list:
+    """(rungs, seminorms) of every later fit_seminorm_ladder call, in
+    call order."""
+    calls = []
+    real = opsymb.fit_seminorm_ladder
+
+    def spy(rungs, seminorms, *args, **kwargs):
+        calls.append((tuple(rungs), tuple(seminorms)))
+        return real(rungs, seminorms, *args, **kwargs)
+
+    monkeypatch.setattr(opsymb, "fit_seminorm_ladder", spy)
+    return calls
+
+
 # ------------------------------------------------------ conjugated family
 
 def test_conjugated_identity_is_exact_at_every_rung():
@@ -168,15 +182,17 @@ def quadratic_collar_spec():
                               0.3, 1.0, name=sc.name)
 
 
-def test_sweep_takes_the_saturated_window_of_a_support_limited_amplitude():
+def test_sweep_takes_the_saturated_window_of_a_support_limited_amplitude(
+        monkeypatch):
     spec = quadratic_collar_spec()
     t_grid, rungs = opsymb.ladder_window(spec)
     assert rungs == (16.0, 32.0, 64.0, 128.0, 256.0)
     assert float(np.max(t_grid)) == 6.0 and len(t_grid) == 27
     assert opsymb.SWEEP_MIN_LIVE == 4
+    ladders = recorded_ladders(monkeypatch)
     fits = sweep_symbol_orders(spec, [HS[0], HS[2]], 1, 1, 1, 1)
-    assert len(fits) == 2 * 8 * 2
-    assert all(f.rungs == rungs for f in fits)
+    assert len(fits) == len(ladders) == 2 * 8 * 2
+    assert all(r == rungs for r, _ in ladders)
     rep = run_scenario(catalog.emit("quadratic-collar"), {"phase", "opsymb"})
     order_fit = next(o for o in rep.outcomes
                      if o.check == "opsymb.order_fit")
@@ -207,13 +223,17 @@ def test_order_fit_fits_five_live_rungs_on_the_full_ladder():
     assert slopes[(0, 1, 0, 0, "h0")] is None     # x-derivatives vanish
 
 
-def test_estimate_symbol_order_matches_the_sweep():
+def test_estimate_symbol_order_matches_the_sweep(monkeypatch):
+    ladders = recorded_ladders(monkeypatch)
     fits = sweep_symbol_orders(MIX_SPEC, [HS[0]], 1, 1, 2, 1)
-    for f in fits[::5]:
+    sweep = ladders[:]
+    for f, ladder in list(zip(fits, sweep))[::5]:
+        del ladders[:]
         one = estimate_symbol_order(MIX_SPEC, f.alpha, f.beta, f.l, f.s,
                                     [HS[0]],
                                     family=ConjugatedFamily(MIX_SPEC, 1, 1, 1))
-        assert (one[0].slope, one[0].seminorms) == (f.slope, f.seminorms)
+        assert one[0].slope == f.slope
+        assert ladders == [ladder]
 
 
 def test_fit_raises_on_too_few_live_rungs():

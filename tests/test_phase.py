@@ -128,7 +128,8 @@ def test_normal_coeffs_identity():
     nc = normal_coeffs(IDENTITY)
     assert nc.passed
     assert ex.evaluate(nc.q_plus, {"x1": 0.4}) == 1.0
-    assert ex.evaluate(nc.q_minus, {"x1": 0.4}) == -1.0
+    # q_minus = -q_plus = -1 exactly at every x' sample
+    assert nc.symmetry_residual == 0.0
     assert nc.kappa == 0.25
 
 
@@ -140,8 +141,10 @@ def test_normal_coeffs_dilation_closed_form():
         want = math.exp(math.sin(x1) / 2)
         assert ex.evaluate(nc.q_plus, {"x1": x1}) == pytest.approx(
             want, rel=1e-14)
-        assert ex.evaluate(nc.q_minus, {"x1": x1}) == pytest.approx(
-            -want, rel=1e-14)
+    # q_minus = -want at the same x': the symmetry residual there is
+    # sup |q_plus + q_minus|
+    at = normal_coeffs(DILATION, xprime_samples=np.array([-1.0, 0.25, 2.0]))
+    assert at.symmetry_residual == 0.0
     assert nc.kappa == pytest.approx(math.exp(-0.5) / 4.0, rel=1e-6)
     assert nc.euler_residual <= 1e-12
 

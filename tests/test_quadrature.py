@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from phasecert import expr as ex
-from phasecert import normalop, quadrature
+from phasecert import catalog, normalop, quadrature
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
 from phasecert.normalop import (NormalOperatorSpec, _integrand_factory,
                                 apply_normal_op, apply_truncated_op)
 from phasecert.opsymb import ConjugatedFamily, default_t_grid
 from phasecert.phase import GeneratingPhase
+from phasecert.runner import run_scenario
 from phasecert.quadrature import (Oscillatory, cutoff_richardson,
                                   gauss_rule, panel_frame, panel_nodes,
                                   smooth_freq_cutoff)
@@ -108,6 +109,37 @@ def test_one_dimensional_integrand_keeps_scalar_shape():
     val, err, _ = cutoff_richardson(lambda x: np.exp(-x * x) + 0j, 8.0, 1.0)
     assert np.shape(val) == () and np.shape(err) == ()
     assert abs(val - math.sqrt(math.pi)) <= 1e-13
+
+
+def test_adaptive_floor_is_relative_to_the_largest_output():
+    # exp(-x^2) cos(w x) integrates to sqrt(pi) exp(-w^2/4); scaled by
+    # 1e7 the round-off of the w = 0 sum (about 1e-9) is above tol at the
+    # near-zero outputs, so only a floor set by the largest output lets
+    # the scaled integrand stop where the unscaled one does
+    w = np.array([0.0, 5.0, 10.0, 20.0])
+    want = math.sqrt(math.pi) * np.exp(-w * w / 4.0)
+    evals = []
+    for scale in (1.0, 1e7):
+        val, _, n = quadrature.integrate_adaptive(
+            lambda x: scale * np.exp(-x * x) * np.cos(np.outer(w, x)),
+            -6.0, 6.0, tol=1e-9)
+        assert np.max(np.abs(val / scale - want)) <= 1e-15
+        evals.append(n)
+    assert evals[0] == evals[1]
+
+
+def test_operator_with_a_large_constant_amplitude_converges():
+    # the 241-point l2_bound quadrature of a 1e7 amplitude used to run out
+    # of doublings; it now converges, and the check fails on its norms
+    sc = catalog.emit("dilation")
+    sc["amplitude"] = dict(sc["amplitude"], expr="10000000")
+    rep = run_scenario(sc, {"phase", "operator"})
+    l2 = next(o for o in rep.outcomes if o.check == "operator.l2_bound")
+    assert l2.status == "fail"
+    assert not l2.message
+    assert l2.metrics["output_norm"] > l2.metrics["bound"]
+    assert all("QuadratureBudgetError" not in o.message
+               for o in rep.outcomes)
 
 
 def test_dense_path_memory_is_bounded():
