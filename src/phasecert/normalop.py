@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .phase import GeneratingPhase
+from .phase import GeneratingPhase, normal_coeffs
 from .quadrature import Oscillatory, cutoff_richardson, integrate_adaptive
 from .schwartz import SchwartzFn
 from .symbols import SymbolFn
@@ -131,16 +131,17 @@ def l2_growth_factor(spec: NormalOperatorSpec) -> float:
 
     |q+(x')| is the boundary stretching rate in the normal direction; the
     L2 norm of a unit-Jacobian dilation by c scales by c^(-1/2), so the
-    smoke bound uses max(sqrt(q), 1/sqrt(q)).
+    smoke bound uses max(sqrt(q), 1/sqrt(q)).  At the one sample x' of
+    spec, |q+(x')| is 4 kappa of normal_coeffs, exactly.
     """
-    from .phase import normal_coeffs
-    nc = normal_coeffs(spec.phase,
-                       xprime_samples=np.array([spec.xprime]))
-    qv = abs(ex.evaluate(nc.q_plus, {"x1": spec.xprime}))
+    _, nc = normal_coeffs(spec.phase,
+                          xprime_samples=np.array([spec.xprime]))
+    qv = 4.0 * nc["kappa"]
     return max(math.sqrt(qv), 1.0 / math.sqrt(qv))
 
 
-def l2_smoke_check(spec: NormalOperatorSpec, u: SchwartzFn) -> dict:
+def l2_smoke_check(spec: NormalOperatorSpec, u: SchwartzFn
+                   ) -> tuple[bool, dict]:
     """Discrete L2 bound: ||A u||_2 over |x_n| <= 6 against
     (1 + L2_SLACK) ||u||_2 times the dilation factor."""
     xn = np.linspace(-6.0, 6.0, 241)
@@ -150,5 +151,6 @@ def l2_smoke_check(spec: NormalOperatorSpec, u: SchwartzFn) -> dict:
     t = np.linspace(-40.0, 40.0, 4001)
     in_norm = float(np.sqrt(np.trapezoid(np.abs(u(t)) ** 2, t)))
     bound = (1.0 + L2_SLACK) * in_norm * l2_growth_factor(spec)
-    return {"output_norm": out_norm, "input_norm": in_norm,
-            "bound": bound, "passed": out_norm <= bound}
+    passed = out_norm <= bound
+    return passed, {"output_norm": out_norm, "input_norm": in_norm,
+                    "bound": bound, "passed": passed}

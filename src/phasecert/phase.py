@@ -21,10 +21,9 @@ from . import expr as ex
 from .exceptions import (BoundaryFlatnessError, GraphMismatchError,
                          SignChangeError, SingularAxisError,
                          SingularLocusError)
-from .symbols import SymbolFn, TransmissionReport, check_transmission
+from .symbols import SymbolFn, check_transmission
 from .symplectic import (HOMOGENEITY_TOL, SAMPLE_DTYPE, X_VARS, XI_VARS,
-                         CheckReport, SymplectoMap, collar_samples,
-                         point_at, sup)
+                         SymplectoMap, point_at, sup)
 
 BOUNDARY_PHASE_TOL = 1e-10      # boundary-flatness residuals of psi
 GENERATING_TOL = 1e-8           # the graph relation of phase and map
@@ -105,12 +104,11 @@ def boundary_phase(psi: ex.Expr) -> tuple[ex.Expr, dict]:
 
 
 def check_homogeneity(phase: GeneratingPhase,
-                      samples: np.ndarray) -> CheckReport:
+                      samples: np.ndarray) -> tuple[bool, dict]:
     """Degree-1 homogeneity of psi in the covariables at a sample array by
     the scalar oracle expr.homogeneity_residual and by the Euler identity
-    xi . grad_xi psi = psi; the residual is the NaN-strict larger of the
-    two, and details carries both.  It passes at or below
-    HOMOGENEITY_TOL."""
+    xi . grad_xi psi = psi.  It passes when the NaN-strict larger of the
+    two residuals is at or below HOMOGENEITY_TOL."""
     res = ex.homogeneity_residual(phase.psi, set(XI_VARS), 1.0, samples)
     lhs = ex.add(*(ex.mul(ex.var(v), ex.differentiate(phase.psi, v))
                    for v in XI_VARS))
@@ -118,21 +116,18 @@ def check_homogeneity(phase: GeneratingPhase,
     euler, _ = sup((lhs_v - psi_v) / np.maximum(1.0, np.abs(psi_v)),
                    len(samples))
     tol = HOMOGENEITY_TOL
-    return CheckReport("homogeneity", float(np.maximum(res, euler)), tol,
-                       details={"residual": res, "euler_residual": euler,
-                                "tol": tol})
+    return float(np.maximum(res, euler)) <= tol, {
+        "residual": res, "euler_residual": euler, "tol": tol}
 
 
 def check_generating(phase: GeneratingPhase, chi: SymplectoMap,
-                     samples=None) -> CheckReport:
+                     samples: np.ndarray) -> tuple[bool, dict]:
     """Graph consistency: with y := grad_xi psi(x, eta), the map must send
     (y, eta) to (x, grad_x psi(x, eta)) within GENERATING_TOL.
 
     samples is a sample array of (x, eta) points; both gradients and the
     map run once over all of them, and the residual is NaN-strict.
     """
-    if samples is None:
-        samples = collar_samples(chi, count=200, seed=13, eta_top=6.0)
     count = len(samples)
     # samples carry (x, eta) in the shared names
     grads = ex.eval_array_many(phase.grad_xi() + phase.grad_x(), samples)
@@ -144,17 +139,17 @@ def check_generating(phase: GeneratingPhase, chi: SymplectoMap,
     res = np.max([np.abs(np.broadcast_to(g - w, (count,)))
                   for g, w in zip(got, want)], axis=0)
     worst, i = sup(res, count)
-    worst_p = point_at(samples, i)
-    rep = CheckReport("generating", worst, GENERATING_TOL, worst_p)
-    if not rep.passed:
-        raise GraphMismatchError(
-            f"graph relation fails: residual {worst:.2e} at {worst_p}")
-    return rep
+    if not worst <= GENERATING_TOL:
+        raise GraphMismatchError(f"graph relation fails: residual "
+                                 f"{worst:.2e} at {point_at(samples, i)}")
+    return True, {"residual": worst, "tol": GENERATING_TOL}
 
 
 def check_nondegeneracy(phase: GeneratingPhase,
-                        grid: np.ndarray | None = None) -> CheckReport:
-    """min |d2 psi / dx_n dxi_n| over a collar grid avoiding xi = 0.
+                        grid: np.ndarray | None = None
+                        ) -> tuple[bool, dict]:
+    """min |d2 psi / dx_n dxi_n| over a collar grid avoiding xi = 0, which
+    must be at least NONDEGENERACY_FLOOR.
 
     grid is a sample array, evaluated in one pass; a NaN on it makes the
     minimum NaN and fails the check.
@@ -170,10 +165,9 @@ def check_nondegeneracy(phase: GeneratingPhase,
     i = int(np.argmin(np.abs(vals)))
     m = float(np.abs(vals[i]))
     floor = NONDEGENERACY_FLOOR
-    rep = CheckReport("nondegeneracy", floor - m, 0.0, point_at(grid, i),
-                      details={"min_abs": m, "floor": floor,
-                               "sign": float(np.sign(vals[0]))})
-    return rep
+    return m >= floor, {"min_abs": m, "floor": floor,
+                        "sign": float(np.sign(vals[0])),
+                        "worst_point": point_at(grid, i)}
 
 
 def _collar_grid(phase: GeneratingPhase) -> np.ndarray:
@@ -190,38 +184,20 @@ def _collar_grid(phase: GeneratingPhase) -> np.ndarray:
     return grid
 
 
-@dataclass
-class NormalCoeffs:
-    """Normal derivative coefficients of psi on the two covariable rays.
-
-    q_plus is the expression in x' equal to d psi/d x_n at (x', 0, 0, 1);
-    symmetry_residual is the sup of |q_plus + q_minus| over the x' samples,
-    with q_minus the same derivative at (x', 0, 0, -1); kappa is a positive
-    margin with min |q_plus| >= 4k.
-    The first-order Taylor remainder in x_n is not computed.
-    """
-
-    q_plus: ex.Expr
-    kappa: float
-    symmetry_residual: float
-    euler_residual: float
-    degenerate: bool
-    tol: float = NORMAL_COEFFS_TOL
-
-    @property
-    def passed(self) -> bool:
-        return (self.symmetry_residual <= self.tol and self.kappa > 0.0
-                and not self.degenerate)
-
-
 def normal_coeffs(phase: GeneratingPhase,
-                  xprime_samples: np.ndarray | None = None) -> NormalCoeffs:
+                  xprime_samples: np.ndarray | None = None
+                  ) -> tuple[bool, dict]:
     """q+-(x') := d psi/d x_n (x', 0, 0, +-1), with symmetry q+ = -q-.
 
-    Also cross-checks q+- against +-d2 psi/dx_n dxi_n at the same points,
-    which is what degree-1 homogeneity in xi_n forces through the Euler
-    relation.  Raises SingularAxisError when psi is not smooth on the
-    rays (xi' = 0, xi_n = +-1).
+    metrics: symmetry_residual, the sup of |q+ + q-| over the x' samples;
+    kappa, a margin with min |q+| = 4 kappa, so that one sample x' gives
+    |q+(x')| as 4 kappa exactly; euler_residual, the cross-check of q+-
+    against +-d2 psi/dx_n dxi_n at the same points, which is what degree-1
+    homogeneity in xi_n forces through the Euler relation; and degenerate,
+    q+ = q- = 0.  It passes when the symmetry holds within
+    NORMAL_COEFFS_TOL, kappa > 0 and q+ is not degenerate.  The first-order
+    Taylor remainder in x_n is not computed.  Raises SingularAxisError
+    when psi is not smooth on the rays (xi' = 0, xi_n = +-1).
     """
     if xprime_samples is None:
         xprime_samples = np.linspace(-1.0, 1.0, 21)
@@ -229,14 +205,13 @@ def normal_coeffs(phase: GeneratingPhase,
     dpsi = ex.differentiate(phase.psi, "xn")
     base = {"x1": xprime_samples}
 
-    def on_ray(e, kn):      # e at (x', 0, 0, kn), and its values on x'
+    def on_ray(e, kn):      # the values of e at (x', 0, 0, kn) on x'
         e = ex.substitute(e, {"xn": 0.0, "k1": 0.0, "kn": kn})
-        return e, np.broadcast_to(ex.eval_array(e, base),
-                                  xprime_samples.shape)
+        return np.broadcast_to(ex.eval_array(e, base), xprime_samples.shape)
     try:
-        (qp, qpv), (_, qmv) = on_ray(dpsi, 1.0), on_ray(dpsi, -1.0)
+        qpv, qmv = on_ray(dpsi, 1.0), on_ray(dpsi, -1.0)
         mixed = ex.differentiate(dpsi, "kn")
-        (_, mp), (_, mm) = on_ray(mixed, 1.0), on_ray(mixed, -1.0)
+        mp, mm = on_ray(mixed, 1.0), on_ray(mixed, -1.0)
     except SingularLocusError as err:
         raise SingularAxisError(
             f"psi is not smooth at (xi', xi_n) = (0, +-1): {err}") from err
@@ -245,33 +220,29 @@ def normal_coeffs(phase: GeneratingPhase,
                           np.max(np.abs(qmv + mm))]))
     kappa = float(np.min(np.abs(qpv))) / 4.0
     degenerate = sym <= tol and float(np.max(np.abs(qpv - qmv))) <= tol
-    return NormalCoeffs(qp, kappa, sym, euler, degenerate, tol)
-
-
-@dataclass
-class AdmissibilityReport:
-    reports: dict[str, TransmissionReport]
-    max_residual: float
-    passed: bool
+    return (sym <= tol and kappa > 0.0 and not degenerate,
+            {"kappa": kappa, "symmetry_residual": sym,
+             "euler_residual": euler, "degenerate": degenerate, "tol": tol})
 
 
 def check_admissibility(phase: GeneratingPhase,
-                        max_orders: int = 2) -> AdmissibilityReport:
+                        max_orders: int = 2) -> tuple[bool, dict]:
     """Transmission condition on every first derivative of psi.
 
     x-derivatives of a degree-1 phase are homogeneous symbols of degree 1,
     xi-derivatives of degree 0; each runs the parity check at orders up to
-    max_orders and the results are aggregated.
+    max_orders, and metrics carries each one's max_residual and their
+    NaN-strict maximum.
     """
-    reports = {}
+    per_derivative = {}
     worst = 0.0
     ok = True
     degrees = [(v, 1.0) for v in X_VARS] + [(v, 0.0) for v in XI_VARS]
     for v, m in degrees:
         sym = SymbolFn(ex.differentiate(phase.psi, v), order=m,
                        homogeneous_degree=m, name=f"d/d{v} psi")
-        r = check_transmission(sym, max_orders)
-        reports[f"d{v}"] = r
-        worst = float(np.maximum(worst, r.max_residual))
-        ok = ok and r.passed
-    return AdmissibilityReport(reports, worst, ok)
+        passed, r = check_transmission(sym, max_orders)
+        per_derivative[f"d{v}"] = r["max_residual"]
+        worst = float(np.maximum(worst, r["max_residual"]))
+        ok = ok and passed
+    return ok, {"max_residual": worst, "per_derivative": per_derivative}

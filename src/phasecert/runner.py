@@ -82,18 +82,16 @@ from .exceptions import (PhasecertError, ScenarioParseError,
 from .grammar import parse_expr
 from .normalop import NormalOperatorSpec, QuadratureSpec, apply_normal_op, \
     l2_smoke_check
-from .opsymb import (FIT_TOL, TRANSPOSE_TOL, sweep_symbol_orders,
-                     transpose_check)
+from .opsymb import FIT_TOL, sweep_symbol_orders, transpose_check
 from .phase import (GeneratingPhase, check_admissibility, check_generating,
                     check_homogeneity, check_nondegeneracy, normal_coeffs)
 from .schwartz import SchwartzFn, hermite_fn
 from .sgphase import ZERO_FLOOR, Margins, calibrate, check_uniformity
 from .symbols import SymbolFn, check_transmission
-from .symplectic import (COLLAR_VARS, DET_TOL, HOMOGENEITY_TOL,
-                         SAMPLE_DTYPE, ZERO_TOL, SymplectoMap,
-                         check_boundary_preserving, check_jacobian_structure,
-                         check_symplectic, collar_samples,
-                         induced_boundary_map)
+from .symplectic import (COLLAR_VARS, HOMOGENEITY_TOL, SAMPLE_DTYPE,
+                         SymplectoMap, check_boundary_preserving,
+                         check_jacobian_structure, check_symplectic,
+                         collar_samples, induced_boundary_map)
 
 FAMILIES = ("symplecto", "phase", "generating", "sg", "operator", "opsymb")
 
@@ -505,18 +503,11 @@ class ScenarioRunner:
             return res <= HOMOGENEITY_TOL, {"residual": res,
                                             "tol": HOMOGENEITY_TOL}
         self.check("symplecto.homogeneity", homog)
-
-        def sympl():
-            rep = check_symplectic(chi, samples(200, 2))
-            return rep.passed, {"residual": rep.residual, "tol": rep.tol,
-                                "worst_point": rep.worst_point}
-        self.check("symplecto.symplectic", sympl)
-
-        def bp():
-            rep = check_boundary_preserving(chi, samples(200, 3,
-                                                         boundary=True))
-            return rep.passed, {"residual": rep.residual, "tol": rep.tol}
-        self.check("symplecto.boundary_preserving", bp)
+        self.check("symplecto.symplectic",
+                   lambda: check_symplectic(chi, samples(200, 2)))
+        self.check("symplecto.boundary_preserving",
+                   lambda: check_boundary_preserving(
+                       chi, samples(200, 3, boundary=True)))
 
         gate = self.state.get("symplecto.boundary_preserving") \
             and self.state.get("symplecto.symplectic")
@@ -526,19 +517,12 @@ class ScenarioRunner:
             self.skip("symplecto.boundary_map",
                       "prerequisite symplecto checks failed")
             return
-
-        def struct():
-            rep = check_jacobian_structure(chi, samples(100, 4,
-                                                        boundary=True))
-            return rep.passed, rep.details | {"tol_zero": ZERO_TOL,
-                                              "tol_det": DET_TOL}
-        self.check("symplecto.jacobian_structure", struct)
-
-        def bmap():
-            rep = induced_boundary_map(chi, samples(100, 5,
-                                                       boundary=True))
-            return rep.passed, rep.details
-        self.check("symplecto.boundary_map", bmap)
+        self.check("symplecto.jacobian_structure",
+                   lambda: check_jacobian_structure(
+                       chi, samples(100, 4, boundary=True)))
+        self.check("symplecto.boundary_map",
+                   lambda: induced_boundary_map(
+                       chi, samples(100, 5, boundary=True)))
 
     def _run_phase(self):
         def build():
@@ -562,29 +546,11 @@ class ScenarioRunner:
                              rng.uniform(0.3, 3) * rng.choice([-1, 1]))
                             for _ in range(self._count(20))],
                            dtype=SAMPLE_DTYPE)
-            rep = check_homogeneity(ph, pts)
-            return rep.passed, rep.details
+            return check_homogeneity(ph, pts)
         self.check("phase.homogeneity", homog)
-
-        def nondeg():
-            rep = check_nondegeneracy(ph)
-            return rep.passed, rep.details | {"worst_point": rep.worst_point}
-        self.check("phase.nondegeneracy", nondeg)
-
-        def ncoef():
-            nc = normal_coeffs(ph)
-            return nc.passed, {"kappa": nc.kappa,
-                               "symmetry_residual": nc.symmetry_residual,
-                               "euler_residual": nc.euler_residual,
-                               "degenerate": nc.degenerate, "tol": nc.tol}
-        self.check("phase.normal_coeffs", ncoef)
-
-        def adm():
-            rep = check_admissibility(ph)
-            table = {name: r.max_residual for name, r in rep.reports.items()}
-            return rep.passed, {"max_residual": rep.max_residual,
-                                "per_derivative": table}
-        self.check("phase.admissibility", adm)
+        self.check("phase.nondegeneracy", lambda: check_nondegeneracy(ph))
+        self.check("phase.normal_coeffs", lambda: normal_coeffs(ph))
+        self.check("phase.admissibility", lambda: check_admissibility(ph))
 
     def _run_generating(self):
         if self.sc.phase is None or self.sc.chi is None:
@@ -595,15 +561,10 @@ class ScenarioRunner:
         if not all(self.state.get(k, False) for k in need):
             self.skip("phase.generating", "prerequisites failed")
             return
-
-        def gen():
-            rep = check_generating(self.sc.phase, self.sc.chi,
-                                   collar_samples(self.sc.chi,
-                                                  count=self._count(200),
-                                                  seed=self.sc.seed + 6,
-                                                  eta_top=6.0))
-            return rep.passed, {"residual": rep.residual, "tol": rep.tol}
-        self.check("phase.generating", gen)
+        self.check("phase.generating", lambda: check_generating(
+            self.sc.phase, self.sc.chi,
+            collar_samples(self.sc.chi, count=self._count(200),
+                           seed=self.sc.seed + 6, eta_top=6.0)))
 
     def _phase_gate(self, check: str) -> bool:
         """Whether the phase invariants hold; if not, check is skipped."""
@@ -662,10 +623,9 @@ class ScenarioRunner:
         spec = self._operator_spec()
         if self.sc.amplitude is not None and \
                 self.sc.amplitude.homogeneous_degree is not None:
-            def amp_trans():
-                rep = check_transmission(self.sc.amplitude, max_orders=1)
-                return rep.passed, {"max_residual": rep.max_residual}
-            self.check("operator.amplitude_transmission", amp_trans)
+            self.check("operator.amplitude_transmission",
+                       lambda: check_transmission(self.sc.amplitude,
+                                                  max_orders=1))
 
         def linearity():
             u0, u2 = hermite_fn(0), hermite_fn(2)
@@ -695,11 +655,8 @@ class ScenarioRunner:
             frac = float(np.mean(ok))
             return frac >= 0.95, {"fraction_within_estimate": frac}
         self.check("operator.quadrature_consistency", consistency)
-
-        def l2():
-            rep = l2_smoke_check(spec, hermite_fn(0))
-            return rep["passed"], rep
-        self.check("operator.l2_bound", l2)
+        self.check("operator.l2_bound",
+                   lambda: l2_smoke_check(spec, hermite_fn(0)))
 
     def _run_opsymb(self):
         if not self._phase_gate("opsymb.order_fit"):
@@ -720,12 +677,9 @@ class ScenarioRunner:
             return not n_failing, {"fits": table, "n_failing": n_failing,
                                    "window": window}
         self.check("opsymb.order_fit", orders)
-
-        def transpose():
-            rep = transpose_check(spec, hermite_fn(0), hermite_fn(1))
-            return rep["passed"], {"residual": rep["residual"],
-                                   "tol": TRANSPOSE_TOL}
-        self.check("opsymb.transpose", transpose)
+        self.check("opsymb.transpose",
+                   lambda: transpose_check(spec, hermite_fn(0),
+                                           hermite_fn(1)))
 
 
 def run_scenario(source, selector=None, grid_preset: str = "default",

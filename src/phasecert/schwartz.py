@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .quadrature import integrate_fixed
+from .quadrature import Oscillatory, integrate_fixed
 from .symbols import loglog_fit
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SUPPORT_TOL = 1e-18     # |u| below this counts as outside its support
+FT_PHASE = ex.neg(ex.mul(ex.var("t"), ex.var("xi")))    # -t xi, of Fu
 
 
 @dataclass
@@ -121,20 +122,16 @@ def _support_radius(u: SchwartzFn) -> float:
 
 
 def _panel_ft(u: SchwartzFn, xi, half_line: bool):
-    """integral_a^T e^{-i t xi} u(t) dt with a = 0 or -T, by panels on
-    [a, T] that resolve the oscillation."""
+    """integral_a^T e^{-i t xi} u(t) dt with a = 0 or -T, at every xi in
+    one Oscillatory sum with u as its spectrum, on panels of [a, T] that
+    resolve the oscillation at the largest |xi|."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     T = _support_radius(u)
     a = 0.0 if half_line else -T
-    out = np.empty(len(xi), dtype=complex)
-    for i, x in enumerate(xi):
-        n = max(24, int(np.ceil((T - a) * (abs(x) + 1.0) / (2 * np.pi) * 3)))
-
-        def f(t, _x=x):
-            return u(t) * np.exp(-1j * _x * t)
-
-        out[i] = integrate_fixed(f, a, T, n)
-    return out
+    top = float(np.max(np.abs(xi)))
+    n = max(24, int(np.ceil((T - a) * (top + 1.0) / (2 * np.pi) * 3)))
+    return integrate_fixed(Oscillatory(FT_PHASE, ex.const(1.0), {"xi": xi},
+                                       spectrum=u, kvar="t"), a, T, n)
 
 
 def fourier_transform(u: SchwartzFn, xi):

@@ -13,7 +13,8 @@ Sample points are one numpy structured array with a float field per
 variable: ``len(samples)`` is the number of points, ``samples["x1"]`` is
 a column, ``samples[i]`` is one point, and the array itself is an
 evaluation environment for :mod:`expr`.  Each check evaluates its
-expressions once over all of its samples and reduces with :func:`sup`.
+expressions once over all of its samples, reduces with :func:`sup` and
+returns (passed, metrics), metrics being the body of its report.
 The reductions propagate NaN and inf, so a non-finite value at any sample
 makes the residual non-finite and fails the check.
 """
@@ -149,58 +150,40 @@ def _matrices(entries: list, shape: tuple, m: int) -> np.ndarray:
     return out.reshape(shape + (m, m))
 
 
-@dataclass
-class CheckReport:
-    name: str
-    residual: float
-    tol: float
-    worst_point: dict[str, float] | None = None
-    details: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tol
-
-
-def check_symplectic(chi: SymplectoMap, samples=None) -> CheckReport:
-    """Max over samples of ||J^T O J - O||_max."""
-    if samples is None:
-        samples = collar_samples(chi)
+def check_symplectic(chi: SymplectoMap, samples: np.ndarray
+                     ) -> tuple[bool, dict]:
+    """Max over samples of ||J^T O J - O||_max, with its worst sample."""
     O = SYMPLECTIC_FORM
     J = jacobian(chi, samples)
     with np.errstate(all="ignore"):    # non-finite entries give NaN
         res = np.max(np.abs(np.swapaxes(J, 1, 2) @ O @ J - O), axis=(1, 2))
     worst, i = sup(res, len(samples))
-    return CheckReport("symplectic", worst, SYMPLECTIC_TOL,
-                       point_at(samples, i))
+    return worst <= SYMPLECTIC_TOL, {"residual": worst,
+                                     "tol": SYMPLECTIC_TOL,
+                                     "worst_point": point_at(samples, i)}
 
 
-def check_boundary_preserving(chi: SymplectoMap,
-                              samples=None) -> CheckReport:
+def check_boundary_preserving(chi: SymplectoMap, samples: np.ndarray
+                              ) -> tuple[bool, dict]:
     """sup |x_n(y', 0, eta)| over boundary samples."""
-    if samples is None:
-        samples = collar_samples(chi, boundary=True)
-    worst, i = sup(ex.eval_array(chi.components["xn"], samples),
+    worst, _ = sup(ex.eval_array(chi.components["xn"], samples),
                    len(samples))
-    return CheckReport("boundary_preserving", worst, BOUNDARY_TOL,
-                       point_at(samples, i))
+    return worst <= BOUNDARY_TOL, {"residual": worst, "tol": BOUNDARY_TOL}
 
 
-def induced_boundary_map(chi: SymplectoMap, samples=None,
-                         det_tol: float = DET_TOL) -> CheckReport:
+def induced_boundary_map(chi: SymplectoMap, samples: np.ndarray
+                         ) -> tuple[bool, dict]:
     """Restrict (x', xi') to y_n = 0 and check the boundary symplectomorphism.
 
     Verifies eta_n-independence of both parts, eta'-independence of x',
-    linearity of xi' in eta', and unimodularity of the boundary Jacobian.
-    Requires x_n to vanish on the boundary samples (the
+    linearity of xi' in eta', and unimodularity of the boundary Jacobian
+    within DET_TOL.  Requires x_n to vanish on the boundary samples (the
     check_boundary_preserving test, on these samples).
     """
-    if samples is None:
-        samples = collar_samples(chi, boundary=True)
-    bp = check_boundary_preserving(chi, samples)
-    if not bp.passed:
+    passed, bp = check_boundary_preserving(chi, samples)
+    if not passed:
         raise BoundaryPreservationError(
-            f"x_n does not vanish on the boundary (sup {bp.residual:.2e})")
+            f"x_n does not vanish on the boundary (sup {bp['residual']:.2e})")
     count = len(samples)
     b = ex.substitute(chi.components["x1"], {"xn": 0.0})
     xib = ex.substitute(chi.components["k1"], {"xn": 0.0})
@@ -221,16 +204,13 @@ def induced_boundary_map(chi: SymplectoMap, samples=None,
     Jb = _matrices(ex.eval_array_many(
         [ex.differentiate(r, s) for r in (b, xib) for s in ("x1", "k1")],
         samples), (count,), 2)
-    det_worst, i = sup(np.linalg.det(Jb) - 1.0, count)
-    rep = CheckReport("boundary_map", float(np.max((worst, det_worst))),
-                      det_tol, point_at(samples, i),
-                      details={"linearity_residual": worst,
-                               "det_residual": det_worst})
-    return rep
+    det_worst, _ = sup(np.linalg.det(Jb) - 1.0, count)
+    return det_worst <= DET_TOL, {"linearity_residual": worst,
+                                  "det_residual": det_worst}
 
 
-def check_jacobian_structure(chi: SymplectoMap,
-                             samples=None) -> CheckReport:
+def check_jacobian_structure(chi: SymplectoMap, samples: np.ndarray
+                             ) -> tuple[bool, dict]:
     """Structural zero blocks and unimodular factors of J at y_n = 0.
 
     Verifies |dx'/deta_n|, |dxi'/deta_n|, |dx_n/dy'|, |dx_n/deta'|,
@@ -239,13 +219,11 @@ def check_jacobian_structure(chi: SymplectoMap,
     min |dx_n/dy_n| over the collar.  Requires x_n to vanish on the
     boundary samples.
     """
-    if samples is None:
-        samples = collar_samples(chi, boundary=True)
-    bp = check_boundary_preserving(chi, samples)
-    if not bp.passed:
+    passed, bp = check_boundary_preserving(chi, samples)
+    if not passed:
         raise BoundaryPreservationError(
             f"structure check needs a boundary-preserving map "
-            f"(sup |x_n| = {bp.residual:.2e})")
+            f"(sup |x_n| = {bp['residual']:.2e})")
     # (x', xi') rows vs the eta_n column, then the x_n row vs the
     # (y', eta') columns and the eta_n column
     zi, zj = [0, 1, 2, 2, 2], [3, 3, 0, 1, 3]
@@ -256,18 +234,16 @@ def check_jacobian_structure(chi: SymplectoMap,
     d = np.abs(np.linalg.det(J[:, :2, :2]) - 1.0)
     pr = np.abs(J[:, 2, 2] * J[:, 3, 3] - 1.0)
     zmax, det_res, prod_res = (sup(v, count)[0] for v in (z, d, pr))
-    _, worst_i = sup(np.maximum(np.maximum(z, d), pr), count)
 
     interior = collar_samples(chi, count=200, seed=11)
     min_dxn = float(np.min(np.abs(jacobian(chi, interior)[:, 2, 2])))
 
     residual = float(np.max((zmax / ZERO_TOL, det_res / DET_TOL,
                              prod_res / DET_TOL)))
-    return CheckReport("jacobian_structure", residual, 1.0,
-                       point_at(samples, worst_i),
-                       details={"zero_blocks": zmax,
-                                "boundary_det_residual": det_res,
-                                "normal_product_residual": prod_res,
-                                "min_normal_derivative": min_dxn,
-                                "row_order": list(SOURCE_ORDER),
-                                "col_order": list(SOURCE_ORDER)})
+    return residual <= 1.0, {"zero_blocks": zmax,
+                             "boundary_det_residual": det_res,
+                             "normal_product_residual": prod_res,
+                             "min_normal_derivative": min_dxn,
+                             "row_order": list(SOURCE_ORDER),
+                             "col_order": list(SOURCE_ORDER),
+                             "tol_zero": ZERO_TOL, "tol_det": DET_TOL}

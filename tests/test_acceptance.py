@@ -25,7 +25,8 @@ from phasecert.runner import csv_bundle, run_scenario
 from phasecert.schwartz import exp_decay, hermite_fn, measured_decay_exponent
 from phasecert.sgphase import StarPhaseFamily, calibrate
 from phasecert.symbols import SymbolFn, check_bs_membership
-from phasecert.symplectic import SymplectoMap, check_jacobian_structure
+from phasecert.symplectic import (SymplectoMap, check_jacobian_structure,
+                                  collar_samples)
 
 from oracles import fd_crosscheck
 
@@ -136,16 +137,16 @@ def test_criterion_3_transmission():
                    10.0):
         for name in POSITIVE_PHASES:
             ph = scenario_phase(name)
-            nc = normal_coeffs(ph)
-            assert nc.symmetry_residual <= 1e-10, name
-            assert nc.kappa > 0.0, name
-            adm = check_admissibility(ph, max_orders=2)
-            assert adm.passed, name
-            assert adm.max_residual <= 1e-12, name
+            _, nc = normal_coeffs(ph)
+            assert nc["symmetry_residual"] <= 1e-10, name
+            assert nc["kappa"] > 0.0, name
+            passed, adm = check_admissibility(ph, max_orders=2)
+            assert passed, name
+            assert adm["max_residual"] <= 1e-12, name
         bad = scenario_phase("bad-transmission")
-        nc = normal_coeffs(bad)
-        assert nc.symmetry_residual >= 0.1
-        assert not check_admissibility(bad).passed
+        _, nc = normal_coeffs(bad)
+        assert nc["symmetry_residual"] >= 0.1
+        assert not check_admissibility(bad)[0]
 
 
 def test_criterion_4_boundary_jacobian_structure():
@@ -161,10 +162,11 @@ def test_criterion_4_boundary_jacobian_structure():
             "kn": parse_expr("kn"),
         }, name="shear-lift"))
         for chi in maps:
-            rep = check_jacobian_structure(chi)
-            assert rep.details["zero_blocks"] <= 1e-10, chi.name
-            assert rep.details["boundary_det_residual"] <= 1e-8, chi.name
-            assert rep.details["normal_product_residual"] <= 1e-8, chi.name
+            _, rep = check_jacobian_structure(
+                chi, collar_samples(chi, boundary=True))
+            assert rep["zero_blocks"] <= 1e-10, chi.name
+            assert rep["boundary_det_residual"] <= 1e-8, chi.name
+            assert rep["normal_product_residual"] <= 1e-8, chi.name
         shift = run_scenario(catalog.emit("bad-boundary-shift"))
         assert shift.failed == ["symplecto.boundary_preserving"]
         broken = run_scenario(catalog.emit("bad-symplectic"))
@@ -232,11 +234,11 @@ def test_criterion_8_transpose_pairing():
             scenario_phase("identity"),
             SymbolFn(parse_expr("bracket(kn)^(-2)"), order=-2.0), 0.3, 1.0,
             name="smoothing-op")
-        rep = transpose_check(specs["identity-op"], HS[0], HS[1])
+        _, rep = transpose_check(specs["identity-op"], HS[0], HS[1])
         assert rep["residual"] <= 1e-9
-        rep = transpose_check(specs["dilation-op"], HS[0], HS[2])
+        _, rep = transpose_check(specs["dilation-op"], HS[0], HS[2])
         assert rep["residual"] <= 1e-6
-        rep = transpose_check(smoothing, HS[1], HS[2])
+        _, rep = transpose_check(smoothing, HS[1], HS[2])
         assert rep["residual"] <= 1e-6
 
 

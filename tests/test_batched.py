@@ -117,10 +117,10 @@ BLOWUP = {"x1": "x1", "xn": "xn*exp(1000*k1^2)", "k1": "k1", "kn": "kn"}
 
 def test_nonfinite_boundary_samples_fail_boundary_preserving():
     chi = SymplectoMap({k: parse_expr(v) for k, v in BLOWUP.items()})
-    rep = check_boundary_preserving(chi)
-    assert math.isnan(rep.residual)
-    assert not rep.passed
-    assert rep.worst_point is not None
+    passed, metrics = check_boundary_preserving(
+        chi, collar_samples(chi, boundary=True))
+    assert math.isnan(metrics["residual"])
+    assert not passed
 
 
 def test_nonfinite_values_fail_homogeneity_oracle():

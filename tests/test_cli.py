@@ -60,6 +60,19 @@ def test_run_identity_via_api_passes():
     assert not rep.failed
 
 
+# dilation with its amplitude replaced, run with the phase, operator and
+# opsymb families: (expression, order, homogeneous degree, failing checks)
+AMPLITUDE_EDITS = [
+    # three times the identity's amplitude: over the L2 bound
+    ("3", 0, 0, ["operator.l2_bound"]),
+    # even on the xi_n rays, where degree 1 needs odd, and at least 1
+    ("norm(k1,kn)", 1, 1, ["operator.amplitude_transmission",
+                           "operator.l2_bound"]),
+    # bounded, but no symbol of order 0: its xi_n-derivative does not decay
+    ("sin(40*kn)", 0, None, ["opsymb.order_fit"]),
+]
+
+
 def test_negative_scenarios_fail_exactly_their_checks():
     cases = {
         "bad-boundary-shift": ["symplecto.boundary_preserving"],
@@ -70,6 +83,13 @@ def test_negative_scenarios_fail_exactly_their_checks():
         rep = run_scenario(catalog.emit(name))
         assert sorted(rep.failed) == sorted(intended), name
         assert not rep.errored
+    for expr, order, degree, intended in AMPLITUDE_EDITS:
+        sc = catalog.emit("dilation")
+        sc["amplitude"] = {"expr": expr, "order": order,
+                           "homogeneous_degree": degree}
+        rep = run_scenario(sc, {"phase", "operator", "opsymb"})
+        assert sorted(rep.failed) == sorted(intended), expr
+        assert not rep.errored, expr
 
 
 def test_dependency_gating_reports_skips():

@@ -232,5 +232,5 @@ def test_truncated_rejects_nonpositive_points():
 def test_l2_smoke_identity_and_dilation():
     for spec in (identity_spec(), dilation_spec()):
         for j in range(5):
-            rep = l2_smoke_check(spec, hermite_fn(j))
-            assert rep["passed"], (spec.name, j, rep)
+            passed, rep = l2_smoke_check(spec, hermite_fn(j))
+            assert passed, (spec.name, j, rep)

@@ -7,7 +7,7 @@ from phasecert import catalog
 from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
-from phasecert.normalop import NormalOperatorSpec
+from phasecert.normalop import NormalOperatorSpec, apply_normal_op
 from phasecert import opsymb
 from phasecert.opsymb import (ConjugatedFamily, default_t_grid,
                               estimate_symbol_order, fit_seminorm_ladder,
@@ -284,24 +284,27 @@ def test_derived_amplitude_xi_branch_class_membership():
 # ------------------------------------------------------------- transpose
 
 def test_transpose_identity_spec():
-    rep = transpose_check(IDENTITY_SPEC, HS[0], HS[1])
-    assert rep["residual"] <= 1e-9
+    passed, rep = transpose_check(IDENTITY_SPEC, HS[0], HS[1])
+    assert passed and rep["residual"] <= 1e-9
 
 
 def test_transpose_dilation_spec():
-    rep = transpose_check(DILATION_SPEC, HS[0], HS[2])
-    assert rep["residual"] <= 1e-6
-    # closed-form adjoint oracle: <Au, v> with A u = u(c .)
+    passed, rep = transpose_check(DILATION_SPEC, HS[0], HS[2])
+    assert passed and rep["residual"] <= 1e-6
+    # closed-form adjoint oracle: <Au, v> with A u = u(c .), against the
+    # forward pairing on the x panel grid of transpose_check
     c = math.exp(math.sin(0.3) / 2.0)
     want = trapezoid(lambda x: HS[0](c * x) * HS[2](x), -30, 30)
-    assert abs(rep["pair_forward"] - want) <= 1e-8
+    xn, xw = panel_nodes(-14.0, 14.0, 200, 10)
+    au, _ = apply_normal_op(DILATION_SPEC, HS[0], xn)
+    assert abs((au * HS[2](xn)) @ xw - want) <= 1e-8
 
 
 def test_transpose_smoothing_spec():
     amp = SymbolFn(parse_expr("bracket(kn)^(-2)"), order=-2.0)
     spec = NormalOperatorSpec(phase_of("identity"), amp, 0.3, 1.0)
-    rep = transpose_check(spec, HS[1], HS[2])
-    assert rep["residual"] <= 1e-6
+    passed, rep = transpose_check(spec, HS[1], HS[2])
+    assert passed and rep["residual"] <= 1e-6
 
 
 @pytest.mark.parametrize("spec,v", [(IDENTITY_SPEC, HS[1]),
@@ -320,6 +323,6 @@ def test_factored_transpose_matches_dense_sum(monkeypatch, spec, v):
         return got
 
     monkeypatch.setattr(opsymb, "panel_fourier_sum", spy)
-    rep = transpose_check(spec, HS[0], v)
+    _, rep = transpose_check(spec, HS[0], v)
     assert len(gaps) == 1 and gaps[0] <= 1e-12, gaps
     assert rep["residual"] <= 1e-9

@@ -16,8 +16,13 @@ __post_init__ sets on self, must be read by the program: an attribute
 load of its name in src/ or perfbench/, or a dotted identifier string
 naming it in perfbench/ (the patch targets of perfbench/tracer.py).  A
 read from tests/ does not count, and neither does a string in src/, where
-dict keys such as "rungs" would mask a field of the same name.  Fields of
-ACCEPTANCE_SUBJECTS classes are exempt.
+dict keys such as "rungs" would mask a field of the same name, nor a load
+that only receives a MUTATORS call, as report.table in
+report.table.append(row): a field that is only filled is not read.  A
+load from self inside a class reads that class's field only, so that one
+class reading its own field of a name does not mask another class's
+field of the same name.  Fields of ACCEPTANCE_SUBJECTS classes are
+exempt.
 
 No module of src/ but expr.py reads a private name of expr, as an
 attribute of the imported module or by a from-import: the compiled
@@ -169,17 +174,33 @@ def _fields(tree: ast.Module):
                         yield node.name, sub.attr, sub.lineno
 
 
+# methods that fill a container without reading it
+MUTATORS = ("append", "extend", "update", "add")
+
+
 def _reads(tree: ast.Module, strings: bool):
-    """Names of the attribute loads of a module, and with strings the
-    parts of its dotted identifier strings outside docstrings."""
+    """(class, name) of the attribute loads of a module but those that only
+    receive a MUTATORS call, and with strings (None, part) for the parts
+    of its dotted identifier strings outside docstrings.  class is the
+    enclosing class of a load from self, which reads that class's field
+    only, and None for any other load."""
     docs = _docstrings(tree)
+    filled = {id(node.func.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS}
+    owner = {id(sub): node.name for node in tree.body
+             if isinstance(node, ast.ClassDef) for sub in ast.walk(node)
+             if isinstance(sub, ast.Attribute)
+             and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in filled):
+            yield owner.get(id(node)), node.attr
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str) and id(node) not in docs
               and _DOTTED.fullmatch(node.value)):
-            yield from node.value.split(".")
+            yield from ((None, part) for part in node.value.split("."))
 
 
 def unread_fields() -> list[str]:
@@ -190,7 +211,8 @@ def unread_fields() -> list[str]:
         read |= set(_reads(ast.parse(f.read_text(), str(f)), strings=True))
     return sorted({f"{cls}.{name}" for f in SRC.glob("*.py")
                    for cls, name, _ in _fields(ast.parse(f.read_text()))
-                   if not name.startswith("_") and name not in read
+                   if not name.startswith("_")
+                   and not {(None, name), (cls, name)} & read
                    and cls not in ACCEPTANCE_SUBJECTS})
 
 

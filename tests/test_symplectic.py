@@ -45,6 +45,11 @@ def cotangent_value(chi, p):
     return np.array([[float(ex.eval_array(m, p))]])
 
 
+def edge(chi):
+    """200 boundary samples of chi at seed 7."""
+    return collar_samples(chi, boundary=True)
+
+
 def shear_lift() -> SymplectoMap:
     # cotangent lift of b(y1) = y1 + 0.3 tanh(y1): x1 = b, xi1 = eta1/b'
     tanh = "(exp(2*x1) - 1) / (exp(2*x1) + 1)"
@@ -89,26 +94,34 @@ def test_jacobian_entries_match_fd():
                 assert abs(J[i, j] - fd) / max(1.0, abs(J[i, j])) <= 1e-6
 
 
+def symplectic_residual(chi):
+    return check_symplectic(chi, collar_samples(chi))[1]["residual"]
+
+
 def test_symplectic_identity_and_catalog():
-    assert check_symplectic(IDENTITY).residual == 0.0
-    assert check_symplectic(DILATION).residual <= 1e-10
-    assert check_symplectic(QUADRATIC).residual <= 1e-10
-    assert check_symplectic(shear_lift()).residual <= 1e-10
+    assert symplectic_residual(IDENTITY) == 0.0
+    assert symplectic_residual(DILATION) <= 1e-10
+    assert symplectic_residual(QUADRATIC) <= 1e-10
+    assert symplectic_residual(shear_lift()) <= 1e-10
 
 
 def test_symplectic_broken_map_fails():
-    rep = check_symplectic(BROKEN)
-    assert not rep.passed
-    assert rep.residual >= 0.1
+    passed, metrics = check_symplectic(BROKEN, collar_samples(BROKEN))
+    assert not passed
+    assert metrics["residual"] >= 0.1
+
+
+def boundary_residual(chi):
+    return check_boundary_preserving(chi, edge(chi))[1]["residual"]
 
 
 def test_boundary_preserving():
-    assert check_boundary_preserving(IDENTITY).residual == 0.0
-    assert check_boundary_preserving(DILATION).residual == 0.0
-    assert check_boundary_preserving(QUADRATIC).residual <= 1e-14
-    rep = check_boundary_preserving(SHIFTED)
-    assert not rep.passed
-    assert rep.residual == pytest.approx(0.1, abs=1e-15)
+    assert boundary_residual(IDENTITY) == 0.0
+    assert boundary_residual(DILATION) == 0.0
+    assert boundary_residual(QUADRATIC) <= 1e-14
+    passed, metrics = check_boundary_preserving(SHIFTED, edge(SHIFTED))
+    assert not passed
+    assert metrics["residual"] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_homogeneity_of_catalog_maps():
@@ -125,14 +138,14 @@ def test_symplectic_implies_unimodular():
 
 
 def test_induced_boundary_map_identity():
-    assert induced_boundary_map(IDENTITY).passed
+    assert induced_boundary_map(IDENTITY, edge(IDENTITY))[0]
     p = {"x1": 0.7, "k1": 2.0, "kn": 1.0}
     assert boundary_value(IDENTITY, p) == 0.7
     assert cotangent_value(IDENTITY, p)[0, 0] == 1.0
 
 
 def test_induced_boundary_map_dilation_is_trivial():
-    assert induced_boundary_map(DILATION).passed
+    assert induced_boundary_map(DILATION, edge(DILATION))[0]
     for x1 in (-0.8, 0.1, 0.9):
         p = {"x1": x1, "k1": 1.3, "kn": -2.0}
         assert boundary_value(DILATION, p) == pytest.approx(x1, abs=1e-14)
@@ -142,7 +155,8 @@ def test_induced_boundary_map_dilation_is_trivial():
 
 def test_induced_boundary_map_shear():
     chi = shear_lift()
-    assert induced_boundary_map(chi, det_tol=1e-10).passed
+    passed, metrics = induced_boundary_map(chi, edge(chi))
+    assert passed and metrics["det_residual"] <= 1e-10
     for y1 in (-1.0, 0.2, 1.4):
         p = {"x1": y1, "k1": 1.0, "kn": 3.0}
         b = y1 + 0.3 * math.tanh(y1)
@@ -154,23 +168,23 @@ def test_induced_boundary_map_shear():
 
 def test_boundary_map_of_shift_raises():
     with pytest.raises(BoundaryPreservationError):
-        induced_boundary_map(SHIFTED)
+        induced_boundary_map(SHIFTED, edge(SHIFTED))
 
 
 def test_jacobian_structure_catalog():
     for chi in (IDENTITY, DILATION, QUADRATIC, shear_lift()):
-        rep = check_jacobian_structure(chi)
-        assert rep.passed, (chi.name, rep.details)
-        assert rep.details["zero_blocks"] <= 1e-10
-        assert rep.details["boundary_det_residual"] <= 1e-8
-        assert rep.details["normal_product_residual"] <= 1e-8
-        assert rep.details["min_normal_derivative"] > 0.1
+        passed, metrics = check_jacobian_structure(chi, edge(chi))
+        assert passed, (chi.name, metrics)
+        assert metrics["zero_blocks"] <= 1e-10
+        assert metrics["boundary_det_residual"] <= 1e-8
+        assert metrics["normal_product_residual"] <= 1e-8
+        assert metrics["min_normal_derivative"] > 0.1
 
 
 def test_jacobian_structure_quadratic_tight():
-    rep = check_jacobian_structure(QUADRATIC)
-    assert rep.details["zero_blocks"] <= 1e-12
-    assert rep.details["normal_product_residual"] <= 1e-10
+    _, metrics = check_jacobian_structure(QUADRATIC, edge(QUADRATIC))
+    assert metrics["zero_blocks"] <= 1e-12
+    assert metrics["normal_product_residual"] <= 1e-10
 
 
 def test_boundary_map_inverse_composition():
@@ -182,9 +196,9 @@ def test_boundary_map_inverse_composition():
         "k1": parse_expr("k1 - xn*kn*(cos(x1)/2)"),
         "kn": parse_expr("kn*exp(-sin(x1)/2)"),
     }, name="dilation-inverse")
-    assert check_symplectic(inv).residual <= 1e-10
-    assert induced_boundary_map(DILATION).passed
-    assert induced_boundary_map(inv).passed
+    assert symplectic_residual(inv) <= 1e-10
+    assert induced_boundary_map(DILATION, edge(DILATION))[0]
+    assert induced_boundary_map(inv, edge(inv))[0]
     for y1 in (-0.9, 0.0, 0.7):
         p = {"x1": y1, "k1": 1.0, "kn": 1.0}
         mid = boundary_value(DILATION, p)
