@@ -39,7 +39,7 @@ which fold constants.
 Expressions containing the euclidean norm, quotients, logs or square roots
 declare a singular locus; evaluation requests inside it raise
 :class:`~phasecert.exceptions.SingularLocusError` instead of silently
-computing a garbage value.
+computing a garbage value, except inside a guard payload (see :func:`guard`).
 """
 
 from __future__ import annotations
@@ -291,8 +291,11 @@ def cutoff_expr(u) -> Expr:
 def guard(gate, payload) -> Expr:
     """gate * payload with the payload extended by zero where gate == 0.
 
-    Used for cutoff-localized phase terms: wherever the cutoff vanishes the
-    payload is never evaluated, so it may be undefined there.
+    Used for cutoff-localized phase terms.  The payload is evaluated on
+    the whole grid, relaxed: where it is singular it gives NaN instead of
+    raising.  Wherever the gate vanishes that value is replaced by 0, so
+    the payload may be undefined there; a non-finite value left inside the
+    gate's support raises SingularLocusError.
     """
     gate = _coerce(gate)
     payload = _coerce(payload)
@@ -548,31 +551,32 @@ class Program:
     """Several expressions compiled to one straight-line register program
     over their shared DAG; calling it on an environment evaluates them all.
 
-    Each node is one instruction (op, dst, source registers, aux).  A GUARD
-    reads only its gate: its aux is the payload's own program, which runs
-    only where the gate is live.  consumers counts the reads of each
-    register, so that a register is freed after its last read.
+    Each node, guard payloads included, is one instruction (op, dst,
+    source registers, aux, relaxed), so a subexpression that several
+    guards share is computed once.  A GUARD reads its gate and payload
+    registers.  A node is strict if an output reaches it without passing
+    through a payload edge, and raises SingularLocusError on its singular
+    locus; every other node is relaxed and gives NaN there instead.
+    consumers counts the reads of each register, so that a register is
+    freed after its last read.
     """
 
     def __init__(self, exprs: list[Expr]):
         self.instrs: list = []
         reg_of: dict[int, int] = {}
-
-        def operands(node):
-            return node.args[:1] if node.op == GUARD else node.args
-
+        strict = {id(node) for e in exprs for node in _topo(
+            e, lambda n: n.args[:1] if n.op == GUARD else n.args)}
         for e in exprs:
-            for node in _topo(e, operands):
+            for node in _topo(e):
                 if id(node) in reg_of:
                     continue
                 reg_of[id(node)] = dst = len(self.instrs)
-                srcs = tuple(reg_of[id(c)] for c in operands(node))
-                aux = _compiled(node.args[1]) if node.op == GUARD \
-                    else node.aux
-                self.instrs.append((node.op, dst, srcs, aux))
+                srcs = tuple(reg_of[id(c)] for c in node.args)
+                self.instrs.append((node.op, dst, srcs, node.aux,
+                                    id(node) not in strict))
         self.n_regs = len(self.instrs)
         self.consumers = [0] * self.n_regs
-        for _, _, srcs, _ in self.instrs:
+        for _, _, srcs, _, _ in self.instrs:
             for s in srcs:
                 self.consumers[s] += 1
         self.out_regs = tuple(reg_of[id(e)] for e in exprs)
@@ -580,7 +584,7 @@ class Program:
             self.consumers[r] += 1
 
     def __call__(self, env: dict) -> list:
-        return _exec(self, env, False)
+        return _exec(self, env)
 
 
 def _compiled(e: Expr) -> Program:
@@ -611,7 +615,7 @@ def _lookup(env, name: str):
         raise KeyError(f"no value bound for variable {name!r}") from None
 
 
-def _exec(prog: Program, env: dict, relaxed: bool) -> list:
+def _exec(prog: Program, env: dict) -> list:
     regs: list = [None] * prog.n_regs
     remaining = prog.consumers[:]
     nan = np.float64("nan")
@@ -623,7 +627,7 @@ def _exec(prog: Program, env: dict, relaxed: bool) -> list:
                 regs[s] = None
 
     with np.errstate(all="ignore"):
-        for op, dst, srcs, aux in prog.instrs:
+        for op, dst, srcs, aux, relaxed in prog.instrs:
             if op == CONST:
                 val = np.float64(aux)
             elif op == VAR:
@@ -701,13 +705,11 @@ def _exec(prog: Program, env: dict, relaxed: bool) -> list:
             elif op == BUMPD:
                 val = _bump_eval(regs[srcs[0]], aux)
             elif op == GUARD:
-                gate = regs[srcs[0]]
-                garr = np.asarray(gate)
+                garr = np.asarray(regs[srcs[0]])
                 if not np.any(garr != 0.0):
                     val = garr * 0.0
                 else:
-                    payload = _exec(aux, env, True)[0]
-                    val = np.where(garr == 0.0, 0.0, garr * payload)
+                    val = np.where(garr == 0.0, 0.0, garr * regs[srcs[1]])
                     if not relaxed and not np.all(np.isfinite(val)):
                         raise SingularLocusError(
                             "guarded payload singular inside gate support")

@@ -55,7 +55,6 @@ class PhaseConstants:
     C_tau: float
     eps: float
     eps_sign: float
-    grid: str
 
     def flat(self) -> dict[str, float]:
         out = {f"C_{a}{al}": v for (a, al), v in self.table.items()}
@@ -143,7 +142,9 @@ class StarPhaseFamily:
         band = band[band <= top]
         if len(band) == 0:
             return tgrid
-        return np.unique(np.concatenate([tgrid, band, -band]))
+        # sorted distinct values, as np.unique, which would import numpy.ma
+        out = np.sort(np.concatenate([tgrid, band, -band]))
+        return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
     def constants_at(self, xprime, rung: float, sign: int = 1,
                      tgrid: np.ndarray | None = None,
@@ -169,33 +170,39 @@ class StarPhaseFamily:
         env = self.env_for(xs.reshape(m, 1, 1), rung, sign)
         env["t"] = tgrid[None, :, None]
         env["tau"] = taugrid[None, None, :]
-        shape = (m, nt, nu)
-        vals = {k: np.broadcast_to(v, shape)
-                for k, v in zip(keys, prog(env))}
+        vals = dict(zip(keys, prog(env)))
         bt = np.sqrt(1.0 + tgrid * tgrid)[None, :, None]
         btau = np.sqrt(1.0 + taugrid * taugrid)[None, None, :]
+
+        def per_x(v, reduce):
+            # reduced at v's own shape, whose leading axis is 1 where v does
+            # not depend on x', then repeated per x': max and min are exact,
+            # so this equals reducing v broadcast to (m, T, U)
+            v = np.broadcast_to(v, np.broadcast_shapes(np.shape(v),
+                                                       (1, nt, nu)))
+            return np.broadcast_to(reduce(v, axis=(1, 2)), (m,))
+
         rows = range(m)
         tables = [{} for _ in rows]
         for (a, al), D in vals.items():
             w = np.abs(D) * bt ** (a - 1) * btau ** (al - 1)
-            for i, v in zip(rows, w.max(axis=(1, 2)).tolist()):
+            for i, v in zip(rows, per_x(w, np.max).tolist()):
                 tables[i][(a, al)] = v
 
         d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
         q_t = np.sqrt(1.0 + d10 * d10) / btau
         q_tau = np.sqrt(1.0 + d01 * d01) / bt
-        c_t, C_t = q_t.min(axis=(1, 2)), q_t.max(axis=(1, 2))
-        c_tau, C_tau = q_tau.min(axis=(1, 2)), q_tau.max(axis=(1, 2))
-        lo, hi = d11.min(axis=(1, 2)), d11.max(axis=(1, 2))
-        eps = np.abs(d11).min(axis=(1, 2))
-        grid = grid_digest(t=tgrid, tau=taugrid)
+        c_t, C_t = per_x(q_t, np.min), per_x(q_t, np.max)
+        c_tau, C_tau = per_x(q_tau, np.min), per_x(q_tau, np.max)
+        lo, hi = per_x(d11, np.min), per_x(d11, np.max)
+        eps = per_x(np.abs(d11), np.min)
         out = []
         for i in rows:
             sign_ok = lo[i] > 0.0 or hi[i] < 0.0
             out.append(PhaseConstants(
                 tables[i], float(c_t[i]), float(C_t[i]), float(c_tau[i]),
                 float(C_tau[i]), float(eps[i] if sign_ok else -eps[i]),
-                float(np.sign(hi[i])) if sign_ok else 0.0, grid))
+                float(np.sign(hi[i])) if sign_ok else 0.0))
         return out if xs.ndim else out[0]
 
 

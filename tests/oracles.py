@@ -3,8 +3,11 @@
 These deliberately avoid the package's own differentiation/quadrature
 paths: finite differences with Richardson extrapolation, brute-force
 trapezoid quadrature, and refined-grid suprema.  The jets and
-fd_crosscheck at the end tabulate the package's symbolic derivatives at a
-point and hold them against central differences of its evaluator.
+fd_crosscheck tabulate the package's symbolic derivatives at a point and
+hold them against central differences of its evaluator.  The sg oracles
+at the end evaluate the regularized phase's derivative table the plain
+way: each guard payload compiled on its own, each derivative broadcast
+to the full grid before it is reduced, and the t-grid through np.unique.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from math import comb
 
 import numpy as np
 
-from phasecert.expr import Expr, derivative_multi, differentiate, evaluate
+from phasecert.expr import (GUARD, Expr, Program, derivative_multi,
+                            differentiate, evaluate, var)
 
 
 def central_diff(f, x: float, h: float = 1e-4) -> float:
@@ -167,3 +171,82 @@ def fd_crosscheck(e: Expr, point: dict[str, float], v: str,
     fd = (evaluate(e, up) - evaluate(e, dn)) / (2.0 * h)
     sym = evaluate(differentiate(e, v), point)
     return abs(sym - fd) / max(1.0, abs(sym))
+
+
+# ---------------------------------------------------------------------------
+# sg derivative table
+# ---------------------------------------------------------------------------
+
+def guard_oracle(exprs: list[Expr], env: dict) -> list:
+    """Outputs of Program(exprs) on env with every GUARD evaluated as
+    np.where(gate == 0, 0, gate * payload), its gate and its payload each
+    compiled on its own; the guard then enters its parents as a variable
+    bound to that value.  Other nodes keep their kind, children and datum
+    (no folding), so every value is computed by the same numpy operations.
+    """
+    env = dict(env)
+    memo: dict[int, Expr] = {}
+
+    def plain(node: Expr) -> Expr:
+        if id(node) not in memo:
+            if node.op == GUARD:
+                gate = Program([plain(node.args[0])])(env)[0]
+                payload = Program([plain(node.args[1])])(env)[0]
+                name = f"guard_{len(memo)}"
+                env[name] = np.where(gate == 0.0, 0.0, gate * payload)
+                memo[id(node)] = var(name)
+            elif node.args:
+                memo[id(node)] = Expr(node.op, [plain(c) for c in node.args],
+                                      node.aux)
+            else:
+                memo[id(node)] = node
+        return memo[id(node)]
+
+    return Program([plain(e) for e in exprs])(env)
+
+
+def unique_tgrid(fam, rung: float, tgrid: np.ndarray) -> np.ndarray:
+    """The t-grid of StarPhaseFamily.eval_tgrid, deduplicated by np.unique."""
+    band = rung * fam.k * np.linspace(0.35, 1.05, 29)
+    band = band[band <= float(np.max(np.abs(tgrid)))]
+    if len(band) == 0:
+        return tgrid
+    return np.unique(np.concatenate([tgrid, band, -band]))
+
+
+def broadcast_constants(fam, xprimes, rung: float, sign: int,
+                        ladder: np.ndarray) -> list[dict]:
+    """The PhaseConstants fields of StarPhaseFamily.constants_at, one dict
+    per x', with every derivative broadcast to (m, T, U) before the
+    weights, abs and max/min reduce it."""
+    tgrid = unique_tgrid(fam, rung, ladder)
+    xs = np.asarray(xprimes, dtype=float)
+    m, nt, nu = xs.size, len(tgrid), len(ladder)
+    keys, prog = fam._deriv_table()
+    env = fam.env_for(xs.reshape(m, 1, 1), rung, sign)
+    env["t"] = tgrid[None, :, None]
+    env["tau"] = ladder[None, None, :]
+    vals = {k: np.broadcast_to(v, (m, nt, nu))
+            for k, v in zip(keys, prog(env))}
+    bt = np.sqrt(1.0 + tgrid * tgrid)[None, :, None]
+    btau = np.sqrt(1.0 + ladder * ladder)[None, None, :]
+    tables = [{} for _ in range(m)]
+    for (a, al), D in vals.items():
+        w = np.abs(D) * bt ** (a - 1) * btau ** (al - 1)
+        for i, v in enumerate(w.max(axis=(1, 2)).tolist()):
+            tables[i][(a, al)] = v
+    d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
+    q_t = np.sqrt(1.0 + d10 * d10) / btau
+    q_tau = np.sqrt(1.0 + d01 * d01) / bt
+    lo, hi = d11.min(axis=(1, 2)), d11.max(axis=(1, 2))
+    eps = np.abs(d11).min(axis=(1, 2))
+    out = []
+    for i in range(m):
+        sign_ok = lo[i] > 0.0 or hi[i] < 0.0
+        out.append({"table": tables[i],
+                    "c_t": float(q_t[i].min()), "C_t": float(q_t[i].max()),
+                    "c_tau": float(q_tau[i].min()),
+                    "C_tau": float(q_tau[i].max()),
+                    "eps": float(eps[i] if sign_ok else -eps[i]),
+                    "eps_sign": float(np.sign(hi[i])) if sign_ok else 0.0})
+    return out

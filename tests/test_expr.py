@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecert import expr as ex
+from phasecert.catalog import SCENARIOS
 from phasecert.exceptions import SingularLocusError
 from phasecert.grammar import parse_expr
+from phasecert.grids import sg_ladder
+from phasecert.phase import GeneratingPhase
+from phasecert.sgphase import StarPhaseFamily
 
-from oracles import (MultiIndex, central_diff, fd_crosscheck, jet,
-                     richardson_diff, sample_array)
+from oracles import (MultiIndex, central_diff, fd_crosscheck, guard_oracle,
+                     jet, richardson_diff, sample_array)
 
 xn = ex.var("xn")
 kn = ex.var("kn")
@@ -285,3 +289,62 @@ def test_log_rejects_its_singular_locus():
     assert ex.log_(0.0).op == ex.LOG
     with pytest.raises(SingularLocusError):
         ex.evaluate(ex.log_(0.0), {})
+
+
+# --------------------------------------------- guard payloads in one program
+
+def sg_table(name):
+    """The order-3 derivative table of the catalog phase name's regularized
+    phase, its compiled program, and the family."""
+    sc = SCENARIOS[name]
+    phase = GeneratingPhase(parse_expr(sc["phase"]),
+                            collar_halfwidth=sc["collar_halfwidth"])
+    fam = StarPhaseFamily(phase, phase.collar_halfwidth / 2.0, 1.0)
+    keys, prog = fam._deriv_table()
+    return [fam.deriv(a, al) for a, al in keys], prog, fam
+
+
+SG_PHASES = ["identity", "dilation", "quadratic-collar", "boundary-shear"]
+
+
+@pytest.mark.parametrize("name", SG_PHASES)
+def test_sg_table_is_one_instruction_per_dag_node(name):
+    exprs, prog, _ = sg_table(name)
+    # a bare SUM over the outputs counts their shared DAG once, plus itself
+    assert len(prog.instrs) == ex.dag_size(ex.Expr(ex.SUM, exprs)) - 1
+    guards = [ins for ins in prog.instrs if ins[0] == ex.GUARD]
+    assert guards and all(aux is None for _, _, _, aux, _ in guards)
+    assert any(relaxed for *_, relaxed in prog.instrs)
+    if name == "quadratic-collar":
+        assert len(prog.instrs) <= 214
+
+
+@pytest.mark.parametrize("name", SG_PHASES)
+def test_sg_table_equals_payloads_compiled_on_their_own(name):
+    exprs, prog, fam = sg_table(name)
+    ladder = sg_ladder()
+    xs = np.linspace(-1.0, 1.0, 9).reshape(9, 1, 1)
+    for rung, sign in ((1.0, 1), (16.0, -1), (256.0, 1)):
+        env = fam.env_for(xs, rung, sign)
+        env["t"] = fam.eval_tgrid(rung, ladder)[None, :, None]
+        env["tau"] = ladder[None, None, :]
+        for got, want in zip(prog(env), guard_oracle(exprs, env),
+                             strict=True):
+            assert np.all(np.isfinite(got)), rung
+            assert np.all(got == want), rung
+
+
+def test_payload_singular_inside_gate_support_raises():
+    s = ex.var("s")
+    q = ex.quot(1.0, s)
+    g = ex.guard(ex.bump(ex.add(s, 1.0)), q)
+    # the gate is live at s = 0, where the relaxed payload 1/s is NaN
+    with pytest.raises(SingularLocusError, match="inside gate support"):
+        ex.eval_array(g, {"s": np.array([-0.5, 0.0, 0.5])})
+    # outside the gate's support the payload's singular point is harmless
+    h = ex.guard(ex.bump(s), q)
+    assert np.all(ex.eval_array(h, {"s": np.array([-1.0, 0.0])}) == 0.0)
+    # a payload node that an output also reaches directly stays strict
+    for outs in ([ex.add(h, q)], [h, q], [q, h]):
+        with pytest.raises(SingularLocusError, match="zero denominator"):
+            ex.eval_array_many(outs, {"s": np.array([-1.0, 0.0])})

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasecert
 from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.exceptions import CollarBoundsError
@@ -13,7 +18,7 @@ from phasecert.phase import GeneratingPhase
 from phasecert.sgphase import (Margins, PhaseConstants, StarPhaseFamily,
                                calibrate, check_uniformity)
 
-from oracles import central_diff
+from oracles import broadcast_constants, central_diff, unique_tgrid
 
 
 def build_phase(name):
@@ -284,7 +289,7 @@ def test_calibrate_exhaustion():
 
 def _constants(**over):
     base = dict(table={(0, 0): 1.0, (1, 1): 2.0}, c_t=0.5, C_t=2.0,
-                c_tau=0.5, C_tau=2.0, eps=0.3, eps_sign=1.0, grid="g")
+                c_tau=0.5, C_tau=2.0, eps=0.3, eps_sign=1.0)
     base.update(over)
     return PhaseConstants(**base)
 
@@ -353,9 +358,9 @@ def test_nan_in_one_xprime_slab_stays_in_its_combo(monkeypatch):
     # that combo's constants, and only them
     real = ex._exec
 
-    def poisoned(prog, env, relaxed):
-        out = real(prog, env, relaxed)
-        if relaxed or env.get("r") != 4.0:
+    def poisoned(prog, env):
+        out = real(prog, env)
+        if env.get("r") != 4.0:
             return out
         shape = np.broadcast_shapes(*(np.shape(env[v])
                                       for v in ("x1", "t", "tau")))
@@ -392,5 +397,77 @@ def test_batched_constants_equal_scalar_calls(name):
             assert isinstance(one, PhaseConstants)
             # exact equality, field for field: the batch is no approximation
             for f in ("table", "c_t", "C_t", "c_tau", "C_tau",
-                      "eps", "eps_sign", "grid"):
+                      "eps", "eps_sign"):
                 assert getattr(cs, f) == getattr(one, f), (xp, rung, f)
+
+
+FIELDS = ("table", "c_t", "C_t", "c_tau", "C_tau", "eps", "eps_sign")
+
+
+@pytest.mark.parametrize("name", ["identity", "dilation", "quadratic-collar",
+                                  "boundary-shear"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_constants_equal_broadcast_reduction(name, sign):
+    # each derivative reduced at its own shape equals the reduction of its
+    # (m, T, U) broadcast, field for field and bit for bit
+    phase = build_phase(name)
+    fam = StarPhaseFamily(phase, phase.collar_halfwidth / 2.0, 1.0)
+    xprimes, ladder = np.linspace(-1, 1, 9), sg_ladder()
+    for rung in [2.0**j for j in range(9)]:
+        got = fam.constants_at(xprimes, rung, sign, ladder, ladder)
+        want = broadcast_constants(fam, xprimes, rung, sign, ladder)
+        for i, (cs, ref) in enumerate(zip(got, want, strict=True)):
+            for f in FIELDS:
+                assert getattr(cs, f) == ref[f], (rung, i, f)
+
+
+def test_nan_in_xprime_free_derivative_reaches_every_combo(monkeypatch):
+    # every derivative of the identity phase is free of x': a NaN in one
+    # (t, tau) point of d_t *Phi must reach the constants of every x'
+    real = ex._exec
+    shapes = []
+
+    def poisoned(prog, env):
+        out = real(prog, env)
+        if env.get("r") != 4.0:
+            return out
+        d10 = np.array(out[4])              # key (1, 0) of the 4 x 4 table
+        shapes.append(d10.shape)
+        d10[0, 3, 5] = math.nan
+        return out[:4] + [d10] + out[5:]
+
+    monkeypatch.setattr(ex, "_exec", poisoned)
+    fam = StarPhaseFamily(IDENTITY, 0.5, 1.0)
+    batch = fam.constants_at(np.linspace(-1, 1, 5), 4.0)
+    assert shapes and shapes[0][0] == 1
+    for cs in batch:
+        assert math.isnan(cs.table[(1, 0)])
+        assert math.isnan(cs.c_t) and math.isnan(cs.C_t)
+        assert math.isfinite(cs.table[(0, 1)]) and math.isfinite(cs.eps)
+        assert not cs.passes(Margins())
+
+
+@pytest.mark.parametrize("k", [0.5, 0.25, 0.125])
+def test_eval_tgrid_equals_np_unique(k):
+    fam = StarPhaseFamily(IDENTITY, k, 1.0)
+    ladder = sg_ladder()
+    for rung in [2.0**j for j in range(9)]:
+        assert np.array_equal(fam.eval_tgrid(rung, ladder),
+                              unique_tgrid(fam, rung, ladder)), rung
+
+
+def test_sg_leaves_numpy_ma_unimported():
+    src = str(Path(phasecert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from phasecert import catalog\n"
+            "from phasecert.runner import run_scenario\n"
+            "sc = catalog.emit('identity')\n"
+            "sc['checks'] = ['phase', 'sg']\n"
+            "rep = run_scenario(sc)\n"
+            "print(rep.passed, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
