@@ -552,17 +552,17 @@ class Program:
     over their shared DAG; calling it on an environment evaluates them all.
 
     Each node, guard payloads included, is one instruction (op, dst,
-    source registers, aux, relaxed), so a subexpression that several
+    source registers, aux, relaxed, free), so a subexpression that several
     guards share is computed once.  A GUARD reads its gate and payload
     registers.  A node is strict if an output reaches it without passing
     through a payload edge, and raises SingularLocusError on its singular
     locus; every other node is relaxed and gives NaN there instead.
-    consumers counts the reads of each register, so that a register is
-    freed after its last read.
+    free lists the registers whose last read is this instruction, which
+    are dropped once it has run; output registers are never freed.
     """
 
     def __init__(self, exprs: list[Expr]):
-        self.instrs: list = []
+        instrs: list = []
         reg_of: dict[int, int] = {}
         strict = {id(node) for e in exprs for node in _topo(
             e, lambda n: n.args[:1] if n.op == GUARD else n.args)}
@@ -570,18 +570,18 @@ class Program:
             for node in _topo(e):
                 if id(node) in reg_of:
                     continue
-                reg_of[id(node)] = dst = len(self.instrs)
+                reg_of[id(node)] = dst = len(instrs)
                 srcs = tuple(reg_of[id(c)] for c in node.args)
-                self.instrs.append((node.op, dst, srcs, node.aux,
-                                    id(node) not in strict))
-        self.n_regs = len(self.instrs)
-        self.consumers = [0] * self.n_regs
-        for _, _, srcs, _, _ in self.instrs:
-            for s in srcs:
-                self.consumers[s] += 1
+                instrs.append((node.op, dst, srcs, node.aux,
+                               id(node) not in strict))
+        self.n_regs = len(instrs)
         self.out_regs = tuple(reg_of[id(e)] for e in exprs)
-        for r in self.out_regs:
-            self.consumers[r] += 1
+        last_read = {s: i for i, ins in enumerate(instrs) for s in ins[2]}
+        frees: list[list[int]] = [[] for _ in instrs]
+        for r, i in last_read.items():
+            if r not in self.out_regs:
+                frees[i].append(r)
+        self.instrs = [ins + (tuple(f),) for ins, f in zip(instrs, frees)]
 
     def __call__(self, env: dict) -> list:
         return _exec(self, env)
@@ -615,19 +615,18 @@ def _lookup(env, name: str):
         raise KeyError(f"no value bound for variable {name!r}") from None
 
 
+def _any(mask) -> bool:
+    """np.any(mask) for an array, a numpy bool, or the Python bool that
+    comparing a Python float (a scalar env's binding) gives; bool() of a
+    scalar costs a small fraction of np.any's dispatch."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _exec(prog: Program, env: dict) -> list:
     regs: list = [None] * prog.n_regs
-    remaining = prog.consumers[:]
     nan = np.float64("nan")
-
-    def done_with(srcs):
-        for s in srcs:
-            remaining[s] -= 1
-            if remaining[s] == 0:
-                regs[s] = None
-
     with np.errstate(all="ignore"):
-        for op, dst, srcs, aux, relaxed in prog.instrs:
+        for op, dst, srcs, aux, relaxed, free in prog.instrs:
             if op == CONST:
                 val = np.float64(aux)
             elif op == VAR:
@@ -645,7 +644,7 @@ def _exec(prog: Program, env: dict) -> list:
             elif op == QUOT:
                 num, den = regs[srcs[0]], regs[srcs[1]]
                 bad = den == 0.0
-                if np.any(bad):
+                if _any(bad):
                     if not relaxed:
                         raise SingularLocusError("zero denominator")
                     val = np.where(bad, nan, num / np.where(bad, 1.0, den))
@@ -653,7 +652,7 @@ def _exec(prog: Program, env: dict) -> list:
                     val = num / den
             elif op == POW:
                 base = regs[srcs[0]]
-                if aux < 0 and np.any(base == 0.0):
+                if aux < 0 and _any(base == 0.0):
                     if not relaxed:
                         raise SingularLocusError(
                             "zero base with negative exponent")
@@ -664,7 +663,7 @@ def _exec(prog: Program, env: dict) -> list:
             elif op == LOG:
                 arg = regs[srcs[0]]
                 bad = arg <= 0.0
-                if np.any(bad):
+                if _any(bad):
                     if not relaxed:
                         raise SingularLocusError("log of non-positive value")
                     val = np.where(bad, nan, np.log(np.where(bad, 1.0, arg)))
@@ -677,7 +676,7 @@ def _exec(prog: Program, env: dict) -> list:
             elif op == SQRT:
                 arg = regs[srcs[0]]
                 bad = arg <= 0.0
-                if np.any(bad):
+                if _any(bad):
                     if not relaxed:
                         raise SingularLocusError(
                             "sqrt at or below its singular point 0")
@@ -695,7 +694,7 @@ def _exec(prog: Program, env: dict) -> list:
                     x = _lookup(env, name)
                     acc = acc + np.asarray(x, dtype=np.float64)**2
                 bad = acc == 0.0
-                if np.any(bad):
+                if _any(bad):
                     if not relaxed:
                         raise SingularLocusError(
                             "euclidean norm evaluated at the origin")
@@ -716,7 +715,8 @@ def _exec(prog: Program, env: dict) -> list:
             else:  # pragma: no cover
                 raise AssertionError(op)
             regs[dst] = val
-            done_with(srcs)
+            for r in free:
+                regs[r] = None
     return [regs[r] for r in prog.out_regs]
 
 

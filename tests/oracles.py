@@ -8,6 +8,8 @@ hold them against central differences of its evaluator.  The sg oracles
 at the end evaluate the regularized phase's derivative table the plain
 way: each guard payload compiled on its own, each derivative broadcast
 to the full grid before it is reduced, and the t-grid through np.unique.
+looped_transmission runs the parity check one derivative and one ray at
+a time.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from math import comb
 
 import numpy as np
 
+from phasecert.exceptions import SingularLocusError
 from phasecert.expr import (GUARD, Expr, Program, derivative_multi,
-                            differentiate, evaluate, var)
+                            differentiate, eval_array, evaluate, var)
 
 
 def central_diff(f, x: float, h: float = 1e-4) -> float:
@@ -250,3 +253,34 @@ def broadcast_constants(fam, xprimes, rung: float, sign: int,
                     "eps": float(eps[i] if sign_ok else -eps[i]),
                     "eps_sign": float(np.sign(hi[i])) if sign_ok else 0.0})
     return out
+
+
+# ---------------------------------------------------------------------------
+# transmission condition
+# ---------------------------------------------------------------------------
+
+def looped_transmission(a, max_orders: int = 2) -> float:
+    """max_residual of symbols.check_transmission with each derivative
+    compiled on its own and evaluated on each ray xi_n = +-1 by its own
+    11-point call; a singular derivative has residual inf."""
+    m = int(round(a.homogeneous_degree))
+    xprime_samples = np.linspace(-1.0, 1.0, 11)
+    worst = 0.0
+    for k in range(max_orders + 1):
+        for al in range(max_orders + 1):
+            for be in range(max_orders + 1):
+                d = derivative_multi(a.expr, {"xn": k, "k1": al, "x1": be})
+                sign = -1.0 if (m - al) % 2 else 1.0
+                try:
+                    plus, minus = (eval_array(
+                        d, {"x1": xprime_samples, "xn": 0.0, "k1": 0.0,
+                            "kn": kn}) for kn in (1.0, -1.0))
+                except SingularLocusError:
+                    resid = float("inf")
+                else:
+                    resid = float(np.max(np.abs(
+                        np.broadcast_to(plus, xprime_samples.shape)
+                        - sign * np.broadcast_to(minus,
+                                                 xprime_samples.shape))))
+                worst = float(np.maximum(worst, resid))
+    return worst

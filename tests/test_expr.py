@@ -313,8 +313,8 @@ def test_sg_table_is_one_instruction_per_dag_node(name):
     # a bare SUM over the outputs counts their shared DAG once, plus itself
     assert len(prog.instrs) == ex.dag_size(ex.Expr(ex.SUM, exprs)) - 1
     guards = [ins for ins in prog.instrs if ins[0] == ex.GUARD]
-    assert guards and all(aux is None for _, _, _, aux, _ in guards)
-    assert any(relaxed for *_, relaxed in prog.instrs)
+    assert guards and all(aux is None for _, _, _, aux, _, _ in guards)
+    assert any(relaxed for *_, relaxed, _ in prog.instrs)
     if name == "quadratic-collar":
         assert len(prog.instrs) <= 214
 
@@ -333,6 +333,48 @@ def test_sg_table_equals_payloads_compiled_on_their_own(name):
             assert np.all(np.isfinite(got)), rung
             assert np.all(got == want), rung
 
+
+
+@pytest.mark.parametrize("name", SG_PHASES)
+def test_registers_are_freed_after_their_last_read(name):
+    exprs, prog, fam = sg_table(name)
+    # an output that another output reads stays live to the end
+    inner = exprs[0].args[0]
+    prog2 = ex.Program([inner, exprs[0]])
+    for p, outs in ((prog, exprs), (prog2, [inner, exprs[0]])):
+        last = {}
+        for i, (_, dst, srcs, *_) in enumerate(p.instrs):
+            assert dst == i
+            for s in srcs:
+                last[s] = i
+        for i, (*_, free) in enumerate(p.instrs):
+            want = {r for r, j in last.items()
+                    if j == i and r not in p.out_regs}
+            assert sorted(free) == sorted(want), i
+        assert not {r for *_, free in p.instrs for r in free} \
+            & set(p.out_regs)
+    env = fam.env_for(np.linspace(-1.0, 1.0, 3).reshape(3, 1, 1), 4.0, 1)
+    env["t"] = fam.eval_tgrid(4.0, sg_ladder())[None, :, None]
+    env["tau"] = sg_ladder()[None, None, :]
+    got_inner, got_outer = prog2(env)
+    assert np.all(got_inner == ex.eval_array(inner, env))
+    assert np.all(got_outer == prog(env)[0])
+
+
+SINGULAR = [ex.quot(1.0, x1), ex.powi(x1, -2), ex.log_(x1), ex.sqrt_(x1),
+            ex.norm_vars("x1")]
+
+
+@pytest.mark.parametrize("zero", [0.0, np.float64(0.0),
+                                  np.array([0.5, 0.0, 2.0])],
+                         ids=["python-float", "numpy-scalar", "array"])
+@pytest.mark.parametrize("e", SINGULAR, ids=["quot", "pow", "log", "sqrt",
+                                             "norm"])
+def test_singular_locus_raises_for_every_binding(e, zero):
+    with pytest.raises(SingularLocusError):
+        ex.eval_array(e, {"x1": zero})
+    # the same binding away from the locus evaluates
+    assert np.all(np.isfinite(ex.eval_array(e, {"x1": zero + 0.25})))
 
 def test_payload_singular_inside_gate_support_raises():
     s = ex.var("s")

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from phasecert import catalog
 from phasecert import expr as ex
 from phasecert.grammar import parse_expr
+from phasecert.symplectic import COLLAR_VARS
 from phasecert.symbols import (SymbolFn, check_bs_membership,
                                check_transmission, loglog_fit)
+
+from oracles import looped_transmission
 
 
 
@@ -37,6 +41,39 @@ def test_transmission_singular_at_axis_is_failure_mode():
     passed, metrics = check_transmission(a, max_orders=0)
     assert metrics["max_residual"] == np.inf and not passed
 
+
+
+def _transmission_cases():
+    for name, sc in catalog.SCENARIOS.items():
+        if "phase" in sc:
+            psi = parse_expr(sc["phase"])
+            for v in COLLAR_VARS:
+                m = 1.0 if v in ("x1", "xn") else 0.0
+                yield (f"{name}/d{v}", SymbolFn(ex.differentiate(psi, v),
+                                                order=m,
+                                                homogeneous_degree=m), 2)
+        amp = sc.get("amplitude") or {}
+        if amp.get("homogeneous_degree") is not None:
+            m = amp["homogeneous_degree"]
+            yield (f"{name}/amplitude",
+                   SymbolFn(parse_expr(amp["expr"]), order=amp["order"],
+                            homogeneous_degree=m), 1)
+    yield ("norm(k1)", SymbolFn(parse_expr("norm(k1)"), order=1.0,
+                                homogeneous_degree=1.0), 0)
+    yield ("kn*norm(k1)", SymbolFn(parse_expr("kn*norm(k1)"), order=2.0,
+                                   homogeneous_degree=2.0), 2)
+
+
+def test_one_program_transmission_equals_looped_oracle():
+    seen_inf = seen_fail = 0
+    for label, a, orders in _transmission_cases():
+        passed, metrics = check_transmission(a, orders)
+        want = looped_transmission(a, orders)
+        assert metrics["max_residual"] == want, label
+        assert passed == (want <= 1e-10), label
+        seen_inf += want == np.inf
+        seen_fail += not passed
+    assert seen_inf == 2 and seen_fail >= 3
 
 def test_transmission_polynomial_parity_exact():
     # xi_n-polynomials with matching parity coefficients: residual exactly 0
