@@ -80,6 +80,7 @@ from . import expr as ex
 from .exceptions import (PhasecertError, ScenarioParseError,
                          ScenarioValidationError)
 from .grammar import parse_expr
+from .grids import grid_digest, quasi_uniform, sg_ladder
 from .normalop import NormalOperatorSpec, QuadratureSpec, apply_normal_op, \
     l2_smoke_check
 from .opsymb import FIT_TOL, sweep_symbol_orders, transpose_check
@@ -538,14 +539,12 @@ class ScenarioRunner:
         ph = self.sc.phase
 
         def homog():
-            rng = np.random.default_rng(self.sc.seed + 11)
-            # per point, in COLLAR_VARS order: x1, xn, then |k| and a sign
-            # for each covariable
-            pts = np.array([(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4),
-                             rng.uniform(0.3, 3) * rng.choice([-1, 1]),
-                             rng.uniform(0.3, 3) * rng.choice([-1, 1]))
-                            for _ in range(self._count(20))],
-                           dtype=SAMPLE_DTYPE)
+            # per point x1, xn, then |k| and a sign for each covariable
+            u = quasi_uniform(self._count(20), 6, self.sc.seed + 11).T
+            pts = np.empty(len(u[0]), dtype=SAMPLE_DTYPE)
+            pts["x1"], pts["xn"] = -1.0 + 2.0 * u[0], -0.4 + 0.8 * u[1]
+            for v, mag, sgn in (("k1", u[2], u[3]), ("kn", u[4], u[5])):
+                pts[v] = (0.3 + 2.7 * mag) * np.where(sgn < 0.5, -1.0, 1.0)
             return check_homogeneity(ph, pts)
         self.check("phase.homogeneity", homog)
         self.check("phase.nondegeneracy", lambda: check_nondegeneracy(ph))
@@ -584,7 +583,6 @@ class ScenarioRunner:
             return
 
         def sg():
-            from .grids import grid_digest, sg_ladder
             ladder = sg_ladder()
             ghash = grid_digest(t=ladder, tau=ladder)
             if self.sc.sg_params:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import expr as ex
 from .exceptions import (BoundaryPreservationError, FiberLinearityError)
+from .grids import quasi_uniform
 
 # The collar variables, the one definition of their names.
 X_VARS = ("x1", "xn")                   # positions (x', x_n)
@@ -104,17 +105,18 @@ class SymplectoMap:
 def collar_samples(chi: SymplectoMap, count: int = 200, seed: int = 7,
                    boundary: bool = False, eta_top: float = 8.0
                    ) -> np.ndarray:
-    """Deterministic jittered samples in the collar with eta != 0.
+    """Deterministic quasi-uniform samples in the collar with eta != 0.
 
     Returns a structured array with fields (x', xn, k', kn), see the
-    module docstring; boundary samples have xn = 0.
+    module docstring; x' is in [-1, 1], xn in the collar (0 on boundary
+    samples) and |eta| in [0.5, eta_top], at any angle.  The points are
+    grids.quasi_uniform's for the seed.
     """
-    rng = np.random.default_rng(seed)
     h = chi.collar_halfwidth
     out = np.empty(count, dtype=SAMPLE_DTYPE)
-    # per point the uniform draws x1, xn (not on the boundary), |eta| and
-    # its angle, scaled as Generator.uniform scales them
-    u = rng.random((count, 3 if boundary else 4)).T
+    # per point the coordinates x1, xn (not on the boundary), |eta| and
+    # its angle
+    u = quasi_uniform(count, 3 if boundary else 4, seed).T
     scale = 0.5 + (eta_top - 0.5) * u[-2]
     theta = 2.0 * np.pi * u[-1]
     out["x1"] = -1.0 + 2.0 * u[0]

@@ -92,6 +92,34 @@ def test_negative_scenarios_fail_exactly_their_checks():
         assert not rep.errored, expr
 
 
+
+@pytest.mark.parametrize("grid", ["coarse", "default", "fine"])
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_pointwise_verdicts_stable_across_seeds_and_grids(seed, grid):
+    for name in catalog.names():
+        rep = run_scenario(catalog.emit(name),
+                           {"symplecto", "phase", "generating"},
+                           grid_preset=grid, seed=seed)
+        want = catalog.SCENARIOS[name].get("intended_failures", [])
+        assert sorted(rep.failed) == sorted(want), name
+        assert not rep.errored, name
+
+
+def test_checks_leave_numpy_random_unimported():
+    src = str(Path(phasecert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from phasecert import catalog\n"
+            "from phasecert.runner import run_scenario\n"
+            "rep = run_scenario(catalog.emit('dilation'))\n"
+            "print(rep.passed, len(rep.outcomes), "
+            "'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "18", "False"]
+
 def test_dependency_gating_reports_skips():
     rep = run_scenario(catalog.emit("bad-boundary-shift"))
     by_name = {o.check: o for o in rep.outcomes}

@@ -40,18 +40,18 @@ def reports():
 CATALOG_DIGESTS = {
     "identity": "9d5d9665cdff79b33d19661fd3ab4892"
                 "9ba42f03acb905d9c2f4715f49f26772",
-    "dilation": "6041713046fb41368476fd50c20001fd"
-                "14631d3aa1ecfee4f83083f849208109",
-    "quadratic-collar": "9985e734eb407ee5b0df8196d8ab3291"
-                        "819c4f6a43e0f16f796ec21e2f193f69",
+    "dilation": "edc42e9a3c0f4e1d3b3b336e23dbb7ea"
+                "2e79d2de988dc81d2375918aa3407d33",
+    "quadratic-collar": "adf600f26627c45b951d8665b4dea103"
+                        "57f65c9102ca52bfc486a347b050350a",
     "boundary-shear": "73d284a83bf5b5d9113b3dcfce1e368a"
                       "dc0cf2d76297e1b08c09fbe4a3a01fa0",
     "bad-boundary-shift": "9c989a68487707a142ac34812a7c579f"
                           "752b67c16e32070f475d98aec9d045a2",
     "bad-transmission": "92daafcc00554ba1896d1511ee35d316"
                         "ef03ec6dbbe0de3ed6e0bb79d712cb84",
-    "bad-symplectic": "f7481446118b0826ed49b9b6f0a9c8bd"
-                      "c67d7c2db8172b1f98c0054cfd42b278",
+    "bad-symplectic": "0d8ed060d98f1fb26063f76de3a560a2"
+                      "31081a4574cc2494b8604d31f44528ad",
 }
 
 

@@ -7,6 +7,7 @@ from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.exceptions import BoundaryPreservationError
 from phasecert.grammar import parse_expr
+from phasecert.grids import quasi_uniform
 from phasecert.symplectic import (COLLAR_VARS, SymplectoMap,
                                   check_boundary_preserving,
                                   check_jacobian_structure, check_symplectic,
@@ -222,3 +223,54 @@ def test_dilation_composed_with_inverse_is_identity():
     for v, b in zip(COLLAR_VARS, back):
         assert np.all(np.abs(b - pts[v])
                       <= 1e-10 * np.maximum(1.0, np.abs(pts[v])))
+
+
+# -------------------------------------------------------------- samples
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 10**6])
+def test_collar_samples_ranges(seed):
+    for chi, top in ((DILATION, 8.0), (QUADRATIC, 6.0), (IDENTITY, 0.5)):
+        h = chi.collar_halfwidth
+        for boundary in (False, True):
+            pts = collar_samples(chi, count=300, seed=seed,
+                                 boundary=boundary, eta_top=top)
+            assert len(pts) == 300
+            assert np.all(np.abs(pts["x1"]) <= 1.0)
+            if boundary:
+                assert np.all(pts["xn"] == 0.0)
+            else:
+                assert np.all(np.abs(pts["xn"]) <= h)
+                assert np.any(pts["xn"] != 0.0)
+            eta = np.hypot(pts["k1"], pts["kn"])
+            assert np.all((eta >= 0.5 - 1e-12) & (eta <= top + 1e-12))
+
+
+def test_collar_samples_are_deterministic_per_seed():
+    for boundary in (False, True):
+        runs = {}
+        for seed in range(-2, 12):
+            a = collar_samples(DILATION, count=50, seed=seed,
+                               boundary=boundary)
+            b = collar_samples(DILATION, count=50, seed=seed,
+                               boundary=boundary)
+            assert a.tobytes() == b.tobytes()
+            runs[seed] = {tuple(row) for row in a.tolist()}
+        # distinct seeds share no point
+        seen = set()
+        for pts in runs.values():
+            assert len(pts) == 50 and not pts & seen
+            seen |= pts
+
+
+@pytest.mark.parametrize("dim", [3, 4, 6])
+def test_quasi_uniform_fills_every_tenth(dim):
+    for count in (20, 100, 200, 400, 1000):
+        for seed in (0, 1, 7, 11, 42, 1000):
+            u = quasi_uniform(count, dim, seed)
+            assert u.shape == (count, dim)
+            assert np.all((u >= 0.0) & (u < 1.0))
+            for j in range(dim):
+                tenths = np.bincount((u[:, j] * 10).astype(int),
+                                     minlength=10)
+                assert np.all(np.abs(tenths - count / 10) <= 2), \
+                    (count, seed, j, tenths)
