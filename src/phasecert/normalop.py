@@ -151,6 +151,5 @@ def l2_smoke_check(spec: NormalOperatorSpec, u: SchwartzFn
     t = np.linspace(-40.0, 40.0, 4001)
     in_norm = float(np.sqrt(np.trapezoid(np.abs(u(t)) ** 2, t)))
     bound = (1.0 + L2_SLACK) * in_norm * l2_growth_factor(spec)
-    passed = out_norm <= bound
-    return passed, {"output_norm": out_norm, "input_norm": in_norm,
-                    "bound": bound, "passed": passed}
+    return out_norm <= bound, {"output_norm": out_norm,
+                               "input_norm": in_norm, "bound": bound}

@@ -38,14 +38,14 @@ def reports():
 # RunReport.digest() of every catalog scenario at its defaults: all
 # families, default grid, the scenario's own seed.
 CATALOG_DIGESTS = {
-    "identity": "9d5d9665cdff79b33d19661fd3ab4892"
-                "9ba42f03acb905d9c2f4715f49f26772",
-    "dilation": "edc42e9a3c0f4e1d3b3b336e23dbb7ea"
-                "2e79d2de988dc81d2375918aa3407d33",
-    "quadratic-collar": "adf600f26627c45b951d8665b4dea103"
-                        "57f65c9102ca52bfc486a347b050350a",
-    "boundary-shear": "73d284a83bf5b5d9113b3dcfce1e368a"
-                      "dc0cf2d76297e1b08c09fbe4a3a01fa0",
+    "identity": "72c41aa53301e799e8e806b20d1397e5"
+                "e90017cf0f80174ef4fc9b5a696d094a",
+    "dilation": "2ca58920bdc481ba6b346c512eab39b3"
+                "a01bd485e3bc1b662f44e27a16eee17c",
+    "quadratic-collar": "8a89400bdd64272ee3e630fc912e83e2"
+                        "6c0ad5030c0e0f1766bea0a1332f491b",
+    "boundary-shear": "d5126082b862a3a69965b2c5db693cd5"
+                      "729f7020964c1f476a30aaf164b069dd",
     "bad-boundary-shift": "9c989a68487707a142ac34812a7c579f"
                           "752b67c16e32070f475d98aec9d045a2",
     "bad-transmission": "92daafcc00554ba1896d1511ee35d316"
