@@ -215,7 +215,8 @@ def fit_seminorm_ladder(rungs, seminorms, alpha: int, beta: int, l: int,
                         min_live: int = 6) -> OrderFit:
     rungs = np.asarray(rungs, dtype=float)
     sems = np.asarray(seminorms, dtype=float)
-    live = sems > 1e-14
+    # a NaN seminorm is live, not zero: it makes the slope NaN, which fails
+    live = ~(sems <= 1e-14)
     if int(live.sum()) == 0:
         return OrderFit(alpha, beta, l, s, u_name, None, target)
     if int(live.sum()) < min_live:

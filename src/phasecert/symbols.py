@@ -136,11 +136,12 @@ class BsReport:
     def passed(self) -> bool:
         if self.identically_zero:
             return True
+        # not <=: a NaN slope or order fails
         for (al, be), slope in self.slopes.items():
-            if slope is not None and slope > self.m - al + self.tol:
+            if slope is not None and not slope <= self.m - al + self.tol:
                 return False
         for order in self.xin_orders.values():
-            if order is not None and order > self.l + self.tol:
+            if order is not None and not order <= self.l + self.tol:
                 return False
         return True
 
@@ -148,7 +149,7 @@ class BsReport:
 def loglog_fit(x, y) -> tuple[float, float]:
     """Least-squares slope of log y against log x, with the RMS of the
     fit residual (0 when lstsq reports none).  The one growth-exponent
-    fitter of the package."""
+    fitter of the package; a NaN or infinite y makes the slope NaN."""
     lx = np.log(x)
     A = np.vstack([lx, np.ones_like(lx)]).T
     sol, res, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
@@ -229,7 +230,7 @@ def check_bs_membership(a, m: float, l: float,
                 S = sups[(al, be, g, dlt)]
                 V = np.maximum(V, (S * xin_rungs[None, :] ** (g - l)
                                    ).max(axis=1))
-        live = V > floor
+        live = ~(V <= floor)    # NaN is live, so its slope is NaN
         if not live.any():
             slopes[(al, be)] = None
             xin_orders[(al, be)] = None
@@ -248,10 +249,10 @@ def check_bs_membership(a, m: float, l: float,
             for dlt in range(deriv_bound + 1):
                 S = sups[(al, be, g, dlt)] / rungs[:, None] ** (m - al)
                 W = np.maximum(W, S.max(axis=0))
-            ok = W > floor
+            ok = ~(W <= floor)
             if ok.sum() >= 4:
                 sl = loglog_fit(xin_rungs[ok], W[ok])[0] + g
-                order = sl if order is None else max(order, sl)
+                order = sl if order is None else float(np.maximum(order, sl))
         xin_orders[(al, be)] = order
 
     if all_zero:

@@ -72,6 +72,15 @@ AMPLITUDE_EDITS = [
     ("sin(40*kn)", 0, None, ["opsymb.order_fit"]),
 ]
 
+# dilation's phase replaced, with no map and the phase family only:
+# (phase, failing checks)
+PHASE_EDITS = [
+    # degree 2 in the covariables near xi' = 0: admissibility, which
+    # presupposes homogeneity, is skipped
+    ("x1*k1 + xn*kn*exp(sin(x1)/2) + 0.01*xn*xn*kn*kn/bracket(k1)",
+     ["phase.homogeneity"]),
+]
+
 
 def test_negative_scenarios_fail_exactly_their_checks():
     cases = {
@@ -90,6 +99,14 @@ def test_negative_scenarios_fail_exactly_their_checks():
         rep = run_scenario(sc, {"phase", "operator", "opsymb"})
         assert sorted(rep.failed) == sorted(intended), expr
         assert not rep.errored, expr
+    for phase, intended in PHASE_EDITS:
+        sc = catalog.emit("dilation")
+        sc["phase"] = phase
+        del sc["map"]
+        sc["checks"] = ["phase"]
+        rep = run_scenario(sc)
+        assert sorted(rep.failed) == sorted(intended), phase
+        assert not rep.errored, phase
 
 
 

@@ -242,6 +242,31 @@ def test_fit_raises_on_too_few_live_rungs():
         fit_seminorm_ladder([1, 2, 4, 8], [1, 1, 1, 1], 0, 0, 0, 0, "u", 0.0)
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_seminorms_fail_the_fit(bad):
+    from phasecert.exceptions import RegressionError
+    rungs = [2.0**j for j in range(9)]
+    every = fit_seminorm_ladder(rungs, [bad] * 9, 0, 0, 0, 0, "u", 0.0)
+    assert not every.identically_zero and not every.passed
+    assert math.isnan(every.slope)
+    one = fit_seminorm_ladder(rungs, [1.0] * 4 + [bad] + [1.0] * 4,
+                              0, 0, 0, 0, "u", 0.0)
+    assert math.isnan(one.slope) and not one.passed
+    # a non-finite rung among zeros still counts towards min_live
+    with pytest.raises(RegressionError):
+        fit_seminorm_ladder(rungs, [0.0] * 8 + [bad], 0, 0, 0, 0, "u", 0.0)
+
+
+def test_order_fit_fails_on_a_nonfinite_amplitude():
+    # exp(xn*kn^2) overflows on the conjugated ladder: half the seminorm
+    # ladders are NaN, and no fit may read them as identically zero
+    amp = SymbolFn(parse_expr("exp(xn*kn*kn)"), order=0.0)
+    spec = NormalOperatorSpec(phase_of("dilation"), amp, 0.3, 1.0)
+    fits = sweep_symbol_orders(spec, [HS[0], HS[2]], 1, 1, 1, 1)
+    assert any(not f.passed for f in fits)
+    assert all(f.passed == (f.slope is None) for f in fits)
+
 def test_seminorm_ladder_monotone_in_l_s_gridwise():
     fam = ConjugatedFamily(DILATION_SPEC)
     t = default_t_grid()
@@ -263,6 +288,14 @@ def test_seminorm_ladder_monotone_in_l_s_gridwise():
 
 
 # ---------------------------------------------------------- class link
+
+
+def test_bs_membership_fails_on_a_nonfinite_symbol():
+    # exp(xn*kn^2) overflows once rescaled: inf sups, NaN slopes
+    rep = check_bs_membership(parse_expr("exp(xn*kn*kn)"), m=0.0, l=0.0)
+    assert not rep.identically_zero
+    assert math.isnan(rep.slopes[(0, 0)])
+    assert not rep.passed
 
 def test_derived_amplitude_x_branch_class_membership():
     fam = ConjugatedFamily(DILATION_SPEC)
