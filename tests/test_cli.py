@@ -109,7 +109,6 @@ def test_negative_scenarios_fail_exactly_their_checks():
         assert not rep.errored, phase
 
 
-
 @pytest.mark.parametrize("grid", ["coarse", "default", "fine"])
 @pytest.mark.parametrize("seed", [3, 7, 11])
 def test_pointwise_verdicts_stable_across_seeds_and_grids(seed, grid):
@@ -136,6 +135,7 @@ def test_checks_leave_numpy_random_unimported():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "18", "False"]
+
 
 def test_dependency_gating_reports_skips():
     rep = run_scenario(catalog.emit("bad-boundary-shift"))

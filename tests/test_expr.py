@@ -334,14 +334,13 @@ def test_sg_table_equals_payloads_compiled_on_their_own(name):
             assert np.all(got == want), rung
 
 
-
 @pytest.mark.parametrize("name", SG_PHASES)
 def test_registers_are_freed_after_their_last_read(name):
     exprs, prog, fam = sg_table(name)
     # an output that another output reads stays live to the end
     inner = exprs[0].args[0]
     prog2 = ex.Program([inner, exprs[0]])
-    for p, outs in ((prog, exprs), (prog2, [inner, exprs[0]])):
+    for p in (prog, prog2):
         last = {}
         for i, (_, dst, srcs, *_) in enumerate(p.instrs):
             assert dst == i
@@ -375,6 +374,7 @@ def test_singular_locus_raises_for_every_binding(e, zero):
         ex.eval_array(e, {"x1": zero})
     # the same binding away from the locus evaluates
     assert np.all(np.isfinite(ex.eval_array(e, {"x1": zero + 0.25})))
+
 
 def test_payload_singular_inside_gate_support_raises():
     s = ex.var("s")

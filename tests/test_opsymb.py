@@ -242,7 +242,6 @@ def test_fit_raises_on_too_few_live_rungs():
         fit_seminorm_ladder([1, 2, 4, 8], [1, 1, 1, 1], 0, 0, 0, 0, "u", 0.0)
 
 
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nonfinite_seminorms_fail_the_fit(bad):
     from phasecert.exceptions import RegressionError
@@ -266,6 +265,7 @@ def test_order_fit_fails_on_a_nonfinite_amplitude():
     fits = sweep_symbol_orders(spec, [HS[0], HS[2]], 1, 1, 1, 1)
     assert any(not f.passed for f in fits)
     assert all(f.passed == (f.slope is None) for f in fits)
+
 
 def test_seminorm_ladder_monotone_in_l_s_gridwise():
     fam = ConjugatedFamily(DILATION_SPEC)
@@ -296,6 +296,7 @@ def test_bs_membership_fails_on_a_nonfinite_symbol():
     assert not rep.identically_zero
     assert math.isnan(rep.slopes[(0, 0)])
     assert not rep.passed
+
 
 def test_derived_amplitude_x_branch_class_membership():
     fam = ConjugatedFamily(DILATION_SPEC)

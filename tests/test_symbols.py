@@ -42,7 +42,6 @@ def test_transmission_singular_at_axis_is_failure_mode():
     assert metrics["max_residual"] == np.inf and not passed
 
 
-
 def _transmission_cases():
     for name, sc in catalog.SCENARIOS.items():
         if "phase" in sc:
@@ -74,6 +73,7 @@ def test_one_program_transmission_equals_looped_oracle():
         seen_inf += want == np.inf
         seen_fail += not passed
     assert seen_inf == 2 and seen_fail >= 3
+
 
 def test_transmission_polynomial_parity_exact():
     # xi_n-polynomials with matching parity coefficients: residual exactly 0
