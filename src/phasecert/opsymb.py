@@ -14,11 +14,12 @@ derivatives): each derivative maps b to i (d phase) b + d b, so the
 amplitudes stay closed-form pairs of real expressions.  Schwartz
 seminorms of the outputs are swept over a <xi'> ladder (ladder_window:
 the full ladder, or its saturated tail for a support-limited amplitude)
-and their growth exponent is fitted by symbols.loglog_fit in one loop
-that estimate_symbol_order and sweep_symbol_orders share; the declared
-order bound is m - (number of xi'-derivatives), following the convention
-in which the covariable decay tracks covariable derivatives (the printed
-index pairing in the source estimate differs).
+and their growth exponent is fitted by symbols.fit_live_rungs, the
+collar-class check's rule, in one loop that estimate_symbol_order and
+sweep_symbol_orders share; the declared order bound is m - (number of
+xi'-derivatives), following the convention in which the covariable
+decay tracks covariable derivatives (the printed index pairing in the
+source estimate differs).
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .exceptions import RegressionError
+from .grids import bracket_ladder
 from .normalop import NormalOperatorSpec
 from .quadrature import Oscillatory, gauss_rule, panel_frame, panel_nodes
 from .schwartz import FT_PHASE, SchwartzFn
-from .symbols import loglog_fit
+from .symbols import fit_live_rungs
+
 
 def default_t_grid() -> np.ndarray:
     pos = np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.25, 1.5,
@@ -41,7 +43,7 @@ def default_t_grid() -> np.ndarray:
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-DEFAULT_RUNGS = tuple(2.0**j for j in range(9))
+DEFAULT_RUNGS = tuple(bracket_ladder().tolist())    # <xi'> = 1, 2, ..., 256
 FIT_TOL = 0.1   # a fitted slope passes when slope <= target + FIT_TOL
 TRANSPOSE_TOL = 1e-6    # |<A u, v> - <u, A^t v>| of transpose_check
 SWEEP_MIN_LIVE = 4  # live rungs a sweep fit needs, on either window
@@ -179,9 +181,11 @@ class ConjugatedFamily:
             if both:
                 kern = osc.grid(mid, half, g) * uhat_w
                 kern = np.stack([kern.real, kern.imag], axis=1)
-                for i in both:
-                    re, im = (kern @ vals[i][:, :, None])[:, :, 0].T
-                    sums[i] = re + 1j * im
+                # a non-finite amplitude gives NaN sums, which fail the fit
+                with np.errstate(invalid="ignore"):
+                    for i in both:
+                        re, im = (kern @ vals[i][:, :, None])[:, :, 0].T
+                        sums[i] = re + 1j * im
             for i, key in enumerate(self.keys):
                 res = sums[2 * i] + 1j * sums[2 * i + 1]
                 out[key].append(res * rung ** (-key[2]))
@@ -213,17 +217,8 @@ class OrderFit:
 def fit_seminorm_ladder(rungs, seminorms, alpha: int, beta: int, l: int,
                         s: int, u_name: str, target: float,
                         min_live: int = 6) -> OrderFit:
-    rungs = np.asarray(rungs, dtype=float)
-    sems = np.asarray(seminorms, dtype=float)
-    # a NaN seminorm is live, not zero: it makes the slope NaN, which fails
-    live = ~(sems <= 1e-14)
-    if int(live.sum()) == 0:
-        return OrderFit(alpha, beta, l, s, u_name, None, target)
-    if int(live.sum()) < min_live:
-        raise RegressionError(
-            f"only {int(live.sum())} live rungs; need >= {min_live} "
-            "for the fit")
-    slope, _ = loglog_fit(rungs[live], sems[live])
+    """OrderFit of one seminorm ladder by symbols.fit_live_rungs."""
+    slope = fit_live_rungs(rungs, seminorms, min_live)
     return OrderFit(alpha, beta, l, s, u_name, slope, target)
 
 

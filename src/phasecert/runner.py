@@ -84,8 +84,9 @@ from .grids import grid_digest, quasi_uniform, sg_ladder
 from .normalop import NormalOperatorSpec, QuadratureSpec, apply_normal_op, \
     l2_smoke_check
 from .opsymb import FIT_TOL, sweep_symbol_orders, transpose_check
-from .phase import (GeneratingPhase, check_admissibility, check_generating,
-                    check_homogeneity, check_nondegeneracy, normal_coeffs)
+from .phase import (GeneratingPhase, boundary_flat, check_admissibility,
+                    check_generating, check_homogeneity, check_nondegeneracy,
+                    normal_coeffs)
 from .schwartz import SchwartzFn, hermite_fn
 from .sgphase import ZERO_FLOOR, Margins, calibrate, check_uniformity
 from .symbols import SymbolFn, check_transmission
@@ -520,7 +521,7 @@ class ScenarioRunner:
             return
         self.check("symplecto.jacobian_structure",
                    lambda: check_jacobian_structure(
-                       chi, samples(100, 4, boundary=True)))
+                       chi, samples(100, 4, boundary=True), samples(200, 7)))
         self.check("symplecto.boundary_map",
                    lambda: induced_boundary_map(
                        chi, samples(100, 5, boundary=True)))
@@ -529,7 +530,7 @@ class ScenarioRunner:
         def build():
             self.sc.phase = self.sc.generating_phase()
             d = self.sc.phase.boundary_diagnostics
-            return d["passed"], d
+            return boundary_flat(d), d
         self.check("phase.boundary_phase", build)
         if self.sc.phase is None:
             for name in ("phase.homogeneity", "phase.nondegeneracy",

@@ -29,7 +29,7 @@ import numpy as np
 from . import expr as ex
 from .exceptions import CalibrationError, CollarBoundsError
 from .expr import cutoff_expr
-from .grids import grid_digest, sg_ladder
+from .grids import bracket_ladder, grid_digest, sg_ladder
 from .phase import GeneratingPhase
 
 ZERO_FLOOR = 1e-9   # constants below this count as structurally zero
@@ -250,7 +250,7 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
     if xprimes is None:
         xprimes = np.linspace(-1.0, 1.0, 9)
     if rungs is None:
-        rungs = [2.0**j for j in range(9)]
+        rungs = bracket_ladder().tolist()
     fam = StarPhaseFamily(phase, k, K, order_bound)
     ladder = sg_ladder()
     signs = [1 if j % 2 == 0 else -1 for j in range(len(rungs))]

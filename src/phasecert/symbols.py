@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .exceptions import RegressionError, SingularLocusError
-from .grids import bracket_ladder, grid_digest
+from .grids import bracket_ladder
 from .symplectic import SAMPLE_DTYPE, XI_VARS
 
 TRANSMISSION_TOL = 1e-10    # the parity residual of check_transmission
@@ -114,15 +114,14 @@ class BsReport:
     """Fitted growth exponents of the collar-rescaled symbol.
 
     Membership sweeps internal derivative orders: for every (alpha, beta)
-    up to ab_bound, the <xi'>-ladder sups of the rescaled derivative must
-    grow no faster than <xi'>^(m - alpha) and its one-dimensional order in
+    up to 1, the <xi'>-ladder sups of the rescaled derivative must grow
+    no faster than <xi'>^(m - alpha) and its one-dimensional order in
     <xi_n> must stay at most l.  xi_slope and xin_order report the
     (0, 0)-derivative fits; slopes carries the whole table.
     """
 
     m: float
     l: float
-    ab_bound: int
     xi_slope: float | None
     xin_order: float | None
     slopes: dict
@@ -130,7 +129,6 @@ class BsReport:
     rung_sups: dict
     tol: float
     identically_zero: bool = False
-    grid: str = ""
 
     @property
     def passed(self) -> bool:
@@ -157,108 +155,108 @@ def loglog_fit(x, y) -> tuple[float, float]:
     return float(sol[0]), rms
 
 
+LIVE_FLOOR = 1e-14  # a ladder value at or below it is a vanishing rung
+
+
+def fit_live_rungs(rungs, values, min_live: int) -> float | None:
+    """The loglog_fit slope of values over the live rungs, those above
+    LIVE_FLOOR.  A NaN value is live, not zero, so it makes the slope NaN;
+    no live rung gives None (an identically zero ladder), and fewer than
+    min_live raise RegressionError."""
+    x, y = np.asarray(rungs, dtype=float), np.asarray(values, dtype=float)
+    live = ~(y <= LIVE_FLOOR)
+    n_live = int(live.sum())
+    if n_live == 0:
+        return None
+    if n_live < min_live:
+        raise RegressionError(
+            f"only {n_live} live rungs; need >= {min_live} for the fit")
+    return loglog_fit(x[live], y[live])[0]
+
+
+# (alpha, beta): xi'- and x'-derivative orders of the membership sweep;
+# each runs with xi_n- and x_n-orders (gamma, delta) up to 2
+BS_ORDERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+BS_KEYS = tuple((al, be, g, dlt) for al, be in BS_ORDERS
+                for g in range(3) for dlt in range(3))
+
+
+def collar_sups(parts, rungs: np.ndarray, xin_rungs: np.ndarray,
+                xn_count: int) -> dict:
+    """{BS_KEYS key: sup of the modulus of the parts' rescaled derivative
+    per (<xi'> rung r, <xi_n> shell R)}.  The (alpha, beta, gamma, delta)
+    derivative is evaluated at (x', x_n / r, sqrt(r^2 - 1), xi_n r) on 7
+    x' and xn_count x_n in [-1, 1] and xi_n = +-sqrt(R^2 - 1) (0 and -0
+    at R = 1), times the exact rescaling factor r^(gamma - delta).  One
+    program runs every derivative of every part over the axes (rung,
+    shell, sign, x', x_n), reduced by max over the last three."""
+    prog = ex.Program([ex.derivative_multi(
+        p, {"kn": g, "xn": dlt, "k1": al, "x1": be})
+        for al, be, g, dlt in BS_KEYS for p in parts])
+    r = rungs[:, None, None, None, None]
+    rho = np.sqrt(np.maximum(xin_rungs * xin_rungs - 1.0, 0.0))
+    shell = np.stack([rho, -rho], axis=1)[None, :, :, None, None]
+    xn_vals = np.linspace(-1.0, 1.0, xn_count)
+    vals = prog({"x1": np.linspace(-1.0, 1.0, 7)[:, None], "xn": xn_vals / r,
+                 "k1": np.sqrt(np.maximum(r * r - 1.0, 0.0)),
+                 "kn": shell * r})
+    shape = (len(rungs), len(xin_rungs), 2, 7, xn_count)
+    n = len(parts)
+    sups = {}
+    for i, key in enumerate(BS_KEYS):
+        v = vals[i * n:(i + 1) * n]
+        mod = np.abs(v[0]) if n == 1 else np.sqrt(sum(p * p for p in v))
+        sups[key] = np.max(np.broadcast_to(mod, shape), axis=(2, 3, 4)) \
+            * rungs[:, None] ** (key[2] - key[3])
+    return sups
+
+
 def check_bs_membership(a, m: float, l: float,
                         rung_top: float = 256.0,
                         xn_count: int = 33,
                         tol: float = 0.1) -> BsReport:
     """Fit growth exponents of the rescaled symbol on geometric ladders.
 
-    `a` is a SymbolFn, a bare Expr, or an (re, im) pair of Exprs (the
-    modulus is swept).  For each <xi'> rung r the symbol is evaluated at
-    (x', x_n/r, xi', xi_n r) with xi' = sqrt(r^2 - 1), on 7 x' and xn_count
-    x_n in [-1, 1], and <xi_n> rungs up to 64; normal derivatives of the
-    rescale pick up the exact factor r^(gamma - delta) with gamma, delta
-    up to 2, and tangential derivative orders (alpha, beta) each run up
-    to 1.
+    `a` is an Expr, or an (re, im) pair of Exprs whose modulus is swept.
+    collar_sups gives the sup of each rescaled derivative per <xi'> rung
+    and per <xi_n> rung up to 64.  Per (alpha, beta), the <xi'> slope is
+    fitted by fit_live_rungs on at least 4 live rungs, and the <xi_n>
+    order per gamma wherever at least 4 <xi_n> rungs are live.
     """
-    ab_bound, deriv_bound = 1, 2
-    if isinstance(a, SymbolFn):
-        parts = [a.expr]
-    elif isinstance(a, ex.Expr):
-        parts = [a]
-    else:
-        parts = list(a)
+    parts = [a] if isinstance(a, ex.Expr) else list(a)
     rungs = bracket_ladder(rung_top)
     if len(rungs) < 4:
         raise RegressionError("need at least 4 <xi'> rungs for the fit")
     xin_rungs = bracket_ladder(64.0)
-    xprime_samples = np.linspace(-1.0, 1.0, 7)
-    xn_vals = np.linspace(-1.0, 1.0, xn_count)
-    # shell values of xi_n with <xi_n> equal to each rung (both signs)
-    shells = []
-    for R in xin_rungs:
-        rho = np.sqrt(max(R * R - 1.0, 0.0))
-        shells.append(np.array([rho, -rho]) if rho else np.array([0.0]))
+    sups = collar_sups(parts, rungs, xin_rungs, xn_count)
 
-    combos = [(al, be) for al in range(ab_bound + 1)
-              for be in range(ab_bound + 1)]
-    derivs = {}
-    for al, be in combos:
-        for g in range(deriv_bound + 1):
-            for dlt in range(deriv_bound + 1):
-                derivs[(al, be, g, dlt)] = [
-                    ex.derivative_multi(
-                        p, {"kn": g, "xn": dlt, "k1": al, "x1": be})
-                    for p in parts]
-
-    sups = {key: np.zeros((len(rungs), len(xin_rungs))) for key in derivs}
-    X1 = xprime_samples[:, None, None]
-    XN = xn_vals[None, :, None]
-    for i, r in enumerate(rungs):
-        k1v = float(np.sqrt(max(r * r - 1.0, 0.0)))
-        for j, shell in enumerate(shells):
-            KN = shell[None, None, :] * r
-            env = {"x1": X1, "xn": XN / r, "k1": k1v, "kn": KN}
-            shape = (len(xprime_samples), len(xn_vals), len(shell))
-            for key, dparts in derivs.items():
-                g, dlt = key[2], key[3]
-                mods = [np.abs(np.broadcast_to(ex.eval_array(p, env), shape))
-                        for p in dparts]
-                mod = np.sqrt(sum(v * v for v in mods)) if len(mods) > 1 \
-                    else mods[0]
-                sups[key][i, j] = float(np.max(mod)) * r ** (g - dlt)
-
-    floor = 1e-14
     slopes: dict = {}
     xin_orders: dict = {}
     rung_sups: dict = {"rungs": rungs.tolist()}
-    all_zero = True
-    for al, be in combos:
-        V = np.zeros(len(rungs))
-        for g in range(deriv_bound + 1):
-            for dlt in range(deriv_bound + 1):
-                S = sups[(al, be, g, dlt)]
-                V = np.maximum(V, (S * xin_rungs[None, :] ** (g - l)
-                                   ).max(axis=1))
-        live = ~(V <= floor)    # NaN is live, so its slope is NaN
-        if not live.any():
-            slopes[(al, be)] = None
-            xin_orders[(al, be)] = None
+    for al, be in BS_ORDERS:
+        S = {(g, dlt): sups[(al, be, g, dlt)]
+             for g in range(3) for dlt in range(3)}
+        V = np.max([(s * xin_rungs ** (g - l)).max(axis=1)
+                    for (g, _), s in S.items()], axis=0)
+        slopes[(al, be)] = fit_live_rungs(rungs, V, 4)
+        xin_orders[(al, be)] = None
+        if slopes[(al, be)] is None:
             continue
-        all_zero = False
-        if live.sum() < 4:
-            raise RegressionError(
-                f"fewer than 4 non-vanishing rungs at orders {(al, be)}")
-        slopes[(al, be)] = loglog_fit(rungs[live], V[live])[0]
         if (al, be) == (0, 0):
             rung_sups["V"] = V.tolist()
         # <xi_n>-order: per gamma, normalize out the certified growth
-        order = None
-        for g in range(deriv_bound + 1):
-            W = np.zeros(len(xin_rungs))
-            for dlt in range(deriv_bound + 1):
-                S = sups[(al, be, g, dlt)] / rungs[:, None] ** (m - al)
-                W = np.maximum(W, S.max(axis=0))
-            ok = ~(W <= floor)
+        for g in range(3):
+            W = np.max([(S[(g, dlt)] / rungs[:, None] ** (m - al)).max(axis=0)
+                        for dlt in range(3)], axis=0)
+            ok = ~(W <= LIVE_FLOOR)
             if ok.sum() >= 4:
                 sl = loglog_fit(xin_rungs[ok], W[ok])[0] + g
-                order = sl if order is None else float(np.maximum(order, sl))
-        xin_orders[(al, be)] = order
+                order = xin_orders[(al, be)]
+                xin_orders[(al, be)] = sl if order is None \
+                    else float(np.maximum(order, sl))
 
-    if all_zero:
-        return BsReport(m, l, ab_bound, None, None, slopes, xin_orders,
-                        {}, tol, identically_zero=True)
-    return BsReport(m, l, ab_bound, slopes.get((0, 0)),
-                    xin_orders.get((0, 0)), slopes, xin_orders, rung_sups,
-                    tol, grid=grid_digest(rungs=rungs, xin=xin_rungs,
-                                          x1=xprime_samples, xn=xn_vals))
+    if all(s is None for s in slopes.values()):
+        return BsReport(m, l, None, None, slopes, xin_orders, {}, tol,
+                        identically_zero=True)
+    return BsReport(m, l, slopes[(0, 0)], xin_orders[(0, 0)], slopes,
+                    xin_orders, rung_sups, tol)

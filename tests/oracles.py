@@ -9,7 +9,8 @@ at the end evaluate the regularized phase's derivative table the plain
 way: each guard payload compiled on its own, each derivative broadcast
 to the full grid before it is reduced, and the t-grid through np.unique.
 looped_transmission runs the parity check one derivative and one ray at
-a time.
+a time, and looped_bs_sups the collar-class sweep one rung, one shell and
+one derivative at a time, each by its own eval_array call.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from math import comb
 
 import numpy as np
 
-from phasecert.exceptions import SingularLocusError
+from phasecert.exceptions import RegressionError, SingularLocusError
 from phasecert.expr import (GUARD, Expr, Program, derivative_multi,
                             differentiate, eval_array, evaluate, var)
+from phasecert.grids import bracket_ladder
+from phasecert.symbols import BsReport, loglog_fit
 
 
 def central_diff(f, x: float, h: float = 1e-4) -> float:
@@ -284,3 +287,98 @@ def looped_transmission(a, max_orders: int = 2) -> float:
                                                  xprime_samples.shape))))
                 worst = float(np.maximum(worst, resid))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# collar-class membership
+# ---------------------------------------------------------------------------
+
+def looped_bs_sups(parts, rung_top: float = 256.0, xn_count: int = 33
+                   ) -> dict:
+    """Sups of the collar-rescaled derivatives of symbols.collar_sups,
+    one <xi'> rung, one <xi_n> shell and one derivative at a time: the
+    shell at <xi_n> = 1 is the single point xi_n = 0, every other one the
+    two signs.  {(alpha, beta, gamma, delta): array over (rung, shell)}."""
+    rungs = bracket_ladder(rung_top)
+    xin_rungs = bracket_ladder(64.0)
+    xprime_samples = np.linspace(-1.0, 1.0, 7)
+    xn_vals = np.linspace(-1.0, 1.0, xn_count)
+    shells = []
+    for R in xin_rungs:
+        rho = np.sqrt(max(R * R - 1.0, 0.0))
+        shells.append(np.array([rho, -rho]) if rho else np.array([0.0]))
+    derivs = {(al, be, g, dlt): [
+        derivative_multi(p, {"kn": g, "xn": dlt, "k1": al, "x1": be})
+        for p in parts]
+        for al in range(2) for be in range(2)
+        for g in range(3) for dlt in range(3)}
+    sups = {key: np.zeros((len(rungs), len(xin_rungs))) for key in derivs}
+    X1 = xprime_samples[:, None, None]
+    XN = xn_vals[None, :, None]
+    for i, r in enumerate(rungs):
+        k1v = float(np.sqrt(max(r * r - 1.0, 0.0)))
+        for j, shell in enumerate(shells):
+            env = {"x1": X1, "xn": XN / r, "k1": k1v,
+                   "kn": shell[None, None, :] * r}
+            shape = (len(xprime_samples), len(xn_vals), len(shell))
+            for key, dparts in derivs.items():
+                g, dlt = key[2], key[3]
+                mods = [np.abs(np.broadcast_to(eval_array(p, env), shape))
+                        for p in dparts]
+                mod = np.sqrt(sum(v * v for v in mods)) if len(mods) > 1 \
+                    else mods[0]
+                sups[key][i, j] = float(np.max(mod)) * r ** (g - dlt)
+    return sups
+
+
+def looped_bs_report(a, m: float, l: float, rung_top: float = 256.0,
+                     xn_count: int = 33, tol: float = 0.1) -> BsReport:
+    """symbols.check_bs_membership on looped_bs_sups, with its ladder
+    fits written out: a NaN rung is live, no live rung means no slope,
+    and fewer than 4 live <xi'> rungs raise."""
+    parts = [a] if isinstance(a, Expr) else list(a)
+    rungs = bracket_ladder(rung_top)
+    xin_rungs = bracket_ladder(64.0)
+    sups = looped_bs_sups(parts, rung_top, xn_count)
+    floor = 1e-14
+    slopes: dict = {}
+    xin_orders: dict = {}
+    rung_sups: dict = {"rungs": rungs.tolist()}
+    all_zero = True
+    for al in range(2):
+        for be in range(2):
+            V = np.zeros(len(rungs))
+            for g in range(3):
+                for dlt in range(3):
+                    S = sups[(al, be, g, dlt)]
+                    V = np.maximum(V, (S * xin_rungs[None, :] ** (g - l)
+                                       ).max(axis=1))
+            live = ~(V <= floor)
+            if not live.any():
+                slopes[(al, be)] = None
+                xin_orders[(al, be)] = None
+                continue
+            all_zero = False
+            if live.sum() < 4:
+                raise RegressionError(
+                    f"fewer than 4 non-vanishing rungs at orders {(al, be)}")
+            slopes[(al, be)] = loglog_fit(rungs[live], V[live])[0]
+            if (al, be) == (0, 0):
+                rung_sups["V"] = V.tolist()
+            order = None
+            for g in range(3):
+                W = np.zeros(len(xin_rungs))
+                for dlt in range(3):
+                    S = sups[(al, be, g, dlt)] / rungs[:, None] ** (m - al)
+                    W = np.maximum(W, S.max(axis=0))
+                ok = ~(W <= floor)
+                if ok.sum() >= 4:
+                    sl = loglog_fit(xin_rungs[ok], W[ok])[0] + g
+                    order = sl if order is None \
+                        else float(np.maximum(order, sl))
+            xin_orders[(al, be)] = order
+    if all_zero:
+        return BsReport(m, l, None, None, slopes, xin_orders, {}, tol,
+                        identically_zero=True)
+    return BsReport(m, l, slopes[(0, 0)], xin_orders[(0, 0)], slopes,
+                    xin_orders, rung_sups, tol)

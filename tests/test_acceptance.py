@@ -163,7 +163,7 @@ def test_criterion_4_boundary_jacobian_structure():
         }, name="shear-lift"))
         for chi in maps:
             _, rep = check_jacobian_structure(
-                chi, collar_samples(chi, boundary=True))
+                chi, collar_samples(chi, boundary=True), collar_samples(chi))
             assert rep["zero_blocks"] <= 1e-10, chi.name
             assert rep["boundary_det_residual"] <= 1e-8, chi.name
             assert rep["normal_product_residual"] <= 1e-8, chi.name

@@ -24,18 +24,20 @@ FAMILIES = {"symplecto", "phase", "generating"}
 # seed 7.  Scenarios without a pin that depends on the sample points carry
 # the digests of the one-point-at-a-time checks the batched ones replaced.
 PINNED = {
-    "identity": {"default": "4f18eb28f6b3470506e9af71c590ee0a"
-                            "d6152c2ae63924a7877933fc9a4dcd37"},
-    "dilation": {"default": "c0855cb8a6023e4423827bd66df93fb7"
-                            "f17a44b1af0865257ccb9b387b3c8a4d"},
-    "quadratic-collar": {"default": "eca76534d0a71fb5e643d7f0c0f83129"
-                                    "e8166d32039d6110bfe179c5eb37e57a"},
-    "boundary-shear": {"default": "c1a49ba87a131523eb0e2bd5ac7f107c"
-                                  "3af86d53e6c1ed2f0124bdb41a92b71c"},
+    "identity": {"default": "e6375a1c72d7ceae890bb9f02226dcc1"
+                            "bb54d045cabf00dfc98abb48573c6c75"},
+    "dilation": {"default": "648514d6095d4b1fa38965f6a3a8408d"
+                            "4262864f0b8e96d22794bf2a9edf4a31",
+                 "fine": "39d47d5c109c88e26b656781703d1b75"
+                         "7badf1493d26573105f9faa99ed69df5"},
+    "quadratic-collar": {"default": "e3989d05bee9b837746728875e67c920"
+                                    "4623c27b89acfc867002b54f5f708947"},
+    "boundary-shear": {"default": "d7560bd79e6e1ac1cc550e677ea88b4c"
+                                  "ea6dc1ea8aca6870f7772f8da4f6ccc9"},
     "bad-boundary-shift": {"default": "9c989a68487707a142ac34812a7c579f"
                                       "752b67c16e32070f475d98aec9d045a2"},
-    "bad-transmission": {"default": "92daafcc00554ba1896d1511ee35d316"
-                                    "ef03ec6dbbe0de3ed6e0bb79d712cb84"},
+    "bad-transmission": {"default": "80d8f9d3e618126ea75515b087278529"
+                                    "327e7245f9e03a459ab159b7e51429fc"},
     "bad-symplectic": {"default": "0d8ed060d98f1fb26063f76de3a560a2"
                                   "31081a4574cc2494b8604d31f44528ad",
                        "fine": "eba0dc98de3b779392c4c76ff3880dd4"

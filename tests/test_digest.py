@@ -38,18 +38,18 @@ def reports():
 # RunReport.digest() of every catalog scenario at its defaults: all
 # families, default grid, the scenario's own seed.
 CATALOG_DIGESTS = {
-    "identity": "72c41aa53301e799e8e806b20d1397e5"
-                "e90017cf0f80174ef4fc9b5a696d094a",
-    "dilation": "2ca58920bdc481ba6b346c512eab39b3"
-                "a01bd485e3bc1b662f44e27a16eee17c",
-    "quadratic-collar": "8a89400bdd64272ee3e630fc912e83e2"
-                        "6c0ad5030c0e0f1766bea0a1332f491b",
-    "boundary-shear": "d5126082b862a3a69965b2c5db693cd5"
-                      "729f7020964c1f476a30aaf164b069dd",
+    "identity": "7f7d46da587229992c2ca95794cb8bb8"
+                "814ab06b2e20808c825a0af83435f44a",
+    "dilation": "704fef269856355b0d0a2ccb1a522a33"
+                "16bf162c705eb2bfc7216f90720e3e72",
+    "quadratic-collar": "e73e091a350e607b8267778ded7fc384"
+                        "26f8fae44c2354d4c68ee081cf6a4d60",
+    "boundary-shear": "474dfc24227005757e7361c1fd8b2ec8"
+                      "9f66a60ff4327280441f98f9f9ebe36c",
     "bad-boundary-shift": "9c989a68487707a142ac34812a7c579f"
                           "752b67c16e32070f475d98aec9d045a2",
-    "bad-transmission": "92daafcc00554ba1896d1511ee35d316"
-                        "ef03ec6dbbe0de3ed6e0bb79d712cb84",
+    "bad-transmission": "80d8f9d3e618126ea75515b087278529"
+                        "327e7245f9e03a459ab159b7e51429fc",
     "bad-symplectic": "0d8ed060d98f1fb26063f76de3a560a2"
                       "31081a4574cc2494b8604d31f44528ad",
 }

@@ -7,7 +7,7 @@ from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.exceptions import GraphMismatchError
 from phasecert.grammar import parse_expr
-from phasecert.phase import (GeneratingPhase, boundary_phase,
+from phasecert.phase import (GeneratingPhase, boundary_flat, boundary_phase,
                              check_admissibility, check_generating,
                              check_homogeneity, check_nondegeneracy,
                              normal_coeffs)
@@ -38,7 +38,7 @@ BAD = build_phase("bad-transmission")
 
 def test_boundary_phase_identity():
     pb, diag = boundary_phase(parse_expr("x1*k1 + xn*kn"))
-    assert diag["passed"]
+    assert boundary_flat(diag)
     assert ex.evaluate(pb, {"x1": 0.7, "k1": -2.0}) == pytest.approx(-1.4)
 
 
@@ -50,7 +50,7 @@ def test_boundary_phase_dilation_drops_normal_term():
 
 def test_boundary_phase_bad_term_vanishes_at_xn_zero():
     # the 0.1 xn |xi| term dies at xn = 0, so the boundary phase is clean
-    assert BAD.boundary_diagnostics["passed"]
+    assert boundary_flat(BAD.boundary_diagnostics)
 
 
 def test_phi_vanishes_at_boundary_with_xi_n_derivatives():

@@ -1,15 +1,21 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from phasecert import catalog
 from phasecert import expr as ex
 from phasecert.grammar import parse_expr
+from phasecert.grids import bracket_ladder
+from phasecert.normalop import NormalOperatorSpec
+from phasecert.opsymb import ConjugatedFamily
+from phasecert.phase import GeneratingPhase
 from phasecert.symplectic import COLLAR_VARS
 from phasecert.symbols import (SymbolFn, check_bs_membership,
-                               check_transmission, loglog_fit)
+                               check_transmission, collar_sups, loglog_fit)
 
-from oracles import looped_transmission
-
+from oracles import looped_bs_report, looped_bs_sups, looped_transmission
 
 
 def test_transmission_xi_n_passes():
@@ -138,6 +144,85 @@ def test_bs_product_law():
         rb = check_bs_membership(b, m=mb, l=lb)
         rab = check_bs_membership(ex.mul(a, b), m=ma + mb, l=la + lb)
         assert rab.xi_slope <= ra.xi_slope + rb.xi_slope + 0.05
+
+
+def _amp_pair(psi: str, n_xi: int, n_x: int):
+    spec = NormalOperatorSpec(GeneratingPhase(parse_expr(psi)),
+                              SymbolFn(parse_expr("1"), order=0.0), 0.3, 1.0)
+    return ConjugatedFamily(spec).amp_pair(n_xi, n_x)
+
+
+DILATION = catalog.SCENARIOS["dilation"]["phase"]
+MIX = "x1*k1 + xn*kn*exp(sin(x1)/2) + 0.1*xn^2*k1"   # criterion 7's phase
+COLLAR = ("kn*exp(sin(x1)/2) * (bump(1 - xn^2) / (bump(1 - xn^2)"
+          " + bump(xn^2 - 0.25)))")
+
+# (label, symbol: text or (phase, n_xi, n_x) of an amp_pair, m, l, kwargs)
+BS_TABLE = [
+    ("1", "1", 0.0, 0.0, {}),
+    ("xn", "xn", -1.0, 0.0, {}),
+    ("kn", "kn", 1.0, 1.0, {}),
+    ("bracket(kn)", "bracket(kn)", 1.0, 1.0, {}),
+    ("bracket(kn)*xn", "bracket(kn)*xn", 0.0, 1.0, {}),
+    # larger at xi_n < 0, so a sweep of one xi_n sign misses its sups
+    ("bracket(kn)-kn", "bracket(kn) - kn", 1.0, 1.0, {}),
+    ("exp(sin(x1)/2)*xn", "exp(sin(x1)/2)*xn", -1.0, 0.0, {}),
+    ("collar-33", COLLAR, 1.0, 1.0, {}),
+    ("collar-65", COLLAR, 1.0, 1.0, {"xn_count": 65}),
+    ("exp(xn*kn*kn)", "exp(xn*kn*kn)", 0.0, 0.0, {}),
+    ("dilation-01", (DILATION, 0, 1), 0.0, 1.0, {"tol": 0.15}),
+    ("dilation-10", (DILATION, 1, 0), -1.0, 0.0, {"tol": 0.15}),
+    ("mix-01", (MIX, 0, 1), 0.0, 1.0, {"tol": 0.15}),
+    ("mix-10", (MIX, 1, 0), -1.0, 0.0, {"tol": 0.15}),
+]
+
+
+def _bs_symbol(sym):
+    return parse_expr(sym) if isinstance(sym, str) else _amp_pair(*sym)
+
+
+def _same(x, y) -> bool:
+    """x == y, recursively through dicts and lists, with NaN equal to NaN."""
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same(x[k], y[k]) for k in x)
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, float) and math.isnan(x):
+        return isinstance(y, float) and math.isnan(y)
+    return type(x) is type(y) and x == y
+
+
+@pytest.mark.parametrize("label,sym,m,l,kw", BS_TABLE,
+                         ids=[row[0] for row in BS_TABLE])
+def test_batched_bs_sweep_equals_looped_oracle(label, sym, m, l, kw):
+    a = _bs_symbol(sym)
+    parts = [a] if isinstance(a, ex.Expr) else list(a)
+    xn_count = kw.get("xn_count", 33)
+    got = collar_sups(parts, bracket_ladder(256.0), bracket_ladder(64.0),
+                      xn_count)
+    want = looped_bs_sups(parts, xn_count=xn_count)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=str(key))
+    rep, ref = check_bs_membership(a, m, l, **kw), looped_bs_report(
+        a, m, l, **kw)
+    for f in dataclasses.fields(rep):
+        assert _same(getattr(rep, f.name), getattr(ref, f.name)), f.name
+    assert rep.passed == ref.passed
+
+
+def test_bs_sweep_runs_one_program_and_no_eval_array(monkeypatch):
+    runs, evals = [], []
+    real_exec, real_eval = ex._exec, ex.eval_array
+    monkeypatch.setattr(ex, "_exec", lambda prog, env: runs.append(1)
+                        or real_exec(prog, env))
+    monkeypatch.setattr(ex, "eval_array", lambda e, env: evals.append(1)
+                        or real_eval(e, env))
+    for sym in (COLLAR, (DILATION, 0, 1)):
+        a = _bs_symbol(sym)
+        del runs[:], evals[:]
+        check_bs_membership(a, m=1.0, l=1.0)
+        assert (len(runs), len(evals)) == (1, 0), sym
 
 
 def test_bs_rejects_short_ladder():

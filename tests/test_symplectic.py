@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from phasecert import catalog
 from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.exceptions import BoundaryPreservationError
 from phasecert.grammar import parse_expr
 from phasecert.grids import quasi_uniform
+from phasecert.runner import run_scenario
 from phasecert.symplectic import (COLLAR_VARS, SymplectoMap,
                                   check_boundary_preserving,
                                   check_jacobian_structure, check_symplectic,
@@ -174,7 +176,8 @@ def test_boundary_map_of_shift_raises():
 
 def test_jacobian_structure_catalog():
     for chi in (IDENTITY, DILATION, QUADRATIC, shear_lift()):
-        passed, metrics = check_jacobian_structure(chi, edge(chi))
+        passed, metrics = check_jacobian_structure(
+            chi, edge(chi), collar_samples(chi))
         assert passed, (chi.name, metrics)
         assert metrics["zero_blocks"] <= 1e-10
         assert metrics["boundary_det_residual"] <= 1e-8
@@ -182,8 +185,18 @@ def test_jacobian_structure_catalog():
         assert metrics["min_normal_derivative"] > 0.1
 
 
+def test_jacobian_structure_interior_follows_the_scenario_seed():
+    def min_dxn(seed):
+        rep = run_scenario(catalog.emit("dilation"), {"symplecto"}, seed=seed)
+        [out] = [o for o in rep.outcomes
+                 if o.check == "symplecto.jacobian_structure"]
+        return out.metrics["min_normal_derivative"]
+    assert min_dxn(3) != min_dxn(7)
+
+
 def test_jacobian_structure_quadratic_tight():
-    _, metrics = check_jacobian_structure(QUADRATIC, edge(QUADRATIC))
+    _, metrics = check_jacobian_structure(QUADRATIC, edge(QUADRATIC),
+                                          collar_samples(QUADRATIC))
     assert metrics["zero_blocks"] <= 1e-12
     assert metrics["normal_product_residual"] <= 1e-10
 
