@@ -70,7 +70,7 @@ class ConjugatedFamily:
 
     Amplitude pairs (re, im) are built once per (xi'-order, x'-order,
     output-order) and compiled together, so a full ladder sweep costs one
-    program execution per rung.
+    program execution per rung, however many test functions it serves.
     """
 
     def __init__(self, spec: NormalOperatorSpec, max_xi: int = 2,
@@ -123,34 +123,40 @@ class ConjugatedFamily:
         class-membership checks."""
         return self.amp_pairs[(n_xi, n_x, 0)]
 
-    def _panels(self, u: SchwartzFn, t_max: float):
-        """(a, b, n_panels) of the s grid resolving u_hat against the
-        oscillation up to |t| <= t_max."""
-        S = u.ft_radius(tol=1e-16,
-                        weight_order=max(self.spec.amplitude.order, 0.0)
-                        + self.max_xi + self.max_x + self.max_s)
+    def _panels(self, us: list[SchwartzFn], t_max: float):
+        """(a, b, n_panels) of the s grid resolving every u_hat of us
+        against the oscillation up to |t| <= t_max: the widest grid any of
+        them needs."""
+        order = max(self.spec.amplitude.order, 0.0) \
+            + self.max_xi + self.max_x + self.max_s
+        S = max(u.ft_radius(tol=1e-16, weight_order=order) for u in us)
         rate = t_max * 2.5 / (2.0 * math.pi)
         return -S, S, max(24, int(math.ceil(2 * S * rate * 1.5)))
 
-    def outputs(self, u: SchwartzFn, rungs=DEFAULT_RUNGS,
-                t_grid: np.ndarray | None = None) -> dict:
-        """Conjugated outputs per (xi'-order, x'-order, s) and rung, at
-        xi' = +sqrt(r^2 - 1).
+    def outputs(self, us: list[SchwartzFn], rungs=DEFAULT_RUNGS,
+                t_grid: np.ndarray | None = None) -> list[dict]:
+        """Conjugated outputs of every test function of us per
+        (xi'-order, x'-order, s) and rung, at xi' = +sqrt(r^2 - 1).
 
-        Returns {key: [complex array over t_grid per rung]}; the s-th
-        entries already carry the r^(-s) factor from rescaling the output
-        derivative.
+        Returns one {key: [complex array over t_grid per rung]} per test
+        function, in the order of us; the s-th entries already carry the
+        r^(-s) factor from rescaling the output derivative.  The test
+        functions share one s grid, the widest any of them needs, so one
+        ladder sweep serves them all: per rung, one program execution,
+        one panel sum and at most one dense kernel.
         """
         if t_grid is None:
             t_grid = default_t_grid()
         t_grid = np.asarray(t_grid, dtype=float)
-        a, b, n_panels = self._panels(u, float(np.max(np.abs(t_grid))))
+        a, b, n_panels = self._panels(us, float(np.max(np.abs(t_grid))))
         nodes, weights = panel_nodes(a, b, n_panels, order=10)
         mid, half = panel_frame(a, b, n_panels)
         g = gauss_rule(10)[0]
-        # u_hat w, the same for every rung and key
-        uhat_w = u.ft_values(nodes) / (2.0 * math.pi) * weights
-        out = {key: [] for key in self.keys}
+        n_u = len(us)
+        # u_hat w per test function (nodes x U), the same for every rung
+        uhat_w = np.stack([u.ft_values(nodes) / (2.0 * math.pi) * weights
+                           for u in us], axis=-1)
+        out = [{key: [] for key in self.keys} for _ in us]
         one = ex.const(1.0)
         for rung in rungs:
             xi = math.sqrt(max(rung * rung - 1.0, 0.0))
@@ -169,27 +175,49 @@ class ConjugatedFamily:
             for i, v in enumerate(vals):
                 (free_s if v.ndim == 0 or v.shape[-1] == 1
                  else free_t if v.shape[0] == 1 else both).append(i)
-            cols = np.stack([uhat_w] + [uhat_w * vals[i][0] for i in free_t],
-                            axis=-1)
-            col_sums = osc.panel_sum(mid, half, g,
-                                     cols.reshape(n_panels, 10, -1))
+            cols = np.concatenate(
+                [uhat_w] + [uhat_w * vals[i][0][:, None] for i in free_t],
+                axis=-1).reshape(n_panels, 10, -1)
+            col_sums = osc.panel_sum(mid, half, g, cols).reshape(
+                len(t_grid), -1, n_u)
+            del cols
+            # sums[i]: (t x U) sums of part i
             sums = [None] * len(vals)
             for i in free_s:
-                sums[i] = np.reshape(vals[i], -1) * col_sums[:, 0]
+                sums[i] = np.reshape(vals[i], (-1, 1)) * col_sums[:, 0]
             for j, i in enumerate(free_t, start=1):
                 sums[i] = col_sums[:, j]
             if both:
-                kern = osc.grid(mid, half, g) * uhat_w
-                kern = np.stack([kern.real, kern.imag], axis=1)
-                # a non-finite amplitude gives NaN sums, which fail the fit
-                with np.errstate(invalid="ignore"):
-                    for i in both:
-                        re, im = (kern @ vals[i][:, :, None])[:, :, 0].T
-                        sums[i] = re + 1j * im
+                for i, v in zip(both, _dense_sums(osc.grid(mid, half, g),
+                                                  uhat_w,
+                                                  [vals[i] for i in both])):
+                    sums[i] = v
             for i, key in enumerate(self.keys):
-                res = sums[2 * i] + 1j * sums[2 * i + 1]
-                out[key].append(res * rung ** (-key[2]))
+                res = (sums[2 * i] + 1j * sums[2 * i + 1]) \
+                    * rung ** (-key[2])
+                for j in range(n_u):
+                    out[j][key].append(res[:, j])
         return out
+
+
+def _dense_sums(kern: np.ndarray, uhat_w: np.ndarray, parts: list
+                ) -> list[np.ndarray]:
+    """(t x U) sums over s of kern u_hat w times each (t x s) part, for the
+    U columns of uhat_w.  One test function's product with the kernel is
+    live at a time, read as (t x s x 2) real and imaginary parts, so at
+    most two (t, s) arrays are live beside the parts."""
+    n_t, n_u = kern.shape[0], uhat_w.shape[1]
+    sums = [np.empty((n_t, n_u), dtype=complex) for _ in parts]
+    ku = np.empty_like(kern)
+    for j in range(n_u):
+        np.multiply(kern, uhat_w[:, j], out=ku)
+        # a non-finite amplitude gives NaN sums, which fail the fit
+        with np.errstate(invalid="ignore"):
+            for part, out in zip(parts, sums):
+                re, im = np.matmul(part[:, None, :], ku.view(float).reshape(
+                    n_t, -1, 2))[:, 0, :].T
+                out[:, j] = re + 1j * im
+    return sums
 
 
 @dataclass
@@ -227,10 +255,9 @@ def _ladder_fits(spec: NormalOperatorSpec, family: ConjugatedFamily,
                  min_live: int) -> list[OrderFit]:
     """OrderFits of the grid seminorms sup |t|^l |output| for every test
     function, output key (a, b, s) in keys and l in ls, in that nesting
-    order."""
+    order, from one family.outputs sweep of all the test functions."""
     fits = []
-    for u in us:
-        outs = family.outputs(u, rungs, t_grid)
+    for u, outs in zip(us, family.outputs(us, rungs, t_grid)):
         for a, b, s in keys:
             for l in ls:
                 sems = [float(np.max(np.abs(t_grid) ** l * np.abs(o)))
@@ -246,7 +273,7 @@ def estimate_symbol_order(spec: NormalOperatorSpec, alpha: int, beta: int,
                           family: ConjugatedFamily | None = None
                           ) -> list[OrderFit]:
     """OrderFit per test function for one (alpha, beta, l, s) selection,
-    on the full ladder."""
+    on the full ladder, from one ladder sweep for all test functions."""
     if family is None:
         family = ConjugatedFamily(spec, max_xi=alpha, max_x=beta, max_s=s)
     return _ladder_fits(spec, family, us, [(alpha, beta, s)], [l],
@@ -258,7 +285,7 @@ def sweep_symbol_orders(spec: NormalOperatorSpec, us: list[SchwartzFn],
                         max_s: int = 2) -> list[OrderFit]:
     """All OrderFits for derivative orders and seminorm indices up to the
     bounds, on the ladder window of spec, each fitted once it has
-    SWEEP_MIN_LIVE live rungs; one ladder sweep per test function."""
+    SWEEP_MIN_LIVE live rungs; one ladder sweep for all test functions."""
     t_grid, rungs = ladder_window(spec)
     family = ConjugatedFamily(spec, max_xi, max_x, max_s)
     return _ladder_fits(spec, family, us, family.keys, range(max_l + 1),

@@ -27,14 +27,17 @@ p = jB + l the panel factor splits again,
 
     e^{i (c + mid_p h)} = e^{i (c + mid_{jB} h)} e^{i (mid_l - mid_0) h},
 
-both factors read from the midpoint array: P panels of Q nodes take
-ceil(P / B) + B + Q complex exponentials per point, once per call, instead
-of P Q.  If the amplitude is xi-free as well, the panels are contracted
-first, (points x P) @ (P x Q * columns), and the Q nodes after.  A phase
-that fails the test (the bad-transmission phase) takes the dense path, one
-exponential per (point, node) pair.  Every Oscillatory sum runs over
-blocks of whole panels of at most BLOCK (point, node) pairs, so on either
-path its memory is bounded by the block, not by the grid.
+both factors read from the midpoint array.  The Gauss abscissae are
+symmetric, g_{Q-1-k} = -g_k, so e^{i half g_k h} for the upper half of the
+nodes are the conjugates of the lower half's: P panels of Q nodes take
+ceil(P / B) + B + ceil(Q / 2) complex exponentials per point, once per
+call, instead of P Q.  If the amplitude is xi-free as well, the panels of
+each block are contracted first, (points x P) @ (P x Q * columns), and
+summed over the blocks; the Q nodes are contracted once, after the last
+block.  A phase that fails the test (the bad-transmission phase) takes the
+dense path, one exponential per (point, node) pair.  Every Oscillatory sum
+runs over blocks of whole panels of at most BLOCK (point, node) pairs, so
+on either path its memory is bounded by the block, not by the grid.
 
 Integrands are complex-vectorized over the last axis; any leading axes
 (e.g. output sample points) ride along, and error estimates are reported
@@ -136,6 +139,9 @@ class Oscillatory:
         equally spaced midpoint p = jB + l, B = isqrt(P), is mid_{jB} +
         (mid_l - mid_0), so the ceil(P / B) coarse and B fine exponentials
         are taken once per call and each block gathers its outer factor.
+        The abscissae g are a Gauss rule, g[::-1] == -g, so inner takes
+        the exponentials of its first ceil(Q / 2) columns and the rest are
+        their conjugates in reverse order.
         """
         step = max(1, BLOCK // (self.size * len(g)))
         outer = inner = None
@@ -143,7 +149,10 @@ class Oscillatory:
             n_b = math.isqrt(len(mid))
             coarse = np.exp(1j * (self.offset + mid[None, ::n_b] * self.slope))
             fine = np.exp(1j * (mid[None, :n_b] - mid[0]) * self.slope)
-            inner = np.exp(1j * (half * g)[None, :] * self.slope)
+            inner = np.exp(1j * (half * g[:(len(g) + 1) // 2])[None, :]
+                           * self.slope)
+            inner = np.concatenate(
+                [inner, inner[:, :len(g) // 2][:, ::-1].conj()], axis=1)
         for lo in range(0, len(mid), step):
             p = np.arange(lo, min(lo + step, len(mid)))
             if self.linear:
@@ -157,35 +166,44 @@ class Oscillatory:
         if outer is None:
             osc = np.exp(1j * self._dense(self.phi, nodes))
         else:
-            osc = (outer[..., None] * inner[:, None, :]).reshape(self.size, -1)
-        return osc * self._amp(nodes)
+            # in C order, so that the reshape is a view: the gathered outer
+            # factor is column-major, and a product in its order is copied
+            osc = np.multiply(outer[..., None], inner[:, None, :],
+                              order="C").reshape(self.size, -1)
+        osc *= self._amp(nodes)
+        return osc
 
     def grid(self, mid, half, g) -> np.ndarray:
         """e^{i phi} a at every point and grid node, (points x P*Q),
         panel-major; the spectrum is not applied."""
-        blocks = self._blocks(mid, half, g)
-        return np.concatenate([self._values(nodes, outer, inner)
-                               for _, nodes, outer, inner in blocks], axis=1)
+        blocks = [self._values(nodes, outer, inner)
+                  for _, nodes, outer, inner in self._blocks(mid, half, g)]
+        return blocks[0] if len(blocks) == 1 \
+            else np.concatenate(blocks, axis=1)
 
     def panel_sum(self, mid, half, g, weights) -> np.ndarray:
         """sum over the grid nodes of the integrand times weights[p, k, ...]
         at every point: shape (points,) + weights.shape[2:]."""
         n_q, cols = weights.shape[1], weights.shape[2:]
         weights = weights.reshape(len(mid), n_q, -1)
-        out = 0.0
+        factored = self.linear and self.amp0 is not None
+        # the factored path sums the panels of every block first,
+        # (points x P) @ (P x Q*cols), and the Q nodes once after the last
+        width = weights.shape[2] * (n_q if factored else 1)
+        out = np.zeros((self.size, width), dtype=complex)
         for panels, nodes, outer, inner in self._blocks(mid, half, g):
             w = weights[panels]
             if self.spectrum is not None:
                 w = w * self.spectrum(nodes).reshape(len(w), n_q, 1)
-            if self.linear and self.amp0 is not None:
-                # panels first, (points x P) @ (P x Q*cols), then the Q nodes
-                per_node = (outer @ w.reshape(len(w), -1)
-                            ).reshape(self.size, n_q, -1)
-                out = out + np.matmul(inner[:, None, :], per_node)[:, 0, :] \
-                    * self.amp0
+            if factored:
+                out += outer @ w.reshape(len(w), -1)
             else:
-                out = out + self._values(nodes, outer, inner) \
+                out += self._values(nodes, outer, inner) \
                     @ w.reshape(len(nodes), -1)
+        if factored:
+            out = np.matmul(inner[:, None, :],
+                            out.reshape(self.size, n_q, -1))[:, 0, :] \
+                * self.amp0
         return out.reshape((self.size,) + cols)
 
     def point_sum(self, b: np.ndarray, mid, half, g) -> np.ndarray:
@@ -280,11 +298,17 @@ def cutoff_richardson(f, R: float, panels_per_unit: float,
     m = max(min_panels, int(np.ceil(4.0 * R * panels_per_unit)))
     nodes, weights = panel_nodes(-8.0 * R, 8.0 * R, 4 * m, order)
     mid, half = panel_frame(-8.0 * R, 8.0 * R, 4 * m)
-    W = np.stack([weights * smooth_freq_cutoff(nodes, R * level)
-                  for level in (1.0, 2.0, 4.0)], axis=1).reshape(4 * m,
-                                                                order, 3)
-    acc = panel_sum(f, mid, half, gauss_rule(order)[0], W)
+    # W is filled column by column, and the nodes are dropped before the
+    # sum, so no other grid-sized array is live beside it
+    W = np.empty((len(nodes), 3))
+    for j, level in enumerate((1.0, 2.0, 4.0)):
+        np.multiply(weights, smooth_freq_cutoff(nodes, R * level),
+                    out=W[:, j])
+    evals = len(nodes)
+    del nodes, weights
+    acc = panel_sum(f, mid, half, gauss_rule(order)[0],
+                    W.reshape(4 * m, order, 3))
     i1, i2, i3 = np.moveaxis(acc, -1, 0)
     j2 = 2.0 * i3 - i2
     extrap = (8.0 * i3 - 6.0 * i2 + i1) / 3.0
-    return extrap, np.abs(extrap - j2), len(nodes)
+    return extrap, np.abs(extrap - j2), evals

@@ -116,19 +116,19 @@ class BsReport:
     Membership sweeps internal derivative orders: for every (alpha, beta)
     up to 1, the <xi'>-ladder sups of the rescaled derivative must grow
     no faster than <xi'>^(m - alpha) and its one-dimensional order in
-    <xi_n> must stay at most l.  xi_slope and xin_order report the
-    (0, 0)-derivative fits; slopes carries the whole table.
+    <xi_n> must stay at most l.  slopes and xin_orders map (alpha, beta)
+    to those fits, None where the derivative vanishes on the ladder.
     """
 
     m: float
     l: float
-    xi_slope: float | None
-    xin_order: float | None
     slopes: dict
     xin_orders: dict
-    rung_sups: dict
     tol: float
-    identically_zero: bool = False
+
+    @property
+    def identically_zero(self) -> bool:
+        return all(s is None for s in self.slopes.values())
 
     @property
     def passed(self) -> bool:
@@ -211,9 +211,7 @@ def collar_sups(parts, rungs: np.ndarray, xin_rungs: np.ndarray,
     return sups
 
 
-def check_bs_membership(a, m: float, l: float,
-                        rung_top: float = 256.0,
-                        xn_count: int = 33,
+def check_bs_membership(a, m: float, l: float, xn_count: int = 33,
                         tol: float = 0.1) -> BsReport:
     """Fit growth exponents of the rescaled symbol on geometric ladders.
 
@@ -224,15 +222,12 @@ def check_bs_membership(a, m: float, l: float,
     order per gamma wherever at least 4 <xi_n> rungs are live.
     """
     parts = [a] if isinstance(a, ex.Expr) else list(a)
-    rungs = bracket_ladder(rung_top)
-    if len(rungs) < 4:
-        raise RegressionError("need at least 4 <xi'> rungs for the fit")
+    rungs = bracket_ladder(256.0)
     xin_rungs = bracket_ladder(64.0)
     sups = collar_sups(parts, rungs, xin_rungs, xn_count)
 
     slopes: dict = {}
     xin_orders: dict = {}
-    rung_sups: dict = {"rungs": rungs.tolist()}
     for al, be in BS_ORDERS:
         S = {(g, dlt): sups[(al, be, g, dlt)]
              for g in range(3) for dlt in range(3)}
@@ -242,8 +237,6 @@ def check_bs_membership(a, m: float, l: float,
         xin_orders[(al, be)] = None
         if slopes[(al, be)] is None:
             continue
-        if (al, be) == (0, 0):
-            rung_sups["V"] = V.tolist()
         # <xi_n>-order: per gamma, normalize out the certified growth
         for g in range(3):
             W = np.max([(S[(g, dlt)] / rungs[:, None] ** (m - al)).max(axis=0)
@@ -254,9 +247,4 @@ def check_bs_membership(a, m: float, l: float,
                 order = xin_orders[(al, be)]
                 xin_orders[(al, be)] = sl if order is None \
                     else float(np.maximum(order, sl))
-
-    if all(s is None for s in slopes.values()):
-        return BsReport(m, l, None, None, slopes, xin_orders, {}, tol,
-                        identically_zero=True)
-    return BsReport(m, l, slopes[(0, 0)], xin_orders[(0, 0)], slopes,
-                    xin_orders, rung_sups, tol)
+    return BsReport(m, l, slopes, xin_orders, tol)

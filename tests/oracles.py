@@ -11,20 +11,26 @@ to the full grid before it is reduced, and the t-grid through np.unique.
 looped_transmission runs the parity check one derivative and one ray at
 a time, and looped_bs_sups the collar-class sweep one rung, one shell and
 one derivative at a time, each by its own eval_array call.
+blockwise_panel_sum contracts the Gauss nodes of a factored sum in every
+block, and per_function_outputs sweeps the conjugated outputs of one test
+function on its own s grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from phasecert.exceptions import RegressionError, SingularLocusError
-from phasecert.expr import (GUARD, Expr, Program, derivative_multi,
+from phasecert.expr import (GUARD, Expr, Program, const, derivative_multi,
                             differentiate, eval_array, evaluate, var)
 from phasecert.grids import bracket_ladder
+from phasecert.quadrature import (Oscillatory, gauss_rule, panel_frame,
+                                  panel_nodes)
 from phasecert.symbols import BsReport, loglog_fit
 
 
@@ -293,13 +299,12 @@ def looped_transmission(a, max_orders: int = 2) -> float:
 # collar-class membership
 # ---------------------------------------------------------------------------
 
-def looped_bs_sups(parts, rung_top: float = 256.0, xn_count: int = 33
-                   ) -> dict:
+def looped_bs_sups(parts, xn_count: int = 33) -> dict:
     """Sups of the collar-rescaled derivatives of symbols.collar_sups,
     one <xi'> rung, one <xi_n> shell and one derivative at a time: the
     shell at <xi_n> = 1 is the single point xi_n = 0, every other one the
     two signs.  {(alpha, beta, gamma, delta): array over (rung, shell)}."""
-    rungs = bracket_ladder(rung_top)
+    rungs = bracket_ladder(256.0)
     xin_rungs = bracket_ladder(64.0)
     xprime_samples = np.linspace(-1.0, 1.0, 7)
     xn_vals = np.linspace(-1.0, 1.0, xn_count)
@@ -331,20 +336,18 @@ def looped_bs_sups(parts, rung_top: float = 256.0, xn_count: int = 33
     return sups
 
 
-def looped_bs_report(a, m: float, l: float, rung_top: float = 256.0,
-                     xn_count: int = 33, tol: float = 0.1) -> BsReport:
+def looped_bs_report(a, m: float, l: float, xn_count: int = 33,
+                     tol: float = 0.1) -> BsReport:
     """symbols.check_bs_membership on looped_bs_sups, with its ladder
     fits written out: a NaN rung is live, no live rung means no slope,
     and fewer than 4 live <xi'> rungs raise."""
     parts = [a] if isinstance(a, Expr) else list(a)
-    rungs = bracket_ladder(rung_top)
+    rungs = bracket_ladder(256.0)
     xin_rungs = bracket_ladder(64.0)
-    sups = looped_bs_sups(parts, rung_top, xn_count)
+    sups = looped_bs_sups(parts, xn_count)
     floor = 1e-14
     slopes: dict = {}
     xin_orders: dict = {}
-    rung_sups: dict = {"rungs": rungs.tolist()}
-    all_zero = True
     for al in range(2):
         for be in range(2):
             V = np.zeros(len(rungs))
@@ -358,13 +361,10 @@ def looped_bs_report(a, m: float, l: float, rung_top: float = 256.0,
                 slopes[(al, be)] = None
                 xin_orders[(al, be)] = None
                 continue
-            all_zero = False
             if live.sum() < 4:
                 raise RegressionError(
                     f"fewer than 4 non-vanishing rungs at orders {(al, be)}")
             slopes[(al, be)] = loglog_fit(rungs[live], V[live])[0]
-            if (al, be) == (0, 0):
-                rung_sups["V"] = V.tolist()
             order = None
             for g in range(3):
                 W = np.zeros(len(xin_rungs))
@@ -377,8 +377,74 @@ def looped_bs_report(a, m: float, l: float, rung_top: float = 256.0,
                     order = sl if order is None \
                         else float(np.maximum(order, sl))
             xin_orders[(al, be)] = order
-    if all_zero:
-        return BsReport(m, l, None, None, slopes, xin_orders, {}, tol,
-                        identically_zero=True)
-    return BsReport(m, l, slopes[(0, 0)], xin_orders[(0, 0)], slopes,
-                    xin_orders, rung_sups, tol)
+    return BsReport(m, l, slopes, xin_orders, tol)
+
+
+# ---------------------------------------------------------------------------
+# oscillatory panel sums and conjugated outputs
+# ---------------------------------------------------------------------------
+
+def blockwise_panel_sum(osc: Oscillatory, mid, half, g, weights
+                        ) -> np.ndarray:
+    """Oscillatory.panel_sum with a factored sum's Q nodes contracted in
+    every block: the block's (points x Q*cols) panel sum against
+    e^{i half g_k slope}, times the amplitude, added over the blocks."""
+    n_q, cols = weights.shape[1], weights.shape[2:]
+    weights = weights.reshape(len(mid), n_q, -1)
+    out = 0.0
+    for panels, nodes, outer, inner in osc._blocks(mid, half, g):
+        w = weights[panels]
+        if osc.spectrum is not None:
+            w = w * osc.spectrum(nodes).reshape(len(w), n_q, 1)
+        if osc.linear and osc.amp0 is not None:
+            per_node = (outer @ w.reshape(len(w), -1)
+                        ).reshape(osc.size, n_q, -1)
+            out = out + np.matmul(inner[:, None, :], per_node)[:, 0, :] \
+                * osc.amp0
+        else:
+            out = out + osc._values(nodes, outer, inner) \
+                @ w.reshape(len(nodes), -1)
+    return out.reshape((osc.size,) + cols)
+
+
+def per_function_outputs(family, u, rungs, t_grid) -> dict:
+    """ConjugatedFamily.outputs of the one test function u on the s grid
+    that u alone needs: per rung one program execution, one
+    blockwise_panel_sum and, for the parts that depend on both t and s,
+    one dense kernel times u_hat w, summed part by part."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    a, b, n_panels = family._panels([u], float(np.max(np.abs(t_grid))))
+    nodes, weights = panel_nodes(a, b, n_panels, order=10)
+    mid, half = panel_frame(a, b, n_panels)
+    g = gauss_rule(10)[0]
+    uhat_w = u.ft_values(nodes) / (2.0 * math.pi) * weights
+    out = {key: [] for key in family.keys}
+    for rung in rungs:
+        xi = math.sqrt(max(rung * rung - 1.0, 0.0))
+        consts = {"x1": family.spec.xprime, "k1": xi, "r": float(rung)}
+        osc = Oscillatory(family.phi_resc, const(1.0),
+                          dict(consts, t=t_grid), kvar="s")
+        vals = [np.asarray(v, dtype=float) for v in family._prog(
+            dict(consts, t=t_grid[:, None], s=nodes[None, :]))]
+        free_s, free_t, both = [], [], []
+        for i, v in enumerate(vals):
+            (free_s if v.ndim == 0 or v.shape[-1] == 1
+             else free_t if v.shape[0] == 1 else both).append(i)
+        cols = np.stack([uhat_w] + [uhat_w * vals[i][0] for i in free_t],
+                        axis=-1)
+        col_sums = blockwise_panel_sum(osc, mid, half, g,
+                                       cols.reshape(n_panels, 10, -1))
+        sums = [None] * len(vals)
+        for i in free_s:
+            sums[i] = np.reshape(vals[i], -1) * col_sums[:, 0]
+        for j, i in enumerate(free_t, start=1):
+            sums[i] = col_sums[:, j]
+        if both:
+            kern = osc.grid(mid, half, g) * uhat_w
+            with np.errstate(invalid="ignore"):
+                for i in both:
+                    sums[i] = (kern * vals[i]).sum(axis=1)
+        for i, key in enumerate(family.keys):
+            res = sums[2 * i] + 1j * sums[2 * i + 1]
+            out[key].append(res * rung ** (-key[2]))
+    return out

@@ -209,8 +209,8 @@ def test_criterion_7_derived_amplitude_classes():
             scenario_phase("dilation"), AMP_ONE, 0.3, 1.0))
         rep = check_bs_membership(dil.amp_pair(0, 1), m=0.0, l=1.0, tol=0.15)
         assert rep.passed
-        assert rep.xi_slope <= 0.0 + 0.15
-        assert rep.xin_order <= 1.0 + 0.15
+        assert rep.slopes[(0, 0)] <= 0.0 + 0.15
+        assert rep.xin_orders[(0, 0)] <= 1.0 + 0.15
         # one xi'-derivative needs a phase with genuine normal coupling
         mix = GeneratingPhase(
             parse_expr("x1*k1 + xn*kn*exp(sin(x1)/2) + 0.1*xn^2*k1"),
@@ -219,8 +219,9 @@ def test_criterion_7_derived_amplitude_classes():
         rep = check_bs_membership(fam.amp_pair(1, 0), m=-1.0, l=0.0,
                                   tol=0.15)
         assert rep.passed
-        assert rep.xi_slope <= -1.0 + 0.15
-        assert rep.xin_order is None or rep.xin_order <= 0.15
+        assert rep.slopes[(0, 0)] <= -1.0 + 0.15
+        assert rep.xin_orders[(0, 0)] is None \
+            or rep.xin_orders[(0, 0)] <= 0.15
         # the dilation xi'-branch degenerates to zero, which is in the class
         repz = check_bs_membership(dil.amp_pair(1, 0), m=-1.0, l=0.0,
                                    tol=0.15)

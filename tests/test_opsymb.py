@@ -19,7 +19,7 @@ from phasecert.runner import load_scenario, run_scenario
 from phasecert.schwartz import hermite_fn
 from phasecert.symbols import SymbolFn, check_bs_membership
 
-from oracles import trapezoid
+from oracles import per_function_outputs, trapezoid
 
 
 def phase_of(name):
@@ -58,9 +58,8 @@ def recorded_ladders(monkeypatch) -> list:
 def test_conjugated_identity_is_exact_at_every_rung():
     fam = ConjugatedFamily(IDENTITY_SPEC, 0, 0, 0)
     t = default_t_grid()
-    for u in HS[:3]:
-        outs = fam.outputs(u)[(0, 0, 0)]
-        for o in outs:
+    for u, outs in zip(HS[:3], fam.outputs(HS[:3])):
+        for o in outs[(0, 0, 0)]:
             assert np.max(np.abs(o - u(t))) <= 1e-9
 
 
@@ -68,7 +67,7 @@ def test_conjugated_dilation_rung_independent():
     fam = ConjugatedFamily(DILATION_SPEC, 0, 0, 0)
     t = default_t_grid()
     c = math.exp(math.sin(0.3) / 2.0)
-    outs = fam.outputs(HS[1])[(0, 0, 0)]
+    outs = fam.outputs([HS[1]])[0][(0, 0, 0)]
     for o in outs:
         assert np.max(np.abs(o - HS[1](c * t))) <= 1e-9
 
@@ -79,7 +78,7 @@ def test_conjugated_scalar_amplitude_scales_exactly():
     spec = NormalOperatorSpec(phase_of("identity"), amp, 0.3, 1.0)
     fam = ConjugatedFamily(spec, 0, 0, 0)
     t = default_t_grid()
-    outs = fam.outputs(HS[0], rungs=(1.0, 4.0, 64.0))[(0, 0, 0)]
+    outs = fam.outputs([HS[0]], rungs=(1.0, 4.0, 64.0))[0][(0, 0, 0)]
     for rung, o in zip((1.0, 4.0, 64.0), outs):
         assert np.max(np.abs(o - rung * HS[0](t))) <= 1e-9 * rung
 
@@ -88,9 +87,9 @@ def test_first_derivative_output_matches_fd_in_t():
     fam = ConjugatedFamily(DILATION_SPEC, 0, 0, 1)
     h = 1e-4
     t = np.array([0.4, 1.1])
-    out_s1 = fam.outputs(HS[2], rungs=(4.0,), t_grid=t)[(0, 0, 1)][0]
-    up = fam.outputs(HS[2], rungs=(4.0,), t_grid=t + h)[(0, 0, 0)][0]
-    dn = fam.outputs(HS[2], rungs=(4.0,), t_grid=t - h)[(0, 0, 0)][0]
+    out_s1 = fam.outputs([HS[2]], rungs=(4.0,), t_grid=t)[0][(0, 0, 1)][0]
+    up = fam.outputs([HS[2]], rungs=(4.0,), t_grid=t + h)[0][(0, 0, 0)][0]
+    dn = fam.outputs([HS[2]], rungs=(4.0,), t_grid=t - h)[0][(0, 0, 0)][0]
     fd = (up - dn) / (2 * h)
     assert np.max(np.abs(out_s1 - fd)) <= 1e-6
 
@@ -107,10 +106,10 @@ def test_outputs_match_the_dense_sum(spec):
     # both, against the sum of e^{i phi} (re + i im) u_hat w over the nodes
     fam = ConjugatedFamily(spec, 1, 1, 1)
     u, t, rungs = HS[1], default_t_grid(), (1.0, 8.0)
-    a, b, n = fam._panels(u, float(np.max(np.abs(t))))
+    a, b, n = fam._panels([u], float(np.max(np.abs(t))))
     nodes, weights = panel_nodes(a, b, n, order=10)
     uhat = u.ft_values(nodes) / (2.0 * math.pi)
-    outs = fam.outputs(u, rungs, t)
+    outs = fam.outputs([u], rungs, t)[0]
     tv, rv, sv = ex.var("t"), ex.var("r"), ex.var("s")
     resc = {"xn": ex.quot(tv, rv), "kn": ex.mul(sv, rv)}
     for i, rung in enumerate(rungs):
@@ -124,6 +123,50 @@ def test_outputs_match_the_dense_sum(spec):
                 * rung ** (-key[2])
             err = np.max(np.abs(outs[key][i] - want))
             assert err <= 1e-12 * np.max(np.abs(want)), (key, rung)
+
+
+@pytest.mark.parametrize("name", ["identity", "dilation", "quadratic-collar",
+                                  "boundary-shear"])
+def test_joint_outputs_match_one_sweep_per_test_function(name):
+    # the order fit's test functions on the widest s grid either needs,
+    # against each swept alone on its own grid
+    spec = scenario_spec(name)
+    fam = ConjugatedFamily(spec, 1, 1, 1)
+    t_grid, rungs = opsymb.ladder_window(spec)
+    us = [HS[0], HS[2]]
+    t_max = float(np.max(t_grid))
+    assert fam._panels(us[:1], t_max) != fam._panels(us, t_max)
+    for u, outs in zip(us, fam.outputs(us, rungs, t_grid)):
+        want = per_function_outputs(fam, u, rungs, t_grid)
+        for key in fam.keys:
+            got, ref = np.array(outs[key]), np.array(want[key])
+            assert got.shape == (len(rungs), len(t_grid))
+            assert np.max(np.abs(got - ref)) \
+                <= 1e-12 * np.max(np.abs(ref)), (u.name, key)
+
+
+def test_one_sweep_runs_the_program_once_per_rung(monkeypatch):
+    # one program execution, one panel sum and one dense kernel per rung,
+    # whatever the number of test functions
+    fam = ConjugatedFamily(MIX_SPEC, 1, 1, 1)
+    calls = []
+    real = fam._prog
+    fam._prog = lambda env: calls.append("prog") or real(env)
+    for name in ("panel_sum", "grid"):
+        method = getattr(opsymb.Oscillatory, name)
+        monkeypatch.setattr(
+            opsymb.Oscillatory, name,
+            lambda self, *a, _m=method, _n=name: calls.append(_n)
+            or _m(self, *a))
+    rungs = (1.0, 4.0, 16.0)
+    for us in ([HS[0]], [HS[0], HS[2]], HS):
+        del calls[:]
+        fam.outputs(us, rungs)
+        assert sorted(calls) == ["grid"] * 3 + ["panel_sum"] * 3 \
+            + ["prog"] * 3, len(us)
+    del calls[:]
+    estimate_symbol_order(MIX_SPEC, 1, 1, 1, 1, HS, family=fam)
+    assert calls.count("prog") == len(opsymb.DEFAULT_RUNGS)
 
 
 # --------------------------------------------------------------- order fits
@@ -176,15 +219,16 @@ def test_ladder_window_full_ladder_without_support():
     assert rungs == opsymb.DEFAULT_RUNGS
 
 
-def quadratic_collar_spec():
-    sc = load_scenario(SCENARIOS["quadratic-collar"])
+def scenario_spec(name):
+    """The operator spec the runner builds for a catalog scenario."""
+    sc = load_scenario(SCENARIOS[name])
     return NormalOperatorSpec(sc.generating_phase(), sc.operator_amplitude(),
                               0.3, 1.0, name=sc.name)
 
 
 def test_sweep_takes_the_saturated_window_of_a_support_limited_amplitude(
         monkeypatch):
-    spec = quadratic_collar_spec()
+    spec = scenario_spec("quadratic-collar")
     t_grid, rungs = opsymb.ladder_window(spec)
     assert rungs == (16.0, 32.0, 64.0, 128.0, 256.0)
     assert float(np.max(t_grid)) == 6.0 and len(t_grid) == 27
@@ -270,7 +314,7 @@ def test_order_fit_fails_on_a_nonfinite_amplitude():
 def test_seminorm_ladder_monotone_in_l_s_gridwise():
     fam = ConjugatedFamily(DILATION_SPEC)
     t = default_t_grid()
-    outs = fam.outputs(HS[2], rungs=(4.0,))
+    outs = fam.outputs([HS[2]], rungs=(4.0,))[0]
     single = {}
     for s in range(3):
         o = np.abs(outs[(0, 0, s)][0])
@@ -303,8 +347,8 @@ def test_derived_amplitude_x_branch_class_membership():
     pair = fam.amp_pair(0, 1)
     rep = check_bs_membership(pair, m=0.0, l=1.0, tol=0.15)
     assert rep.passed
-    assert abs(rep.xi_slope) <= 0.15
-    assert rep.xin_order <= 1.15
+    assert abs(rep.slopes[(0, 0)]) <= 0.15
+    assert rep.xin_orders[(0, 0)] <= 1.15
 
 
 def test_derived_amplitude_xi_branch_class_membership():
@@ -312,7 +356,7 @@ def test_derived_amplitude_xi_branch_class_membership():
     pair = fam.amp_pair(1, 0)
     rep = check_bs_membership(pair, m=-1.0, l=0.0, tol=0.15)
     assert rep.passed
-    assert rep.xi_slope <= -1.0 + 0.15
+    assert rep.slopes[(0, 0)] <= -1.0 + 0.15
 
 
 # ------------------------------------------------------------- transpose

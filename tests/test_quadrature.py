@@ -19,7 +19,7 @@ from phasecert.quadrature import (Oscillatory, cutoff_richardson,
 from phasecert.schwartz import exp_decay, hermite_fn
 from phasecert.symbols import SymbolFn
 
-from oracles import cutoff_richardson_separate
+from oracles import blockwise_panel_sum, cutoff_richardson_separate
 
 AMP_ONE = SymbolFn(parse_expr("1"), order=0.0)
 
@@ -252,11 +252,16 @@ def test_linear_phase_with_xi_dependent_amplitude(amp, complex_exp_sizes):
     assert max(complex_exp_sizes[n_exps:]) <= len(KERNEL_XN) * len(mid)
 
 
-def test_nonlinear_phase_takes_the_dense_path(complex_exp_sizes):
+def bad_transmission_phi() -> ex.Expr:
+    """The frozen phase of bad-transmission, which is not linear in xi_n."""
     sc = SCENARIOS["bad-transmission"]
     phase = GeneratingPhase(parse_expr(sc["phase"]),
                             collar_halfwidth=sc["collar_halfwidth"])
-    phi = NormalOperatorSpec(phase, AMP_ONE, 0.3, 1.0).frozen_phi()
+    return NormalOperatorSpec(phase, AMP_ONE, 0.3, 1.0).frozen_phi()
+
+
+def test_nonlinear_phase_takes_the_dense_path(complex_exp_sizes):
+    phi = bad_transmission_phi()
     amp = parse_expr("1")
     mid, half, g, nodes, W = kernel_grid()
     osc = Oscillatory(phi, amp, {"xn": KERNEL_XN})
@@ -265,6 +270,54 @@ def test_nonlinear_phase_takes_the_dense_path(complex_exp_sizes):
     assert max(complex_exp_sizes) == len(KERNEL_XN) * len(nodes)
     assert_close(got, dense_values(phi, amp, KERNEL_XN, nodes)
                  @ W.reshape(-1, 3))
+
+
+# (phase not linear in xi_n, amplitude, spectrum applied, weight columns)
+PANEL_SUM_CASES = {
+    "factored": (False, "1", False, 3),
+    "factored-one-column": (False, "1", False, None),
+    "factored-spectrum": (False, "1", True, 3),
+    "xi-dependent-amplitude": (False, "bracket(kn)^(-2)", True, 3),
+    "dense": (True, "1", False, 3),
+}
+
+
+@pytest.mark.parametrize("case", PANEL_SUM_CASES)
+def test_panel_sum_matches_the_blockwise_contraction(monkeypatch, case):
+    # in one block and in blocks of 7 panels; a factored sum contracts
+    # its Q nodes once after the last block, the oracle in every block
+    dense, amp, spectrum, cols = PANEL_SUM_CASES[case]
+    phi = bad_transmission_phi() if dense \
+        else spec_of("dilation").frozen_phi()
+    mid, half, g, _, W = kernel_grid()
+    if cols is None:
+        W = W[..., 0]
+    osc = Oscillatory(phi, parse_expr(amp), {"xn": KERNEL_XN},
+                      spectrum=hermite_fn(2).ft_values if spectrum else None)
+    for block in (quadrature.BLOCK, 7 * len(KERNEL_XN) * len(g)):
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        got = osc.panel_sum(mid, half, g, W)
+        want = blockwise_panel_sum(osc, mid, half, g, W)
+        assert got.shape == want.shape == (len(KERNEL_XN),) + W.shape[2:]
+        if osc.linear and osc.amp0 is not None:
+            assert_close(got, want)
+        else:
+            # the same products, summed in the same order
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", [10, 12])
+def test_inner_factor_is_bit_equal_to_one_exponential_per_node(order):
+    # the first ceil(Q / 2) exponentials and their conjugates in reverse
+    # order, against np.exp on every node, at 2,000 random slopes
+    g = gauss_rule(order)[0]
+    assert np.array_equal(g[::-1], -g)
+    slopes = np.random.default_rng(5).normal(scale=20.0, size=2000)
+    osc = Oscillatory(parse_expr("xn*kn"), parse_expr("1"), {"xn": slopes})
+    mid, half = panel_frame(-12.0, 12.0, 40)
+    inner = next(osc._blocks(mid, half, g))[3]
+    assert np.array_equal(inner,
+                          np.exp(1j * (half * g)[None, :] * osc.slope))
 
 
 def test_cutoff_richardson_sums_whole_panels(monkeypatch):
@@ -300,8 +353,8 @@ def test_operators_take_no_dense_exponential_on_a_linear_phase(
 def test_conjugated_outputs_factor_the_rescaled_phase(complex_exp_sizes):
     family = ConjugatedFamily(spec_of("dilation"), 1, 1, 1)
     u, t = hermite_fn(0), default_t_grid()
-    family.outputs(u, rungs=(1.0, 4.0), t_grid=t)
-    n_panels = family._panels(u, float(np.max(np.abs(t))))[2]
+    family.outputs([u], rungs=(1.0, 4.0), t_grid=t)
+    n_panels = family._panels([u], float(np.max(np.abs(t))))[2]
     assert max(complex_exp_sizes) <= len(t) * n_panels
 
 

@@ -21,8 +21,9 @@ that only receives a MUTATORS call, as report.table in
 report.table.append(row): a field that is only filled is not read.  A
 load from self inside a class reads that class's field only, so that one
 class reading its own field of a name does not mask another class's
-field of the same name.  Fields of ACCEPTANCE_SUBJECTS classes are
-exempt.
+field of the same name.  Fields of ACCEPTANCE_SUBJECTS classes are not
+exempt: a field that only an acceptance criterion reads is not read by
+the program either.
 
 No module of src/ but expr.py reads a private name of expr, as an
 attribute of the imported module or by a from-import: the compiled
@@ -212,8 +213,7 @@ def unread_fields() -> list[str]:
     return sorted({f"{cls}.{name}" for f in SRC.glob("*.py")
                    for cls, name, _ in _fields(ast.parse(f.read_text()))
                    if not name.startswith("_")
-                   and not {(None, name), (cls, name)} & read
-                   and cls not in ACCEPTANCE_SUBJECTS})
+                   and not {(None, name), (cls, name)} & read})
 
 
 def test_every_stored_field_is_read():
