@@ -204,18 +204,18 @@ def _dense_sums(kern: np.ndarray, uhat_w: np.ndarray, parts: list
                 ) -> list[np.ndarray]:
     """(t x U) sums over s of kern u_hat w times each (t x s) part, for the
     U columns of uhat_w.  One test function's product with the kernel is
-    live at a time, read as (t x s x 2) real and imaginary parts, so at
-    most two (t, s) arrays are live beside the parts."""
+    held at a time, in one buffer read as (t x s x 2) real and imaginary
+    parts, so at most two (t, s) arrays are live beside the parts."""
     n_t, n_u = kern.shape[0], uhat_w.shape[1]
     sums = [np.empty((n_t, n_u), dtype=complex) for _ in parts]
     ku = np.empty_like(kern)
+    re_im = ku.view(float).reshape(n_t, -1, 2)
     for j in range(n_u):
         np.multiply(kern, uhat_w[:, j], out=ku)
         # a non-finite amplitude gives NaN sums, which fail the fit
         with np.errstate(invalid="ignore"):
             for part, out in zip(parts, sums):
-                re, im = np.matmul(part[:, None, :], ku.view(float).reshape(
-                    n_t, -1, 2))[:, 0, :].T
+                re, im = np.matmul(part[:, None, :], re_im)[:, 0, :].T
                 out[:, j] = re + 1j * im
     return sums
 
