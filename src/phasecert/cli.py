@@ -137,14 +137,27 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_report(args) -> int:
-    data = json.loads(Path(args.file).read_text())
-    outcomes = [CheckOutcome(c["check"], c["status"], c.get("metrics", {}),
-                             c.get("message", ""))
-                for c in data["checks"]]
-    rep = RunReport(data["scenario"], data.get("seed", 0), outcomes,
-                    data.get("environment", {}))
-    print(render_report(rep))
+    try:
+        data = json.loads(Path(args.file).read_text())
+        outcomes = [CheckOutcome(c["check"], c["status"],
+                                 c.get("metrics", {}), c.get("message", ""))
+                    for c in data["checks"]]
+        text = render_report(RunReport(data["scenario"], data.get("seed", 0),
+                                       outcomes, data.get("environment", {})))
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        print(f"error: {args.file} is not a readable report "
+              f"({type(err).__name__}: {err})", file=sys.stderr)
+        return 2
+    print(text)
     return 0
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: a whole number of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-prime", dest="xi_prime", type=float, default=1.0)
     p.add_argument("--xn-min", type=float, default=-3.0)
     p.add_argument("--xn-max", type=float, default=3.0)
-    p.add_argument("--xn-count", type=int, default=25)
+    p.add_argument("--xn-count", type=positive_int, default=25)
 
     p = sub.add_parser("catalog", help="list or emit built-in scenarios")
     p.add_argument("action", choices=["list", "emit"])

@@ -24,7 +24,7 @@ densely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .symbols import SymbolFn
 
 CUTOFF_RADIUS = 256.0   # base radius R of the half-line cutoff integral
 L2_SLACK = 0.05         # relative slack of the L2 smoke bound
+LINEARITY_TOL = 1e-9    # relative residual of check_linearity
+CONSISTENT_SHARE = 0.95  # of points check_quadrature_consistency needs
 
 
 @dataclass
@@ -43,6 +45,17 @@ class QuadratureSpec:
     panel_tol: float = 1e-9
     order: int = 12
     max_doubles: int = 12
+
+
+def validate_support(support, collar_halfwidth: float):
+    """Raise ValueError when a declared support box (see SymbolFn) reaches
+    past the collar |x_n| <= collar_halfwidth; None declares no box."""
+    if support is not None:
+        lo, hi = support[1]
+        h = collar_halfwidth
+        if lo < -h - 1e-12 or hi > h + 1e-12:
+            raise ValueError(f"amplitude support [{lo}, {hi}] exceeds the "
+                             f"collar half-width {h}")
 
 
 @dataclass
@@ -61,14 +74,8 @@ class NormalOperatorSpec:
     name: str = ""
 
     def __post_init__(self):
-        sup = self.amplitude.support
-        if sup is not None:
-            lo, hi = sup[1]
-            h = self.phase.collar_halfwidth
-            if lo < -h - 1e-12 or hi > h + 1e-12:
-                raise ValueError(
-                    f"amplitude support [{lo}, {hi}] exceeds the collar "
-                    f"half-width {h}")
+        validate_support(self.amplitude.support,
+                             self.phase.collar_halfwidth)
 
     def frozen_phi(self) -> ex.Expr:
         return ex.substitute(self.phase.phi,
@@ -153,3 +160,35 @@ def l2_smoke_check(spec: NormalOperatorSpec, u: SchwartzFn
     bound = (1.0 + L2_SLACK) * in_norm * l2_growth_factor(spec)
     return out_norm <= bound, {"output_norm": out_norm,
                                "input_norm": in_norm, "bound": bound}
+
+
+def check_linearity(spec: NormalOperatorSpec, u: SchwartzFn, v: SchwartzFn
+                    ) -> tuple[bool, dict]:
+    """A (0.7 u - 1.3 v) against 0.7 A u - 1.3 A v at 9 points of
+    [-2, 2]: the largest difference relative to the outputs (at least 1),
+    so that round-off scales with them, must be at most LINEARITY_TOL."""
+    combo = SchwartzFn("combo", ex.add(ex.mul(ex.const(0.7), u.expr),
+                                       ex.mul(ex.const(-1.3), v.expr)),
+                       analytic_ft=lambda xi: 0.7 * u.ft_values(xi)
+                       - 1.3 * v.ft_values(xi))
+    xn = np.linspace(-2.0, 2.0, 9)
+    w, _ = apply_normal_op(spec, combo, xn)
+    au, _ = apply_normal_op(spec, u, xn)
+    av, _ = apply_normal_op(spec, v, xn)
+    scale = np.maximum(1.0, np.max(np.abs([au, av])))
+    res = float(np.max(np.abs(w - 0.7 * au + 1.3 * av)) / scale)
+    return res <= LINEARITY_TOL, {"residual": res, "tol": LINEARITY_TOL}
+
+
+def check_quadrature_consistency(spec: NormalOperatorSpec, u: SchwartzFn
+                                 ) -> tuple[bool, dict]:
+    """A u at 21 points of [-2.5, 2.5] with panel tolerances 1e-6 and
+    5e-7: the share of points where the two agree within the first run's
+    error estimate (at least 1e-14) must be at least CONSISTENT_SHARE."""
+    xn = np.linspace(-2.5, 2.5, 21)
+    v1, e1 = apply_normal_op(replace(
+        spec, quadrature=QuadratureSpec(panel_tol=1e-6)), u, xn)
+    v2, _ = apply_normal_op(replace(
+        spec, quadrature=QuadratureSpec(panel_tol=5e-7)), u, xn)
+    frac = float(np.mean(np.abs(v1 - v2) <= np.maximum(e1, 1e-14)))
+    return frac >= CONSISTENT_SHARE, {"fraction_within_estimate": frac}

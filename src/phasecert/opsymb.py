@@ -50,19 +50,21 @@ SWEEP_MIN_LIVE = 4  # live rungs a sweep fit needs, on either window
 
 
 def ladder_window(spec: NormalOperatorSpec):
-    """(t_grid, rungs) of the order fits of spec: the full ladder, or for a
-    support-limited amplitude, whose outputs vanish outside
+    """(t_grid, rungs, label) of the order fits of spec: the full ladder,
+    or for a support-limited amplitude, whose outputs vanish outside
     |t| <= rung * support half-width, the saturated tail of rungs whose
-    rescaled support covers a shorter t grid."""
+    rescaled support covers a shorter t grid.  label names the window in
+    reports."""
     support = spec.amplitude.support
     if support is None:
-        return default_t_grid(), DEFAULT_RUNGS
+        return default_t_grid(), DEFAULT_RUNGS, "full ladder"
     h = max(abs(support[1][0]), abs(support[1][1]))
     pos = np.array([0.05, 0.15, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0,
                     4.0, 5.0, 6.0])
     t_grid = np.concatenate([-pos[::-1], [0.0], pos])
     t_max = float(np.max(t_grid))
-    return t_grid, tuple(r for r in DEFAULT_RUNGS if r * h >= t_max)
+    return (t_grid, tuple(r for r in DEFAULT_RUNGS if r * h >= t_max),
+            "saturated tail (support-limited amplitude)")
 
 
 class ConjugatedFamily:
@@ -286,10 +288,25 @@ def sweep_symbol_orders(spec: NormalOperatorSpec, us: list[SchwartzFn],
     """All OrderFits for derivative orders and seminorm indices up to the
     bounds, on the ladder window of spec, each fitted once it has
     SWEEP_MIN_LIVE live rungs; one ladder sweep for all test functions."""
-    t_grid, rungs = ladder_window(spec)
+    t_grid, rungs, _ = ladder_window(spec)
     family = ConjugatedFamily(spec, max_xi, max_x, max_s)
     return _ladder_fits(spec, family, us, family.keys, range(max_l + 1),
                         rungs, t_grid, SWEEP_MIN_LIVE)
+
+
+def check_order_fit(spec: NormalOperatorSpec, us: list[SchwartzFn]
+                    ) -> tuple[bool, dict]:
+    """The sweep_symbol_orders fits of first derivatives and seminorm
+    index l <= 1 for the test functions us; it passes when every fit does.
+    metrics carries each fit's indices, test function, slope and target,
+    the number failing, and the label of the ladder window fitted."""
+    fits = sweep_symbol_orders(spec, us, 1, 1, 1, 1)
+    n_failing = sum(not f.passed for f in fits)
+    table = [{"alpha": f.alpha, "beta": f.beta, "l": f.l, "s": f.s,
+              "u": f.u_name, "slope": f.slope, "target": f.target}
+             for f in fits]
+    return not n_failing, {"fits": table, "n_failing": n_failing,
+                           "window": ladder_window(spec)[2]}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from . import expr as ex
 from .exceptions import (BoundaryFlatnessError, GraphMismatchError,
                          SignChangeError, SingularAxisError,
                          SingularLocusError)
+from .grids import quasi_uniform
 from .symbols import SymbolFn, check_transmission
 from .symplectic import (HOMOGENEITY_TOL, SAMPLE_DTYPE, X_VARS, XI_VARS,
                          SymplectoMap, point_at, sup)
@@ -106,6 +107,19 @@ def boundary_flat(diag: dict) -> bool:
     most diag["tol"], and a NaN residual fails."""
     return all(diag[k] <= diag["tol"] for k in (
         "xi_n_residual", "linearity_residual", "zero_section_residual"))
+
+
+def homogeneity_samples(count: int, seed: int) -> np.ndarray:
+    """Sample array of count points for check_homogeneity: x1 in [-1, 1],
+    xn in [-0.4, 0.4], and each covariable of magnitude in [0.3, 3] with
+    either sign.  The points are grids.quasi_uniform's for the seed, whose
+    six coordinates give x1, xn, then |k| and a sign for each covariable."""
+    u = quasi_uniform(count, 6, seed).T
+    pts = np.empty(count, dtype=SAMPLE_DTYPE)
+    pts["x1"], pts["xn"] = -1.0 + 2.0 * u[0], -0.4 + 0.8 * u[1]
+    for v, mag, sgn in (("k1", u[2], u[3]), ("kn", u[4], u[5])):
+        pts[v] = (0.3 + 2.7 * mag) * np.where(sgn < 0.5, -1.0, 1.0)
+    return pts
 
 
 def check_homogeneity(phase: GeneratingPhase,

@@ -6,12 +6,15 @@ check families in dependency order
 
     symplecto -> phase -> generating -> sg -> operator -> opsymb
 
-with downstream families skipped (not passed) when their prerequisites
-fail.  The loader parses every expression once, so a bad one is a load
-error (CLI exit 2); each check is a call into the library whose
-(passed, metrics) ``ScenarioRunner.check`` records.  Reports are
-deterministic: on one machine the same scenario and seed produce
-byte-identical CSV bodies.
+The loader parses every expression once, so a bad one is a load error
+(CLI exit 2).  The runner dispatches: each check is one call into the
+library, whose (passed, metrics) ``ScenarioRunner.check`` records, and
+one rule gates them all: a check runs only once every check that
+``PREREQUISITES`` lists for it has passed, and is otherwise recorded as
+a skip with the message "unmet prerequisites: <checks>".  The only
+result the runner keeps is the phase that ``phase.boundary_phase``
+builds.  Reports are deterministic: on one machine the same scenario and
+seed produce byte-identical CSV bodies.
 
 The report digest is the SHA-256 of a canonical form of the result body
 (``RunReport.canonical_body``), made so that round-off does not move it:
@@ -70,7 +73,7 @@ import io
 import json
 import math
 import platform
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,18 +83,19 @@ from . import expr as ex
 from .exceptions import (PhasecertError, ScenarioParseError,
                          ScenarioValidationError)
 from .grammar import parse_expr
-from .grids import grid_digest, quasi_uniform, sg_ladder
-from .normalop import NormalOperatorSpec, QuadratureSpec, apply_normal_op, \
-    l2_smoke_check
-from .opsymb import FIT_TOL, sweep_symbol_orders, transpose_check
+from .normalop import (NormalOperatorSpec, check_linearity,
+                       check_quadrature_consistency, l2_smoke_check,
+                       validate_support)
+from .opsymb import FIT_TOL, check_order_fit, transpose_check
 from .phase import (GeneratingPhase, boundary_flat, check_admissibility,
                     check_generating, check_homogeneity, check_nondegeneracy,
-                    normal_coeffs)
-from .schwartz import SchwartzFn, hermite_fn
-from .sgphase import ZERO_FLOOR, Margins, calibrate, check_uniformity
+                    homogeneity_samples, normal_coeffs)
+from .schwartz import hermite_fn
+from .sgphase import ZERO_FLOOR, Margins, check_conditions
 from .symbols import SymbolFn, check_transmission
-from .symplectic import (COLLAR_VARS, HOMOGENEITY_TOL, SAMPLE_DTYPE,
-                         SymplectoMap, check_boundary_preserving,
+from .symplectic import (COLLAR_VARS, SymplectoMap,
+                         check_boundary_preserving,
+                         check_homogeneity as check_map_homogeneity,
                          check_jacobian_structure, check_symplectic,
                          collar_samples, induced_boundary_map)
 
@@ -304,6 +308,11 @@ def load_scenario(source) -> Scenario:
                     "amplitude.support_xn must be a list [lo, hi]")
             lo, hi = (_number(b, "amplitude.support_xn") for b in box)
             support = ((-1e9, 1e9), (lo, hi))
+            try:
+                validate_support(support, collar_halfwidth)
+            except ValueError as err:
+                raise ScenarioValidationError(
+                    f"amplitude.support_xn: {err}") from None
         expr = _expression(amp["expr"], "amplitude.expr")
         try:
             sc.amplitude = SymbolFn(expr, order=amp_order,
@@ -436,8 +445,37 @@ def _environment_stamp() -> dict:
                             "1/(2 pi)")}
 
 
+# The checks each check needs to have passed, for every check the runner
+# records: ScenarioRunner.check skips a check whose prerequisites did not
+# all pass, or did not run.
+_MAP = ("symplecto.symplectic", "symplecto.boundary_preserving")
+_PHASE = ("phase.boundary_phase", "phase.homogeneity", "phase.nondegeneracy",
+          "phase.normal_coeffs", "phase.admissibility")
+PREREQUISITES = {
+    "symplecto.homogeneity": (),
+    "symplecto.symplectic": (),
+    "symplecto.boundary_preserving": (),
+    "symplecto.jacobian_structure": _MAP,
+    "symplecto.boundary_map": _MAP,
+    "phase.boundary_phase": (),
+    "phase.homogeneity": ("phase.boundary_phase",),
+    "phase.nondegeneracy": ("phase.boundary_phase",),
+    "phase.normal_coeffs": ("phase.boundary_phase",),
+    # the parity test declares each first derivative homogeneous
+    "phase.admissibility": ("phase.homogeneity",),
+    "phase.generating": _MAP + ("phase.boundary_phase",),
+    "sg.conditions": _PHASE,
+    "operator.amplitude_transmission": _PHASE,
+    "operator.linearity": _PHASE,
+    "operator.quadrature_consistency": _PHASE,
+    "operator.l2_bound": _PHASE,
+    "opsymb.order_fit": _PHASE,
+    "opsymb.transpose": _PHASE,
+}
+
+
 class ScenarioRunner:
-    """Executes one scenario's checks with dependency gating."""
+    """Executes one scenario's checks, each behind its prerequisites."""
 
     def __init__(self, scenario: Scenario, grid_scale: float = 1.0,
                  margins: Margins | None = None):
@@ -445,33 +483,44 @@ class ScenarioRunner:
         self.grid_scale = grid_scale
         self.margins = margins or Margins()
         self.outcomes: list[CheckOutcome] = []
-        self.state: dict[str, bool] = {}
+        self.passed: set[str] = set()
+        self.spec: NormalOperatorSpec | None = None
 
     def _count(self, base: int) -> int:
         return max(3, int(round(base * self.grid_scale)))
 
-    def add(self, outcome: CheckOutcome):
-        self.outcomes.append(outcome)
-        self.state[outcome.check] = outcome.status == "pass"
-
-    def skip(self, check: str, why: str):
-        self.add(CheckOutcome(check, "skip", message=why))
+    def _samples(self, base: int, offset: int, **kw) -> np.ndarray:
+        """collar_samples of the map: base points scaled by the grid,
+        drawn at the scenario seed plus offset."""
+        return collar_samples(self.sc.chi, count=self._count(base),
+                              seed=self.sc.seed + offset, **kw)
 
     def check(self, name: str, fn):
-        """Record check name from fn(), which returns (passed, metrics).  A
-        library error fails the check; any other exception is an
-        infrastructure problem, not a verdict, and reports an error."""
-        try:
-            passed, metrics = fn()
-            outcome = CheckOutcome(name, "pass" if passed else "fail",
-                                   metrics)
-        except PhasecertError as err:
-            outcome = CheckOutcome(name, "fail",
-                                   message=f"{type(err).__name__}: {err}")
-        except Exception as err:
-            outcome = CheckOutcome(name, "error",
-                                   message=f"{type(err).__name__}: {err}")
-        self.add(outcome)
+        """Record check name from fn(), which returns (passed, metrics).
+
+        A check whose PREREQUISITES have not all passed is skipped without
+        calling fn, and its message names the unmet ones.  A library error
+        fails the check; any other exception is an infrastructure problem,
+        not a verdict, and reports an error.
+        """
+        unmet = [p for p in PREREQUISITES[name] if p not in self.passed]
+        if unmet:
+            outcome = CheckOutcome(name, "skip", message="unmet "
+                                   "prerequisites: " + ", ".join(unmet))
+        else:
+            try:
+                passed, metrics = fn()
+                outcome = CheckOutcome(name, "pass" if passed else "fail",
+                                       metrics)
+            except PhasecertError as err:
+                outcome = CheckOutcome(name, "fail",
+                                       message=f"{type(err).__name__}: {err}")
+            except Exception as err:
+                outcome = CheckOutcome(name, "error",
+                                       message=f"{type(err).__name__}: {err}")
+        self.outcomes.append(outcome)
+        if outcome.status == "pass":
+            self.passed.add(name)
 
     def run(self, selector=None) -> RunReport:
         families = [f for f in self.sc.checks
@@ -495,36 +544,20 @@ class ScenarioRunner:
 
     def _run_symplecto(self):
         chi = self.sc.chi
-
-        def samples(base: int, offset: int, **kw):
-            return collar_samples(chi, count=self._count(base),
-                                  seed=self.sc.seed + offset, **kw)
-
-        def homog():
-            res = chi.homogeneity_residual(samples(20, 1))
-            return res <= HOMOGENEITY_TOL, {"residual": res,
-                                            "tol": HOMOGENEITY_TOL}
-        self.check("symplecto.homogeneity", homog)
+        self.check("symplecto.homogeneity",
+                   lambda: check_map_homogeneity(chi, self._samples(20, 1)))
         self.check("symplecto.symplectic",
-                   lambda: check_symplectic(chi, samples(200, 2)))
+                   lambda: check_symplectic(chi, self._samples(200, 2)))
         self.check("symplecto.boundary_preserving",
                    lambda: check_boundary_preserving(
-                       chi, samples(200, 3, boundary=True)))
-
-        gate = self.state.get("symplecto.boundary_preserving") \
-            and self.state.get("symplecto.symplectic")
-        if not gate:
-            self.skip("symplecto.jacobian_structure",
-                      "prerequisite symplecto checks failed")
-            self.skip("symplecto.boundary_map",
-                      "prerequisite symplecto checks failed")
-            return
+                       chi, self._samples(200, 3, boundary=True)))
         self.check("symplecto.jacobian_structure",
                    lambda: check_jacobian_structure(
-                       chi, samples(100, 4, boundary=True), samples(200, 7)))
+                       chi, self._samples(100, 4, boundary=True),
+                       self._samples(200, 7)))
         self.check("symplecto.boundary_map",
                    lambda: induced_boundary_map(
-                       chi, samples(100, 5, boundary=True)))
+                       chi, self._samples(100, 5, boundary=True)))
 
     def _run_phase(self):
         def build():
@@ -532,158 +565,57 @@ class ScenarioRunner:
             d = self.sc.phase.boundary_diagnostics
             return boundary_flat(d), d
         self.check("phase.boundary_phase", build)
-        if self.sc.phase is None:
-            for name in ("phase.homogeneity", "phase.nondegeneracy",
-                         "phase.normal_coeffs", "phase.admissibility"):
-                self.skip(name, "boundary phase extraction failed")
-            return
-        ph = self.sc.phase
-
-        def homog():
-            # per point x1, xn, then |k| and a sign for each covariable
-            u = quasi_uniform(self._count(20), 6, self.sc.seed + 11).T
-            pts = np.empty(len(u[0]), dtype=SAMPLE_DTYPE)
-            pts["x1"], pts["xn"] = -1.0 + 2.0 * u[0], -0.4 + 0.8 * u[1]
-            for v, mag, sgn in (("k1", u[2], u[3]), ("kn", u[4], u[5])):
-                pts[v] = (0.3 + 2.7 * mag) * np.where(sgn < 0.5, -1.0, 1.0)
-            return check_homogeneity(ph, pts)
-        self.check("phase.homogeneity", homog)
-        self.check("phase.nondegeneracy", lambda: check_nondegeneracy(ph))
-        self.check("phase.normal_coeffs", lambda: normal_coeffs(ph))
-        # the parity test declares each first derivative homogeneous
-        if self.state["phase.homogeneity"]:
-            self.check("phase.admissibility",
-                       lambda: check_admissibility(ph))
-        else:
-            self.skip("phase.admissibility", "phase.homogeneity failed")
+        self.check("phase.homogeneity", lambda: check_homogeneity(
+            self.sc.phase, homogeneity_samples(self._count(20),
+                                               self.sc.seed + 11)))
+        self.check("phase.nondegeneracy",
+                   lambda: check_nondegeneracy(self.sc.phase))
+        self.check("phase.normal_coeffs",
+                   lambda: normal_coeffs(self.sc.phase))
+        self.check("phase.admissibility",
+                   lambda: check_admissibility(self.sc.phase))
 
     def _run_generating(self):
-        if self.sc.phase is None or self.sc.chi is None:
-            self.skip("phase.generating", "needs both a phase and a map")
-            return
-        need = ["symplecto.symplectic", "symplecto.boundary_preserving",
-                "phase.boundary_phase"]
-        if not all(self.state.get(k, False) for k in need):
-            self.skip("phase.generating", "prerequisites failed")
-            return
         self.check("phase.generating", lambda: check_generating(
             self.sc.phase, self.sc.chi,
-            collar_samples(self.sc.chi, count=self._count(200),
-                           seed=self.sc.seed + 6, eta_top=6.0)))
-
-    def _phase_gate(self, check: str) -> bool:
-        """Whether the phase invariants hold; if not, check is skipped."""
-        need = ["phase.boundary_phase", "phase.homogeneity",
-                "phase.nondegeneracy", "phase.normal_coeffs",
-                "phase.admissibility"]
-        if self.sc.phase is None:
-            self.skip(check, "no phase declared")
-        elif not all(self.state.get(k, False) for k in need):
-            self.skip(check, "phase invariants failed")
-        else:
-            return True
-        return False
+            self._samples(200, 6, eta_top=6.0)))
 
     def _run_sg(self):
-        if not self._phase_gate("sg.conditions"):
-            return
-
-        def sg():
-            ladder = sg_ladder()
-            ghash = grid_digest(t=ladder, tau=ladder)
-            if self.sc.sg_params:
-                k, K = self.sc.sg_params["k"], self.sc.sg_params["K"]
-                rep = check_uniformity(self.sc.phase, k, K,
-                                       margins=self.margins)
-                trials = 0
-            else:
-                cal = calibrate(self.sc.phase, margins=self.margins)
-                k, K, rep, trials = cal.k, cal.K, cal.report, cal.trials
-            # np.maximum/np.min, not max()/min(): a NaN constant must show
-            worst = {}
-            for combo in rep.per_combo:
-                for key, v in combo.items():
-                    worst[key] = float(np.maximum(worst.get(key, 0.0), v))
-            # inf-side constants: certified minima across combos
-            mins = {key: float(np.min([c[key] for c in rep.per_combo]))
-                    for key in ("c_t", "c_tau", "eps")}
-            return rep.passed, {"k": k, "K": K, "trials": trials,
-                                "ratios": {kk: rep.ratios[kk]
-                                           for kk in ("c_t", "c_tau", "eps")},
-                                "spread": rep.spread,
-                                "constants_max": worst,
-                                "constants_min": mins,
-                                "grid": ghash,
-                                "failures": rep.failures[:5]}
-        self.check("sg.conditions", sg)
+        self.check("sg.conditions", lambda: check_conditions(
+            self.sc.phase, self.sc.sg_params, self.margins))
 
     def _operator_spec(self) -> NormalOperatorSpec:
-        return NormalOperatorSpec(self.sc.phase, self.sc.operator_amplitude(),
-                                  xprime=0.3, xi_prime=1.0, name=self.sc.name)
+        """The operator of the built phase, frozen at x' = 0.3 and
+        xi' = 1; built by the first check that needs it."""
+        if self.spec is None:
+            self.spec = NormalOperatorSpec(
+                self.sc.phase, self.sc.operator_amplitude(), xprime=0.3,
+                xi_prime=1.0, name=self.sc.name)
+        return self.spec
 
     def _run_operator(self):
-        if not self._phase_gate("operator.apply"):
-            return
-        spec = self._operator_spec()
-        if self.sc.amplitude is not None and \
-                self.sc.amplitude.homogeneous_degree is not None:
+        # only a declared homogeneous degree makes the parity test apply
+        amp = self.sc.amplitude
+        if amp is not None and amp.homogeneous_degree is not None:
             self.check("operator.amplitude_transmission",
-                       lambda: check_transmission(self.sc.amplitude,
-                                                  max_orders=1))
-
-        def linearity():
-            u0, u2 = hermite_fn(0), hermite_fn(2)
-            combo_expr = ex.add(ex.mul(ex.const(0.7), u0.expr),
-                                ex.mul(ex.const(-1.3), u2.expr))
-            w = SchwartzFn("combo", combo_expr,
-                           analytic_ft=lambda xi: 0.7 * u0.ft_values(xi)
-                           - 1.3 * u2.ft_values(xi))
-            xn = np.linspace(-2.0, 2.0, 9)
-            v, _ = apply_normal_op(spec, w, xn)
-            v0, _ = apply_normal_op(spec, u0, xn)
-            v2, _ = apply_normal_op(spec, u2, xn)
-            # relative to the outputs, so round-off scales with them
-            scale = np.maximum(1.0, np.max(np.abs([v0, v2])))
-            res = float(np.max(np.abs(v - 0.7 * v0 + 1.3 * v2)) / scale)
-            return res <= 1e-9, {"residual": res, "tol": 1e-9}
-        self.check("operator.linearity", linearity)
-
-        def consistency():
-            u = hermite_fn(1)
-            xn = np.linspace(-2.5, 2.5, 21)
-            v1, e1 = apply_normal_op(replace(
-                spec, quadrature=QuadratureSpec(panel_tol=1e-6)), u, xn)
-            v2, _ = apply_normal_op(replace(
-                spec, quadrature=QuadratureSpec(panel_tol=5e-7)), u, xn)
-            ok = np.abs(v1 - v2) <= np.maximum(e1, 1e-14)
-            frac = float(np.mean(ok))
-            return frac >= 0.95, {"fraction_within_estimate": frac}
-        self.check("operator.quadrature_consistency", consistency)
+                       lambda: check_transmission(amp, max_orders=1))
+        self.check("operator.linearity",
+                   lambda: check_linearity(self._operator_spec(),
+                                           hermite_fn(0), hermite_fn(2)))
+        self.check("operator.quadrature_consistency",
+                   lambda: check_quadrature_consistency(
+                       self._operator_spec(), hermite_fn(1)))
         self.check("operator.l2_bound",
-                   lambda: l2_smoke_check(spec, hermite_fn(0)))
+                   lambda: l2_smoke_check(self._operator_spec(),
+                                          hermite_fn(0)))
 
     def _run_opsymb(self):
-        if not self._phase_gate("opsymb.order_fit"):
-            return
-        spec = self._operator_spec()
-
-        def orders():
-            # sweep_symbol_orders fits support-limited amplitudes on the
-            # saturated tail of the ladder (opsymb.ladder_window)
-            fits = sweep_symbol_orders(spec, [hermite_fn(0), hermite_fn(2)],
-                                       1, 1, 1, 1)
-            n_failing = sum(not f.passed for f in fits)
-            table = [{"alpha": f.alpha, "beta": f.beta, "l": f.l, "s": f.s,
-                      "u": f.u_name, "slope": f.slope, "target": f.target}
-                     for f in fits]
-            window = "full ladder" if spec.amplitude.support is None \
-                else "saturated tail (support-limited amplitude)"
-            return not n_failing, {"fits": table, "n_failing": n_failing,
-                                   "window": window}
-        self.check("opsymb.order_fit", orders)
+        self.check("opsymb.order_fit",
+                   lambda: check_order_fit(self._operator_spec(),
+                                           [hermite_fn(0), hermite_fn(2)]))
         self.check("opsymb.transpose",
-                   lambda: transpose_check(spec, hermite_fn(0),
-                                           hermite_fn(1)))
+                   lambda: transpose_check(self._operator_spec(),
+                                           hermite_fn(0), hermite_fn(1)))
 
 
 def run_scenario(source, selector=None, grid_preset: str = "default",

@@ -22,7 +22,7 @@ is :func:`expr.cutoff_expr`, and the (t, tau) grid is the pinned ladder
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .grids import bracket_ladder, grid_digest, sg_ladder
 from .phase import GeneratingPhase
 
 ZERO_FLOOR = 1e-9   # constants below this count as structurally zero
+# the grid digest of the pinned (t, tau) ladder that every sweep runs on
+LADDER_DIGEST = grid_digest(t=sg_ladder(), tau=sg_ladder())
 
 
 @dataclass
@@ -290,15 +292,11 @@ class Calibration:
     trials: int
     report: UniformityReport
     margins: Margins
-    grid: str
 
     def as_dict(self) -> dict:
         return {"k": self.k, "K": self.K, "trials": self.trials,
-                "ratios": self.report.ratios, "grid": self.grid,
-                "margins": {"c_min": self.margins.c_min,
-                            "eps_min": self.margins.eps_min,
-                            "c_max": self.margins.c_max,
-                            "ratio_max": self.margins.ratio_max}}
+                "ratios": self.report.ratios, "grid": LADDER_DIGEST,
+                "margins": asdict(self.margins)}
 
 
 def calibrate(phase: GeneratingPhase, margins: Margins | None = None,
@@ -328,9 +326,37 @@ def calibrate(phase: GeneratingPhase, margins: Margins | None = None,
             continue
         full = check_uniformity(phase, k, K, margins=margins)
         if full.passed:
-            ladder = sg_ladder()
-            return Calibration(k, K, trials, full, margins,
-                               grid_digest(t=ladder, tau=ladder))
+            return Calibration(k, K, trials, full, margins)
     raise CalibrationError(
         f"no (k, K) pair accepted within {trials} trials "
         f"(K <= {2.0**(max_steps - 1):g}, k >= {half / 2.0**(max_steps - 1):g})")
+
+
+def check_conditions(phase: GeneratingPhase, params: dict | None,
+                     margins: Margins) -> tuple[bool, dict]:
+    """P1-P3 and uniformity at the pair params = {"k": k, "K": K}, or at
+    the pair calibrate finds when params is None.  metrics carries the
+    pair, the calibration trials (0 for a given pair), the inf-side ratios
+    and their spread, each constant's NaN-strict maximum over the
+    (x', <xi'>) combos and the inf-side ones' minima, LADDER_DIGEST and
+    the first five failures."""
+    if params is None:
+        cal = calibrate(phase, margins=margins)
+        k, K, rep, trials = cal.k, cal.K, cal.report, cal.trials
+    else:
+        k, K = params["k"], params["K"]
+        rep = check_uniformity(phase, k, K, margins=margins)
+        trials = 0
+    worst = {}
+    for combo in rep.per_combo:
+        for key, v in combo.items():
+            worst[key] = float(np.maximum(worst.get(key, 0.0), v))
+    mins = {key: float(np.min([c[key] for c in rep.per_combo]))
+            for key in RATIO_KEYS}
+    return rep.passed, {"k": k, "K": K, "trials": trials,
+                        "ratios": {key: rep.ratios[key] for key in RATIO_KEYS},
+                        "spread": rep.spread,
+                        "constants_max": worst,
+                        "constants_min": mins,
+                        "grid": LADDER_DIGEST,
+                        "failures": rep.failures[:5]}

@@ -3,11 +3,12 @@
 A map chi sends source collar coordinates (y', y_n, eta', eta_n) to
 (x', x_n, xi', xi_n).  The collar is the n = 2 one: component expressions
 are written in the shared variable names x1, xn (positions) and k1, kn
-(covariables), read as the source point.  Checks: the symplectic matrix
-identity J^T O J = O, vanishing of x_n on the boundary, the structural
-zero blocks and unimodular sub-blocks of the boundary Jacobian, and a
-check that the induced boundary map acts linearly on the cotangent fiber
-with a unimodular Jacobian.
+(covariables), read as the source point.  Checks: fiber homogeneity of
+the components, the symplectic matrix identity J^T O J = O, vanishing of
+x_n on the boundary, the structural zero blocks and unimodular
+sub-blocks of the boundary Jacobian, and a check that the induced
+boundary map acts linearly on the cotangent fiber with a unimodular
+Jacobian.
 
 Sample points are one numpy structured array with a float field per
 variable: ``len(samples)`` is the number of points, ``samples["x1"]`` is
@@ -92,15 +93,6 @@ class SymplectoMap:
         if have != need:
             raise ValueError(f"map components must be exactly {sorted(need)}")
 
-    def homogeneity_residual(self, samples) -> float:
-        """Worst homogeneity error over the components, by the scalar
-        oracle :func:`expr.homogeneity_residual`; NaN-strict."""
-        fiber = set(XI_VARS)
-        return float(np.max([
-            ex.homogeneity_residual(comp, fiber,
-                                    1.0 if name in fiber else 0.0, samples)
-            for name, comp in self.components.items()]))
-
 
 def collar_samples(chi: SymplectoMap, count: int = 200, seed: int = 7,
                    boundary: bool = False, eta_top: float = 8.0
@@ -150,6 +142,20 @@ def _matrices(entries: list, shape: tuple, m: int) -> np.ndarray:
     for k, val in enumerate(entries):
         out[..., k] = val
     return out.reshape(shape + (m, m))
+
+
+def check_homogeneity(chi: SymplectoMap, samples: np.ndarray
+                      ) -> tuple[bool, dict]:
+    """Fiber homogeneity of the components, degree 1 for the covariables
+    and 0 for the positions: the worst error over the components by the
+    scalar oracle :func:`expr.homogeneity_residual`, NaN-strict, which
+    must be at most HOMOGENEITY_TOL."""
+    fiber = set(XI_VARS)
+    res = float(np.max([
+        ex.homogeneity_residual(comp, fiber, 1.0 if name in fiber else 0.0,
+                                samples)
+        for name, comp in chi.components.items()]))
+    return res <= HOMOGENEITY_TOL, {"residual": res, "tol": HOMOGENEITY_TOL}
 
 
 def check_symplectic(chi: SymplectoMap, samples: np.ndarray

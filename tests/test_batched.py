@@ -34,14 +34,14 @@ PINNED = {
                                     "4623c27b89acfc867002b54f5f708947"},
     "boundary-shear": {"default": "d7560bd79e6e1ac1cc550e677ea88b4c"
                                   "ea6dc1ea8aca6870f7772f8da4f6ccc9"},
-    "bad-boundary-shift": {"default": "9c989a68487707a142ac34812a7c579f"
-                                      "752b67c16e32070f475d98aec9d045a2"},
+    "bad-boundary-shift": {"default": "a712445fbef15c3f88e63a48ed4230fc"
+                                      "9ba48da13fd127f38b1788541dee8136"},
     "bad-transmission": {"default": "80d8f9d3e618126ea75515b087278529"
                                     "327e7245f9e03a459ab159b7e51429fc"},
-    "bad-symplectic": {"default": "0d8ed060d98f1fb26063f76de3a560a2"
-                                  "31081a4574cc2494b8604d31f44528ad",
-                       "fine": "eba0dc98de3b779392c4c76ff3880dd4"
-                               "54f4e3940bbdd9b24fa635c7fd6f680e"},
+    "bad-symplectic": {"default": "2dbf35c4234d5bd93b3df6f3e228687e"
+                                  "86f70355bc1f438ba713f0f4bbb32c4c",
+                       "fine": "4a7b88d4eee96220a8e83e1ae74cd6c9"
+                               "6c9888ffa3e9b9c6d74ed4bb4bf19802"},
 }
 for _name, _pins in PINNED.items():
     _pins.setdefault("fine", _pins["default"])

@@ -12,8 +12,8 @@ from phasecert.cli import main
 from phasecert.exceptions import (ScenarioParseError,
                                   ScenarioValidationError,
                                   UnknownScenarioError)
-from phasecert.runner import (check_golden, csv_bundle, load_scenario,
-                              render_report, run_scenario)
+from phasecert.runner import (PREREQUISITES, check_golden, csv_bundle,
+                              load_scenario, render_report, run_scenario)
 
 
 def test_catalog_has_seven_names():
@@ -52,6 +52,11 @@ def test_load_scenario_validation_errors():
     with pytest.raises(ScenarioValidationError):
         load_scenario({"name": "x", "phase": "xn*kn",
                        "checks": ["nonsense"]})
+    with pytest.raises(ScenarioValidationError,
+                       match="support_xn: amplitude support"):
+        load_scenario({"name": "x", "phase": "x1*k1 + xn*kn",
+                       "amplitude": {"expr": "1", "support_xn": [-2, 2]},
+                       "checks": ["phase", "operator"]})
 
 
 def test_run_identity_via_api_passes():
@@ -151,6 +156,60 @@ def test_sg_skipped_when_phase_fails():
     })
     by_name = {o.check: o for o in rep.outcomes}
     assert by_name["sg.conditions"].status == "skip"
+
+
+HOMOGENEITY_FAILS = ("x1*k1 + xn*kn*exp(sin(x1)/2)"
+                     " + 0.01*xn*xn*kn*kn/bracket(k1)")
+BEHIND_PHASE = ["sg.conditions", "operator.linearity",
+                "operator.quadrature_consistency", "operator.l2_bound",
+                "opsymb.order_fit", "opsymb.transpose"]
+
+# (scenario fields, status of every check the run records)
+GATED_RUNS = {
+    # phase.homogeneity fails: admissibility and every check behind the
+    # phase invariants get a skip row each
+    "homogeneity-fails": (
+        {"phase": HOMOGENEITY_FAILS,
+         "checks": ["phase", "sg", "operator", "opsymb"]},
+        {"phase.boundary_phase": "pass", "phase.homogeneity": "fail",
+         "phase.nondegeneracy": "pass", "phase.normal_coeffs": "pass",
+         "phase.admissibility": "skip"} | dict.fromkeys(BEHIND_PHASE,
+                                                        "skip")),
+    # with a declared degree the amplitude's transmission check is
+    # selected, and skipped with the rest
+    "homogeneity-fails-declared-amplitude": (
+        {"phase": HOMOGENEITY_FAILS,
+         "amplitude": {"expr": "1", "order": 0.0, "homogeneous_degree": 0.0},
+         "checks": ["phase", "operator"]},
+        {"phase.boundary_phase": "pass", "phase.homogeneity": "fail",
+         "phase.nondegeneracy": "pass", "phase.normal_coeffs": "pass",
+         "phase.admissibility": "skip"} | dict.fromkeys(
+            ["operator.amplitude_transmission", "operator.linearity",
+             "operator.quadrature_consistency", "operator.l2_bound"],
+            "skip")),
+    # a boundary phase that is not linear in xi' fails without raising:
+    # every other phase check needs it
+    "boundary-phase-fails": (
+        {"phase": "x1*k1 + xn*kn + 0.1*k1*k1", "checks": ["phase"]},
+        {"phase.boundary_phase": "fail", "phase.homogeneity": "skip",
+         "phase.nondegeneracy": "skip", "phase.normal_coeffs": "skip",
+         "phase.admissibility": "skip"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATED_RUNS))
+def test_every_gated_check_has_its_own_skip_row(case):
+    fields, want = GATED_RUNS[case]
+    rep = run_scenario({"name": "gating"} | fields)
+    got = {o.check: o.status for o in rep.outcomes}
+    assert len(got) == len(rep.outcomes)
+    assert got == want
+    assert set(got) <= set(PREREQUISITES)
+    for o in rep.outcomes:
+        if o.status == "skip":
+            unmet = [p for p in PREREQUISITES[o.check] if got.get(p) != "pass"]
+            assert unmet and o.message == ("unmet prerequisites: "
+                                           + ", ".join(unmet))
 
 
 def test_report_determinism_bytes():
@@ -283,6 +342,21 @@ def test_cli_report_render(tmp_path, capsys):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "render", "{tmp}/missing.json"],
+    ["report", "render", "{tmp}/no_checks.json"],
+    ["apply", "--scenario", "identity", "--xn-count", "0"]], ids=" ".join)
+def test_cli_error_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    (tmp_path / "no_checks.json").write_text(json.dumps({"scenario": "x"}))
+    try:
+        code = main([a.format(tmp=tmp_path) for a in argv])
+    except SystemExit as exc:       # argparse rejects a flag value
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
 def test_entry_point_installed():
     src = str(Path(phasecert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -342,6 +416,10 @@ BAD_FIELDS = {
                                        ScenarioValidationError,
                                        "intended_failures must be a list"),
     "support-string": ("amplitude", {"expr": "1", "support_xn": ["a", 1]}),
+    "support-outside-collar": ("amplitude",
+                               {"expr": "1", "support_xn": [-2, 2]},
+                               ScenarioValidationError,
+                               "exceeds the collar half-width 1.0"),
     # expression fields; a row may name its error and message pattern
     "phase-number": ("phase", 3),
     "map-number": ("map.xn", 1),

@@ -46,12 +46,12 @@ CATALOG_DIGESTS = {
                         "26f8fae44c2354d4c68ee081cf6a4d60",
     "boundary-shear": "474dfc24227005757e7361c1fd8b2ec8"
                       "9f66a60ff4327280441f98f9f9ebe36c",
-    "bad-boundary-shift": "9c989a68487707a142ac34812a7c579f"
-                          "752b67c16e32070f475d98aec9d045a2",
+    "bad-boundary-shift": "a712445fbef15c3f88e63a48ed4230fc"
+                          "9ba48da13fd127f38b1788541dee8136",
     "bad-transmission": "80d8f9d3e618126ea75515b087278529"
                         "327e7245f9e03a459ab159b7e51429fc",
-    "bad-symplectic": "0d8ed060d98f1fb26063f76de3a560a2"
-                      "31081a4574cc2494b8604d31f44528ad",
+    "bad-symplectic": "2dbf35c4234d5bd93b3df6f3e228687e"
+                      "86f70355bc1f438ba713f0f4bbb32c4c",
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phasecert import catalog, normalop, runner
+from phasecert import catalog, normalop
 from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
@@ -130,7 +130,7 @@ def test_linearity_check_fails_a_nonlinear_operator(monkeypatch):
         v, err = apply_normal_op(spec, u, xn_grid)
         return v + 1e-6 * v * np.abs(v), err
 
-    monkeypatch.setattr(runner, "apply_normal_op", bent)
+    monkeypatch.setattr(normalop, "apply_normal_op", bent)
     out = linearity_outcome()
     assert out.status == "fail", out.metrics
 

@@ -132,7 +132,7 @@ def test_joint_outputs_match_one_sweep_per_test_function(name):
     # against each swept alone on its own grid
     spec = scenario_spec(name)
     fam = ConjugatedFamily(spec, 1, 1, 1)
-    t_grid, rungs = opsymb.ladder_window(spec)
+    t_grid, rungs, _ = opsymb.ladder_window(spec)
     us = [HS[0], HS[2]]
     t_max = float(np.max(t_grid))
     assert fam._panels(us[:1], t_max) != fam._panels(us, t_max)
@@ -214,9 +214,10 @@ def test_full_sweep_dilation_passes():
 
 
 def test_ladder_window_full_ladder_without_support():
-    t_grid, rungs = opsymb.ladder_window(DILATION_SPEC)
+    t_grid, rungs, label = opsymb.ladder_window(DILATION_SPEC)
     assert np.array_equal(t_grid, default_t_grid())
     assert rungs == opsymb.DEFAULT_RUNGS
+    assert label == "full ladder"
 
 
 def scenario_spec(name):
@@ -229,8 +230,9 @@ def scenario_spec(name):
 def test_sweep_takes_the_saturated_window_of_a_support_limited_amplitude(
         monkeypatch):
     spec = scenario_spec("quadratic-collar")
-    t_grid, rungs = opsymb.ladder_window(spec)
+    t_grid, rungs, label = opsymb.ladder_window(spec)
     assert rungs == (16.0, 32.0, 64.0, 128.0, 256.0)
+    assert label == "saturated tail (support-limited amplitude)"
     assert float(np.max(t_grid)) == 6.0 and len(t_grid) == 27
     assert opsymb.SWEEP_MIN_LIVE == 4
     ladders = recorded_ladders(monkeypatch)

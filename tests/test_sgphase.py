@@ -305,10 +305,10 @@ def test_margins_fail_on_nan_constant(over):
 
 
 def test_runner_sg_table_keeps_nan(monkeypatch):
-    from phasecert import catalog
+    from phasecert import catalog, sgphase
     from phasecert import runner as rn
 
-    real = rn.check_uniformity
+    real = sgphase.check_uniformity
 
     def poisoned(*args, **kwargs):
         rep = real(*args, **kwargs)
@@ -316,7 +316,7 @@ def test_runner_sg_table_keeps_nan(monkeypatch):
         rep.per_combo[1]["c_t"] = math.nan
         return rep
 
-    monkeypatch.setattr(rn, "check_uniformity", poisoned)
+    monkeypatch.setattr(sgphase, "check_uniformity", poisoned)
     sc = catalog.emit("identity")
     sc["checks"] = ["phase", "sg"]
     out = next(o for o in rn.run_scenario(sc).outcomes

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -291,3 +292,42 @@ def test_benchmark_names_resolve_in_the_package():
     # the worker's grid presets ("default", "fine") and margin preset
     assert {"default", "fine"} <= set(_resolve("runner", "GRID_PRESETS"))
     assert "default" in _resolve("runner", "MARGIN_PRESETS")
+
+
+def _expected_spans() -> dict:
+    """EXPECTED_SPANS of perfbench/run.py, read from its source with the
+    workload names it is built from."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    wanted = {"CAT", "FINE", "OPH", "EVERY", "EXPECTED_SPANS"}
+    body = [node for node in tree.body if isinstance(node, ast.Assign)
+            and {n.id for t in node.targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)} & wanted]
+    names: dict = {}
+    exec(compile(ast.Module(body=body, type_ignores=[]), "run.py", "exec"),
+         names)
+    return names["EXPECTED_SPANS"]
+
+
+def test_tracer_sees_every_catalog_boundary(tmp_path):
+    """The catalog workload, run in-process under perfbench/tracer.py's
+    Tracer, records a call at exactly the boundaries perfbench/run.py
+    expects of it: a check the runner reached past the tracer's patches
+    would record none."""
+    from phasecert import catalog, runner
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer("catalog").install()
+    try:
+        for name in catalog.names():
+            report = runner.run_scenario(catalog.emit(name))
+        runner.write_report(report, tmp_path)
+    finally:
+        tracer.uninstall()
+    spans = _expected_spans()
+    want = {b for b, where in spans.items() if "catalog" in where}
+    seen = {b for b in spans if tracer.calls[b]}
+    assert want and seen == want, (f"no call: {sorted(want - seen)}, "
+                                   f"unexpected: {sorted(seen - want)}")

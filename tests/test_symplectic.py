@@ -11,7 +11,7 @@ from phasecert.grammar import parse_expr
 from phasecert.grids import quasi_uniform
 from phasecert.runner import run_scenario
 from phasecert.symplectic import (COLLAR_VARS, SymplectoMap,
-                                  check_boundary_preserving,
+                                  check_boundary_preserving, check_homogeneity,
                                   check_jacobian_structure, check_symplectic,
                                   collar_samples, induced_boundary_map,
                                   jacobian)
@@ -130,7 +130,8 @@ def test_boundary_preserving():
 def test_homogeneity_of_catalog_maps():
     for chi in (IDENTITY, DILATION, QUADRATIC, BROKEN, SHIFTED):
         pts = collar_samples(chi, count=20, seed=3)
-        assert chi.homogeneity_residual(pts) <= 1e-10
+        passed, metrics = check_homogeneity(chi, pts)
+        assert passed and metrics["residual"] <= 1e-10
 
 
 def test_symplectic_implies_unimodular():
