@@ -25,6 +25,7 @@ import numpy as np
 from . import catalog as cat
 from .exceptions import PhasecertError, ScenarioParseError, \
     ScenarioValidationError, UnknownScenarioError
+from .expr import free_vars
 from .grammar import parse_expr
 from .normalop import NormalOperatorSpec, apply_normal_op
 from .runner import (RunReport, CheckOutcome, check_golden, is_file,
@@ -95,14 +96,19 @@ def cmd_apply(args) -> int:
     sc = load_scenario(_scenario_source(args))
     if sc.psi is None:
         raise ScenarioValidationError("apply needs a phase")
-    spec = NormalOperatorSpec(sc.generating_phase(), sc.operator_amplitude(),
-                              xprime=args.xprime, xi_prime=args.xi_prime,
-                              name=sc.name)
     fns = schwartz_catalog()
     if args.function in fns:
         u = fns[args.function]
     else:
-        u = SchwartzFn("inline", parse_expr(args.function))
+        e = parse_expr(args.function)
+        if free_vars(e) != {"t"}:
+            raise ScenarioValidationError(
+                f"--function must be a catalog name or an expression in t, "
+                f"got variables {sorted(free_vars(e))}")
+        u = SchwartzFn("inline", e)
+    spec = NormalOperatorSpec(sc.generating_phase(), sc.operator_amplitude(),
+                              xprime=args.xprime, xi_prime=args.xi_prime,
+                              name=sc.name)
     xn = np.linspace(args.xn_min, args.xn_max, args.xn_count)
     vals, err = apply_normal_op(spec, u, xn)
     lines = ["xn,re,im,err_est"]

@@ -245,13 +245,8 @@ def load_scenario(source) -> Scenario:
     bad = set(checks) - set(FAMILIES)
     if bad:
         raise ScenarioValidationError(f"unknown check families {bad}")
-    amp = raw.get("amplitude") or {}
     collar_halfwidth = _number(raw.get("collar_halfwidth", 1.0),
                                "collar_halfwidth", positive=True)
-    amp_order = _number(amp.get("order", 0.0), "amplitude.order")
-    degree = amp.get("homogeneous_degree")
-    if degree is not None:
-        degree = _number(degree, "amplitude.homogeneous_degree")
     sg = raw.get("sg")
     if sg is not None:
         if set(sg) != {"k", "K"}:
@@ -259,6 +254,11 @@ def load_scenario(source) -> Scenario:
                 f"sg must have exactly the keys k and K, got {sorted(sg)}")
         sg = {key: _number(sg[key], f"sg.{key}", positive=True)
               for key in ("k", "K")}
+        # the cutoff w_k(t/r) must vanish inside the collar
+        if sg["k"] > collar_halfwidth / 2.0 + 1e-12:
+            raise ScenarioValidationError(
+                f"sg.k = {sg['k']:g} exceeds half the collar half-width "
+                f"{collar_halfwidth:g}")
     sc = Scenario(
         name=raw["name"], collar_halfwidth=collar_halfwidth,
         sg_params=sg,
@@ -299,7 +299,18 @@ def load_scenario(source) -> Scenario:
         comps = {k: _expression(v, f"map.{k}") for k, v in map_strs.items()}
         sc.chi = SymplectoMap(comps, collar_halfwidth=sc.collar_halfwidth,
                               name=sc.name)
-    if amp.get("expr") is not None:
+    amp = raw.get("amplitude")
+    if amp is not None:
+        bad = set(amp) - {"expr", "order", "homogeneous_degree",
+                          "support_xn"}
+        if bad:
+            raise ScenarioValidationError(f"unknown amplitude keys {bad}")
+        if amp.get("expr") is None:
+            raise ScenarioValidationError("amplitude needs an expr")
+        amp_order = _number(amp.get("order", 0.0), "amplitude.order")
+        degree = amp.get("homogeneous_degree")
+        if degree is not None:
+            degree = _number(degree, "amplitude.homogeneous_degree")
         support = None
         box = amp.get("support_xn")
         if box is not None:

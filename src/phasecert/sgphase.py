@@ -16,7 +16,13 @@ with r = <xi'> and a smooth even cutoff w_k(s) = w(s/k) that is 1 for
 together with uniformity of the constants over (x', <xi'>) samples, and a
 deterministic search for the smallest working (k, K) pair.  The cutoff w
 is :func:`expr.cutoff_expr`, and the (t, tau) grid is the pinned ladder
-:func:`grids.sg_ladder` in both variables.
+LADDER, :func:`grids.sg_ladder`, in both variables.
+
+Every constant is an array keyed by its report name (C_{a}{al}, c_t, C_t,
+c_tau, C_tau, eps): one entry per x' from
+:meth:`StarPhaseFamily.constants_at`, one per (x', rung) in a
+:class:`UniformityReport`.  The margins, the failures and the ratios are
+computed on those arrays.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ from .grids import bracket_ladder, grid_digest, sg_ladder
 from .phase import GeneratingPhase
 
 ZERO_FLOOR = 1e-9   # constants below this count as structurally zero
-# the grid digest of the pinned (t, tau) ladder that every sweep runs on
-LADDER_DIGEST = grid_digest(t=sg_ladder(), tau=sg_ladder())
+# the pinned ladder every sweep runs on in t and in tau, and its digest
+LADDER = sg_ladder()
+LADDER_DIGEST = grid_digest(t=LADDER, tau=LADDER)
 
 
 @dataclass
@@ -45,37 +52,23 @@ class Margins:
     ratio_max: float = 3.0
 
 
-@dataclass
-class PhaseConstants:
-    """Grid constants for one frozen (x', xi'): the P1 table, the P2
-    two-sided bounds, and the P3 floor."""
-
-    table: dict[tuple[int, int], float]
-    c_t: float
-    C_t: float
-    c_tau: float
-    C_tau: float
-    eps: float
-    eps_sign: float
-
-    def flat(self) -> dict[str, float]:
-        out = {f"C_{a}{al}": v for (a, al), v in self.table.items()}
-        out.update(c_t=self.c_t, C_t=self.C_t, c_tau=self.c_tau,
-                   C_tau=self.C_tau, eps=self.eps)
-        return out
-
-    def passes(self, m: Margins) -> bool:
-        # every bound is stated so that a NaN constant fails it
-        lows = np.array([self.c_t, self.c_tau, self.eps])
-        highs = np.array([self.C_t, self.C_tau, *self.table.values()])
-        return bool(np.all(lows >= [m.c_min, m.c_min, m.eps_min])
-                    and np.all(highs <= m.c_max))
+def within_margins(constants: dict[str, np.ndarray],
+                   m: Margins) -> np.ndarray:
+    """Where every constant of constants (arrays keyed by report name)
+    meets its margin: c_t, c_tau >= c_min, eps >= eps_min and every C_*
+    <= c_max.  Each bound is stated so that a NaN constant fails it."""
+    lows = [constants["c_t"] >= m.c_min, constants["c_tau"] >= m.c_min,
+            constants["eps"] >= m.eps_min]
+    highs = [v <= m.c_max for key, v in constants.items()
+             if key.startswith("C_")]
+    return np.all(lows + highs, axis=0)
 
 
 class StarPhaseFamily:
     """The regularized phase with (x', xi') left symbolic.
 
-    One expression (and one derivative table) serves every frozen sample:
+    One expression, its derivative table up to order_bound in t and in
+    tau, and the table's compiled program serve every frozen sample:
     freezing only binds values at evaluation time, so the symbolic work
     and the compiled DAG are shared across the whole uniformity sweep.
     A rung binds r and xi' as scalars and may bind x1 as an array of x'
@@ -91,7 +84,6 @@ class StarPhaseFamily:
         self.phase = phase
         self.k = float(k)
         self.K = float(K)
-        self.order_bound = order_bound
         t, tau, r = ex.var("t"), ex.var("tau"), ex.var("r")
         clash = {"t", "tau", "r"} & ex.free_vars(phase.psi)
         if clash:
@@ -102,28 +94,18 @@ class StarPhaseFamily:
         ktt = ex.mul(ex.const(self.K), t, tau)
         self.expr = ex.add(ex.guard(gate, phi_resc),
                            ex.mul(ex.sub(ex.const(1.0), gate), ktt))
-        self._derivs: dict[tuple[int, int], ex.Expr] = {(0, 0): self.expr}
-        self._compiled = None
-
-    def deriv(self, a: int, al: int) -> ex.Expr:
-        key = (a, al)
-        if key not in self._derivs:
-            if al > 0:
-                base = self.deriv(a, al - 1)
-                self._derivs[key] = ex.differentiate(base, "tau")
-            else:
-                base = self.deriv(a - 1, 0)
-                self._derivs[key] = ex.differentiate(base, "t")
-        return self._derivs[key]
-
-    def _deriv_table(self):
-        keys = [(a, al)
-                for a in range(self.order_bound + 1)
-                for al in range(self.order_bound + 1)]
-        exprs = [self.deriv(a, al) for a, al in keys]
-        if self._compiled is None:
-            self._compiled = ex.Program(exprs)
-        return keys, self._compiled
+        # (a, al) -> d_t^a d_tau^al *Phi, a outer and al inner: d_tau of
+        # the entry left of it, or d_t of the one above when al = 0
+        self.table = {(0, 0): self.expr}
+        for a in range(order_bound + 1):
+            for al in range(order_bound + 1):
+                if al:
+                    self.table[a, al] = ex.differentiate(
+                        self.table[a, al - 1], "tau")
+                elif a:
+                    self.table[a, 0] = ex.differentiate(
+                        self.table[a - 1, 0], "t")
+        self.program = ex.Program(list(self.table.values()))
 
     def env_for(self, xprime: float | np.ndarray, rung: float,
                 sign: int = 1) -> dict:
@@ -148,64 +130,50 @@ class StarPhaseFamily:
         out = np.sort(np.concatenate([tgrid, band, -band]))
         return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
-    def constants_at(self, xprime, rung: float, sign: int = 1,
-                     tgrid: np.ndarray | None = None,
-                     taugrid: np.ndarray | None = None
-                     ) -> PhaseConstants | list[PhaseConstants]:
-        """Evaluate the full derivative table on the pinned grid and reduce
-        to the P1/P2/P3 constants for frozen samples at one rung.
+    def constants_at(self, xprime, rung: float,
+                     sign: int = 1) -> dict[str, np.ndarray]:
+        """Evaluate the derivative table on the pinned grid and reduce it
+        to the P1/P2/P3 constants of the frozen samples at one rung.
 
-        xprime is one x' (a float: one PhaseConstants) or a 1-D array of
-        them (a list of PhaseConstants, in order).  The (t, tau) grid
-        depends on the rung alone, so every x' shares it and the table is
-        one program execution with x1 bound as a leading axis: (m, 1, 1)
-        against t (1, T, 1) and tau (1, 1, U).
+        The constants are arrays of xprime's shape, keyed by report name:
+        C_{a}{al} for the P1 table, c_t, C_t, c_tau and C_tau for P2, eps
+        for P3 (negated where d_t d_tau *Phi changes sign) and eps_sign
+        (0 there).  The (t, tau) grid depends on the rung alone, so every
+        x' shares it and the table is one program execution with x1 bound
+        as a leading axis: (m, 1, 1) against t (1, T, 1), tau (1, 1, U).
         """
-        if tgrid is None:
-            tgrid = sg_ladder()
-        if taugrid is None:
-            taugrid = sg_ladder()
-        tgrid = self.eval_tgrid(rung, np.asarray(tgrid, dtype=float))
+        tgrid = self.eval_tgrid(rung, LADDER)
         xs = np.asarray(xprime, dtype=float)
-        m, nt, nu = xs.size, len(tgrid), len(taugrid)
-        keys, prog = self._deriv_table()
+        m, nt, nu = xs.size, len(tgrid), len(LADDER)
         env = self.env_for(xs.reshape(m, 1, 1), rung, sign)
         env["t"] = tgrid[None, :, None]
-        env["tau"] = taugrid[None, None, :]
-        vals = dict(zip(keys, prog(env)))
+        env["tau"] = LADDER[None, None, :]
+        vals = dict(zip(self.table, self.program(env)))
         bt = np.sqrt(1.0 + tgrid * tgrid)[None, :, None]
-        btau = np.sqrt(1.0 + taugrid * taugrid)[None, None, :]
+        btau = np.sqrt(1.0 + LADDER * LADDER)[None, None, :]
 
         def per_x(v, reduce):
             # reduced at v's own shape, whose leading axis is 1 where v does
-            # not depend on x', then repeated per x': max and min are exact,
-            # so this equals reducing v broadcast to (m, T, U)
+            # not depend on x', then repeated to xprime's shape: max and min
+            # are exact, so this equals reducing v broadcast to (m, T, U)
             v = np.broadcast_to(v, np.broadcast_shapes(np.shape(v),
                                                        (1, nt, nu)))
-            return np.broadcast_to(reduce(v, axis=(1, 2)), (m,))
+            return np.resize(reduce(v, axis=(1, 2)), xs.shape)
 
-        rows = range(m)
-        tables = [{} for _ in rows]
-        for (a, al), D in vals.items():
-            w = np.abs(D) * bt ** (a - 1) * btau ** (al - 1)
-            for i, v in zip(rows, per_x(w, np.max).tolist()):
-                tables[i][(a, al)] = v
-
+        out = {f"C_{a}{al}": per_x(np.abs(D) * bt ** (a - 1)
+                                   * btau ** (al - 1), np.max)
+               for (a, al), D in vals.items()}
         d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
         q_t = np.sqrt(1.0 + d10 * d10) / btau
         q_tau = np.sqrt(1.0 + d01 * d01) / bt
-        c_t, C_t = per_x(q_t, np.min), per_x(q_t, np.max)
-        c_tau, C_tau = per_x(q_tau, np.min), per_x(q_tau, np.max)
+        out.update(c_t=per_x(q_t, np.min), C_t=per_x(q_t, np.max),
+                   c_tau=per_x(q_tau, np.min), C_tau=per_x(q_tau, np.max))
         lo, hi = per_x(d11, np.min), per_x(d11, np.max)
         eps = per_x(np.abs(d11), np.min)
-        out = []
-        for i in rows:
-            sign_ok = lo[i] > 0.0 or hi[i] < 0.0
-            out.append(PhaseConstants(
-                tables[i], float(c_t[i]), float(C_t[i]), float(c_tau[i]),
-                float(C_tau[i]), float(eps[i] if sign_ok else -eps[i]),
-                float(np.sign(hi[i])) if sign_ok else 0.0))
-        return out if xs.ndim else out[0]
+        sign_ok = (lo > 0.0) | (hi < 0.0)
+        out["eps"] = np.where(sign_ok, eps, -eps)
+        out["eps_sign"] = np.where(sign_ok, np.sign(hi), 0.0)
+        return out
 
 
 # Constants whose spread across (x', <xi'>) is the grid statement of
@@ -219,8 +187,11 @@ RATIO_KEYS = ("c_t", "c_tau", "eps")
 
 @dataclass
 class UniformityReport:
+    """ratios and failures of a uniformity sweep; constants holds each
+    constant of :meth:`StarPhaseFamily.constants_at` but eps_sign as one
+    (x', rung) array."""
     ratios: dict[str, float]
-    per_combo: list[dict]
+    constants: dict[str, np.ndarray]
     ratio_max: float
     failures: list[str] = field(default_factory=list)
 
@@ -241,8 +212,9 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
     """Spread of the P1/P2/P3 constants over (x', <xi'>) samples.
 
     Signs of xi' alternate along the ladder, and each rung evaluates every
-    x' in one :meth:`StarPhaseFamily.constants_at` call; combos run x'
-    outer, rung inner.  Per-constant spread is the
+    x' in one :meth:`StarPhaseFamily.constants_at` call.  A combo fails
+    on a sign change of d_t d_tau *Phi, else on a missed margin; failures
+    run x' outer, rung inner.  Per-constant spread is the
     max/min ratio over the samples, computed only where the constant is
     above the structural-zero floor; a constant that vanishes on every
     sample is uniform by convention, and a NaN constant on any sample
@@ -254,26 +226,18 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
     if rungs is None:
         rungs = bracket_ladder().tolist()
     fam = StarPhaseFamily(phase, k, K, order_bound)
-    ladder = sg_ladder()
-    signs = [1 if j % 2 == 0 else -1 for j in range(len(rungs))]
     xs = np.asarray(xprimes, dtype=float)
-    by_rung = [fam.constants_at(xs, float(rung), sign, ladder, ladder)
-               for rung, sign in zip(rungs, signs)]
-    per_combo = []
-    failures = []
-    for i, xp in enumerate(xprimes):
-        for rung, batch in zip(rungs, by_rung):
-            cs = batch[i]
-            per_combo.append(cs.flat())
-            if cs.eps_sign == 0.0:
-                failures.append(
-                    f"sign change at x'={xp:.3f}, rung={rung:g}")
-            elif not cs.passes(margins):
-                failures.append(
-                    f"margins fail at x'={xp:.3f}, rung={rung:g}")
+    by_rung = [fam.constants_at(xs, float(rung), 1 if j % 2 == 0 else -1)
+               for j, rung in enumerate(rungs)]
+    constants = {key: np.stack([c[key] for c in by_rung], axis=1)
+                 for key in by_rung[0]}
+    flips = constants.pop("eps_sign") == 0.0
+    bad = flips | ~within_margins(constants, margins)
+    failures = [f"{'sign change' if flips[i, j] else 'margins fail'} at "
+                f"x'={xs[i]:.3f}, rung={rungs[j]:g}"
+                for i, j in zip(*np.nonzero(bad))]
     ratios = {}
-    for key in per_combo[0]:
-        vals = np.array([pc[key] for pc in per_combo])
+    for key, vals in constants.items():
         if np.isnan(vals).any():
             ratios[key] = float("nan")      # a NaN constant must show
         elif key.startswith("c_") or key == "eps":
@@ -282,7 +246,7 @@ def check_uniformity(phase: GeneratingPhase, k: float, K: float,
         else:
             live = vals[np.abs(vals) > ZERO_FLOOR]
             ratios[key] = float(live.max() / live.min()) if len(live) else 1.0
-    return UniformityReport(ratios, per_combo, margins.ratio_max, failures)
+    return UniformityReport(ratios, constants, margins.ratio_max, failures)
 
 
 @dataclass
@@ -347,12 +311,9 @@ def check_conditions(phase: GeneratingPhase, params: dict | None,
         k, K = params["k"], params["K"]
         rep = check_uniformity(phase, k, K, margins=margins)
         trials = 0
-    worst = {}
-    for combo in rep.per_combo:
-        for key, v in combo.items():
-            worst[key] = float(np.maximum(worst.get(key, 0.0), v))
-    mins = {key: float(np.min([c[key] for c in rep.per_combo]))
-            for key in RATIO_KEYS}
+    worst = {key: float(np.max(v, initial=0.0))
+             for key, v in rep.constants.items()}
+    mins = {key: float(np.min(rep.constants[key])) for key in RATIO_KEYS}
     return rep.passed, {"k": k, "K": K, "trials": trials,
                         "ratios": {key: rep.ratios[key] for key in RATIO_KEYS},
                         "spread": rep.spread,

@@ -7,10 +7,11 @@ fd_crosscheck tabulate the package's symbolic derivatives at a point and
 hold them against central differences of its evaluator.  The sg oracles
 at the end evaluate the regularized phase's derivative table the plain
 way: each guard payload compiled on its own, each derivative broadcast
-to the full grid before it is reduced, and the t-grid through np.unique.
-looped_transmission runs the parity check one derivative and one ray at
-a time, and looped_bs_sups the collar-class sweep one rung, one shell and
-one derivative at a time, each by its own eval_array call.
+to the full grid before it is reduced, and the t-grid through np.unique;
+looped_uniformity checks and reduces those constants one (x', rung) combo
+at a time.  looped_transmission runs the parity check one derivative and
+one ray at a time, and looped_bs_sups the collar-class sweep one rung,
+one shell and one derivative at a time, each by its own eval_array call.
 blockwise_panel_sum contracts the Gauss nodes of a factored sum in every
 block, and per_function_outputs sweeps the conjugated outputs of one test
 function on its own s grid.
@@ -31,6 +32,8 @@ from phasecert.expr import (GUARD, Expr, Program, const, derivative_multi,
 from phasecert.grids import bracket_ladder
 from phasecert.quadrature import (Oscillatory, gauss_rule, panel_frame,
                                   panel_nodes)
+from phasecert.sgphase import (LADDER, RATIO_KEYS, ZERO_FLOOR, Margins,
+                               StarPhaseFamily)
 from phasecert.symbols import BsReport, loglog_fit
 
 
@@ -228,40 +231,89 @@ def unique_tgrid(fam, rung: float, tgrid: np.ndarray) -> np.ndarray:
 
 def broadcast_constants(fam, xprimes, rung: float, sign: int,
                         ladder: np.ndarray) -> list[dict]:
-    """The PhaseConstants fields of StarPhaseFamily.constants_at, one dict
-    per x', with every derivative broadcast to (m, T, U) before the
-    weights, abs and max/min reduce it."""
+    """The constants of StarPhaseFamily.constants_at as one dict of floats
+    per x', keyed by report name, with every derivative broadcast to
+    (m, T, U) before the weights, abs and max/min reduce it."""
     tgrid = unique_tgrid(fam, rung, ladder)
     xs = np.asarray(xprimes, dtype=float)
     m, nt, nu = xs.size, len(tgrid), len(ladder)
-    keys, prog = fam._deriv_table()
     env = fam.env_for(xs.reshape(m, 1, 1), rung, sign)
     env["t"] = tgrid[None, :, None]
     env["tau"] = ladder[None, None, :]
     vals = {k: np.broadcast_to(v, (m, nt, nu))
-            for k, v in zip(keys, prog(env))}
+            for k, v in zip(fam.table, fam.program(env))}
     bt = np.sqrt(1.0 + tgrid * tgrid)[None, :, None]
     btau = np.sqrt(1.0 + ladder * ladder)[None, None, :]
-    tables = [{} for _ in range(m)]
+    out = [{} for _ in range(m)]
     for (a, al), D in vals.items():
         w = np.abs(D) * bt ** (a - 1) * btau ** (al - 1)
         for i, v in enumerate(w.max(axis=(1, 2)).tolist()):
-            tables[i][(a, al)] = v
+            out[i][f"C_{a}{al}"] = v
     d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
     q_t = np.sqrt(1.0 + d10 * d10) / btau
     q_tau = np.sqrt(1.0 + d01 * d01) / bt
     lo, hi = d11.min(axis=(1, 2)), d11.max(axis=(1, 2))
     eps = np.abs(d11).min(axis=(1, 2))
-    out = []
     for i in range(m):
         sign_ok = lo[i] > 0.0 or hi[i] < 0.0
-        out.append({"table": tables[i],
-                    "c_t": float(q_t[i].min()), "C_t": float(q_t[i].max()),
-                    "c_tau": float(q_tau[i].min()),
-                    "C_tau": float(q_tau[i].max()),
-                    "eps": float(eps[i] if sign_ok else -eps[i]),
-                    "eps_sign": float(np.sign(hi[i])) if sign_ok else 0.0})
+        out[i].update({
+            "c_t": float(q_t[i].min()), "C_t": float(q_t[i].max()),
+            "c_tau": float(q_tau[i].min()), "C_tau": float(q_tau[i].max()),
+            "eps": float(eps[i] if sign_ok else -eps[i]),
+            "eps_sign": float(np.sign(hi[i])) if sign_ok else 0.0})
     return out
+
+
+def looped_uniformity(phase, k: float, K: float, xprimes=None, rungs=None,
+                      margins=None, order_bound: int = 3) -> dict:
+    """The fields of sgphase.check_uniformity's report, one combo at a time:
+    a dict of float constants per (x', rung) from broadcast_constants, x'
+    outer and rung inner, each checked against the margins on its own,
+    and the ratios taken over lists of those floats.  Returns the ratios,
+    the per-combo dicts (without eps_sign), the failures, the spread and
+    the verdict."""
+    margins = margins or Margins()
+    if xprimes is None:
+        xprimes = np.linspace(-1.0, 1.0, 9)
+    if rungs is None:
+        rungs = bracket_ladder().tolist()
+    fam = StarPhaseFamily(phase, k, K, order_bound)
+    by_rung = [broadcast_constants(fam, xprimes, float(rung),
+                                   1 if j % 2 == 0 else -1, LADDER)
+               for j, rung in enumerate(rungs)]
+    table_keys = [f"C_{a}{al}" for a in range(order_bound + 1)
+                  for al in range(order_bound + 1)]
+    per_combo, failures = [], []
+    for i, xp in enumerate(xprimes):
+        for rung, batch in zip(rungs, by_rung):
+            cs = dict(batch[i])
+            eps_sign = cs.pop("eps_sign")
+            per_combo.append(cs)
+            lows = np.array([cs["c_t"], cs["c_tau"], cs["eps"]])
+            highs = np.array([cs["C_t"], cs["C_tau"],
+                              *(cs[key] for key in table_keys)])
+            passes = bool(np.all(lows >= [margins.c_min, margins.c_min,
+                                          margins.eps_min])
+                          and np.all(highs <= margins.c_max))
+            if eps_sign == 0.0:
+                failures.append(f"sign change at x'={xp:.3f}, rung={rung:g}")
+            elif not passes:
+                failures.append(f"margins fail at x'={xp:.3f}, rung={rung:g}")
+    ratios = {}
+    for key in per_combo[0]:
+        vals = np.array([pc[key] for pc in per_combo])
+        if np.isnan(vals).any():
+            ratios[key] = float("nan")
+        elif key.startswith("c_") or key == "eps":
+            ratios[key] = float(vals.max() / vals.min()) \
+                if vals.min() > 0 else float("inf")
+        else:
+            live = vals[np.abs(vals) > ZERO_FLOOR]
+            ratios[key] = float(live.max() / live.min()) if len(live) else 1.0
+    spread = float(np.max([ratios[key] for key in RATIO_KEYS]))
+    return {"ratios": ratios, "per_combo": per_combo, "failures": failures,
+            "spread": spread,
+            "passed": not failures and spread <= margins.ratio_max}
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,22 @@ def test_load_scenario_validation_errors():
         load_scenario({"name": "x", "phase": "x1*k1 + xn*kn",
                        "amplitude": {"expr": "1", "support_xn": [-2, 2]},
                        "checks": ["phase", "operator"]})
+    # a misspelt amplitude key would leave the degree undeclared
+    with pytest.raises(ScenarioValidationError,
+                       match="unknown amplitude keys {'homogenous_degree'}"):
+        load_scenario({"name": "x", "phase": "x1*k1 + xn*kn",
+                       "amplitude": {"expr": "1", "order": 0.0,
+                                     "homogenous_degree": 0.0}})
+    with pytest.raises(ScenarioValidationError,
+                       match="amplitude needs an expr"):
+        load_scenario({"name": "x", "phase": "x1*k1 + xn*kn",
+                       "amplitude": {"order": 0.0,
+                                     "homogeneous_degree": 0.0}})
+    # k above half the collar half-width: no cutoff vanishes in the collar
+    with pytest.raises(ScenarioValidationError,
+                       match="sg.k = 0.9 exceeds half the collar half-width"):
+        load_scenario({"name": "x", "phase": "x1*k1 + xn*kn",
+                       "sg": {"k": 0.9, "K": 1.0}, "checks": ["phase", "sg"]})
 
 
 def test_run_identity_via_api_passes():
@@ -345,7 +361,9 @@ def test_cli_report_render(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["report", "render", "{tmp}/missing.json"],
     ["report", "render", "{tmp}/no_checks.json"],
-    ["apply", "--scenario", "identity", "--xn-count", "0"]], ids=" ".join)
+    ["apply", "--scenario", "identity", "--xn-count", "0"],
+    ["apply", "--scenario", "identity", "--function", "zz*t"],
+    ["apply", "--scenario", "identity", "--function", "1"]], ids=" ".join)
 def test_cli_error_exits_2_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "no_checks.json").write_text(json.dumps({"scenario": "x"}))
     try:
@@ -397,6 +415,12 @@ BAD_FIELDS = {
     "scale-bool": ("grids.scale", True),
     "grids-number": ("grids", 3),
     "amplitude-string": ("amplitude", "1"),
+    "amplitude-unknown-key": ("amplitude.homogenous_degree", 0.0,
+                              ScenarioValidationError,
+                              "unknown amplitude keys"),
+    "amplitude-without-expr": ("amplitude", {"order": 0.0},
+                               ScenarioValidationError,
+                               "amplitude needs an expr"),
     "sg-list": ("sg", [0.5, 1.0]),
     "sg-k-string": ("sg.k", "a", ScenarioValidationError, "sg.k must be a"),
     "sg-K-negative": ("sg.K", -1.0, ScenarioValidationError,
@@ -405,6 +429,8 @@ BAD_FIELDS = {
                      "exactly the keys k and K"),
     "sg-unknown-key": ("sg.c", 1.0, ScenarioValidationError,
                        "exactly the keys k and K"),
+    "sg-k-above-half-collar": ("sg.k", 0.9, ScenarioValidationError,
+                               "exceeds half the collar half-width"),
     "checks-string": ("checks", "phase", ScenarioValidationError,
                       "checks must be a list of strings"),
     "checks-number-entry": ("checks", ["phase", 1], ScenarioValidationError,

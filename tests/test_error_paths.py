@@ -33,4 +33,4 @@ def test_p3_sign_change_is_detected():
     # K far below the dilation factor flips the mixed derivative somewhere
     ph = GeneratingPhase(parse_expr("x1*k1 + xn*kn*exp(sin(x1)/2)"))
     cs = StarPhaseFamily(ph, 0.5, 0.25).constants_at(1.0, math.sqrt(17.0))
-    assert cs.eps_sign == 0.0
+    assert cs["eps_sign"] == 0.0

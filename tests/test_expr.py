@@ -300,8 +300,7 @@ def sg_table(name):
     phase = GeneratingPhase(parse_expr(sc["phase"]),
                             collar_halfwidth=sc["collar_halfwidth"])
     fam = StarPhaseFamily(phase, phase.collar_halfwidth / 2.0, 1.0)
-    keys, prog = fam._deriv_table()
-    return [fam.deriv(a, al) for a, al in keys], prog, fam
+    return list(fam.table.values()), fam.program, fam
 
 
 SG_PHASES = ["identity", "dilation", "quadratic-collar", "boundary-shear"]

@@ -9,16 +9,18 @@ import pytest
 
 import phasecert
 from phasecert import expr as ex
+from phasecert import sgphase
 from phasecert.catalog import SCENARIOS
 from phasecert.exceptions import CollarBoundsError
 from phasecert.expr import cutoff_expr
 from phasecert.grammar import parse_expr
 from phasecert.grids import sg_ladder
 from phasecert.phase import GeneratingPhase
-from phasecert.sgphase import (Margins, PhaseConstants, StarPhaseFamily,
-                               calibrate, check_uniformity)
+from phasecert.sgphase import (LADDER, Margins, StarPhaseFamily, calibrate,
+                               check_uniformity, within_margins)
 
-from oracles import broadcast_constants, central_diff, unique_tgrid
+from oracles import (broadcast_constants, central_diff, looped_uniformity,
+                     unique_tgrid)
 
 
 def build_phase(name):
@@ -149,12 +151,12 @@ def test_star_phi_rejects_large_k():
 def test_star_phi_derivatives_match_fd():
     fam, env = frozen(DILATION, -0.4, 3.0, 0.5, 2.0)
     for (a, al) in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-        d = at(fam.deriv(a, al), env, 0.9, 1.3)
+        d = at(fam.table[a, al], env, 0.9, 1.3)
         if a > 0:
-            f = lambda t: float(at(fam.deriv(a - 1, al), env, t, 1.3))
+            f = lambda t: float(at(fam.table[a - 1, al], env, t, 1.3))
             fd = central_diff(f, 0.9, 1e-5)
         else:
-            f = lambda u: float(at(fam.deriv(0, al - 1), env, 0.9, u))
+            f = lambda u: float(at(fam.table[0, al - 1], env, 0.9, u))
             fd = central_diff(f, 1.3, 1e-5)
         assert abs(float(d) - fd) <= 1e-6 * max(1.0, abs(fd))
 
@@ -164,26 +166,26 @@ def test_star_phi_derivatives_match_fd():
 def test_identity_constants():
     fam, env = frozen(IDENTITY, 0.0, 1.0, 0.5, 1.0)
     cs = fam.constants_at(0.0, env["r"])
-    assert all(v <= 1.0 + 1e-12 for v in cs.table.values())
-    assert cs.table[(1, 1)] == pytest.approx(1.0, abs=1e-12)
-    assert cs.c_t == pytest.approx(1.0, abs=1e-12)
-    assert cs.C_t == pytest.approx(1.0, abs=1e-12)
-    assert cs.c_tau == pytest.approx(1.0, abs=1e-12)
-    assert cs.C_tau == pytest.approx(1.0, abs=1e-12)
-    assert cs.eps == pytest.approx(1.0, abs=1e-12)
+    assert all(cs[f"C_{a}{al}"] <= 1.0 + 1e-12
+               for a in range(4) for al in range(4))
+    assert cs["C_11"] == pytest.approx(1.0, abs=1e-12)
+    assert cs["c_t"] == pytest.approx(1.0, abs=1e-12)
+    assert cs["C_t"] == pytest.approx(1.0, abs=1e-12)
+    assert cs["c_tau"] == pytest.approx(1.0, abs=1e-12)
+    assert cs["C_tau"] == pytest.approx(1.0, abs=1e-12)
+    assert cs["eps"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_dilation_constants_stable_under_grid_refinement():
+def test_dilation_constants_stable_under_grid_refinement(monkeypatch):
     fam = StarPhaseFamily(DILATION, 0.5, 2.0)
-    t = sg_ladder()
-    t2 = sg_ladder(n_half=40)
-    cs = fam.constants_at(0.3, 4.0, 1, t, t)
-    cs2 = fam.constants_at(0.3, 4.0, 1, t2, t2)
-    for key, v in cs.table.items():
-        v2 = cs2.table[key]
+    cs = fam.constants_at(0.3, 4.0, 1)
+    monkeypatch.setattr(sgphase, "LADDER", sg_ladder(n_half=40))
+    cs2 = fam.constants_at(0.3, 4.0, 1)
+    for key in (f"C_{a}{al}" for a in range(4) for al in range(4)):
+        v, v2 = cs[key], cs2[key]
         if max(v, v2) > 1e-9:
             assert v2 <= 2.0 * v + 1e-9 and v <= 2.0 * v2 + 1e-9, key
-    assert abs(cs2.eps - cs.eps) <= 0.1 * cs.eps
+    assert abs(cs2["eps"] - cs["eps"]) <= 0.1 * cs["eps"]
 
 
 def test_dilation_p2_lower_bound_closed_form():
@@ -191,8 +193,8 @@ def test_dilation_p2_lower_bound_closed_form():
     # the transition term is nonnegative, so c is exp(min g) up to bracket
     fam = StarPhaseFamily(DILATION, 0.5, 2.0)
     cs = fam.constants_at(-1.0, 4.0, 1)
-    assert cs.c_t >= 0.5
-    assert cs.eps >= math.exp(math.sin(-1.0) / 2.0) - 1e-9
+    assert cs["c_t"] >= 0.5
+    assert cs["eps"] >= math.exp(math.sin(-1.0) / 2.0) - 1e-9
 
 
 def test_k_sensitivity_small_K_fails():
@@ -219,7 +221,7 @@ def test_p3_region_where_mixing_is_pure_K():
         r = env["r"]
         t = np.array([v for v in sg_ladder() if abs(v) >= 0.25 * r + 0.01])
         tau = sg_ladder()
-        d11 = at(fam.deriv(1, 1), env, t[:, None], tau[None, :])
+        d11 = at(fam.table[1, 1], env, t[:, None], tau[None, :])
         assert np.allclose(d11, K, atol=1e-12)
 
 
@@ -229,8 +231,8 @@ def test_monotone_robustness_increasing_K():
     r = env["r"]
     t = np.array([v for v in sg_ladder() if abs(v) >= 0.25 * r])
     tau = sg_ladder()
-    e2 = np.min(np.abs(at(fam2.deriv(1, 1), env, t[:, None], tau[None, :])))
-    e4 = np.min(np.abs(at(fam4.deriv(1, 1), env, t[:, None], tau[None, :])))
+    e2 = np.min(np.abs(at(fam2.table[1, 1], env, t[:, None], tau[None, :])))
+    e4 = np.min(np.abs(at(fam4.table[1, 1], env, t[:, None], tau[None, :])))
     assert e4 >= e2 - 1e-12
 
 
@@ -246,7 +248,7 @@ def test_uniformity_dilation_within_e():
     rep = check_uniformity(DILATION, 0.5, 2.0)
     assert rep.passed
     assert rep.spread <= 2.0 or rep.spread <= math.e
-    assert len(rep.per_combo) == 81
+    assert all(v.shape == (9, 9) for v in rep.constants.values())   # 81
 
 
 def test_uniformity_shear_within_bound():
@@ -288,20 +290,22 @@ def test_calibrate_exhaustion():
 
 
 def _constants(**over):
-    base = dict(table={(0, 0): 1.0, (1, 1): 2.0}, c_t=0.5, C_t=2.0,
-                c_tau=0.5, C_tau=2.0, eps=0.3, eps_sign=1.0)
+    base = dict(C_00=1.0, C_11=2.0, c_t=0.5, C_t=2.0, c_tau=0.5, C_tau=2.0,
+                eps=0.3, eps_sign=1.0)
     base.update(over)
-    return PhaseConstants(**base)
+    return {key: np.array([v, 1.0 if key.startswith("C_") else 0.5])
+            for key, v in base.items()}
 
 
 @pytest.mark.parametrize("over", [
     dict(c_t=math.nan), dict(c_tau=math.nan), dict(eps=math.nan),
-    dict(C_t=math.nan), dict(C_tau=math.nan),
-    dict(table={(0, 0): 1.0, (1, 1): math.nan}),
-    dict(table={(0, 0): math.nan, (1, 1): 2.0})])
+    dict(C_t=math.nan), dict(C_tau=math.nan), dict(C_11=math.nan),
+    dict(C_00=math.nan)])
 def test_margins_fail_on_nan_constant(over):
-    assert _constants().passes(Margins())
-    assert not _constants(**over).passes(Margins())
+    # a NaN in the first sample fails that sample, and only it
+    assert within_margins(_constants(), Margins()).tolist() == [True, True]
+    assert within_margins(_constants(**over), Margins()).tolist() \
+        == [False, True]
 
 
 def test_runner_sg_table_keeps_nan(monkeypatch):
@@ -312,8 +316,8 @@ def test_runner_sg_table_keeps_nan(monkeypatch):
 
     def poisoned(*args, **kwargs):
         rep = real(*args, **kwargs)
-        rep.per_combo[1]["C_00"] = math.nan
-        rep.per_combo[1]["c_t"] = math.nan
+        rep.constants["C_00"][0, 1] = math.nan      # x' -1, rung 2
+        rep.constants["c_t"][0, 1] = math.nan
         return rep
 
     monkeypatch.setattr(sgphase, "check_uniformity", poisoned)
@@ -334,20 +338,17 @@ def test_uniformity_ratio_is_nan_for_nan_constant(monkeypatch, key):
         batch = real(self, *args, **kwargs)
         calls.append(key)
         if len(calls) == 2:           # rung 4: its first x' is combo 1 of 6
-            cs = batch[0]
-            if key == "C_11":
-                cs.table = cs.table | {(1, 1): math.nan}
-            else:
-                setattr(cs, key, math.nan)
+            batch[key][0] = math.nan
         return batch
 
     monkeypatch.setattr(StarPhaseFamily, "constants_at", poisoned)
     rep = check_uniformity(IDENTITY, 0.5, 1.0, xprimes=[-0.5, 0.5],
                            rungs=[1.0, 4.0, 16.0])
     assert len(calls) == 3              # one call per rung
-    assert len(rep.per_combo) == 6
+    assert all(v.shape == (2, 3) for v in rep.constants.values())
     assert math.isnan(rep.ratios[key])
-    assert math.isnan(rep.per_combo[1][key])
+    assert np.isnan(rep.constants[key]).tolist() == [[False, True, False],
+                                                     [False, False, False]]
     if key in ("c_t", "eps"):
         assert math.isnan(rep.spread)
     assert not rep.passed
@@ -374,9 +375,11 @@ def test_nan_in_one_xprime_slab_stays_in_its_combo(monkeypatch):
     monkeypatch.setattr(ex, "_exec", poisoned)
     rep = check_uniformity(IDENTITY, 0.5, 1.0, xprimes=[-0.5, 0.0, 0.5],
                            rungs=[1.0, 4.0])
-    for i, pc in enumerate(rep.per_combo):
-        vals = np.array(list(pc.values()))
-        assert np.isnan(vals).all() if i == 3 else np.isfinite(vals).all()
+    # combo 3 of 6 is x' = 0 at rung 4
+    combo3 = np.array([[False, False], [False, True], [False, False]])
+    for key, vals in rep.constants.items():
+        assert np.isnan(vals[combo3]).all(), key
+        assert np.isfinite(vals[~combo3]).all(), key
     assert rep.failures == ["sign change at x'=0.000, rung=4"]
     assert math.isnan(rep.spread)
     assert not rep.passed
@@ -391,17 +394,18 @@ def test_batched_constants_equal_scalar_calls(name):
     for j, rung in enumerate([2.0**j for j in range(9)]):
         sign = 1 if j % 2 == 0 else -1
         batch = fam.constants_at(xprimes, rung, sign)
-        assert len(batch) == len(xprimes)
-        for xp, cs in zip(xprimes, batch):
+        assert list(batch) == KEYS
+        assert all(v.shape == xprimes.shape for v in batch.values())
+        for i, xp in enumerate(xprimes):
             one = fam.constants_at(float(xp), rung, sign)
-            assert isinstance(one, PhaseConstants)
-            # exact equality, field for field: the batch is no approximation
-            for f in ("table", "c_t", "C_t", "c_tau", "C_tau",
-                      "eps", "eps_sign"):
-                assert getattr(cs, f) == getattr(one, f), (xp, rung, f)
+            assert list(one) == KEYS
+            # exact equality, key for key: the batch is no approximation
+            for key, v in one.items():
+                assert v.shape == () and v == batch[key][i], (xp, rung, key)
 
 
-FIELDS = ("table", "c_t", "C_t", "c_tau", "C_tau", "eps", "eps_sign")
+KEYS = [f"C_{a}{al}" for a in range(4) for al in range(4)] + [
+    "c_t", "C_t", "c_tau", "C_tau", "eps", "eps_sign"]
 
 
 @pytest.mark.parametrize("name", ["identity", "dilation", "quadratic-collar",
@@ -412,13 +416,70 @@ def test_constants_equal_broadcast_reduction(name, sign):
     # (m, T, U) broadcast, field for field and bit for bit
     phase = build_phase(name)
     fam = StarPhaseFamily(phase, phase.collar_halfwidth / 2.0, 1.0)
-    xprimes, ladder = np.linspace(-1, 1, 9), sg_ladder()
+    xprimes = np.linspace(-1, 1, 9)
     for rung in [2.0**j for j in range(9)]:
-        got = fam.constants_at(xprimes, rung, sign, ladder, ladder)
-        want = broadcast_constants(fam, xprimes, rung, sign, ladder)
-        for i, (cs, ref) in enumerate(zip(got, want, strict=True)):
-            for f in FIELDS:
-                assert getattr(cs, f) == ref[f], (rung, i, f)
+        got = fam.constants_at(xprimes, rung, sign)
+        want = broadcast_constants(fam, xprimes, rung, sign, LADDER)
+        assert len(want) == len(xprimes)
+        for i, ref in enumerate(want):
+            assert list(ref) == KEYS
+            for key, v in ref.items():
+                assert got[key][i] == v, (rung, i, key)
+
+
+def assert_equals_looped(rep, want):
+    # np.testing.assert_equal is == with NaN equal to NaN (and -0.0 not
+    # equal to 0.0); the combos of want run x' outer, rung inner
+    shape = rep.constants["eps"].shape
+    assert list(rep.ratios) == list(want["ratios"])
+    np.testing.assert_equal(rep.ratios, want["ratios"])
+    np.testing.assert_equal(rep.spread, want["spread"])
+    assert rep.failures == want["failures"]
+    assert rep.passed == want["passed"]
+    assert list(rep.constants) == list(want["per_combo"][0])
+    for key, v in rep.constants.items():
+        looped = np.array([pc[key] for pc in want["per_combo"]])
+        np.testing.assert_equal(v, looped.reshape(shape), err_msg=key)
+
+
+@pytest.mark.parametrize("name", ["identity", "dilation", "quadratic-collar",
+                                  "boundary-shear"])
+@pytest.mark.parametrize("margin", ["default", "strict"])
+def test_uniformity_equals_looped_oracle(name, margin):
+    from phasecert.runner import MARGIN_PRESETS
+    phase = build_phase(name)
+    half = phase.collar_halfwidth / 2.0
+    # a passing pair where the phase allows one, a sign change and a
+    # P1/P2 margin miss
+    for k, K in [(half, 1.0), (half / 2.0, 0.5), (half / 2.0, 4.0)]:
+        kwargs = dict(margins=MARGIN_PRESETS[margin])
+        assert_equals_looped(check_uniformity(phase, k, K, **kwargs),
+                             looped_uniformity(phase, k, K, **kwargs))
+
+
+def test_uniformity_equals_looped_oracle_on_a_nan_rung(monkeypatch):
+    # rung 4 of the dilation table: NaN in d_t *Phi at one (t, tau) point
+    # for every x', and in every derivative of the x' = 0 slab
+    real = ex._exec
+
+    def poisoned(prog, env):
+        out = real(prog, env)
+        if env.get("r") != 4.0:
+            return out
+        shape = np.broadcast_shapes(*(np.shape(env[v])
+                                      for v in ("x1", "t", "tau")))
+        table = [np.array(np.broadcast_to(v, shape)) for v in out]
+        table[4][:, 3, 5] = math.nan        # key (1, 0) of the 4 x 4 table
+        for v in table:
+            v[1] = math.nan
+        return table
+
+    monkeypatch.setattr(ex, "_exec", poisoned)
+    xprimes, rungs = [-0.5, 0.0, 0.5], [1.0, 4.0, 16.0]
+    rep = check_uniformity(DILATION, 0.5, 2.0, xprimes, rungs)
+    assert_equals_looped(rep, looped_uniformity(DILATION, 0.5, 2.0, xprimes,
+                                                rungs))
+    assert math.isnan(rep.ratios["C_t"]) and not rep.passed
 
 
 def test_nan_in_xprime_free_derivative_reaches_every_combo(monkeypatch):
@@ -440,11 +501,11 @@ def test_nan_in_xprime_free_derivative_reaches_every_combo(monkeypatch):
     fam = StarPhaseFamily(IDENTITY, 0.5, 1.0)
     batch = fam.constants_at(np.linspace(-1, 1, 5), 4.0)
     assert shapes and shapes[0][0] == 1
-    for cs in batch:
-        assert math.isnan(cs.table[(1, 0)])
-        assert math.isnan(cs.c_t) and math.isnan(cs.C_t)
-        assert math.isfinite(cs.table[(0, 1)]) and math.isfinite(cs.eps)
-        assert not cs.passes(Margins())
+    for key in ("C_10", "c_t", "C_t"):
+        assert np.isnan(batch[key]).all(), key
+    for key in ("C_01", "eps"):
+        assert np.isfinite(batch[key]).all(), key
+    assert not within_margins(batch, Margins()).any()
 
 
 @pytest.mark.parametrize("k", [0.5, 0.25, 0.125])
