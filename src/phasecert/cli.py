@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -166,6 +167,14 @@ def positive_int(text: str) -> int:
     return n
 
 
+def finite_float(text: str) -> float:
+    """An argparse type: a finite number."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="phasecert", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -192,10 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
                margin=False)
     p.add_argument("--function", default="h0",
                    help="catalog test function or inline expression in t")
-    p.add_argument("--xprime", type=float, default=0.3)
-    p.add_argument("--xi-prime", dest="xi_prime", type=float, default=1.0)
-    p.add_argument("--xn-min", type=float, default=-3.0)
-    p.add_argument("--xn-max", type=float, default=3.0)
+    p.add_argument("--xprime", type=finite_float, default=0.3)
+    p.add_argument("--xi-prime", dest="xi_prime", type=finite_float,
+                   default=1.0)
+    p.add_argument("--xn-min", type=finite_float, default=-3.0)
+    p.add_argument("--xn-max", type=finite_float, default=3.0)
     p.add_argument("--xn-count", type=positive_int, default=25)
 
     p = sub.add_parser("catalog", help="list or emit built-in scenarios")

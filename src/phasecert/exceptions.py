@@ -13,6 +13,10 @@ class NodeBudgetError(PhasecertError):
     """An expression grew past the hard node-count cap."""
 
 
+class NonIntegerDegreeError(PhasecertError):
+    """A parity test needs an integer homogeneous degree."""
+
+
 class SingularAxisError(PhasecertError):
     """Symbol is not smooth at the rescaled axis points (xi' = 0, xi_n = +-1)."""
 

@@ -576,6 +576,7 @@ class Program:
                                id(node) not in strict))
         self.n_regs = len(instrs)
         self.out_regs = tuple(reg_of[id(e)] for e in exprs)
+        self.out_vars = [free_vars(e) for e in exprs]
         last_read = {s: i for i, ins in enumerate(instrs) for s in ins[2]}
         frees: list[list[int]] = [[] for _ in instrs]
         for r, i in last_read.items():

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
+from .exceptions import SingularLocusError
 from .phase import GeneratingPhase, normal_coeffs
 from .quadrature import Oscillatory, cutoff_richardson, integrate_adaptive
 from .schwartz import SchwartzFn
@@ -47,15 +48,35 @@ class QuadratureSpec:
     max_doubles: int = 12
 
 
-def validate_support(support, collar_halfwidth: float):
-    """Raise ValueError when a declared support box (see SymbolFn) reaches
-    past the collar |x_n| <= collar_halfwidth; None declares no box."""
-    if support is not None:
-        lo, hi = support[1]
-        h = collar_halfwidth
-        if lo < -h - 1e-12 or hi > h + 1e-12:
-            raise ValueError(f"amplitude support [{lo}, {hi}] exceeds the "
-                             f"collar half-width {h}")
+def validate_support(support, collar_halfwidth: float, amp: ex.Expr):
+    """Raise ValueError when a declared support box (see SymbolFn) of the
+    amplitude amp is empty, reaches past the collar |x_n| <=
+    collar_halfwidth, or does not hold amp: amp must be exactly 0 (not
+    NaN) at sampled collar points with x_n outside the box.  None
+    declares no box."""
+    if support is None:
+        return
+    lo, hi = support[1]
+    h = collar_halfwidth
+    if not lo < hi:
+        raise ValueError(f"amplitude support [{lo}, {hi}] is empty")
+    if lo < -h - 1e-12 or hi > h + 1e-12:
+        raise ValueError(f"amplitude support [{lo}, {hi}] exceeds the "
+                         f"collar half-width {h}")
+    xn = np.concatenate([np.linspace(-h, lo, 9), np.linspace(hi, h, 9)])
+    xn = xn[(xn < lo) | (xn > hi)]
+    covectors = np.array([-4.0, -1.0, 0.0, 1.0, 4.0])
+    try:
+        vals = ex.eval_array(amp, {
+            "x1": np.linspace(-1.0, 1.0, 5)[:, None, None, None],
+            "xn": xn[:, None, None], "k1": covectors[:, None],
+            "kn": covectors})
+    except SingularLocusError:
+        vals = np.nan
+    bad = np.broadcast_to(~(vals == 0.0), (5, len(xn), 5, 5)).any((0, 2, 3))
+    if bad.any():
+        raise ValueError(f"the amplitude is not 0 at x_n = {xn[bad][0]:g}, "
+                         f"outside its support [{lo}, {hi}]")
 
 
 @dataclass
@@ -63,7 +84,8 @@ class NormalOperatorSpec:
     """Frozen normal-direction operator: phase + amplitude + (x', xi').
 
     A declared amplitude support box must sit inside the phase's collar
-    (the region where the nondegenerate mixed derivative is certified).
+    (the region where the nondegenerate mixed derivative is certified),
+    and the amplitude must vanish outside it.
     """
 
     phase: GeneratingPhase
@@ -75,7 +97,7 @@ class NormalOperatorSpec:
 
     def __post_init__(self):
         validate_support(self.amplitude.support,
-                             self.phase.collar_halfwidth)
+                         self.phase.collar_halfwidth, self.amplitude.expr)
 
     def frozen_phi(self) -> ex.Expr:
         return ex.substitute(self.phase.phi,

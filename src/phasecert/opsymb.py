@@ -11,7 +11,10 @@ frozen normal operator; rescaling the frequency integral by s = xi_n / r
 where b is the amplitude produced from a by differentiating the
 exponential-times-amplitude integrand in (x', xi') (and in x_n for output
 derivatives): each derivative maps b to i (d phase) b + d b, so the
-amplitudes stay closed-form pairs of real expressions.  Schwartz
+amplitudes stay closed-form pairs of real expressions.  The real parts
+of all of them are one compiled program, and each rung of a sweep is one
+quadrature.Oscillatory sum of that program, which decides how each part
+is summed.  Schwartz
 seminorms of the outputs are swept over a <xi'> ladder (ladder_window:
 the full ladder, or its saturated tail for a support-limited amplitude)
 and their growth exponent is fitted by symbols.fit_live_rungs, the
@@ -72,7 +75,8 @@ class ConjugatedFamily:
 
     Amplitude pairs (re, im) are built once per (xi'-order, x'-order,
     output-order) and compiled together, so a full ladder sweep costs one
-    program execution per rung, however many test functions it serves.
+    program execution per rung and block of nodes, however many test
+    functions it serves.
     """
 
     def __init__(self, spec: NormalOperatorSpec, max_xi: int = 2,
@@ -143,9 +147,9 @@ class ConjugatedFamily:
         Returns one {key: [complex array over t_grid per rung]} per test
         function, in the order of us; the s-th entries already carry the
         r^(-s) factor from rescaling the output derivative.  The test
-        functions share one s grid, the widest any of them needs, so one
-        ladder sweep serves them all: per rung, one program execution,
-        one panel sum and at most one dense kernel.
+        functions share one s grid, the widest any of them needs, and each
+        rung is one Oscillatory sum of every real amplitude part against
+        all their u_hat w.
         """
         if t_grid is None:
             t_grid = default_t_grid()
@@ -154,72 +158,23 @@ class ConjugatedFamily:
         nodes, weights = panel_nodes(a, b, n_panels, order=10)
         mid, half = panel_frame(a, b, n_panels)
         g = gauss_rule(10)[0]
-        n_u = len(us)
-        # u_hat w per test function (nodes x U), the same for every rung
+        # u_hat w per test function (panels x Q x U), the same for every rung
         uhat_w = np.stack([u.ft_values(nodes) / (2.0 * math.pi) * weights
-                           for u in us], axis=-1)
+                           for u in us], axis=-1).reshape(n_panels, 10, -1)
         out = [{key: [] for key in self.keys} for _ in us]
-        one = ex.const(1.0)
         for rung in rungs:
             xi = math.sqrt(max(rung * rung - 1.0, 0.0))
-            consts = {"x1": self.spec.xprime, "k1": xi, "r": float(rung)}
-            # e^{i phi_resc}, factored over the panels: phi_resc is
-            # linear in s whenever phi is linear in xi_n
-            osc = Oscillatory(self.phi_resc, one, dict(consts, t=t_grid),
-                              kvar="s")
-            vals = [np.asarray(v, dtype=float) for v in self._prog(
-                dict(consts, t=t_grid[:, None], s=nodes[None, :]))]
-            # the sum over nodes of each real amplitude part times
-            # e^{i phi_resc} u_hat w, by the part's shape: free of s it
-            # scales the plain sum, free of t it is a weight column of
-            # one panel sum, and only a part in both needs the dense grid
-            free_s, free_t, both = [], [], []
-            for i, v in enumerate(vals):
-                (free_s if v.ndim == 0 or v.shape[-1] == 1
-                 else free_t if v.shape[0] == 1 else both).append(i)
-            cols = np.concatenate(
-                [uhat_w] + [uhat_w * vals[i][0][:, None] for i in free_t],
-                axis=-1).reshape(n_panels, 10, -1)
-            col_sums = osc.panel_sum(mid, half, g, cols).reshape(
-                len(t_grid), -1, n_u)
-            del cols
-            # sums[i]: (t x U) sums of part i
-            sums = [None] * len(vals)
-            for i in free_s:
-                sums[i] = np.reshape(vals[i], (-1, 1)) * col_sums[:, 0]
-            for j, i in enumerate(free_t, start=1):
-                sums[i] = col_sums[:, j]
-            if both:
-                for i, v in zip(both, _dense_sums(osc.grid(mid, half, g),
-                                                  uhat_w,
-                                                  [vals[i] for i in both])):
-                    sums[i] = v
+            points = {"x1": self.spec.xprime, "k1": xi, "r": float(rung),
+                      "t": t_grid}
+            # (t x parts x U) sums of each real part (re, im per key)
+            sums = Oscillatory(self.phi_resc, self._prog, points,
+                               kvar="s").panel_sum(mid, half, g, uhat_w)
             for i, key in enumerate(self.keys):
-                res = (sums[2 * i] + 1j * sums[2 * i + 1]) \
+                res = (sums[:, 2 * i] + 1j * sums[:, 2 * i + 1]) \
                     * rung ** (-key[2])
-                for j in range(n_u):
-                    out[j][key].append(res[:, j])
+                for j, o in enumerate(out):
+                    o[key].append(res[:, j])
         return out
-
-
-def _dense_sums(kern: np.ndarray, uhat_w: np.ndarray, parts: list
-                ) -> list[np.ndarray]:
-    """(t x U) sums over s of kern u_hat w times each (t x s) part, for the
-    U columns of uhat_w.  One test function's product with the kernel is
-    held at a time, in one buffer read as (t x s x 2) real and imaginary
-    parts, so at most two (t, s) arrays are live beside the parts."""
-    n_t, n_u = kern.shape[0], uhat_w.shape[1]
-    sums = [np.empty((n_t, n_u), dtype=complex) for _ in parts]
-    ku = np.empty_like(kern)
-    re_im = ku.view(float).reshape(n_t, -1, 2)
-    for j in range(n_u):
-        np.multiply(kern, uhat_w[:, j], out=ku)
-        # a non-finite amplitude gives NaN sums, which fail the fit
-        with np.errstate(invalid="ignore"):
-            for part, out in zip(parts, sums):
-                re, im = np.matmul(part[:, None, :], re_im)[:, 0, :].T
-                out[:, j] = re + 1j * im
-    return sums
 
 
 @dataclass

@@ -13,9 +13,9 @@ Two integrals, one per transform class:
   cutoff :func:`expr.cutoff_expr`, evaluated at xi / 2R and compiled once.
 
 Both integrals sum through one kernel, :func:`panel_sum`, over the panel frame
-(midpoints mid, half-width half, Gauss abscissae g).  The frozen
-operators' integrand e^{i phi(x, xi)} a(x, xi) s(xi) at fixed points x is
-an :class:`Oscillatory`.  When d^2 phi / d xi^2 folds to exactly Const(0) in
+(midpoints mid, half-width half, Gauss abscissae g).  Every oscillatory
+integrand e^{i phi(x, xi)} a(x, xi) s(xi) at fixed points x is an
+:class:`Oscillatory`.  When d^2 phi / d xi^2 folds to exactly Const(0) in
 the expression DAG, phi = xi h(x) + c(x), and at a node
 xi = mid_p + half g_k the exponential factors as
 
@@ -31,13 +31,18 @@ both factors read from the midpoint array.  The Gauss abscissae are
 symmetric, g_{Q-1-k} = -g_k, so e^{i half g_k h} for the upper half of the
 nodes are the conjugates of the lower half's: P panels of Q nodes take
 ceil(P / B) + B + ceil(Q / 2) complex exponentials per point, once per
-call, instead of P Q.  If the amplitude is xi-free as well, the panels of
-each block are contracted first, (points x P) @ (P x Q * columns), and
-summed over the blocks; the Q nodes are contracted once, after the last
-block.  A phase that fails the test (the bad-transmission phase) takes the
-dense path, one exponential per (point, node) pair.  Every Oscillatory sum
-runs over blocks of whole panels of at most BLOCK (point, node) pairs, so
-on either path its memory is bounded by the block, not by the grid.
+call, instead of P Q.  A phase that fails the test (the bad-transmission
+phase) takes one exponential per (point, node) pair.
+
+Each amplitude is summed by what it depends on.  One free of xi scales the
+plain sum of e^{i phi} s; one in xi but in no array-valued point is one
+more weight column of that sum; only one in both is summed on the dense
+(points x nodes) kernel, one weight column at a time.  On a linear phase
+the plain and column sums contract the panels of each block first,
+(points x P) @ (P x Q * columns), summed over the blocks, and the Q nodes
+once, after the last block.  Every Oscillatory sum runs over blocks of
+whole panels of at most BLOCK (point, node) pairs, so its memory is
+bounded by the block, not by the grid.
 
 Integrands are complex-vectorized over the last axis; any leading axes
 (e.g. output sample points) ride along, and error estimates are reported
@@ -85,50 +90,50 @@ def panel_nodes(a: float, b: float, n_panels: int, order: int = 12):
 
 
 class Oscillatory:
-    """The integrand e^{i phi(x, xi)} a(x, xi) s(xi) at fixed points x.
+    """The integrands e^{i phi(x, xi)} a_j(x, xi) s(xi) at fixed points x.
 
-    phi and amp are expressions in the frequency kvar and in the names of
-    points, which maps each name to a 1-D array over the points or to a
-    scalar; spectrum is s, a function of the frequency alone (None for 1).
-    Grids are given by their panel frame: midpoints mid, half-width half
-    and Gauss abscissae g, node mid_p + half g_k.
+    phi is an expression and amps one expr.Program of real amplitudes a_j
+    (a single Expr is compiled to one), both in the frequency kvar and in
+    the names of points, which maps each name to a 1-D array over the
+    points or to a scalar; spectrum is s, a function of the frequency
+    alone (None for 1).  scaled, columns and dense list the amplitudes by
+    how they are summed, read from their free variables.  With none in
+    kvar, all are evaluated once, here; otherwise once per block.  Grids
+    are given by their panel frame: midpoints mid, half-width half and
+    Gauss abscissae g, node mid_p + half g_k.
     """
 
-    def __init__(self, phi: ex.Expr, amp: ex.Expr, points: dict,
+    def __init__(self, phi: ex.Expr, amps, points: dict,
                  spectrum=None, kvar: str = "kn"):
-        self.phi, self.amp, self.spectrum, self.kvar = \
-            phi, amp, spectrum, kvar
+        if isinstance(amps, ex.Expr):
+            amps = ex.Program([amps])
+        self.phi, self.amps, self.spectrum, self.kvar = \
+            phi, amps, spectrum, kvar
         self.env = {k: (v[:, None] if np.ndim(v) else v)
                     for k, v in points.items()}
         self.size = max(len(v) for v in self.env.values() if np.ndim(v))
-        d2 = ex.differentiate(ex.differentiate(phi, kvar), kvar)
-        self.linear = ex.is_const(d2, 0.0)
+        arrays = {k for k, v in points.items() if np.ndim(v)}
+        self.scaled, self.columns, self.dense = [], [], []
+        for j, names in enumerate(amps.out_vars):
+            (self.scaled if kvar not in names else self.dense
+             if names & arrays else self.columns).append(j)
+        self.fixed = None if self.columns or self.dense \
+            else amps(self.env)
+        self.linear = ex.is_const(ex.differentiate(
+            ex.differentiate(phi, kvar), kvar), 0.0)
         if self.linear:
-            # phi = kvar * slope + offset
+            # phi = kvar * slope + offset, each a (points x 1) column
             at_zero = dict(self.env, **{kvar: 0.0})
-            self.slope = self._column(ex.differentiate(phi, kvar), at_zero)
-            self.offset = self._column(phi, at_zero)
-        self.amp0 = None        # the amplitude, when it is kvar-free
-        if kvar not in ex.free_vars(amp):
-            self.amp0 = self._column(amp, self.env)
+            self.slope, self.offset = (
+                np.broadcast_to(ex.eval_array(e, at_zero), (self.size, 1))
+                for e in (ex.differentiate(phi, kvar), phi))
 
-    def _column(self, e: ex.Expr, env: dict) -> np.ndarray:
-        return np.broadcast_to(ex.eval_array(e, env), (self.size, 1))
-
-    def _dense(self, e: ex.Expr, nodes: np.ndarray) -> np.ndarray:
-        env = dict(self.env, **{self.kvar: nodes[None, :]})
-        return np.broadcast_to(ex.eval_array(e, env),
-                               (self.size, len(nodes)))
-
-    def _amp(self, nodes: np.ndarray) -> np.ndarray:
-        return self.amp0 if self.amp0 is not None \
-            else self._dense(self.amp, nodes)
-
-    def __call__(self, nodes: np.ndarray) -> np.ndarray:
-        """Dense (points x nodes) values, one complex exp per pair."""
-        out = self._values(nodes, None, None)
-        return out if self.spectrum is None \
-            else out * self.spectrum(nodes)[None, :]
+    def _amp_values(self, nodes: np.ndarray) -> list:
+        """The amplitudes at the points, with the nodes as a (1 x nodes)
+        row."""
+        if self.fixed is not None:
+            return self.fixed
+        return self.amps(dict(self.env, **{self.kvar: nodes[None, :]}))
 
     def _blocks(self, mid, half, g):
         """The grid in blocks of whole panels of at most BLOCK (point, node)
@@ -144,7 +149,7 @@ class Oscillatory:
         their conjugates in reverse order.
         """
         step = max(1, BLOCK // (self.size * len(g)))
-        outer = inner = None
+        inner = None
         if self.linear:
             n_b = math.isqrt(len(mid))
             coarse = np.exp(1j * (self.offset + mid[None, ::n_b] * self.slope))
@@ -155,79 +160,113 @@ class Oscillatory:
                 [inner, inner[:, :len(g) // 2][:, ::-1].conj()], axis=1)
         for lo in range(0, len(mid), step):
             p = np.arange(lo, min(lo + step, len(mid)))
-            if self.linear:
-                outer = coarse[:, p // n_b] * fine[:, p % n_b]
             yield (slice(lo, lo + step), (mid[p, None] + half * g).ravel(),
-                   outer, inner)
+                   coarse[:, p // n_b] * fine[:, p % n_b] if self.linear
+                   else None, inner)
 
-    def _values(self, nodes, outer, inner) -> np.ndarray:
-        """e^{i phi} a at every point and the nodes, from a block's outer
-        and inner factors, or densely when outer is None."""
+    def _kernel(self, nodes, outer, inner) -> np.ndarray:
+        """e^{i phi} at every point and the block's nodes, (points x
+        nodes), from its outer and inner factors, or densely, one complex
+        exp per pair, when outer is None."""
         if outer is None:
-            osc = np.exp(1j * self._dense(self.phi, nodes))
-        else:
-            # in C order, so that the reshape is a view: the gathered outer
-            # factor is column-major, and a product in its order is copied
-            osc = np.multiply(outer[..., None], inner[:, None, :],
-                              order="C").reshape(self.size, -1)
-        osc *= self._amp(nodes)
-        return osc
-
-    def grid(self, mid, half, g) -> np.ndarray:
-        """e^{i phi} a at every point and grid node, (points x P*Q),
-        panel-major; the spectrum is not applied."""
-        blocks = [self._values(nodes, outer, inner)
-                  for _, nodes, outer, inner in self._blocks(mid, half, g)]
-        return blocks[0] if len(blocks) == 1 \
-            else np.concatenate(blocks, axis=1)
+            env = dict(self.env, **{self.kvar: nodes[None, :]})
+            return np.exp(1j * np.broadcast_to(ex.eval_array(self.phi, env),
+                                               (self.size, len(nodes))))
+        # in C order, so that the reshape is a view: the gathered outer
+        # factor is column-major, and a product in its order is copied
+        return np.multiply(outer[..., None], inner[:, None, :],
+                           order="C").reshape(self.size, -1)
 
     def panel_sum(self, mid, half, g, weights) -> np.ndarray:
-        """sum over the grid nodes of the integrand times weights[p, k, ...]
-        at every point: shape (points,) + weights.shape[2:]."""
+        """sum over the grid nodes of each amplitude's integrand times
+        weights[p, k, ...] at every point: shape (points, amplitudes) +
+        weights.shape[2:]."""
         n_q, cols = weights.shape[1], weights.shape[2:]
         weights = weights.reshape(len(mid), n_q, -1)
-        factored = self.linear and self.amp0 is not None
-        # the factored path sums the panels of every block first,
-        # (points x P) @ (P x Q*cols), and the Q nodes once after the last
-        width = weights.shape[2] * (n_q if factored else 1)
-        out = np.zeros((self.size, width), dtype=complex)
+        n_w = weights.shape[2]
+        # the plain sum and its weight columns; on a linear phase they sum
+        # the panels of every block first, (points x P) @ (P x Q*columns),
+        # and the Q nodes once after the last
+        width = (1 + len(self.columns)) * n_w * (n_q if self.linear else 1)
+        plain = np.zeros((self.size, width), dtype=complex)
+        dense = np.zeros((self.size, len(self.dense), n_w), dtype=complex)
         for panels, nodes, outer, inner in self._blocks(mid, half, g):
             w = weights[panels]
             if self.spectrum is not None:
                 w = w * self.spectrum(nodes).reshape(len(w), n_q, 1)
-            if factored:
-                out += outer @ w.reshape(len(w), -1)
+            vals = self._amp_values(nodes)
+            kern = None if self.linear else self._kernel(nodes, outer, inner)
+            cw = w if not self.columns else np.concatenate(
+                [w] + [w * vals[j].reshape(len(w), n_q, 1)
+                       for j in self.columns], axis=-1)
+            if self.linear:
+                plain += outer @ cw.reshape(len(w), -1)
             else:
-                out += self._values(nodes, outer, inner) \
-                    @ w.reshape(len(nodes), -1)
-        if factored:
-            out = np.matmul(inner[:, None, :],
-                            out.reshape(self.size, n_q, -1))[:, 0, :] \
-                * self.amp0
-        return out.reshape((self.size,) + cols)
+                plain += kern @ cw.reshape(len(nodes), -1)
+            if self.dense:
+                if kern is None:
+                    kern = self._kernel(nodes, outer, inner)
+                # neither is live beside the dense sums' product buffer
+                del cw, outer
+                dense += _dense_sums(kern, w.reshape(len(nodes), -1),
+                                     [vals[j] for j in self.dense])
+        if self.linear:
+            plain = np.matmul(inner[:, None, :],
+                              plain.reshape(self.size, n_q, -1))[:, 0, :]
+        plain = plain.reshape(self.size, -1, n_w)
+        out = np.empty((self.size, len(self.amps.out_vars), n_w),
+                       dtype=complex)
+        for j in self.scaled:
+            out[:, j] = vals[j] * plain[:, 0]
+        out[:, self.columns] = plain[:, 1:]
+        out[:, self.dense] = dense
+        return out.reshape((self.size, -1) + cols)
 
     def point_sum(self, b: np.ndarray, mid, half, g) -> np.ndarray:
-        """sum_x b(x) times the integrand at every grid node, panel-major."""
+        """sum_x b(x) times the integrand of amplitude 0 at every grid
+        node, panel-major."""
         parts = []
         for _, nodes, outer, inner in self._blocks(mid, half, g):
-            if self.linear and self.amp0 is not None:
+            a = self._amp_values(nodes)[0]
+            if not self.linear or 0 in self.dense:
+                part = b @ (self._kernel(nodes, outer, inner) * a)
+            elif 0 in self.scaled:
                 # (b a e^{i (offset + mid slope)})^T @ e^{i half g slope}
-                part = ((b[:, None] * self.amp0 * outer).T @ inner).ravel()
+                part = ((b[:, None] * a * outer).T @ inner).ravel()
             else:
-                part = b @ self._values(nodes, outer, inner)
+                part = ((b[:, None] * outer).T @ inner).ravel() * a.ravel()
             parts.append(part if self.spectrum is None
                          else part * self.spectrum(nodes))
         return np.concatenate(parts)
 
 
+def _dense_sums(kern: np.ndarray, w: np.ndarray, amps: list) -> np.ndarray:
+    """(points x amplitudes x columns) sums over the nodes of kern w times
+    each (points x nodes) amplitude of amps, for the columns of w (nodes x
+    columns), one column at a time in one product buffer read as (points
+    x nodes x 2) real and imaginary parts."""
+    n_x = kern.shape[0]
+    out = np.empty((n_x, len(amps), w.shape[1]), dtype=complex)
+    ku = np.empty_like(kern)
+    re_im = ku.view(float).reshape(n_x, -1, 2)
+    for c in range(w.shape[1]):
+        np.multiply(kern, w[:, c], out=ku)
+        # a non-finite amplitude gives NaN sums, which fail their checks
+        with np.errstate(invalid="ignore"):
+            for k, a in enumerate(amps):
+                re, im = np.matmul(a[:, None, :], re_im)[:, 0, :].T
+                out[:, k, c] = re + 1j * im
+    return out
+
+
 def panel_sum(f, mid, half, g, weights) -> np.ndarray:
     """The quadrature kernel: f summed over the grid nodes mid_p + half g_k
     against weights shaped (panels, order) or (panels, order, columns).
-    An Oscillatory integrand sums itself, factored when its phase is
-    linear; any other callable is evaluated on the nodes.
+    An Oscillatory integrand sums its amplitude 0 itself, factored when
+    its phase is linear; any other callable is evaluated on the nodes.
     """
     if isinstance(f, Oscillatory):
-        return f.panel_sum(mid, half, g, weights)
+        return f.panel_sum(mid, half, g, weights)[:, 0]
     nodes = (mid[:, None] + half * g).ravel()
     return f(nodes) @ weights.reshape(len(nodes), *weights.shape[2:])
 

@@ -311,6 +311,7 @@ def load_scenario(source) -> Scenario:
         degree = amp.get("homogeneous_degree")
         if degree is not None:
             degree = _number(degree, "amplitude.homogeneous_degree")
+        expr = _expression(amp["expr"], "amplitude.expr")
         support = None
         box = amp.get("support_xn")
         if box is not None:
@@ -320,11 +321,10 @@ def load_scenario(source) -> Scenario:
             lo, hi = (_number(b, "amplitude.support_xn") for b in box)
             support = ((-1e9, 1e9), (lo, hi))
             try:
-                validate_support(support, collar_halfwidth)
+                validate_support(support, collar_halfwidth, expr)
             except ValueError as err:
                 raise ScenarioValidationError(
                     f"amplitude.support_xn: {err}") from None
-        expr = _expression(amp["expr"], "amplitude.expr")
         try:
             sc.amplitude = SymbolFn(expr, order=amp_order,
                                     homogeneous_degree=degree,

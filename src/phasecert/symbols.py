@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .exceptions import RegressionError, SingularLocusError
+from .exceptions import (NonIntegerDegreeError, RegressionError,
+                         SingularLocusError)
 from .grids import bracket_ladder
 from .symplectic import SAMPLE_DTYPE, XI_VARS
 
@@ -84,7 +85,8 @@ def check_transmission(a: SymbolFn, max_orders: int = 2
         raise ValueError("transmission check requires declared homogeneity")
     m = a.homogeneous_degree
     if abs(m - round(m)) > 1e-12:
-        raise ValueError("transmission parity needs an integer degree")
+        raise NonIntegerDegreeError(
+            f"transmission parity needs an integer degree, got {m:g}")
     m = int(round(m))
     orders = range(max_orders + 1)
     keys = [(k, al, be) for k in orders for al in orders for be in orders]

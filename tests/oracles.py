@@ -12,9 +12,11 @@ looped_uniformity checks and reduces those constants one (x', rung) combo
 at a time.  looped_transmission runs the parity check one derivative and
 one ray at a time, and looped_bs_sups the collar-class sweep one rung,
 one shell and one derivative at a time, each by its own eval_array call.
-blockwise_panel_sum contracts the Gauss nodes of a factored sum in every
-block, and per_function_outputs sweeps the conjugated outputs of one test
-function on its own s grid.
+The quadrature oracles never call the oscillatory kernel they check:
+dense_values takes one complex exponential per (point, node) pair,
+blockwise_panel_sum and cutoff_richardson_separate sum such dense values,
+and per_function_outputs sweeps the conjugated outputs of one test
+function on its own s grid by the dense formula.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from phasecert.exceptions import RegressionError, SingularLocusError
 from phasecert.expr import (GUARD, Expr, Program, const, derivative_multi,
                             differentiate, eval_array, evaluate, var)
 from phasecert.grids import bracket_ladder
-from phasecert.quadrature import (Oscillatory, gauss_rule, panel_frame,
-                                  panel_nodes)
+from phasecert.quadrature import panel_nodes
 from phasecert.sgphase import (LADDER, RATIO_KEYS, ZERO_FLOOR, Margins,
                                StarPhaseFamily)
 from phasecert.symbols import BsReport, loglog_fit
@@ -436,67 +437,52 @@ def looped_bs_report(a, m: float, l: float, xn_count: int = 33,
 # oscillatory panel sums and conjugated outputs
 # ---------------------------------------------------------------------------
 
-def blockwise_panel_sum(osc: Oscillatory, mid, half, g, weights
+def dense_values(phi, amp, xn, nodes, spectrum=None):
+    """The dense formula: e^{i phi} a s on every (point, node) pair, one
+    np.exp per pair."""
+    env = {"xn": xn[:, None], "kn": nodes[None, :]}
+    shape = (len(xn), len(nodes))
+    ph = np.broadcast_to(eval_array(phi, env), shape)
+    am = np.broadcast_to(eval_array(amp, env), shape)
+    vals = np.exp(1j * ph) * am
+    return vals if spectrum is None else vals * spectrum(nodes)[None, :]
+
+
+def blockwise_panel_sum(f, mid, half, g, weights, step: int
                         ) -> np.ndarray:
-    """Oscillatory.panel_sum with a factored sum's Q nodes contracted in
-    every block: the block's (points x Q*cols) panel sum against
-    e^{i half g_k slope}, times the amplitude, added over the blocks."""
+    """The dense values f(nodes) (points x nodes) summed against weights
+    shaped (panels, order) + columns, one block of step panels at a time,
+    and added over the blocks."""
     n_q, cols = weights.shape[1], weights.shape[2:]
     weights = weights.reshape(len(mid), n_q, -1)
     out = 0.0
-    for panels, nodes, outer, inner in osc._blocks(mid, half, g):
-        w = weights[panels]
-        if osc.spectrum is not None:
-            w = w * osc.spectrum(nodes).reshape(len(w), n_q, 1)
-        if osc.linear and osc.amp0 is not None:
-            per_node = (outer @ w.reshape(len(w), -1)
-                        ).reshape(osc.size, n_q, -1)
-            out = out + np.matmul(inner[:, None, :], per_node)[:, 0, :] \
-                * osc.amp0
-        else:
-            out = out + osc._values(nodes, outer, inner) \
-                @ w.reshape(len(nodes), -1)
-    return out.reshape((osc.size,) + cols)
+    for lo in range(0, len(mid), step):
+        nodes = (mid[lo:lo + step, None] + half * g).ravel()
+        out = out + f(nodes) @ weights[lo:lo + step].reshape(len(nodes), -1)
+    return out.reshape((-1,) + cols)
 
 
 def per_function_outputs(family, u, rungs, t_grid) -> dict:
     """ConjugatedFamily.outputs of the one test function u on the s grid
-    that u alone needs: per rung one program execution, one
-    blockwise_panel_sum and, for the parts that depend on both t and s,
-    one dense kernel times u_hat w, summed part by part."""
+    that u alone needs, by the dense formula: per rung, e^{i phi_resc}
+    with one np.exp per (t, s) pair, times each amplitude pair and u_hat
+    w, summed over the nodes."""
     t_grid = np.asarray(t_grid, dtype=float)
     a, b, n_panels = family._panels([u], float(np.max(np.abs(t_grid))))
     nodes, weights = panel_nodes(a, b, n_panels, order=10)
-    mid, half = panel_frame(a, b, n_panels)
-    g = gauss_rule(10)[0]
     uhat_w = u.ft_values(nodes) / (2.0 * math.pi) * weights
     out = {key: [] for key in family.keys}
     for rung in rungs:
-        xi = math.sqrt(max(rung * rung - 1.0, 0.0))
-        consts = {"x1": family.spec.xprime, "k1": xi, "r": float(rung)}
-        osc = Oscillatory(family.phi_resc, const(1.0),
-                          dict(consts, t=t_grid), kvar="s")
-        vals = [np.asarray(v, dtype=float) for v in family._prog(
-            dict(consts, t=t_grid[:, None], s=nodes[None, :]))]
-        free_s, free_t, both = [], [], []
-        for i, v in enumerate(vals):
-            (free_s if v.ndim == 0 or v.shape[-1] == 1
-             else free_t if v.shape[0] == 1 else both).append(i)
-        cols = np.stack([uhat_w] + [uhat_w * vals[i][0] for i in free_t],
-                        axis=-1)
-        col_sums = blockwise_panel_sum(osc, mid, half, g,
-                                       cols.reshape(n_panels, 10, -1))
-        sums = [None] * len(vals)
-        for i in free_s:
-            sums[i] = np.reshape(vals[i], -1) * col_sums[:, 0]
-        for j, i in enumerate(free_t, start=1):
-            sums[i] = col_sums[:, j]
-        if both:
-            kern = osc.grid(mid, half, g) * uhat_w
-            with np.errstate(invalid="ignore"):
-                for i in both:
-                    sums[i] = (kern * vals[i]).sum(axis=1)
-        for i, key in enumerate(family.keys):
-            res = sums[2 * i] + 1j * sums[2 * i + 1]
-            out[key].append(res * rung ** (-key[2]))
+        env = {"x1": family.spec.xprime,
+               "k1": math.sqrt(max(rung * rung - 1.0, 0.0)),
+               "r": float(rung), "t": t_grid[:, None], "s": nodes[None, :]}
+        phase = np.broadcast_to(eval_array(family.phi_resc, env),
+                                (len(t_grid), len(nodes)))
+        kern = np.exp(1j * phase) * uhat_w
+        parts = family._prog(env)
+        with np.errstate(invalid="ignore"):
+            for i, key in enumerate(family.keys):
+                amp = parts[2 * i] + 1j * parts[2 * i + 1]
+                out[key].append(np.sum(kern * amp, axis=1)
+                                * rung ** (-key[2]))
     return out

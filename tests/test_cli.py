@@ -57,6 +57,19 @@ def test_load_scenario_validation_errors():
         load_scenario({"name": "x", "phase": "x1*k1 + xn*kn",
                        "amplitude": {"expr": "1", "support_xn": [-2, 2]},
                        "checks": ["phase", "operator"]})
+    # a declared box is verified: the amplitude must vanish outside it,
+    # and an inverted box holds nothing
+    dilation = catalog.emit("dilation")
+    for box, message in (([-0.5, 0.5], r"is not 0 at x_n = -1, outside"),
+                         ([0.5, -0.5], r"support \[0.5, -0.5\] is empty")):
+        dilation["amplitude"] = {"expr": "1", "order": 0.0,
+                                 "support_xn": box}
+        with pytest.raises(ScenarioValidationError,
+                           match="support_xn: .*" + message):
+            load_scenario(dilation)
+    # the collar cutoff of quadratic-collar vanishes for |x_n| >= 0.5
+    dilation["amplitude"] = catalog.emit("quadratic-collar")["amplitude"]
+    assert load_scenario(dilation).amplitude.support[1] == (-0.5, 0.5)
     # a misspelt amplitude key would leave the degree undeclared
     with pytest.raises(ScenarioValidationError,
                        match="unknown amplitude keys {'homogenous_degree'}"):
@@ -91,6 +104,8 @@ AMPLITUDE_EDITS = [
                            "operator.l2_bound"]),
     # bounded, but no symbol of order 0: its xi_n-derivative does not decay
     ("sin(40*kn)", 0, None, ["opsymb.order_fit"]),
+    # homogeneous of degree 1/2: no parity to test, a failure, not an error
+    ("sqrt(norm(k1,kn))", 0.5, 0.5, ["operator.amplitude_transmission"]),
 ]
 
 # dilation's phase replaced, with no map and the phase family only:
@@ -363,7 +378,12 @@ def test_cli_report_render(tmp_path, capsys):
     ["report", "render", "{tmp}/no_checks.json"],
     ["apply", "--scenario", "identity", "--xn-count", "0"],
     ["apply", "--scenario", "identity", "--function", "zz*t"],
-    ["apply", "--scenario", "identity", "--function", "1"]], ids=" ".join)
+    ["apply", "--scenario", "identity", "--function", "1"],
+    ["apply", "--scenario", "identity", "--xn-max", "inf"],
+    ["apply", "--scenario", "identity", "--xn-min", "-inf"],
+    ["apply", "--scenario", "identity", "--xprime", "nan"],
+    ["apply", "--scenario", "identity", "--xi-prime", "nan"]],
+    ids=" ".join)
 def test_cli_error_exits_2_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "no_checks.json").write_text(json.dumps({"scenario": "x"}))
     try:

@@ -19,7 +19,8 @@ from phasecert.quadrature import (Oscillatory, cutoff_richardson,
 from phasecert.schwartz import exp_decay, hermite_fn
 from phasecert.symbols import SymbolFn
 
-from oracles import blockwise_panel_sum, cutoff_richardson_separate
+from oracles import (blockwise_panel_sum, cutoff_richardson_separate,
+                     dense_values)
 
 AMP_ONE = SymbolFn(parse_expr("1"), order=0.0)
 
@@ -42,6 +43,18 @@ def halfline_integrand(name, xn):
     return f, normalop.CUTOFF_RADIUS, 1.5 * rate
 
 
+def halfline_dense(name, xn):
+    """The dense formula of halfline_integrand(name, xn), a function of
+    the nodes."""
+    spec = spec_of(name)
+    phi, amp = spec.frozen_phi(), spec.frozen_amplitude()
+
+    def spectrum(nodes):
+        return exp_decay().half_ft_values(nodes) / (2.0 * np.pi)
+
+    return lambda nodes: dense_values(phi, amp, xn, nodes, spectrum)
+
+
 XN = np.linspace(0.05, 3.0, 8)
 
 
@@ -49,7 +62,8 @@ XN = np.linspace(0.05, 3.0, 8)
 def test_shared_grid_matches_three_grid_oracle(name):
     f, R, ppu = halfline_integrand(name, XN)
     val, err, _ = cutoff_richardson(f, R, ppu)
-    i1, i2, i4, want = cutoff_richardson_separate(f, R, ppu)
+    i1, i2, i4, want = cutoff_richardson_separate(halfline_dense(name, XN),
+                                                  R, ppu)
     assert np.max(np.abs(val - want)) <= 1e-10
     assert np.max(np.abs(err - np.abs(want - (2.0 * i4 - i2)))) <= 1e-10
 
@@ -189,16 +203,6 @@ def kernel_grid():
     return mid, half, g, nodes, W.reshape(160, 12, 3)
 
 
-def dense_values(phi, amp, xn, nodes, spectrum=None):
-    """The dense formula: e^{i phi} a s on every (point, node) pair."""
-    env = {"xn": xn[:, None], "kn": nodes[None, :]}
-    shape = (len(xn), len(nodes))
-    ph = np.broadcast_to(ex.eval_array(phi, env), shape)
-    am = np.broadcast_to(ex.eval_array(amp, env), shape)
-    vals = np.exp(1j * ph) * am
-    return vals if spectrum is None else vals * spectrum(nodes)[None, :]
-
-
 def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -226,30 +230,52 @@ def test_factored_kernel_matches_dense_sum(name, complex_exp_sizes):
     ft = hermite_fn(2).ft_values
     mid, half, g, nodes, W = kernel_grid()
     osc = Oscillatory(phi, amp, {"xn": KERNEL_XN}, spectrum=ft)
-    assert osc.linear and osc.amp0 is not None
+    assert osc.linear and osc.scaled == [0]
     got = osc.panel_sum(mid, half, g, W)
     assert max(complex_exp_sizes) <= len(KERNEL_XN) * len(mid)
     want = dense_values(phi, amp, KERNEL_XN, nodes, ft) @ W.reshape(-1, 3)
-    assert got.shape == (len(KERNEL_XN), 3)
-    assert_close(got, want)
+    assert got.shape == (len(KERNEL_XN), 1, 3)
+    assert_close(got[:, 0], want)
     b = hermite_fn(1)(KERNEL_XN)
     assert_close(osc.point_sum(b, mid, half, g),
                  b @ dense_values(phi, amp, KERNEL_XN, nodes, ft))
 
 
-@pytest.mark.parametrize("amp", ["bracket(kn)^(-2)", "xn*kn/bracket(kn)"])
-def test_linear_phase_with_xi_dependent_amplitude(amp, complex_exp_sizes):
+def kernel_spy(monkeypatch):
+    """The number of (points x nodes) kernels an Oscillatory forms."""
+    calls = []
+    real = Oscillatory._kernel
+    monkeypatch.setattr(Oscillatory, "_kernel",
+                        lambda self, *a: calls.append(1) or real(self, *a))
+    return calls
+
+
+# (amplitude, how it is summed): one in xi_n alone is a weight column of
+# the factored sum, one in x_n and xi_n is summed on the dense kernel
+XI_AMPLITUDES = [("bracket(kn)^(-2)", "columns"),
+                 ("cos(kn)/bracket(kn)", "columns"),
+                 ("xn*kn/bracket(kn)", "dense")]
+
+
+@pytest.mark.parametrize("amp,kind", XI_AMPLITUDES,
+                         ids=[amp for amp, _ in XI_AMPLITUDES])
+def test_linear_phase_with_xi_dependent_amplitude(monkeypatch, amp, kind,
+                                                  complex_exp_sizes):
     phi = spec_of("dilation").frozen_phi()
     amp = parse_expr(amp)
     mid, half, g, nodes, W = kernel_grid()
     osc = Oscillatory(phi, amp, {"xn": KERNEL_XN})
-    assert osc.linear and osc.amp0 is None
+    assert osc.linear and getattr(osc, kind) == [0]
     dense = dense_values(phi, amp, KERNEL_XN, nodes)
     n_exps = len(complex_exp_sizes)
-    assert_close(osc.panel_sum(mid, half, g, W), dense @ W.reshape(-1, 3))
+    kernels = kernel_spy(monkeypatch)
+    assert_close(osc.panel_sum(mid, half, g, W)[:, 0],
+                 dense @ W.reshape(-1, 3))
     b = hermite_fn(1)(KERNEL_XN)
     assert_close(osc.point_sum(b, mid, half, g), b @ dense)
     assert max(complex_exp_sizes[n_exps:]) <= len(KERNEL_XN) * len(mid)
+    # the factored path forms no (points x nodes) kernel in either sum
+    assert len(kernels) == (2 if kind == "dense" else 0)
 
 
 def bad_transmission_phi() -> ex.Expr:
@@ -266,7 +292,7 @@ def test_nonlinear_phase_takes_the_dense_path(complex_exp_sizes):
     mid, half, g, nodes, W = kernel_grid()
     osc = Oscillatory(phi, amp, {"xn": KERNEL_XN})
     assert not osc.linear
-    got = osc.panel_sum(mid, half, g, W)
+    got = osc.panel_sum(mid, half, g, W)[:, 0]
     assert max(complex_exp_sizes) == len(KERNEL_XN) * len(nodes)
     assert_close(got, dense_values(phi, amp, KERNEL_XN, nodes)
                  @ W.reshape(-1, 3))
@@ -284,26 +310,57 @@ PANEL_SUM_CASES = {
 
 @pytest.mark.parametrize("case", PANEL_SUM_CASES)
 def test_panel_sum_matches_the_blockwise_contraction(monkeypatch, case):
-    # in one block and in blocks of 7 panels; a factored sum contracts
-    # its Q nodes once after the last block, the oracle in every block
+    # in one block and in blocks of 7 panels, against the dense formula
+    # summed block by block; a factored sum contracts its Q nodes once
+    # after the last block
     dense, amp, spectrum, cols = PANEL_SUM_CASES[case]
     phi = bad_transmission_phi() if dense \
         else spec_of("dilation").frozen_phi()
+    amp = parse_expr(amp)
     mid, half, g, _, W = kernel_grid()
     if cols is None:
         W = W[..., 0]
-    osc = Oscillatory(phi, parse_expr(amp), {"xn": KERNEL_XN},
-                      spectrum=hermite_fn(2).ft_values if spectrum else None)
+    spectrum = hermite_fn(2).ft_values if spectrum else None
+    osc = Oscillatory(phi, amp, {"xn": KERNEL_XN}, spectrum=spectrum)
     for block in (quadrature.BLOCK, 7 * len(KERNEL_XN) * len(g)):
         monkeypatch.setattr(quadrature, "BLOCK", block)
-        got = osc.panel_sum(mid, half, g, W)
-        want = blockwise_panel_sum(osc, mid, half, g, W)
+        got = osc.panel_sum(mid, half, g, W)[:, 0]
+        want = blockwise_panel_sum(
+            lambda nodes: dense_values(phi, amp, KERNEL_XN, nodes, spectrum),
+            mid, half, g, W, max(1, block // (len(KERNEL_XN) * len(g))))
         assert got.shape == want.shape == (len(KERNEL_XN),) + W.shape[2:]
-        if osc.linear and osc.amp0 is not None:
+        if osc.linear:
             assert_close(got, want)
         else:
             # the same products, summed in the same order
             assert np.array_equal(got, want)
+
+
+# one amplitude of each kind in one program: scaled (free of xi_n),
+# a weight column (xi_n alone) and dense (x_n and xi_n)
+MIXED_AMPLITUDES = ["1", "exp(-xn^2)", "bracket(kn)^(-2)",
+                    "xn*kn/bracket(kn)", "cos(xn*kn)"]
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["linear", "nonlinear"])
+def test_amplitudes_of_one_program_match_the_dense_formula(monkeypatch,
+                                                           dense):
+    # each amplitude of one Oscillatory, with a spectrum, against the
+    # dense formula, in one block and in blocks of 7 panels
+    phi = bad_transmission_phi() if dense \
+        else spec_of("dilation").frozen_phi()
+    amps = [parse_expr(a) for a in MIXED_AMPLITUDES]
+    ft = hermite_fn(2).ft_values
+    mid, half, g, nodes, W = kernel_grid()
+    osc = Oscillatory(phi, ex.Program(amps), {"xn": KERNEL_XN}, spectrum=ft)
+    assert (osc.scaled, osc.columns, osc.dense) == ([0, 1], [2], [3, 4])
+    for block in (quadrature.BLOCK, 7 * len(KERNEL_XN) * len(g)):
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        got = osc.panel_sum(mid, half, g, W)
+        assert got.shape == (len(KERNEL_XN), len(amps), 3)
+        for j, amp in enumerate(amps):
+            assert_close(got[:, j], dense_values(phi, amp, KERNEL_XN, nodes,
+                                                 ft) @ W.reshape(-1, 3))
 
 
 @pytest.mark.parametrize("order", [10, 12])
