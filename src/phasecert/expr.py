@@ -26,20 +26,18 @@ SQRT
 BRACKET    (u_1, ..., u_m)             -
 NORM       ()                          the variable names
 BUMPD      (s,)                        the derivative order
-GUARD      (gate, payload)             -
 =========  ==========================  ===============================
 
 BRACKET is the japanese bracket ``<u> = sqrt(1 + sum u_i^2)``, NORM the
-euclidean norm of a variable tuple, BUMPD a derivative of the smooth bump
-transition ``F(s) = exp(-1/s) for s > 0 else 0``, and GUARD a guarded
-product used to extend cutoff-localized terms by zero outside the
-cutoff's support.  Nodes are built through the smart constructors below,
-which fold constants.
+euclidean norm of a variable tuple and BUMPD a derivative of the smooth
+bump transition ``F(s) = exp(-1/s) for s > 0 else 0``.  Nodes are built
+through the smart constructors below, which fold constants.
 
 Expressions containing the euclidean norm, quotients, logs or square roots
 declare a singular locus; evaluation requests inside it raise
 :class:`~phasecert.exceptions.SingularLocusError` instead of silently
-computing a garbage value, except inside a guard payload (see :func:`guard`).
+computing a garbage value.  A term that is only needed on a cutoff's
+support is evaluated only there, by its caller (see :mod:`sgphase`).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ HOMOGENEITY_LAMBDAS = (2.0, 10.0, 100.0)  # fiber scalings of the oracle
 
 # Node kinds, which are also the opcodes of the compiled evaluator.
 CONST, VAR, SUM, NEG, PROD, QUOT, POW, EXP, LOG, SIN, COS, \
-    SQRT, BRACKET, NORM, BUMPD, GUARD = range(16)
+    SQRT, BRACKET, NORM, BUMPD = range(15)
 
 
 class Expr:
@@ -288,24 +286,6 @@ def cutoff_expr(u) -> Expr:
     return quot(a, add(a, b))
 
 
-def guard(gate, payload) -> Expr:
-    """gate * payload with the payload extended by zero where gate == 0.
-
-    Used for cutoff-localized phase terms.  The payload is evaluated on
-    the whole grid, relaxed: where it is singular it gives NaN instead of
-    raising.  Wherever the gate vanishes that value is replaced by 0, so
-    the payload may be undefined there; a non-finite value left inside the
-    gate's support raises SingularLocusError.
-    """
-    gate = _coerce(gate)
-    payload = _coerce(payload)
-    if gate.op == CONST:
-        if gate.aux == 0.0:
-            return const(0.0)
-        return mul(gate, payload)
-    return Expr(GUARD, (gate, payload))
-
-
 # ---------------------------------------------------------------------------
 # bump derivative polynomials
 # ---------------------------------------------------------------------------
@@ -424,10 +404,6 @@ def _diff_node(e: Expr, v: str) -> Expr:
         return const(0.0)
     if op == BUMPD:
         return mul(Expr(BUMPD, args, e.aux + 1), _diff(args[0], v))
-    if op == GUARD:
-        gate, payload = args
-        return add(guard(_diff(gate, v), payload),
-                   guard(gate, _diff(payload, v)))
     raise TypeError(f"cannot differentiate node kind {op}")
 
 
@@ -477,7 +453,7 @@ def derivative_multi(e: Expr, orders: dict[str, int]) -> Expr:
 # take their aux (exponent, order) as the last argument
 _REBUILD = {SUM: add, NEG: neg, PROD: mul, QUOT: quot, POW: powi,
             EXP: exp_, LOG: log_, SIN: sin_, COS: cos_, SQRT: sqrt_,
-            BRACKET: bracket, BUMPD: bump, GUARD: guard}
+            BRACKET: bracket, BUMPD: bump}
 
 
 def substitute(e: Expr, mapping: dict[str, Expr | float]) -> Expr:
@@ -522,9 +498,8 @@ def substitute(e: Expr, mapping: dict[str, Expr | float]) -> Expr:
     return rebuild(e)
 
 
-def _topo(e: Expr, children=lambda node: node.args) -> list[Expr]:
-    """Children-before-parents ordering of the DAG under e, whose edges
-    are children(node)."""
+def _topo(e: Expr) -> list[Expr]:
+    """Children-before-parents ordering of the DAG under e."""
     out = []
     seen = set()
     stack = [(e, False)]
@@ -537,7 +512,7 @@ def _topo(e: Expr, children=lambda node: node.args) -> list[Expr]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for c in children(node):
+        for c in node.args:
             if id(c) not in seen:
                 stack.append((c, False))
     return out
@@ -551,29 +526,23 @@ class Program:
     """Several expressions compiled to one straight-line register program
     over their shared DAG; calling it on an environment evaluates them all.
 
-    Each node, guard payloads included, is one instruction (op, dst,
-    source registers, aux, relaxed, free), so a subexpression that several
-    guards share is computed once.  A GUARD reads its gate and payload
-    registers.  A node is strict if an output reaches it without passing
-    through a payload edge, and raises SingularLocusError on its singular
-    locus; every other node is relaxed and gives NaN there instead.
-    free lists the registers whose last read is this instruction, which
-    are dropped once it has run; output registers are never freed.
+    Each node is one instruction (op, dst, source registers, aux, free),
+    so a subexpression that several outputs share is computed once, and
+    every node raises SingularLocusError on its singular locus.  free
+    lists the registers whose last read is this instruction, which are
+    dropped once it has run; output registers are never freed.
     """
 
     def __init__(self, exprs: list[Expr]):
         instrs: list = []
         reg_of: dict[int, int] = {}
-        strict = {id(node) for e in exprs for node in _topo(
-            e, lambda n: n.args[:1] if n.op == GUARD else n.args)}
         for e in exprs:
             for node in _topo(e):
                 if id(node) in reg_of:
                     continue
                 reg_of[id(node)] = dst = len(instrs)
                 srcs = tuple(reg_of[id(c)] for c in node.args)
-                instrs.append((node.op, dst, srcs, node.aux,
-                               id(node) not in strict))
+                instrs.append((node.op, dst, srcs, node.aux))
         self.n_regs = len(instrs)
         self.out_regs = tuple(reg_of[id(e)] for e in exprs)
         self.out_vars = [free_vars(e) for e in exprs]
@@ -625,9 +594,8 @@ def _any(mask) -> bool:
 
 def _exec(prog: Program, env: dict) -> list:
     regs: list = [None] * prog.n_regs
-    nan = np.float64("nan")
     with np.errstate(all="ignore"):
-        for op, dst, srcs, aux, relaxed, free in prog.instrs:
+        for op, dst, srcs, aux, free in prog.instrs:
             if op == CONST:
                 val = np.float64(aux)
             elif op == VAR:
@@ -644,46 +612,32 @@ def _exec(prog: Program, env: dict) -> list:
                     val = val * regs[s]
             elif op == QUOT:
                 num, den = regs[srcs[0]], regs[srcs[1]]
-                bad = den == 0.0
-                if _any(bad):
-                    if not relaxed:
-                        raise SingularLocusError("zero denominator")
-                    val = np.where(bad, nan, num / np.where(bad, 1.0, den))
-                else:
-                    val = num / den
+                if _any(den == 0.0):
+                    raise SingularLocusError("zero denominator")
+                val = num / den
             elif op == POW:
                 base = regs[srcs[0]]
                 if aux < 0 and _any(base == 0.0):
-                    if not relaxed:
-                        raise SingularLocusError(
-                            "zero base with negative exponent")
-                    base = np.where(base == 0.0, nan, base)
+                    raise SingularLocusError(
+                        "zero base with negative exponent")
                 val = base**aux
             elif op == EXP:
                 val = np.exp(regs[srcs[0]])
             elif op == LOG:
                 arg = regs[srcs[0]]
-                bad = arg <= 0.0
-                if _any(bad):
-                    if not relaxed:
-                        raise SingularLocusError("log of non-positive value")
-                    val = np.where(bad, nan, np.log(np.where(bad, 1.0, arg)))
-                else:
-                    val = np.log(arg)
+                if _any(arg <= 0.0):
+                    raise SingularLocusError("log of non-positive value")
+                val = np.log(arg)
             elif op == SIN:
                 val = np.sin(regs[srcs[0]])
             elif op == COS:
                 val = np.cos(regs[srcs[0]])
             elif op == SQRT:
                 arg = regs[srcs[0]]
-                bad = arg <= 0.0
-                if _any(bad):
-                    if not relaxed:
-                        raise SingularLocusError(
-                            "sqrt at or below its singular point 0")
-                    val = np.where(bad, nan, np.sqrt(np.where(bad, 1.0, arg)))
-                else:
-                    val = np.sqrt(arg)
+                if _any(arg <= 0.0):
+                    raise SingularLocusError(
+                        "sqrt at or below its singular point 0")
+                val = np.sqrt(arg)
             elif op == BRACKET:
                 acc = np.float64(1.0)
                 for s in srcs:
@@ -694,25 +648,12 @@ def _exec(prog: Program, env: dict) -> list:
                 for name in aux:
                     x = _lookup(env, name)
                     acc = acc + np.asarray(x, dtype=np.float64)**2
-                bad = acc == 0.0
-                if _any(bad):
-                    if not relaxed:
-                        raise SingularLocusError(
-                            "euclidean norm evaluated at the origin")
-                    val = np.where(bad, nan, np.sqrt(acc))
-                else:
-                    val = np.sqrt(acc)
+                if _any(acc == 0.0):
+                    raise SingularLocusError(
+                        "euclidean norm evaluated at the origin")
+                val = np.sqrt(acc)
             elif op == BUMPD:
                 val = _bump_eval(regs[srcs[0]], aux)
-            elif op == GUARD:
-                garr = np.asarray(regs[srcs[0]])
-                if not np.any(garr != 0.0):
-                    val = garr * 0.0
-                else:
-                    val = np.where(garr == 0.0, 0.0, garr * regs[srcs[1]])
-                    if not relaxed and not np.all(np.isfinite(val)):
-                        raise SingularLocusError(
-                            "guarded payload singular inside gate support")
             else:  # pragma: no cover
                 raise AssertionError(op)
             regs[dst] = val
@@ -724,11 +665,6 @@ def _exec(prog: Program, env: dict) -> list:
 def eval_array(e: Expr, values: dict[str, float | np.ndarray]):
     """Evaluate e with numpy broadcasting over array-valued variables."""
     return _compiled(e)(values)[0]
-
-
-def eval_array_many(exprs: list[Expr], values: dict) -> list:
-    """Evaluate several expressions sharing one DAG traversal."""
-    return Program(exprs)(values)
 
 
 def evaluate(e: Expr, point: dict[str, float]) -> float:

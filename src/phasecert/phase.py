@@ -131,7 +131,7 @@ def check_homogeneity(phase: GeneratingPhase,
     res = ex.homogeneity_residual(phase.psi, set(XI_VARS), 1.0, samples)
     lhs = ex.add(*(ex.mul(ex.var(v), ex.differentiate(phase.psi, v))
                    for v in XI_VARS))
-    lhs_v, psi_v = ex.eval_array_many([lhs, phase.psi], samples)
+    lhs_v, psi_v = ex.Program([lhs, phase.psi])(samples)
     euler, _ = sup((lhs_v - psi_v) / np.maximum(1.0, np.abs(psi_v)),
                    len(samples))
     tol = HOMOGENEITY_TOL
@@ -149,11 +149,10 @@ def check_generating(phase: GeneratingPhase, chi: SymplectoMap,
     """
     count = len(samples)
     # samples carry (x, eta) in the shared names
-    grads = ex.eval_array_many(phase.grad_xi() + phase.grad_x(), samples)
+    grads = ex.Program(phase.grad_xi() + phase.grad_x())(samples)
     y, xi = grads[:2], grads[2:]
     src = dict(zip(X_VARS, y)) | {c: samples[c] for c in XI_VARS}
-    got = ex.eval_array_many([chi.components[v] for v in X_VARS + XI_VARS],
-                             src)
+    got = ex.Program([chi.components[v] for v in X_VARS + XI_VARS])(src)
     want = [samples[v] for v in X_VARS] + xi
     res = np.max([np.abs(np.broadcast_to(g - w, (count,)))
                   for g, w in zip(got, want)], axis=0)

@@ -6,8 +6,10 @@ regularized phase in the normal pair (t, tau) is
     *Phi(t, tau) = w_k(t/r) phi(x', t/r, xi', tau r) + (1 - w_k(t/r)) K t tau
 
 with r = <xi'> and a smooth even cutoff w_k(s) = w(s/k) that is 1 for
-|s| <= k/2 and 0 for |s| >= k.  Three conditions are certified on pinned
-(t, tau) grids:
+|s| <= k/2 and 0 for |s| >= k.  It is built as K t tau + w_k (phi - K t
+tau), and off the cutoff's support it is exactly K t tau, so phi is read
+only on the t columns where w_k is live.  Three conditions are certified
+on pinned (t, tau) grids:
 
   P1:  |d_t^a d_tau^al *Phi| <= C_a,al <t>^(1-a) <tau>^(1-al)
   P2:  c <tau> <= <d_t *Phi> <= C <tau>  and  c <t> <= <d_tau *Phi> <= C <t>
@@ -64,6 +66,48 @@ def within_margins(constants: dict[str, np.ndarray],
     return np.all(lows + highs, axis=0)
 
 
+def _derivative_table(e: ex.Expr, order_bound: int) -> dict:
+    """(a, al) -> d_t^a d_tau^al e for a, al <= order_bound, a outer and
+    al inner: d_tau of the entry left of it, or d_t of the one above when
+    al = 0."""
+    table = {(0, 0): e}
+    for a in range(order_bound + 1):
+        for al in range(order_bound + 1):
+            if al:
+                table[a, al] = ex.differentiate(table[a, al - 1], "tau")
+            elif a:
+                table[a, 0] = ex.differentiate(table[a - 1, 0], "t")
+    return table
+
+
+def _block_bounds(vals: dict, t: np.ndarray) -> dict:
+    """name -> (np.maximum or np.minimum, bound) of the P1/P2/P3
+    quantities of one block of the derivative table, on the t columns t
+    against the whole ladder; each bound is reduced over (t, tau) and keeps
+    its entry's leading axis, m or 1 where it does not depend on x'.  The
+    P3 sign test reads d11_min and d11_max."""
+    shape = (1, t.size, LADDER.size)
+    vals = {key: np.broadcast_to(v, np.broadcast_shapes(np.shape(v), shape))
+            for key, v in vals.items()}
+    bt = np.sqrt(1.0 + t * t)[None, :, None]
+    btau = np.sqrt(1.0 + LADDER * LADDER)[None, None, :]
+
+    def sup(v):
+        return np.maximum, np.max(v, axis=(1, 2))
+
+    def inf(v):
+        return np.minimum, np.min(v, axis=(1, 2))
+
+    out = {f"C_{a}{al}": sup(np.abs(D) * bt ** (a - 1) * btau ** (al - 1))
+           for (a, al), D in vals.items()}
+    d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
+    q_t = np.sqrt(1.0 + d10 * d10) / btau
+    q_tau = np.sqrt(1.0 + d01 * d01) / bt
+    out.update(c_t=inf(q_t), C_t=sup(q_t), c_tau=inf(q_tau), C_tau=sup(q_tau),
+               eps=inf(np.abs(d11)), d11_min=inf(d11), d11_max=sup(d11))
+    return out
+
+
 class StarPhaseFamily:
     """The regularized phase with (x', xi') left symbolic.
 
@@ -72,7 +116,10 @@ class StarPhaseFamily:
     freezing only binds values at evaluation time, so the symbolic work
     and the compiled DAG are shared across the whole uniformity sweep.
     A rung binds r and xi' as scalars and may bind x1 as an array of x'
-    samples, so the sweep runs the table once per rung.
+    samples, so the sweep runs the table once per rung.  Two small
+    programs go with it: the cutoff gate w_k(t/r), which picks the t
+    columns the table runs on, and the table of K t tau, which equals the
+    table on every other column.
     """
 
     def __init__(self, phase: GeneratingPhase, k: float, K: float,
@@ -92,20 +139,15 @@ class StarPhaseFamily:
             phase.phi, {"xn": ex.quot(t, r), "kn": ex.mul(tau, r)})
         gate = cutoff_expr(ex.quot(t, ex.mul(r, ex.const(self.k))))
         ktt = ex.mul(ex.const(self.K), t, tau)
-        self.expr = ex.add(ex.guard(gate, phi_resc),
-                           ex.mul(ex.sub(ex.const(1.0), gate), ktt))
-        # (a, al) -> d_t^a d_tau^al *Phi, a outer and al inner: d_tau of
-        # the entry left of it, or d_t of the one above when al = 0
-        self.table = {(0, 0): self.expr}
-        for a in range(order_bound + 1):
-            for al in range(order_bound + 1):
-                if al:
-                    self.table[a, al] = ex.differentiate(
-                        self.table[a, al - 1], "tau")
-                elif a:
-                    self.table[a, 0] = ex.differentiate(
-                        self.table[a - 1, 0], "t")
+        self.expr = ex.add(ktt, ex.mul(gate, ex.sub(phi_resc, ktt)))
+        self.table = _derivative_table(self.expr, order_bound)
         self.program = ex.Program(list(self.table.values()))
+        # the gate itself picks the live columns, not |t| < r k: the bump
+        # is 0 where its argument is at most 1e-3, so w_k is 0 on a thin
+        # band inside the open support too, and phi is not read there
+        self.gate_program = ex.Program([gate])
+        self.ktt_program = ex.Program(
+            list(_derivative_table(ktt, order_bound).values()))
 
     def env_for(self, xprime: float | np.ndarray, rung: float,
                 sign: int = 1) -> dict:
@@ -141,37 +183,31 @@ class StarPhaseFamily:
         (0 there).  The (t, tau) grid depends on the rung alone, so every
         x' shares it and the table is one program execution with x1 bound
         as a leading axis: (m, 1, 1) against t (1, T, 1), tau (1, 1, U).
+        It runs on the t columns where the gate is nonzero and the table
+        of K t tau on the others.
         """
         tgrid = self.eval_tgrid(rung, LADDER)
+        live = self.gate_program({"t": tgrid, "r": float(rung)})[0] != 0.0
         xs = np.asarray(xprime, dtype=float)
-        m, nt, nu = xs.size, len(tgrid), len(LADDER)
-        env = self.env_for(xs.reshape(m, 1, 1), rung, sign)
-        env["t"] = tgrid[None, :, None]
+        env = self.env_for(xs.reshape(xs.size, 1, 1), rung, sign)
         env["tau"] = LADDER[None, None, :]
-        vals = dict(zip(self.table, self.program(env)))
-        bt = np.sqrt(1.0 + tgrid * tgrid)[None, :, None]
-        btau = np.sqrt(1.0 + LADDER * LADDER)[None, None, :]
-
-        def per_x(v, reduce):
-            # reduced at v's own shape, whose leading axis is 1 where v does
-            # not depend on x', then repeated to xprime's shape: max and min
-            # are exact, so this equals reducing v broadcast to (m, T, U)
-            v = np.broadcast_to(v, np.broadcast_shapes(np.shape(v),
-                                                       (1, nt, nu)))
-            return np.resize(reduce(v, axis=(1, 2)), xs.shape)
-
-        out = {f"C_{a}{al}": per_x(np.abs(D) * bt ** (a - 1)
-                                   * btau ** (al - 1), np.max)
-               for (a, al), D in vals.items()}
-        d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
-        q_t = np.sqrt(1.0 + d10 * d10) / btau
-        q_tau = np.sqrt(1.0 + d01 * d01) / bt
-        out.update(c_t=per_x(q_t, np.min), C_t=per_x(q_t, np.max),
-                   c_tau=per_x(q_tau, np.min), C_tau=per_x(q_tau, np.max))
-        lo, hi = per_x(d11, np.min), per_x(d11, np.max)
-        eps = per_x(np.abs(d11), np.min)
+        bounds = {}
+        # one block of t columns at a time, so no full (m, T, U) table is
+        # built: max and min over the union are those of the blocks' bounds
+        for program, t in ((self.program, tgrid[live]),
+                           (self.ktt_program, tgrid[~live])):
+            if t.size:
+                env["t"] = t[None, :, None]
+                for name, (pair, v) in _block_bounds(
+                        dict(zip(self.table, program(env))), t).items():
+                    bounds[name] = (pair(bounds[name], v) if name in bounds
+                                    else v)
+        # repeated from each bound's own leading axis, 1 where it does not
+        # depend on x', to xprime's shape
+        out = {name: np.resize(v, xs.shape) for name, v in bounds.items()}
+        lo, hi = out.pop("d11_min"), out.pop("d11_max")
         sign_ok = (lo > 0.0) | (hi < 0.0)
-        out["eps"] = np.where(sign_ok, eps, -eps)
+        out["eps"] = np.where(sign_ok, out["eps"], -out["eps"])
         out["eps_sign"] = np.where(sign_ok, np.sign(hi), 0.0)
         return out
 

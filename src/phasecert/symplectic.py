@@ -202,15 +202,15 @@ def induced_boundary_map(chi: SymplectoMap, samples: np.ndarray
               ("dk1/dkn at boundary", ex.differentiate(xib, "kn")),
               ("second eta'-derivative of k1",
                ex.differentiate(ex.differentiate(xib, "k1"), "k1"))]
-    vals = ex.eval_array_many([d for _, d in vanish], samples)
+    vals = ex.Program([d for _, d in vanish])(samples)
     worst, i = sup([sup(v, count)[0] for v in vals], len(vals))
     if not worst <= LINEARITY_TOL:
         raise FiberLinearityError(
             f"boundary map not fiber-trivial: {vanish[i][0]} = {worst:.2e}")
 
     # unimodularity of the composed boundary Jacobian in (y', eta')
-    Jb = _matrices(ex.eval_array_many(
-        [ex.differentiate(r, s) for r in (b, xib) for s in ("x1", "k1")],
+    Jb = _matrices(ex.Program(
+        [ex.differentiate(r, s) for r in (b, xib) for s in ("x1", "k1")])(
         samples), (count,), 2)
     det_worst, _ = sup(np.linalg.det(Jb) - 1.0, count)
     return det_worst <= DET_TOL, {"linearity_residual": worst,

@@ -6,8 +6,9 @@ trapezoid quadrature, and refined-grid suprema.  The jets and
 fd_crosscheck tabulate the package's symbolic derivatives at a point and
 hold them against central differences of its evaluator.  The sg oracles
 at the end evaluate the regularized phase's derivative table the plain
-way: each guard payload compiled on its own, each derivative broadcast
-to the full grid before it is reduced, and the t-grid through np.unique;
+way: its whole program on every t column, gate live or not, each
+derivative broadcast to the full grid before it is reduced, and the
+t-grid through np.unique;
 looped_uniformity checks and reduces those constants one (x', rung) combo
 at a time.  looped_transmission runs the parity check one derivative and
 one ray at a time, and looped_bs_sups the collar-class sweep one rung,
@@ -29,8 +30,8 @@ from math import comb
 import numpy as np
 
 from phasecert.exceptions import RegressionError, SingularLocusError
-from phasecert.expr import (GUARD, Expr, Program, const, derivative_multi,
-                            differentiate, eval_array, evaluate, var)
+from phasecert.expr import (Expr, derivative_multi, differentiate,
+                            eval_array, evaluate)
 from phasecert.grids import bracket_ladder
 from phasecert.quadrature import panel_nodes
 from phasecert.sgphase import (LADDER, RATIO_KEYS, ZERO_FLOOR, Margins,
@@ -192,34 +193,6 @@ def fd_crosscheck(e: Expr, point: dict[str, float], v: str,
 # ---------------------------------------------------------------------------
 # sg derivative table
 # ---------------------------------------------------------------------------
-
-def guard_oracle(exprs: list[Expr], env: dict) -> list:
-    """Outputs of Program(exprs) on env with every GUARD evaluated as
-    np.where(gate == 0, 0, gate * payload), its gate and its payload each
-    compiled on its own; the guard then enters its parents as a variable
-    bound to that value.  Other nodes keep their kind, children and datum
-    (no folding), so every value is computed by the same numpy operations.
-    """
-    env = dict(env)
-    memo: dict[int, Expr] = {}
-
-    def plain(node: Expr) -> Expr:
-        if id(node) not in memo:
-            if node.op == GUARD:
-                gate = Program([plain(node.args[0])])(env)[0]
-                payload = Program([plain(node.args[1])])(env)[0]
-                name = f"guard_{len(memo)}"
-                env[name] = np.where(gate == 0.0, 0.0, gate * payload)
-                memo[id(node)] = var(name)
-            elif node.args:
-                memo[id(node)] = Expr(node.op, [plain(c) for c in node.args],
-                                      node.aux)
-            else:
-                memo[id(node)] = node
-        return memo[id(node)]
-
-    return Program([plain(e) for e in exprs])(env)
-
 
 def unique_tgrid(fam, rung: float, tgrid: np.ndarray) -> np.ndarray:
     """The t-grid of StarPhaseFamily.eval_tgrid, deduplicated by np.unique."""

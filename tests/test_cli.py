@@ -106,6 +106,9 @@ AMPLITUDE_EDITS = [
     ("sin(40*kn)", 0, None, ["opsymb.order_fit"]),
     # homogeneous of degree 1/2: no parity to test, a failure, not an error
     ("sqrt(norm(k1,kn))", 0.5, 0.5, ["operator.amplitude_transmission"]),
+    # growing without bound in xn*kn: no L2 bound, and the transpose
+    # pairing misses
+    ("exp(xn*kn)", 0, None, ["operator.l2_bound", "opsymb.transpose"]),
 ]
 
 # dilation's phase replaced, with no map and the phase family only:
@@ -115,6 +118,8 @@ PHASE_EDITS = [
     # presupposes homogeneity, is skipped
     ("x1*k1 + xn*kn*exp(sin(x1)/2) + 0.01*xn*xn*kn*kn/bracket(k1)",
      ["phase.homogeneity"]),
+    # psi at xn = 0 is not linear in xi'
+    ("x1*k1 + xn*kn + 0.1*k1*k1", ["phase.boundary_phase"]),
 ]
 
 
@@ -143,6 +148,11 @@ def test_negative_scenarios_fail_exactly_their_checks():
         rep = run_scenario(sc)
         assert sorted(rep.failed) == sorted(intended), phase
         assert not rep.errored, phase
+    # K far below dilation's factor exp(sin(x1)/2): P3 loses its sign
+    sc = catalog.emit("dilation")
+    sc["sg"] = {"k": 0.25, "K": 0.001}
+    rep = run_scenario(sc, {"phase", "sg"})
+    assert rep.failed == ["sg.conditions"] and not rep.errored
 
 
 @pytest.mark.parametrize("grid", ["coarse", "default", "fine"])

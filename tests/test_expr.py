@@ -14,8 +14,8 @@ from phasecert.grids import sg_ladder
 from phasecert.phase import GeneratingPhase
 from phasecert.sgphase import StarPhaseFamily
 
-from oracles import (MultiIndex, central_diff, fd_crosscheck, guard_oracle,
-                     jet, richardson_diff, sample_array)
+from oracles import (MultiIndex, central_diff, fd_crosscheck, jet,
+                     richardson_diff, sample_array)
 
 xn = ex.var("xn")
 kn = ex.var("kn")
@@ -170,26 +170,6 @@ def test_eval_array_matches_scalar_eval():
         assert arr[i] == s
 
 
-def test_guard_extends_payload_by_zero():
-    g = ex.guard(ex.bump(ex.var("s")), ex.quot(ex.const(1.0), ex.var("s")))
-    # payload 1/s is singular at s = 0, but the gate vanishes there
-    assert ex.evaluate(g, {"s": -1.0}) == 0.0
-    assert ex.evaluate(g, {"s": 0.0}) == 0.0
-    v = ex.evaluate(g, {"s": 2.0})
-    assert v == pytest.approx(math.exp(-0.5) / 2.0, rel=1e-14)
-    arr = ex.eval_array(g, {"s": np.array([-1.0, 0.0, 2.0])})
-    assert arr[0] == 0.0 and arr[1] == 0.0
-    assert arr[2] == pytest.approx(math.exp(-0.5) / 2.0, rel=1e-14)
-
-
-def test_guard_derivative_closed():
-    g = ex.guard(ex.bump(ex.var("s")), ex.powi(ex.var("s"), 2))
-    d = ex.differentiate(g, "s")
-    f = lambda s: ex.evaluate(g, {"s": s})
-    for s0 in (0.4, 0.9, 2.0):
-        assert abs(ex.evaluate(d, {"s": s0}) - central_diff(f, s0, 1e-5)) <= 1e-7
-
-
 def test_substitute_reuses_untouched_subtrees():
     g = ex.exp_(ex.sin_(x1))
     e = ex.mul(xn, g)
@@ -241,12 +221,11 @@ KINDS = {
     ex.BRACKET: ex.bracket(X, ex.mul(X, Y)),
     ex.NORM: ex.norm_vars("x", "y"),
     ex.BUMPD: ex.bump(ex.sub(X, 0.2), 2),
-    ex.GUARD: ex.guard(ex.bump(X), ex.quot(1.0, X)),
 }
 
 
 def test_every_node_kind_has_a_row():
-    assert sorted(KINDS) == list(range(16))
+    assert sorted(KINDS) == list(range(15))
     assert all(e.op == kind for kind, e in KINDS.items())
 
 
@@ -291,7 +270,7 @@ def test_log_rejects_its_singular_locus():
         ex.evaluate(ex.log_(0.0), {})
 
 
-# --------------------------------------------- guard payloads in one program
+# ------------------------------------------------ the sg table as one program
 
 def sg_table(name):
     """The order-3 derivative table of the catalog phase name's regularized
@@ -311,25 +290,25 @@ def test_sg_table_is_one_instruction_per_dag_node(name):
     exprs, prog, _ = sg_table(name)
     # a bare SUM over the outputs counts their shared DAG once, plus itself
     assert len(prog.instrs) == ex.dag_size(ex.Expr(ex.SUM, exprs)) - 1
-    guards = [ins for ins in prog.instrs if ins[0] == ex.GUARD]
-    assert guards and all(aux is None for _, _, _, aux, _, _ in guards)
-    assert any(relaxed for *_, relaxed, _ in prog.instrs)
     if name == "quadratic-collar":
         assert len(prog.instrs) <= 214
 
 
 @pytest.mark.parametrize("name", SG_PHASES)
-def test_sg_table_equals_payloads_compiled_on_their_own(name):
-    exprs, prog, fam = sg_table(name)
+def test_sg_table_off_the_cutoff_support_equals_ktt_table(name):
+    # where the gate is 0 so is each of its derivatives: the whole table
+    # equals the table of K t tau there, bit for bit
+    _, prog, fam = sg_table(name)
     ladder = sg_ladder()
     xs = np.linspace(-1.0, 1.0, 9).reshape(9, 1, 1)
-    for rung, sign in ((1.0, 1), (16.0, -1), (256.0, 1)):
+    for rung, sign in ((1.0, 1), (4.0, -1), (16.0, 1)):
+        tgrid = fam.eval_tgrid(rung, ladder)
+        off = tgrid[fam.gate_program({"t": tgrid, "r": rung})[0] == 0.0]
+        assert len(off), rung
         env = fam.env_for(xs, rung, sign)
-        env["t"] = fam.eval_tgrid(rung, ladder)[None, :, None]
+        env["t"] = off[None, :, None]
         env["tau"] = ladder[None, None, :]
-        for got, want in zip(prog(env), guard_oracle(exprs, env),
-                             strict=True):
-            assert np.all(np.isfinite(got)), rung
+        for got, want in zip(prog(env), fam.ktt_program(env), strict=True):
             assert np.all(got == want), rung
 
 
@@ -373,19 +352,3 @@ def test_singular_locus_raises_for_every_binding(e, zero):
         ex.eval_array(e, {"x1": zero})
     # the same binding away from the locus evaluates
     assert np.all(np.isfinite(ex.eval_array(e, {"x1": zero + 0.25})))
-
-
-def test_payload_singular_inside_gate_support_raises():
-    s = ex.var("s")
-    q = ex.quot(1.0, s)
-    g = ex.guard(ex.bump(ex.add(s, 1.0)), q)
-    # the gate is live at s = 0, where the relaxed payload 1/s is NaN
-    with pytest.raises(SingularLocusError, match="inside gate support"):
-        ex.eval_array(g, {"s": np.array([-0.5, 0.0, 0.5])})
-    # outside the gate's support the payload's singular point is harmless
-    h = ex.guard(ex.bump(s), q)
-    assert np.all(ex.eval_array(h, {"s": np.array([-1.0, 0.0])}) == 0.0)
-    # a payload node that an output also reaches directly stays strict
-    for outs in ([ex.add(h, q)], [h, q], [q, h]):
-        with pytest.raises(SingularLocusError, match="zero denominator"):
-            ex.eval_array_many(outs, {"s": np.array([-1.0, 0.0])})

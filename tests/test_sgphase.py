@@ -11,7 +11,7 @@ import phasecert
 from phasecert import expr as ex
 from phasecert import sgphase
 from phasecert.catalog import SCENARIOS
-from phasecert.exceptions import CollarBoundsError
+from phasecert.exceptions import CollarBoundsError, SingularLocusError
 from phasecert.expr import cutoff_expr
 from phasecert.grammar import parse_expr
 from phasecert.grids import sg_ladder
@@ -53,6 +53,20 @@ def at(e, env, t, tau):
     """A family expression at frozen (x', xi') and the points (t, tau)."""
     return ex.eval_array(e, dict(env, t=np.asarray(t, dtype=float),
                                  tau=np.asarray(tau, dtype=float)))
+
+
+def wrap_table(monkeypatch, wrap):
+    """Make every StarPhaseFamily built from now on return
+    wrap(env, outputs) from its table program; the gate's and the K t tau
+    table's programs are left as they are."""
+    real_init = StarPhaseFamily.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        program = self.program
+        self.program = lambda env: wrap(env, program(env))
+
+    monkeypatch.setattr(StarPhaseFamily, "__init__", init)
 
 
 # ----------------------------------------------------------------- cutoff
@@ -236,6 +250,46 @@ def test_monotone_robustness_increasing_K():
     assert e4 >= e2 - 1e-12
 
 
+# ------------------------------------------- phi on the cutoff's support
+
+@pytest.mark.parametrize("psi", ["x1*k1 + xn*kn*exp(xn*xn)",
+                                 "x1*k1 + xn*kn/(1 - xn*xn/4)"])
+def test_phi_off_the_cutoff_support_is_never_read(psi):
+    # at rung 1 phi overflows, or is singular at xn = 2, on ladder points
+    # where the cutoff is 0: the constants stay finite
+    fam = StarPhaseFamily(GeneratingPhase(parse_expr(psi)), 0.5, 1.0)
+    cs = fam.constants_at(np.linspace(-1.0, 1.0, 3), 1.0)
+    assert all(np.isfinite(v).all() for v in cs.values())
+
+
+def test_phi_singular_on_the_cutoff_support_raises():
+    # log(xn + 0.2) is singular at xn = -0.25, where the cutoff is 1
+    psi = "x1*k1 + xn*kn*(1 + log(xn + 0.2))"
+    fam = StarPhaseFamily(GeneratingPhase(parse_expr(psi)), 0.5, 1.0)
+    with pytest.raises(SingularLocusError):
+        fam.constants_at(np.linspace(-1.0, 1.0, 3), 1.0)
+
+
+def test_table_program_gets_exactly_the_live_columns(monkeypatch):
+    seen = []
+
+    def spy(env, out):
+        seen.append((env["r"], env["t"]))
+        return out
+
+    wrap_table(monkeypatch, spy)
+    k, rungs = 0.25, [1.0, 4.0, 64.0]
+    check_uniformity(DILATION, k, 2.0, xprimes=[-0.5, 0.5], rungs=rungs)
+    fam = StarPhaseFamily(DILATION, k, 2.0)
+    gate = cutoff_expr(ex.quot(ex.var("t"), ex.mul(ex.var("r"), k)))
+    assert [r for r, _ in seen] == rungs
+    for rung, t in seen:
+        tgrid = fam.eval_tgrid(rung, LADDER)
+        live = ex.eval_array(gate, {"t": tgrid, "r": rung}) != 0.0
+        assert not live.all(), rung        # the ladder outruns the support
+        assert np.array_equal(t, tgrid[live][None, :, None]), rung
+
+
 # ---------------------------------------------------------- uniformity
 
 def test_uniformity_identity_ratio_one():
@@ -357,10 +411,7 @@ def test_uniformity_ratio_is_nan_for_nan_constant(monkeypatch, key):
 def test_nan_in_one_xprime_slab_stays_in_its_combo(monkeypatch):
     # NaN in the x' = 0 slab of the rung-4 derivative table must reach
     # that combo's constants, and only them
-    real = ex._exec
-
-    def poisoned(prog, env):
-        out = real(prog, env)
+    def poisoned(env, out):
         if env.get("r") != 4.0:
             return out
         shape = np.broadcast_shapes(*(np.shape(env[v])
@@ -372,7 +423,7 @@ def test_nan_in_one_xprime_slab_stays_in_its_combo(monkeypatch):
             table.append(v)
         return table
 
-    monkeypatch.setattr(ex, "_exec", poisoned)
+    wrap_table(monkeypatch, poisoned)
     rep = check_uniformity(IDENTITY, 0.5, 1.0, xprimes=[-0.5, 0.0, 0.5],
                            rungs=[1.0, 4.0])
     # combo 3 of 6 is x' = 0 at rung 4
@@ -460,10 +511,7 @@ def test_uniformity_equals_looped_oracle(name, margin):
 def test_uniformity_equals_looped_oracle_on_a_nan_rung(monkeypatch):
     # rung 4 of the dilation table: NaN in d_t *Phi at one (t, tau) point
     # for every x', and in every derivative of the x' = 0 slab
-    real = ex._exec
-
-    def poisoned(prog, env):
-        out = real(prog, env)
+    def poisoned(env, out):
         if env.get("r") != 4.0:
             return out
         shape = np.broadcast_shapes(*(np.shape(env[v])
@@ -474,7 +522,7 @@ def test_uniformity_equals_looped_oracle_on_a_nan_rung(monkeypatch):
             v[1] = math.nan
         return table
 
-    monkeypatch.setattr(ex, "_exec", poisoned)
+    wrap_table(monkeypatch, poisoned)
     xprimes, rungs = [-0.5, 0.0, 0.5], [1.0, 4.0, 16.0]
     rep = check_uniformity(DILATION, 0.5, 2.0, xprimes, rungs)
     assert_equals_looped(rep, looped_uniformity(DILATION, 0.5, 2.0, xprimes,
@@ -485,11 +533,9 @@ def test_uniformity_equals_looped_oracle_on_a_nan_rung(monkeypatch):
 def test_nan_in_xprime_free_derivative_reaches_every_combo(monkeypatch):
     # every derivative of the identity phase is free of x': a NaN in one
     # (t, tau) point of d_t *Phi must reach the constants of every x'
-    real = ex._exec
     shapes = []
 
-    def poisoned(prog, env):
-        out = real(prog, env)
+    def poisoned(env, out):
         if env.get("r") != 4.0:
             return out
         d10 = np.array(out[4])              # key (1, 0) of the 4 x 4 table
@@ -497,7 +543,7 @@ def test_nan_in_xprime_free_derivative_reaches_every_combo(monkeypatch):
         d10[0, 3, 5] = math.nan
         return out[:4] + [d10] + out[5:]
 
-    monkeypatch.setattr(ex, "_exec", poisoned)
+    wrap_table(monkeypatch, poisoned)
     fam = StarPhaseFamily(IDENTITY, 0.5, 1.0)
     batch = fam.constants_at(np.linspace(-1, 1, 5), 4.0)
     assert shapes and shapes[0][0] == 1

@@ -231,9 +231,9 @@ def test_dilation_composed_with_inverse_is_identity():
         "kn": parse_expr("kn*exp(-sin(x1)/2)"),
     }, name="dilation-inverse")
     pts = collar_samples(DILATION, count=25, seed=9)
-    img = dict(zip(COLLAR_VARS, ex.eval_array_many(
-        [DILATION.components[v] for v in COLLAR_VARS], pts)))
-    back = ex.eval_array_many([inv.components[v] for v in COLLAR_VARS], img)
+    img = dict(zip(COLLAR_VARS, ex.Program(
+        [DILATION.components[v] for v in COLLAR_VARS])(pts)))
+    back = ex.Program([inv.components[v] for v in COLLAR_VARS])(img)
     for v, b in zip(COLLAR_VARS, back):
         assert np.all(np.abs(b - pts[v])
                       <= 1e-10 * np.maximum(1.0, np.abs(pts[v])))
