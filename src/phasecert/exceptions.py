@@ -54,7 +54,7 @@ class CalibrationError(PhasecertError):
 
 
 class QuadratureBudgetError(PhasecertError):
-    """Adaptive quadrature failed to converge within its refinement budget."""
+    """Adaptive quadrature failed to converge within its pair budget."""
 
 
 class ScenarioParseError(PhasecertError):

@@ -24,7 +24,7 @@ densely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,13 +39,7 @@ CUTOFF_RADIUS = 256.0   # base radius R of the half-line cutoff integral
 L2_SLACK = 0.05         # relative slack of the L2 smoke bound
 LINEARITY_TOL = 1e-9    # relative residual of check_linearity
 CONSISTENT_SHARE = 0.95  # of points check_quadrature_consistency needs
-
-
-@dataclass
-class QuadratureSpec:
-    panel_tol: float = 1e-9
-    order: int = 12
-    max_doubles: int = 12
+GAUSS_ORDER = 12        # nodes per panel of both operators' quadrature
 
 
 def validate_support(support, collar_halfwidth: float, amp: ex.Expr):
@@ -92,7 +86,7 @@ class NormalOperatorSpec:
     amplitude: SymbolFn
     xprime: float = 0.3
     xi_prime: float = 1.0
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
+    panel_tol: float = 1e-9     # apply_normal_op's doubling tolerance
     name: str = ""
 
     def __post_init__(self):
@@ -125,14 +119,13 @@ def apply_normal_op(spec: NormalOperatorSpec, u: SchwartzFn,
     with the truncation radius taken from the transform's decay against
     the amplitude's growth order.
     """
-    q = spec.quadrature
     xn_grid = np.asarray(xn_grid, dtype=float)
     R = u.ft_radius(tol=1e-16, weight_order=spec.amplitude.order)
     f = _integrand_factory(spec, u.ft_values, xn_grid)
     n0 = max(16, int(np.ceil(
         2 * R * (np.max(np.abs(xn_grid)) + 2.0) / (2 * np.pi))))
-    val, err, _ = integrate_adaptive(f, -R, R, q.panel_tol, n0, q.order,
-                                     q.max_doubles)
+    val, err, _ = integrate_adaptive(f, -R, R, spec.panel_tol, n0,
+                                     GAUSS_ORDER)
     return val, err
 
 
@@ -151,7 +144,7 @@ def apply_truncated_op(spec: NormalOperatorSpec, u: SchwartzFn,
     rate = (np.max(np.abs(xn_grid)) + 2.0) / (2.0 * np.pi)
     val, err, _ = cutoff_richardson(f, CUTOFF_RADIUS,
                                     panels_per_unit=1.5 * rate,
-                                    order=spec.quadrature.order)
+                                    order=GAUSS_ORDER)
     return val, err
 
 
@@ -176,7 +169,8 @@ def l2_smoke_check(spec: NormalOperatorSpec, u: SchwartzFn
     xn = np.linspace(-6.0, 6.0, 241)
     vals, _ = apply_normal_op(spec, u, xn)
     h = xn[1] - xn[0]
-    out_norm = float(np.sqrt(np.sum(np.abs(vals) ** 2) * h))
+    with np.errstate(over="ignore"):    # an inf norm fails the bound
+        out_norm = float(np.sqrt(np.sum(np.abs(vals) ** 2) * h))
     t = np.linspace(-40.0, 40.0, 4001)
     in_norm = float(np.sqrt(np.trapezoid(np.abs(u(t)) ** 2, t)))
     bound = (1.0 + L2_SLACK) * in_norm * l2_growth_factor(spec)
@@ -208,9 +202,7 @@ def check_quadrature_consistency(spec: NormalOperatorSpec, u: SchwartzFn
     5e-7: the share of points where the two agree within the first run's
     error estimate (at least 1e-14) must be at least CONSISTENT_SHARE."""
     xn = np.linspace(-2.5, 2.5, 21)
-    v1, e1 = apply_normal_op(replace(
-        spec, quadrature=QuadratureSpec(panel_tol=1e-6)), u, xn)
-    v2, _ = apply_normal_op(replace(
-        spec, quadrature=QuadratureSpec(panel_tol=5e-7)), u, xn)
+    v1, e1 = apply_normal_op(replace(spec, panel_tol=1e-6), u, xn)
+    v2, _ = apply_normal_op(replace(spec, panel_tol=5e-7), u, xn)
     frac = float(np.mean(np.abs(v1 - v2) <= np.maximum(e1, 1e-14)))
     return frac >= CONSISTENT_SHARE, {"fraction_within_estimate": frac}

@@ -2,8 +2,8 @@
 
 Two integrals, one per transform class:
 
-* adaptive Gauss panels with doubling refinement, for absolutely
-  convergent integrands (full-line Schwartz transforms);
+* adaptive Gauss panels, doubled within a budget of (point, node) pairs,
+  for absolutely convergent integrands (full-line Schwartz transforms);
 * smooth frequency cutoff at radii R, 2R, 4R with Richardson
   extrapolation in 1/R, for integrands decaying only to first order
   (half-line transforms), where sharp truncation does not converge.  The
@@ -62,6 +62,9 @@ from .exceptions import QuadratureBudgetError
 # Most (point, node) pairs an Oscillatory sums in one step, which bounds its
 # intermediates: 2048 nodes at 64 points.
 BLOCK = 2**17
+# Most (output element, node) pairs one integrate_adaptive call sums, 8.6
+# times the catalog's largest call (the 2,000-point transpose, 3,888,000)
+PAIR_BUDGET = 2**25
 
 # w(xi / 2R) with 2R bound at evaluation, so it is compiled once
 _FREQ_CUTOFF = ex.cutoff_expr(ex.quot(ex.var("xi"), ex.var("two_r")))
@@ -208,8 +211,10 @@ class Oscillatory:
                     kern = self._kernel(nodes, outer, inner)
                 # neither is live beside the dense sums' product buffer
                 del cw, outer
-                dense += _dense_sums(kern, w.reshape(len(nodes), -1),
-                                     [vals[j] for j in self.dense])
+                # non-finite amplitudes give NaN sums, which fail checks
+                with np.errstate(invalid="ignore"):
+                    dense += _dense_sums(kern, w.reshape(len(nodes), -1),
+                                         [vals[j] for j in self.dense])
         if self.linear:
             plain = np.matmul(inner[:, None, :],
                               plain.reshape(self.size, n_q, -1))[:, 0, :]
@@ -251,11 +256,9 @@ def _dense_sums(kern: np.ndarray, w: np.ndarray, amps: list) -> np.ndarray:
     re_im = ku.view(float).reshape(n_x, -1, 2)
     for c in range(w.shape[1]):
         np.multiply(kern, w[:, c], out=ku)
-        # a non-finite amplitude gives NaN sums, which fail their checks
-        with np.errstate(invalid="ignore"):
-            for k, a in enumerate(amps):
-                re, im = np.matmul(a[:, None, :], re_im)[:, 0, :].T
-                out[:, k, c] = re + 1j * im
+        for k, a in enumerate(amps):
+            re, im = np.matmul(a[:, None, :], re_im)[:, 0, :].T
+            out[:, k, c] = re + 1j * im
     return out
 
 
@@ -278,20 +281,23 @@ def integrate_fixed(f, a: float, b: float, n_panels: int, order: int = 12):
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
-                       n0: int = 16, order: int = 12,
-                       max_doubles: int = 10):
+                       n0: int = 16, order: int = 12):
     """Panel doubling until successive values agree within tol.
 
     The floor is relative to the output: a doubling is accepted when every
     difference is at most tol * max(1, max |value|), the largest value over
     all points, since the round-off of the sums scales with the largest
-    of them.  Returns (value, err_estimate, evals); err is the last
+    of them.  A doubling that would take evals times the value's size
+    past PAIR_BUDGET pairs is not started; QuadratureBudgetError is raised
+    instead.  Returns (value, err_estimate, evals); err is the last
     doubling difference, elementwise over the leading axes of f's output.
     """
     n = n0
-    prev = integrate_fixed(f, a, b, n, order)
+    cur = integrate_fixed(f, a, b, n, order)
     evals = n * order
-    for _ in range(max_doubles):
+    diff = "none"
+    while (evals + 2 * n * order) * np.size(cur) <= PAIR_BUDGET:
+        prev = cur
         n *= 2
         cur = integrate_fixed(f, a, b, n, order)
         evals += n * order
@@ -299,10 +305,10 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
         scale = np.maximum(1.0, np.max(np.abs(cur)))
         if np.all(err <= tol * scale):
             return cur, err, evals
-        prev = cur
+        diff = f"{float(np.max(err)):.3e}"
     raise QuadratureBudgetError(
-        f"no convergence to {tol:g} after {max_doubles} doublings "
-        f"(last diff {float(np.max(err)):.3e})")
+        f"no convergence to {tol:g} within {PAIR_BUDGET} (point, node) "
+        f"pairs, at {n} panels (last diff {diff})")
 
 
 def smooth_freq_cutoff(xi, R: float):

@@ -98,12 +98,10 @@ def check_transmission(a: SymbolFn, max_orders: int = 2
                      "kn": np.array([[1.0], [-1.0]])})
     except SingularLocusError:
         return False, {"max_residual": float("inf")}
-    worst = 0.0
-    for (_, al, _), v in zip(keys, vals):
-        plus, minus = np.broadcast_to(v, (2, x1.size))
-        sign = -1.0 if (m - al) % 2 else 1.0
-        # np.maximum, not max(): a NaN residual must stick
-        worst = float(np.maximum(worst, np.max(np.abs(plus - sign * minus))))
+    vals = np.stack([np.broadcast_to(v, (2, x1.size)) for v in vals])
+    sign = np.array([[-1.0 if (m - al) % 2 else 1.0] for _, al, _ in keys])
+    # np.max, not max(): a NaN residual must stick
+    worst = float(np.max(np.abs(vals[:, 0] - sign * vals[:, 1])))
     return worst <= TRANSMISSION_TOL, {"max_residual": worst}
 
 

@@ -15,8 +15,7 @@ from phasecert import catalog
 from phasecert import expr as ex
 from phasecert.grammar import parse_expr
 from phasecert.grids import sg_ladder
-from phasecert.normalop import (NormalOperatorSpec, QuadratureSpec,
-                                apply_normal_op)
+from phasecert.normalop import NormalOperatorSpec, apply_normal_op
 from phasecert.opsymb import (ConjugatedFamily, estimate_symbol_order,
                               sweep_symbol_orders, transpose_check)
 from phasecert.phase import (GeneratingPhase, check_admissibility,
@@ -272,10 +271,8 @@ def test_criterion_9_numerical_hygiene():
                     assert fd_crosscheck(d, p, v, 1e-4) <= 1e-6
         # halving the tolerance moves results by less than the estimate
         phase = scenario_phase("dilation")
-        loose = NormalOperatorSpec(phase, AMP_ONE, 0.3, 1.0,
-                                   QuadratureSpec(panel_tol=1e-6))
-        tight = NormalOperatorSpec(phase, AMP_ONE, 0.3, 1.0,
-                                   QuadratureSpec(panel_tol=5e-7))
+        loose = NormalOperatorSpec(phase, AMP_ONE, 0.3, 1.0, panel_tol=1e-6)
+        tight = NormalOperatorSpec(phase, AMP_ONE, 0.3, 1.0, panel_tol=5e-7)
         xn = np.linspace(-3, 3, 41)
         v1, e1 = apply_normal_op(loose, hermite_fn(3), xn)
         v2, _ = apply_normal_op(tight, hermite_fn(3), xn)

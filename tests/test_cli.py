@@ -109,6 +109,10 @@ AMPLITUDE_EDITS = [
     # growing without bound in xn*kn: no L2 bound, and the transpose
     # pairing misses
     ("exp(xn*kn)", 0, None, ["operator.l2_bound", "opsymb.transpose"]),
+    # faster than any power of xi_n: non-finite outputs, and the transpose
+    # pairing's quadrature runs out of its pair budget
+    ("exp(xn*kn*kn)", 0, None, ["operator.l2_bound", "operator.linearity",
+                                "opsymb.order_fit", "opsymb.transpose"]),
 ]
 
 # dilation's phase replaced, with no map and the phase family only:
@@ -165,6 +169,40 @@ def test_pointwise_verdicts_stable_across_seeds_and_grids(seed, grid):
         want = catalog.SCENARIOS[name].get("intended_failures", [])
         assert sorted(rep.failed) == sorted(want), name
         assert not rep.errored, name
+
+
+@pytest.mark.parametrize("amp", ["exp(xn*kn*kn)", "exp(xn*kn)", "10000000"])
+def test_growing_amplitude_fails_within_memory_and_time(amp, tmp_path):
+    # dilation with an amplitude of unbounded growth, families phase,
+    # operator and opsymb, fails within 1 GB of address space and 10 s,
+    # with no error status and no RuntimeWarning; one BLAS thread keeps
+    # the limit independent of the core count
+    sc = catalog.emit("dilation")
+    sc["amplitude"] = {"expr": amp, "order": 0, "homogeneous_degree": None}
+    src = str(Path(phasecert.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # the limit is set in the child before numpy loads, not by a
+    # preexec_fn, which is unsafe in a process with BLAS threads
+    code = ("import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "sys.argv[0] = 'phasecert'\n"
+            "runpy.run_module('phasecert.cli', run_name='__main__')\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+         "verify-opsymb", "--scenario", json.dumps(sc), "--out",
+         str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    assert not proc.stderr
+    checks = json.loads(
+        (tmp_path / "dilation_report.json").read_text())["checks"]
+    assert not [c["check"] for c in checks if c["status"] == "error"]
+    budget = [c["check"] for c in checks
+              if c["message"].startswith("QuadratureBudgetError")]
+    assert budget == (["opsymb.transpose"] if amp == "exp(xn*kn*kn)"
+                      else [])
 
 
 def test_checks_leave_numpy_random_unimported():

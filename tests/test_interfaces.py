@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phasecert import catalog
+from phasecert import catalog, quadrature
 from phasecert.exceptions import (QuadratureBudgetError,
                                   ScenarioValidationError)
 from phasecert.grammar import parse_expr
@@ -62,17 +62,42 @@ def test_operator_spec_rejects_support_outside_collar():
         NormalOperatorSpec(ph, amp, 0.3, 1.0)
 
 
-def test_quadrature_budget_error():
-    rng = np.random.default_rng(0)
-    noise = rng.normal(size=4096)
+NOISE = np.random.default_rng(0).normal(size=4096)
 
-    def f(x):
-        # deterministic pseudo-noise: no panel refinement can converge
-        idx = (np.abs(x) * 1e6).astype(int) % 4096
-        return noise[idx]
 
+def noise(x):
+    # deterministic pseudo-noise: no panel refinement can converge
+    return NOISE[(np.abs(x) * 1e6).astype(int) % 4096]
+
+
+def test_quadrature_budget_error(monkeypatch):
+    # three doublings of 4 panels of 12 nodes at one output element
+    monkeypatch.setattr(quadrature, "PAIR_BUDGET", 12 * 4 * (1 + 2 + 4 + 8))
     with pytest.raises(QuadratureBudgetError):
-        integrate_adaptive(f, -1.0, 1.0, tol=1e-12, n0=4, max_doubles=3)
+        integrate_adaptive(noise, -1.0, 1.0, tol=1e-12, n0=4)
+
+
+def test_no_round_past_the_pair_budget_is_started(monkeypatch):
+    # three output elements: the budget counts nodes times the value's
+    # size, so one pair short of the 32-panel round it holds the rounds of
+    # 4, 8 and 16 panels, and the 32-panel round is never started
+    rounds = []
+    fixed = quadrature.integrate_fixed
+
+    def spy(f, a, b, n_panels, order):
+        rounds.append(n_panels)
+        return fixed(f, a, b, n_panels, order)
+
+    monkeypatch.setattr(quadrature, "integrate_fixed", spy)
+    budget = 3 * 12 * (4 + 8 + 16 + 32) - 1
+    monkeypatch.setattr(quadrature, "PAIR_BUDGET", budget)
+    with pytest.raises(QuadratureBudgetError,
+                       match=rf"within {budget} .* at 16 panels "
+                             rf"\(last diff \d"):
+        integrate_adaptive(
+            lambda x: np.stack([noise(x), noise(x + 0.1), noise(x + 0.2)]),
+            -1.0, 1.0, tol=1e-12, n0=4)
+    assert rounds == [4, 8, 16]
 
 
 def test_environment_stamp_records_conventions():

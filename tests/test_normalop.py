@@ -7,9 +7,8 @@ from phasecert import catalog, normalop
 from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.grammar import parse_expr
-from phasecert.normalop import (NormalOperatorSpec, QuadratureSpec,
-                                apply_normal_op, apply_truncated_op,
-                                l2_smoke_check)
+from phasecert.normalop import (NormalOperatorSpec, apply_normal_op,
+                                apply_truncated_op, l2_smoke_check)
 from phasecert.phase import GeneratingPhase
 from phasecert.runner import run_scenario
 from phasecert.schwartz import exp_decay, hermite_fn
@@ -63,7 +62,7 @@ def test_dilation_is_change_of_variables():
 def test_dilation_cross_checked_at_higher_budget():
     spec = dilation_spec()
     tight = NormalOperatorSpec(DILATION_PHASE, AMP_ONE, 0.3, 1.0,
-                               QuadratureSpec(panel_tol=1e-12))
+                               panel_tol=1e-12)
     u = hermite_fn(1)
     xn = np.linspace(-2, 2, 9)
     v1, _ = apply_normal_op(spec, u, xn)
@@ -140,9 +139,9 @@ def test_quadrature_consistency_error_estimates():
     u = hermite_fn(3)
     xn = np.linspace(-3, 3, 41)
     loose = NormalOperatorSpec(DILATION_PHASE, AMP_ONE, 0.3, 1.0,
-                               QuadratureSpec(panel_tol=1e-6))
+                               panel_tol=1e-6)
     tight = NormalOperatorSpec(DILATION_PHASE, AMP_ONE, 0.3, 1.0,
-                               QuadratureSpec(panel_tol=5e-7))
+                               panel_tol=5e-7)
     v1, e1 = apply_normal_op(loose, u, xn)
     v2, _ = apply_normal_op(tight, u, xn)
     moved = np.abs(v1 - v2)
@@ -150,13 +149,14 @@ def test_quadrature_consistency_error_estimates():
     assert np.mean(ok) >= 0.95
 
 
-def test_convergence_when_tolerance_tightened():
+def test_convergence_when_tolerance_tightened(monkeypatch):
+    # order-4 panels, the order apply_normal_op passes to
+    # integrate_adaptive: a 16x tighter tolerance shrinks the error 4x
+    monkeypatch.setattr(normalop, "GAUSS_ORDER", 4)
     spec_loose = NormalOperatorSpec(DILATION_PHASE, AMP_ONE, 0.3, 1.0,
-                                    QuadratureSpec(panel_tol=1e-4,
-                                                   order=4, max_doubles=20))
+                                    panel_tol=1e-4)
     spec_tight = NormalOperatorSpec(DILATION_PHASE, AMP_ONE, 0.3, 1.0,
-                                    QuadratureSpec(panel_tol=1e-4 / 16,
-                                                   order=4, max_doubles=20))
+                                    panel_tol=1e-4 / 16)
     u = hermite_fn(0)
     c = math.exp(math.sin(0.3) / 2.0)
     xn = np.linspace(-2, 2, 9)
