@@ -667,28 +667,36 @@ def eval_array(e: Expr, values: dict[str, float | np.ndarray]):
     return _compiled(e)(values)[0]
 
 
-def evaluate(e: Expr, point: dict[str, float]) -> float:
-    """Deterministic scalar evaluation; rejects singular-locus points."""
-    return float(eval_array(e, point))
+def evaluate(e: Expr, points: np.ndarray | dict[str, float]):
+    """e at every sample of a structured sample array, one float64 per
+    sample, or at one point given as a dict of floats, as a float.
+    Deterministic; rejects singular-locus points."""
+    val = eval_array(e, points)
+    if isinstance(points, np.ndarray):
+        return np.broadcast_to(val, points.shape)
+    return float(val)
 
 
 def homogeneity_residual(e: Expr, fiber_vars: set[str], degree: float,
                          samples: np.ndarray) -> float:
     """Worst relative error of eval(lambda*xi) against lambda^d * eval(xi)
     over lambda in HOMOGENEITY_LAMBDAS, at the points of a structured
-    sample array, each evaluated as a scalar point.
+    sample array: one evaluation of all samples per scaling, the base
+    first.
 
     A non-finite error anywhere makes the result NaN or inf.
     """
-    names = samples.dtype.names
+    fiber = [v for v in samples.dtype.names if v in fiber_vars]
+    base = evaluate(e, samples)
+    scaled = samples.copy()
     errs = []
-    for row in samples.tolist():
-        p = dict(zip(names, row))
-        base = evaluate(e, p)
-        for lam in HOMOGENEITY_LAMBDAS:
-            q = {k: (val * lam if k in fiber_vars else val)
-                 for k, val in p.items()}
-            target = lam**degree * base
-            got = evaluate(e, q)
-            errs.append(abs(got - target) / max(1.0, abs(target)))
+    for lam in HOMOGENEITY_LAMBDAS:
+        for v in fiber:
+            scaled[v] = samples[v] * lam
+        got = evaluate(e, scaled)
+        with np.errstate(all="ignore"):
+            # a numpy power overflows to inf where a float's would raise
+            target = np.float64(lam)**degree * base
+            errs.append(np.abs(got - target)
+                        / np.maximum(1.0, np.abs(target)))
     return float(np.max(errs, initial=0.0))

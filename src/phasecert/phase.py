@@ -125,7 +125,7 @@ def homogeneity_samples(count: int, seed: int) -> np.ndarray:
 def check_homogeneity(phase: GeneratingPhase,
                       samples: np.ndarray) -> tuple[bool, dict]:
     """Degree-1 homogeneity of psi in the covariables at a sample array by
-    the scalar oracle expr.homogeneity_residual and by the Euler identity
+    the oracle expr.homogeneity_residual and by the Euler identity
     xi . grad_xi psi = psi.  It passes when the NaN-strict larger of the
     two residuals is at or below HOMOGENEITY_TOL."""
     res = ex.homogeneity_residual(phase.psi, set(XI_VARS), 1.0, samples)
@@ -176,7 +176,7 @@ def check_nondegeneracy(phase: GeneratingPhase,
     """
     mixed = ex.differentiate(ex.differentiate(phase.psi, "xn"), "kn")
     grid = _collar_grid(phase) if grid is None else grid
-    vals = np.broadcast_to(ex.eval_array(mixed, grid), (len(grid),))
+    vals = ex.evaluate(mixed, grid)
     if vals.max() > 0.0 and vals.min() < 0.0:
         raise SignChangeError(
             "mixed normal derivative changes sign on the collar grid")

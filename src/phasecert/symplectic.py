@@ -148,8 +148,8 @@ def check_homogeneity(chi: SymplectoMap, samples: np.ndarray
                       ) -> tuple[bool, dict]:
     """Fiber homogeneity of the components, degree 1 for the covariables
     and 0 for the positions: the worst error over the components by the
-    scalar oracle :func:`expr.homogeneity_residual`, NaN-strict, which
-    must be at most HOMOGENEITY_TOL."""
+    oracle :func:`expr.homogeneity_residual`, NaN-strict, which must be
+    at most HOMOGENEITY_TOL."""
     fiber = set(XI_VARS)
     res = float(np.max([
         ex.homogeneity_residual(comp, fiber, 1.0 if name in fiber else 0.0,

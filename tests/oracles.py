@@ -4,11 +4,12 @@ These deliberately avoid the package's own differentiation/quadrature
 paths: finite differences with Richardson extrapolation, brute-force
 trapezoid quadrature, and refined-grid suprema.  The jets and
 fd_crosscheck tabulate the package's symbolic derivatives at a point and
-hold them against central differences of its evaluator.  The sg oracles
-at the end evaluate the regularized phase's derivative table the plain
-way: its whole program on every t column, gate live or not, each
-derivative broadcast to the full grid before it is reduced, and the
-t-grid through np.unique;
+hold them against central differences of its evaluator, and
+looped_homogeneity_residual runs the fiber-scaling check one sample row
+at a time.  The sg oracles at the end evaluate the regularized phase's
+derivative table the plain way: its whole program on every t column, gate
+live or not, each derivative broadcast to the full grid before it is
+reduced, and the t-grid through np.unique;
 looped_uniformity checks and reduces those constants one (x', rung) combo
 at a time.  looped_transmission runs the parity check one derivative and
 one ray at a time, and looped_bs_sups the collar-class sweep one rung,
@@ -30,8 +31,8 @@ from math import comb
 import numpy as np
 
 from phasecert.exceptions import RegressionError, SingularLocusError
-from phasecert.expr import (Expr, derivative_multi, differentiate,
-                            eval_array, evaluate)
+from phasecert.expr import (HOMOGENEITY_LAMBDAS, Expr, derivative_multi,
+                            differentiate, eval_array, evaluate)
 from phasecert.grids import bracket_ladder
 from phasecert.quadrature import panel_nodes
 from phasecert.sgphase import (LADDER, RATIO_KEYS, ZERO_FLOOR, Margins,
@@ -188,6 +189,25 @@ def fd_crosscheck(e: Expr, point: dict[str, float], v: str,
     fd = (evaluate(e, up) - evaluate(e, dn)) / (2.0 * h)
     sym = evaluate(differentiate(e, v), point)
     return abs(sym - fd) / max(1.0, abs(sym))
+
+
+def looped_homogeneity_residual(e: Expr, fiber_vars: set[str],
+                                degree: float, samples: np.ndarray) -> float:
+    """expr.homogeneity_residual one sample row at a time: the row and each
+    of its HOMOGENEITY_LAMBDAS scalings evaluated as a point of Python
+    floats, the errors reduced NaN-strict."""
+    names = samples.dtype.names
+    errs = []
+    for row in samples.tolist():
+        p = dict(zip(names, row))
+        base = evaluate(e, p)
+        for lam in HOMOGENEITY_LAMBDAS:
+            q = {k: (val * lam if k in fiber_vars else val)
+                 for k, val in p.items()}
+            target = lam**degree * base
+            got = evaluate(e, q)
+            errs.append(abs(got - target) / max(1.0, abs(target)))
+    return float(np.max(errs, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

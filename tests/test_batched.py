@@ -1,5 +1,6 @@
-"""Batched sample evaluation: pinned digests, the Jacobian against its
-pointwise oracle, NaN-strict reductions and strict report JSON."""
+"""Batched sample evaluation: pinned digests, the Jacobian and the
+homogeneity residual against their pointwise oracles, NaN-strict
+reductions and strict report JSON."""
 
 import json
 import math
@@ -9,14 +10,18 @@ import pytest
 
 from phasecert import catalog
 from phasecert import expr as ex
+from phasecert.exceptions import SingularLocusError
 from phasecert.grammar import parse_expr
-from phasecert.runner import (CheckOutcome, RunReport, run_scenario,
+from phasecert.phase import homogeneity_samples
+from phasecert.runner import (GRID_PRESETS, CheckOutcome, RunReport,
+                              ScenarioRunner, load_scenario, run_scenario,
                               write_report)
+from phasecert.symbols import _ray_samples
 from phasecert.symplectic import (SymplectoMap, check_boundary_preserving,
                                   SOURCE_ORDER, collar_samples, jacobian,
                                   point_at, sup)
 
-from oracles import sample_array
+from oracles import looped_homogeneity_residual, sample_array
 
 FAMILIES = {"symplecto", "phase", "generating"}
 
@@ -131,6 +136,101 @@ def test_nonfinite_values_fail_homogeneity_oracle():
     pts = sample_array([{"x1": 0.1, "xn": 0.0, "k1": 0.5, "kn": 1.0},
                         {"x1": 0.1, "xn": 0.0, "k1": 1.0, "kn": 1.0}])
     assert math.isnan(ex.homogeneity_residual(e, {"k1", "kn"}, 0.0, pts))
+
+
+XI = {"k1", "kn"}
+
+
+def homogeneity_rows(name: str) -> list:
+    """(label, expression, degree, samples) of every homogeneity residual
+    the runner takes of a catalog scenario at seeds 3 and 7 and the
+    default and fine grids, plus the first derivatives of its phase and
+    its declared amplitude on the SymbolFn rays."""
+    rows = []
+    for seed in (3, 7):
+        for grid in ("default", "fine"):
+            sc = load_scenario(catalog.emit(name))
+            sc.seed = seed
+            run = ScenarioRunner(sc, GRID_PRESETS[grid])
+            at = f"{name} seed {seed} {grid}"
+            if sc.chi is not None:
+                pts = run._samples(20, 1)
+                rows += [(f"{at} map {v}", comp, float(v in XI), pts)
+                         for v, comp in sc.chi.components.items()]
+            if sc.psi is not None:
+                rows.append((f"{at} psi", sc.psi, 1.0,
+                             homogeneity_samples(run._count(20), seed + 11)))
+    rays = _ray_samples(20)
+    if sc.psi is not None:
+        rows += [(f"{name} d psi / d {v}", ex.differentiate(sc.psi, v),
+                  float(v not in XI), rays) for v in ("x1", "xn", "k1", "kn")]
+    if sc.amplitude is not None \
+            and sc.amplitude.homogeneous_degree is not None:
+        rows.append((f"{name} amplitude", sc.amplitude.expr,
+                     sc.amplitude.homogeneous_degree, rays))
+    return rows
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_homogeneity_residual_equals_looped_oracle_bit_for_bit(name):
+    rows = homogeneity_rows(name)
+    assert rows
+    for label, e, degree, pts in rows:
+        got = ex.homogeneity_residual(e, XI, degree, pts)
+        want = looped_homogeneity_residual(e, XI, degree, pts)
+        assert same_float(got, want), (label, got, want)
+
+
+@pytest.mark.parametrize("text, kn, nonfinite", [
+    (BLOWUP["xn"], 1.0, math.isnan),           # 0 * inf at the base
+    ("exp(kn*kn)", 10.0, math.isinf),          # exp(10^4) at lambda = 10
+])
+def test_nonfinite_rows_equal_looped_oracle(text, kn, nonfinite):
+    # the first sample is finite at every scaling, so the non-finite
+    # error of the second is not the first one reduced
+    e = parse_expr(text)
+    pts = sample_array([{"x1": 0.1, "xn": 0.0, "k1": 0.001, "kn": 0.001},
+                        {"x1": 0.1, "xn": 0.0, "k1": 1.0, "kn": kn}])
+    got = ex.homogeneity_residual(e, XI, 0.0, pts)
+    assert nonfinite(got)
+    assert same_float(got, looped_homogeneity_residual(e, XI, 0.0, pts))
+
+
+@pytest.mark.parametrize("text, kns", [
+    ("x1 / kn", (1.0, 0.0)),           # singular at the base
+    ("log(15 - kn)", (0.5, 1.0)),      # singular only at lambda = 100
+])
+def test_singular_sample_raises_like_looped_oracle(text, kns):
+    e = parse_expr(text)
+    pts = sample_array([{"x1": 0.1, "xn": 0.0, "k1": 0.5, "kn": kn}
+                        for kn in kns])
+    errors = []
+    for fn in (ex.homogeneity_residual, looped_homogeneity_residual):
+        with pytest.raises(SingularLocusError) as err:
+            fn(e, XI, 1.0, pts)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("count", [3, 300])
+def test_homogeneity_residual_evaluates_once_per_scaling(monkeypatch,
+                                                         count):
+    calls = []
+    evaluate = ex.evaluate
+
+    def spy(e, points):
+        calls.append(e)
+        return evaluate(e, points)
+
+    monkeypatch.setattr(ex, "evaluate", spy)
+    chi = build_map("dilation")
+    ex.homogeneity_residual(chi.components["k1"], XI, 1.0,
+                            collar_samples(chi, count=count))
+    assert calls and len(calls) <= 1 + len(ex.HOMOGENEITY_LAMBDAS)
 
 
 def test_missing_variable_names_it():

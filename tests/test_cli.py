@@ -124,6 +124,16 @@ PHASE_EDITS = [
      ["phase.homogeneity"]),
     # psi at xn = 0 is not linear in xi'
     ("x1*k1 + xn*kn + 0.1*k1*k1", ["phase.boundary_phase"]),
+    # d2 psi / dxn dkn = x1^2 + 1e-4 is 1e-4 at x1 = 0, below the floor
+    ("x1*k1 + xn*kn*(x1*x1 + 0.0001)", ["phase.nondegeneracy"]),
+]
+
+# dilation's map with one component replaced, run with the symplecto
+# family: (component, expression, failing checks)
+MAP_EDITS = [
+    # a constant fiber translation: still symplectic, but k1 is no longer
+    # homogeneous of degree 1
+    ("k1", "k1 + xn*kn*(cos(x1)/2) + 0.01", ["symplecto.homogeneity"]),
 ]
 
 
@@ -152,6 +162,12 @@ def test_negative_scenarios_fail_exactly_their_checks():
         rep = run_scenario(sc)
         assert sorted(rep.failed) == sorted(intended), phase
         assert not rep.errored, phase
+    for component, expr, intended in MAP_EDITS:
+        sc = catalog.emit("dilation")
+        sc["map"][component] = expr
+        rep = run_scenario(sc, {"symplecto"})
+        assert sorted(rep.failed) == sorted(intended), expr
+        assert not rep.errored, expr
     # K far below dilation's factor exp(sin(x1)/2): P3 loses its sign
     sc = catalog.emit("dilation")
     sc["sg"] = {"k": 0.25, "K": 0.001}
@@ -540,6 +556,10 @@ BAD_FIELDS = {
     "degree-nonfinite": ("amplitude", {"expr": "exp(1000*kn)", "order": 0.0,
                                        "homogeneous_degree": 0.0},
                          ScenarioValidationError, "residual nan"),
+    # lambda^degree overflows: the declaration fails, it does not crash
+    "degree-overflow": ("amplitude", {"expr": "1", "order": 0.0,
+                                      "homogeneous_degree": 1e6},
+                        ScenarioValidationError, "residual nan"),
 }
 
 

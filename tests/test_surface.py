@@ -32,7 +32,9 @@ program is reached through expr.Program.  Tests may still patch them.
 Every name the benchmark patches or calls resolves in the loaded package:
 the (module, attribute) boundaries of perfbench/tracer.py and the names
 perfbench/worker.py calls, so that a rename fails here rather than as a
-crashed benchmark worker.
+crashed benchmark worker.  One in-process pass of each benchmark workload
+under that tracer records a call at exactly the boundaries
+perfbench/run.py expects of the workload.
 """
 
 from __future__ import annotations
@@ -308,26 +310,72 @@ def _expected_spans() -> dict:
     return names["EXPECTED_SPANS"]
 
 
-def test_tracer_sees_every_catalog_boundary(tmp_path):
-    """The catalog workload, run in-process under perfbench/tracer.py's
-    Tracer, records a call at exactly the boundaries perfbench/run.py
-    expects of it: a check the runner reached past the tracer's patches
+def _assert_tracer_sees_its_boundaries(workload: str, run_pass) -> None:
+    """run_pass() run in-process under perfbench/tracer.py's Tracer
+    records a call at exactly the boundaries perfbench/run.py expects of
+    the workload: a check the runner reached past the tracer's patches
     would record none."""
-    from phasecert import catalog, runner
-
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    tracer = tracer_module.Tracer("catalog").install()
+    tracer = tracer_module.Tracer(workload).install()
     try:
-        for name in catalog.names():
-            report = runner.run_scenario(catalog.emit(name))
-        runner.write_report(report, tmp_path)
+        run_pass()
     finally:
         tracer.uninstall()
     spans = _expected_spans()
-    want = {b for b, where in spans.items() if "catalog" in where}
+    want = {b for b, where in spans.items() if workload in where}
     seen = {b for b in spans if tracer.calls[b]}
     assert want and seen == want, (f"no call: {sorted(want - seen)}, "
                                    f"unexpected: {sorted(seen - want)}")
+
+
+def test_tracer_sees_every_catalog_boundary(tmp_path):
+    """The catalog workload: every scenario with all its families, and
+    the report bundle of the last one written."""
+    from phasecert import catalog, runner
+
+    def run_pass():
+        for name in catalog.names():
+            report = runner.run_scenario(catalog.emit(name))
+        runner.write_report(report, tmp_path)
+
+    _assert_tracer_sees_its_boundaries("catalog", run_pass)
+
+
+def test_tracer_sees_every_pointwise_fine_boundary():
+    """The pointwise-fine workload: every scenario with the symplecto,
+    phase and generating families at the fine grid."""
+    from phasecert import catalog, runner
+
+    def run_pass():
+        for name in catalog.names():
+            runner.run_scenario(catalog.emit(name),
+                                {"symplecto", "phase", "generating"},
+                                grid_preset="fine")
+
+    _assert_tracer_sees_its_boundaries("pointwise-fine", run_pass)
+
+
+def test_tracer_sees_every_operator_halfline_boundary():
+    """The operator-halfline workload: the 4 positive scenarios with the
+    phase, operator and opsymb families, then the half-line operator of
+    the last one, called through its module as perfbench/worker.py
+    does."""
+    import numpy as np
+
+    from phasecert import catalog, normalop, runner, schwartz
+
+    def run_pass():
+        for name in ("identity", "dilation", "quadratic-collar",
+                     "boundary-shear"):
+            sc = runner.load_scenario(catalog.emit(name))
+            run = runner.ScenarioRunner(
+                sc, 1.0, sc.margins or runner.MARGIN_PRESETS["default"])
+            run.run({"phase", "operator", "opsymb"})
+        normalop.apply_truncated_op(run._operator_spec(),
+                                    schwartz.exp_decay(),
+                                    np.linspace(0.05, 3.0, 64))
+
+    _assert_tracer_sees_its_boundaries("operator-halfline", run_pass)
