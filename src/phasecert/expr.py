@@ -213,8 +213,24 @@ def powi(base, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if base.op == CONST and (exponent > 0 or base.aux != 0.0):
-        return const(base.aux**exponent)
+        with np.errstate(all="ignore"):
+            return const(_ipow(base.aux, exponent))
     return Expr(POW, (base,), exponent)
+
+
+def _ipow(base, n: int):
+    """base^n for an integer n != 0 by repeated squaring, a reciprocal
+    for n < 0: the one power arithmetic of constant folding, of a point of
+    Python floats and of a sample array.  Every step is one IEEE multiply
+    or divide, so a float and an array element get the same bits, and
+    base^2 is base*base, numpy's own square."""
+    out, k = None, abs(n)
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        base = base * base if k else base
+    return np.divide(1.0, out) if n < 0 else out
 
 
 def _fold_unary(op, fn, child, domain=None) -> Expr:
@@ -620,7 +636,7 @@ def _exec(prog: Program, env: dict) -> list:
                 if aux < 0 and _any(base == 0.0):
                     raise SingularLocusError(
                         "zero base with negative exponent")
-                val = base**aux
+                val = _ipow(base, aux)
             elif op == EXP:
                 val = np.exp(regs[srcs[0]])
             elif op == LOG:
@@ -667,36 +683,45 @@ def eval_array(e: Expr, values: dict[str, float | np.ndarray]):
     return _compiled(e)(values)[0]
 
 
-def evaluate(e: Expr, points: np.ndarray | dict[str, float]):
+def evaluate(e, points: np.ndarray | dict[str, float]):
     """e at every sample of a structured sample array, one float64 per
-    sample, or at one point given as a dict of floats, as a float.
-    Deterministic; rejects singular-locus points."""
-    val = eval_array(e, points)
+    sample, or at one point given as a dict of floats, as a float; a list
+    e runs as one Program and gives a list.  Deterministic; rejects
+    singular-locus points."""
+    single = isinstance(e, Expr)
+    vals = (_compiled(e) if single else Program(e))(points)
     if isinstance(points, np.ndarray):
-        return np.broadcast_to(val, points.shape)
-    return float(val)
+        vals = [np.broadcast_to(v, points.shape) for v in vals]
+    else:
+        vals = [float(v) for v in vals]
+    return vals[0] if single else vals
 
 
-def homogeneity_residual(e: Expr, fiber_vars: set[str], degree: float,
+def homogeneity_residual(e, fiber_vars: set[str], degree,
                          samples: np.ndarray) -> float:
     """Worst relative error of eval(lambda*xi) against lambda^d * eval(xi)
     over lambda in HOMOGENEITY_LAMBDAS, at the points of a structured
-    sample array: one evaluation of all samples per scaling, the base
-    first.
+    sample array.  e and degree are one expression and its degree, or a
+    list of expressions and a list of their degrees.  One evaluate call
+    runs every expression over a (1 + len(HOMOGENEITY_LAMBDAS), N) sample
+    array: the samples, then one copy per scaling with its fiber fields
+    times lambda.
 
     A non-finite error anywhere makes the result NaN or inf.
     """
-    fiber = [v for v in samples.dtype.names if v in fiber_vars]
-    base = evaluate(e, samples)
-    scaled = samples.copy()
+    exprs, degrees = ([e], [degree]) if isinstance(e, Expr) else (e, degree)
+    lams = HOMOGENEITY_LAMBDAS
+    stacked = np.empty((1 + len(lams), len(samples)), dtype=samples.dtype)
+    stacked[:] = samples
+    for v in fiber_vars & set(samples.dtype.names):
+        stacked[v][1:] = samples[v] * np.array(lams)[:, None]
     errs = []
-    for lam in HOMOGENEITY_LAMBDAS:
-        for v in fiber:
-            scaled[v] = samples[v] * lam
-        got = evaluate(e, scaled)
-        with np.errstate(all="ignore"):
-            # a numpy power overflows to inf where a float's would raise
-            target = np.float64(lam)**degree * base
-            errs.append(np.abs(got - target)
+    with np.errstate(all="ignore"):
+        for vals, d in zip(evaluate(exprs, stacked), degrees):
+            # lambda^d as float64 scalar powers, inf where a float's
+            # power would raise
+            scale = np.array([np.float64(lam)**d for lam in lams])
+            target = scale[:, None] * vals[0]
+            errs.append(np.abs(vals[1:] - target)
                         / np.maximum(1.0, np.abs(target)))
     return float(np.max(errs, initial=0.0))

@@ -46,7 +46,7 @@ class SymbolFn:
         if self.homogeneous_degree is not None:
             res = ex.homogeneity_residual(
                 self.expr, set(XI_VARS), self.homogeneous_degree,
-                _ray_samples(20))
+                RAY_SAMPLES)
             if not res <= 1e-10:    # a NaN residual must fail too
                 raise ValueError(
                     f"declared homogeneity degree {self.homogeneous_degree} "
@@ -59,7 +59,11 @@ def _ray_samples(count: int) -> np.ndarray:
     out = np.empty(count, dtype=SAMPLE_DTYPE)
     out["x1"], out["xn"] = 0.3, 0.2
     out["k1"], out["kn"] = np.cos(theta), np.sin(theta)
+    out.flags.writeable = False
     return out
+
+
+RAY_SAMPLES = _ray_samples(20)  # the rays of every SymbolFn's oracle
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +78,13 @@ def check_transmission(a: SymbolFn, max_orders: int = 2
     the derivative at (x', 0, 0, +1) must equal (-1)^(m - al) times its
     value at (x', 0, 0, -1), on 11 sampled x' in [-1, 1].  Normal
     derivatives in the second copy of the collar variable are not taken:
-    symbols here are left-quantized and x-only.  All derivatives run as
-    one program, with x' as a (1, 11) axis against xi_n = +-1 as a (2, 1)
-    axis.  metrics carries the NaN-strict max_residual over all orders,
-    and the check passes when it is at most TRANSMISSION_TOL.  A symbol
-    that is not smooth at the axis points fails: its residual there is
-    inf.
+    symbols here are left-quantized and x-only.  A derivative that folds
+    to a constant c has residual |c - sign c| without evaluation; the
+    others run as one program, with x' as an 11-point axis against
+    xi_n = +-1 as a (2, 1) axis.  metrics carries the NaN-strict
+    max_residual over all orders, and the check passes when it is at most
+    TRANSMISSION_TOL.  A symbol that is not smooth at the axis points
+    fails: its residual there is inf.
     """
     if a.homogeneous_degree is None:
         raise ValueError("transmission check requires declared homogeneity")
@@ -89,19 +94,36 @@ def check_transmission(a: SymbolFn, max_orders: int = 2
             f"transmission parity needs an integer degree, got {m:g}")
     m = int(round(m))
     orders = range(max_orders + 1)
-    keys = [(k, al, be) for k in orders for al in orders for be in orders]
-    prog = ex.Program([ex.derivative_multi(
-        a.expr, {"xn": k, "k1": al, "x1": be}) for k, al, be in keys])
-    x1 = np.linspace(-1.0, 1.0, 11)[None, :]
+    # (sign, derivative) per (al, be, k), each derivative one
+    # differentiate of its neighbour in derivative_multi's k1, x1, xn
+    # order, so it is the node derivative_multi gives
+    table = []
+    d_al = a.expr
+    for al in orders:
+        d_al = ex.differentiate(d_al, "k1") if al else d_al
+        d_be = d_al
+        for be in orders:
+            d_be = ex.differentiate(d_be, "x1") if be else d_be
+            d = d_be
+            for k in orders:
+                d = ex.differentiate(d, "xn") if k else d
+                table.append((-1.0 if (m - al) % 2 else 1.0, d))
+    const = [abs(d.aux - s * d.aux) for s, d in table if d.op == ex.CONST]
+    live = [(s, d) for s, d in table if d.op != ex.CONST]
+    x1 = np.linspace(-1.0, 1.0, 11)
+    vals = np.empty((len(live), 2, x1.size))
     try:
-        vals = prog({"x1": x1, "xn": 0.0, "k1": 0.0,
-                     "kn": np.array([[1.0], [-1.0]])})
+        outs = ex.Program([d for _, d in live])(
+            {"x1": x1, "xn": 0.0, "k1": 0.0,
+             "kn": np.array([[1.0], [-1.0]])})
     except SingularLocusError:
         return False, {"max_residual": float("inf")}
-    vals = np.stack([np.broadcast_to(v, (2, x1.size)) for v in vals])
-    sign = np.array([[-1.0 if (m - al) % 2 else 1.0] for _, al, _ in keys])
+    for i, v in enumerate(outs):
+        vals[i] = v
+    sign = np.array([s for s, _ in live])[:, None]
     # np.max, not max(): a NaN residual must stick
-    worst = float(np.max(np.abs(vals[:, 0] - sign * vals[:, 1])))
+    worst = float(np.max(np.append(np.abs(vals[:, 0] - sign * vals[:, 1]),
+                                   const), initial=0.0))
     return worst <= TRANSMISSION_TOL, {"max_residual": worst}
 
 

@@ -147,14 +147,13 @@ def _matrices(entries: list, shape: tuple, m: int) -> np.ndarray:
 def check_homogeneity(chi: SymplectoMap, samples: np.ndarray
                       ) -> tuple[bool, dict]:
     """Fiber homogeneity of the components, degree 1 for the covariables
-    and 0 for the positions: the worst error over the components by the
-    oracle :func:`expr.homogeneity_residual`, NaN-strict, which must be
-    at most HOMOGENEITY_TOL."""
+    and 0 for the positions: the worst error over the components by one
+    call of the oracle :func:`expr.homogeneity_residual`, NaN-strict,
+    which must be at most HOMOGENEITY_TOL."""
     fiber = set(XI_VARS)
-    res = float(np.max([
-        ex.homogeneity_residual(comp, fiber, 1.0 if name in fiber else 0.0,
-                                samples)
-        for name, comp in chi.components.items()]))
+    res = ex.homogeneity_residual(
+        list(chi.components.values()), fiber,
+        [1.0 if name in fiber else 0.0 for name in chi.components], samples)
     return res <= HOMOGENEITY_TOL, {"residual": res, "tol": HOMOGENEITY_TOL}
 
 

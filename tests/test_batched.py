@@ -16,7 +16,7 @@ from phasecert.phase import homogeneity_samples
 from phasecert.runner import (GRID_PRESETS, CheckOutcome, RunReport,
                               ScenarioRunner, load_scenario, run_scenario,
                               write_report)
-from phasecert.symbols import _ray_samples
+from phasecert.symbols import RAY_SAMPLES
 from phasecert.symplectic import (SymplectoMap, check_boundary_preserving,
                                   SOURCE_ORDER, collar_samples, jacobian,
                                   point_at, sup)
@@ -160,7 +160,7 @@ def homogeneity_rows(name: str) -> list:
             if sc.psi is not None:
                 rows.append((f"{at} psi", sc.psi, 1.0,
                              homogeneity_samples(run._count(20), seed + 11)))
-    rays = _ray_samples(20)
+    rays = RAY_SAMPLES
     if sc.psi is not None:
         rows += [(f"{name} d psi / d {v}", ex.differentiate(sc.psi, v),
                   float(v not in XI), rays) for v in ("x1", "xn", "k1", "kn")]
@@ -168,6 +168,13 @@ def homogeneity_rows(name: str) -> list:
             and sc.amplitude.homogeneous_degree is not None:
         rows.append((f"{name} amplitude", sc.amplitude.expr,
                      sc.amplitude.homogeneous_degree, rays))
+    if name == "dilation":
+        # cubes, which no catalog scenario has: a power evaluated at a
+        # point of floats must round as it does on a sample array
+        cube = parse_expr("x1^3*k1 + xn^3*kn")
+        rows += [(f"{name} cube seed {seed}", cube, 1.0,
+                  collar_samples(sc.chi, count=40, seed=seed))
+                 for seed in range(20)]
     return rows
 
 
@@ -216,21 +223,41 @@ def test_singular_sample_raises_like_looped_oracle(text, kns):
     assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("count", [3, 300])
-def test_homogeneity_residual_evaluates_once_per_scaling(monkeypatch,
-                                                         count):
+def _spy_evaluate(monkeypatch) -> list:
+    """The (expressions, sample shape) of every ex.evaluate call."""
     calls = []
     evaluate = ex.evaluate
 
     def spy(e, points):
-        calls.append(e)
+        calls.append((e, points.shape))
         return evaluate(e, points)
 
     monkeypatch.setattr(ex, "evaluate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("count", [3, 300])
+def test_homogeneity_residual_evaluates_once_per_scaling(monkeypatch,
+                                                         count):
+    # every scaling, the base included, in one call
+    calls = _spy_evaluate(monkeypatch)
     chi = build_map("dilation")
     ex.homogeneity_residual(chi.components["k1"], XI, 1.0,
                             collar_samples(chi, count=count))
-    assert calls and len(calls) <= 1 + len(ex.HOMOGENEITY_LAMBDAS)
+    assert [shape for _, shape in calls] == [
+        (1 + len(ex.HOMOGENEITY_LAMBDAS), count)]
+
+
+def test_homogeneity_residual_evaluates_a_list_once(monkeypatch):
+    chi = build_map("dilation")
+    pts = collar_samples(chi, count=30)
+    comps = list(chi.components.values())
+    degrees = [float(v in XI) for v in chi.components]
+    want = np.max([looped_homogeneity_residual(e, XI, d, pts)
+                   for e, d in zip(comps, degrees)])
+    calls = _spy_evaluate(monkeypatch)
+    assert ex.homogeneity_residual(comps, XI, degrees, pts) == want
+    assert len(calls) == 1 and calls[0][0] == comps
 
 
 def test_missing_variable_names_it():

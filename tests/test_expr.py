@@ -352,3 +352,20 @@ def test_singular_locus_raises_for_every_binding(e, zero):
         ex.eval_array(e, {"x1": zero})
     # the same binding away from the locus evaluates
     assert np.all(np.isfinite(ex.eval_array(e, {"x1": zero + 0.25})))
+
+
+def test_pow_has_one_arithmetic_for_points_and_arrays():
+    # x^n at a point of Python floats and on a sample array: the same
+    # bits at every draw, and x^2 keeps numpy's own square
+    x = np.random.default_rng(0).standard_normal(20_000)
+    for n in range(-3, 6):
+        e = ex.powi(x1, n)
+        on_array = np.broadcast_to(ex.eval_array(e, {"x1": x}), x.shape)
+        at_points = np.array([ex.evaluate(e, {"x1": v}) for v in x.tolist()])
+        assert np.array_equal(on_array, at_points), n
+    assert np.array_equal(ex.eval_array(ex.powi(x1, 2), {"x1": x}),
+                          np.square(x))
+    # constant folding is the same arithmetic
+    for v in x[:200].tolist():
+        assert ex.powi(ex.const(v), 3).aux == ex.evaluate(
+            ex.powi(x1, 3), {"x1": v})

@@ -310,11 +310,11 @@ def _expected_spans() -> dict:
     return names["EXPECTED_SPANS"]
 
 
-def _assert_tracer_sees_its_boundaries(workload: str, run_pass) -> None:
+def _assert_tracer_sees_its_boundaries(workload: str, run_pass):
     """run_pass() run in-process under perfbench/tracer.py's Tracer
     records a call at exactly the boundaries perfbench/run.py expects of
     the workload: a check the runner reached past the tracer's patches
-    would record none."""
+    would record none.  Returns the calls per boundary."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
@@ -329,6 +329,7 @@ def _assert_tracer_sees_its_boundaries(workload: str, run_pass) -> None:
     seen = {b for b in spans if tracer.calls[b]}
     assert want and seen == want, (f"no call: {sorted(want - seen)}, "
                                    f"unexpected: {sorted(seen - want)}")
+    return tracer.calls
 
 
 def test_tracer_sees_every_catalog_boundary(tmp_path):
@@ -344,9 +345,18 @@ def test_tracer_sees_every_catalog_boundary(tmp_path):
     _assert_tracer_sees_its_boundaries("catalog", run_pass)
 
 
+# expr.differentiate and expr.evaluate calls of one in-process
+# pointwise-fine pass: one differentiate per transmission table entry and
+# one evaluate per homogeneity residual (1,799 and 197 when the table
+# took each entry through derivative_multi and the oracle ran one
+# evaluate per fiber scaling and per map component)
+POINTWISE_FINE_CALLS = {"expr.differentiate": 699, "expr.evaluate": 38}
+
+
 def test_tracer_sees_every_pointwise_fine_boundary():
     """The pointwise-fine workload: every scenario with the symplecto,
-    phase and generating families at the fine grid."""
+    phase and generating families at the fine grid, within the pinned
+    differentiate and evaluate call counts."""
     from phasecert import catalog, runner
 
     def run_pass():
@@ -355,7 +365,9 @@ def test_tracer_sees_every_pointwise_fine_boundary():
                                 {"symplecto", "phase", "generating"},
                                 grid_preset="fine")
 
-    _assert_tracer_sees_its_boundaries("pointwise-fine", run_pass)
+    calls = _assert_tracer_sees_its_boundaries("pointwise-fine", run_pass)
+    for name, bound in POINTWISE_FINE_CALLS.items():
+        assert calls[name] <= bound, (name, calls[name])
 
 
 def test_tracer_sees_every_operator_halfline_boundary():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from phasecert.symbols import (SymbolFn, check_bs_membership,
                                check_transmission, collar_sups, loglog_fit)
 
 from oracles import looped_bs_report, looped_bs_sups, looped_transmission
+from test_cli import AMPLITUDE_EDITS, PHASE_EDITS
 
 
 def test_transmission_xi_n_passes():
@@ -48,21 +50,36 @@ def test_transmission_singular_at_axis_is_failure_mode():
     assert metrics["max_residual"] == np.inf and not passed
 
 
+def _gradient_cases(label: str, psi: ex.Expr, symbol=SymbolFn):
+    for v in COLLAR_VARS:
+        m = 1.0 if v in ("x1", "xn") else 0.0
+        yield (f"{label}/d{v}", symbol(expr=ex.differentiate(psi, v),
+                                       order=m, homogeneous_degree=m), 2)
+
+
 def _transmission_cases():
     for name, sc in catalog.SCENARIOS.items():
         if "phase" in sc:
-            psi = parse_expr(sc["phase"])
-            for v in COLLAR_VARS:
-                m = 1.0 if v in ("x1", "xn") else 0.0
-                yield (f"{name}/d{v}", SymbolFn(ex.differentiate(psi, v),
-                                                order=m,
-                                                homogeneous_degree=m), 2)
+            yield from _gradient_cases(name, parse_expr(sc["phase"]))
         amp = sc.get("amplitude") or {}
         if amp.get("homogeneous_degree") is not None:
             m = amp["homogeneous_degree"]
             yield (f"{name}/amplitude",
                    SymbolFn(parse_expr(amp["expr"]), order=amp["order"],
                             homogeneous_degree=m), 1)
+    # check_transmission reads only expr and homogeneous_degree, and its
+    # table equals the oracle's whether or not the degree holds: the
+    # edited phases that are not homogeneous, which SymbolFn would
+    # reject, still give rows
+    for psi, _ in PHASE_EDITS:
+        yield from _gradient_cases(psi, parse_expr(psi),
+                                   symbol=types.SimpleNamespace)
+    # the edited amplitudes with an integer degree; a fractional one has
+    # no parity to test
+    for text, order, degree, _ in AMPLITUDE_EDITS:
+        if degree is not None and degree == int(degree):
+            yield (text, SymbolFn(parse_expr(text), order=order,
+                                  homogeneous_degree=degree), 2)
     yield ("norm(k1)", SymbolFn(parse_expr("norm(k1)"), order=1.0,
                                 homogeneous_degree=1.0), 0)
     yield ("kn*norm(k1)", SymbolFn(parse_expr("kn*norm(k1)"), order=2.0,
@@ -79,6 +96,40 @@ def test_one_program_transmission_equals_looped_oracle():
         seen_inf += want == np.inf
         seen_fail += not passed
     assert seen_inf == 2 and seen_fail >= 3
+
+
+def test_transmission_differentiates_each_entry_once(monkeypatch):
+    # one differentiate per table entry past the symbol itself, 26 at
+    # max_orders 2 (derivative_multi per entry takes 81), and one
+    # program whose outputs are exactly the entries that are not
+    # constants
+    differentiate, program = ex.differentiate, ex.Program
+    cases = [(label, a) for label, a, orders in _transmission_cases()
+             if orders == 2]
+    assert len(cases) > 20
+    for label, a in cases:
+        live = [d for d in (ex.derivative_multi(
+                    a.expr, {"xn": k, "k1": al, "x1": be})
+                    for k in range(3) for al in range(3) for be in range(3))
+                if d.op != ex.CONST]
+        diffs, programs = [], []
+
+        def spy_diff(e, v):
+            diffs.append(v)
+            return differentiate(e, v)
+
+        def spy_program(exprs):
+            programs.append(list(exprs))
+            return program(exprs)
+
+        monkeypatch.setattr(ex, "differentiate", spy_diff)
+        monkeypatch.setattr(ex, "Program", spy_program)
+        check_transmission(a, 2)
+        monkeypatch.undo()
+        assert len(diffs) <= 26, label
+        assert len(programs) <= 1, label
+        outputs = programs[0] if programs else []
+        assert sorted(map(id, outputs)) == sorted(map(id, live)), label
 
 
 def test_transmission_polynomial_parity_exact():
