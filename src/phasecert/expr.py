@@ -448,17 +448,20 @@ def differentiate(e: Expr, v: str) -> Expr:
     return d
 
 
-def derivative_multi(e: Expr, orders: dict[str, int]) -> Expr:
-    """Mixed partial with per-variable orders, applied in sorted-name order.
-
-    The fixed application order makes permuted requests hit the same cached
-    tree, so mixed partials are symmetric by construction.
-    """
-    out = e
-    for name in sorted(orders):
-        for _ in range(orders[name]):
-            out = differentiate(out, name)
-    return out
+def derivative_table(e, orders, step=None) -> dict:
+    """{(i_1, ..., i_k): d_{v_k}^{i_k} ... d_{v_1}^{i_1} e} for every
+    i_j <= n_j, where orders = [(v_1, n_1), ..., (v_k, n_k)] lists the
+    variables in application order, v_1 first.  The keys come in
+    lexicographic order, and each entry is one step(entry, v) of the entry
+    before it in its last nonzero index, so N entries take N - 1 steps.
+    step is differentiate unless given."""
+    step = step or differentiate
+    table = {}
+    for key in itertools.product(*(range(n + 1) for _, n in orders)):
+        j = max((j for j, i in enumerate(key) if i), default=None)
+        table[key] = e if j is None else step(
+            table[key[:j] + (key[j] - 1,) + key[j + 1:]], orders[j][0])
+    return table
 
 
 # ---------------------------------------------------------------------------

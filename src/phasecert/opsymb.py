@@ -87,31 +87,22 @@ class ConjugatedFamily:
         self.max_s = max_s
         psi = spec.phase.psi
         phi = spec.phase.phi
-        g_x = ex.differentiate(phi, "x1")
-        g_xi = ex.differentiate(phi, "k1")
-        g_n = ex.differentiate(psi, "xn")
+        grad = {"x1": ex.differentiate(phi, "x1"),
+                "k1": ex.differentiate(phi, "k1"),
+                "xn": ex.differentiate(psi, "xn")}
 
-        def bump_order(pair, g, v):
+        def bump_order(pair, v):
             re, im = pair
-            nre = ex.sub(ex.differentiate(re, v), ex.mul(g, im))
-            nim = ex.add(ex.differentiate(im, v), ex.mul(g, re))
+            nre = ex.sub(ex.differentiate(re, v), ex.mul(grad[v], im))
+            nim = ex.add(ex.differentiate(im, v), ex.mul(grad[v], re))
             return (nre, nim)
 
-        base = {(0, 0): (spec.amplitude.expr, ex.const(0.0))}
-        for a in range(max_xi + 1):
-            for b in range(max_x + 1):
-                if (a, b) in base:
-                    continue
-                if a > 0:
-                    base[(a, b)] = bump_order(base[(a - 1, b)], g_xi, "k1")
-                else:
-                    base[(a, b)] = bump_order(base[(a, b - 1)], g_x, "x1")
-        self.amp_pairs = {}
-        for (a, b), pair in base.items():
-            cur = pair
-            for s in range(max_s + 1):
-                self.amp_pairs[(a, b, s)] = cur
-                cur = bump_order(cur, g_n, "xn")
+        # x' derivatives first, then xi', then the output derivative
+        table = ex.derivative_table(
+            (spec.amplitude.expr, ex.const(0.0)),
+            [("x1", max_x), ("k1", max_xi), ("xn", max_s)], bump_order)
+        self.amp_pairs = {(a, b, s): pair
+                          for (b, a, s), pair in table.items()}
 
         t, r, sv = ex.var("t"), ex.var("r"), ex.var("s")
         resc = {"xn": ex.quot(t, r), "kn": ex.mul(sv, r)}

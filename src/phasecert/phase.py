@@ -243,14 +243,13 @@ def normal_coeffs(phase: GeneratingPhase,
              "euler_residual": euler, "degenerate": degenerate, "tol": tol})
 
 
-def check_admissibility(phase: GeneratingPhase,
-                        max_orders: int = 2) -> tuple[bool, dict]:
+def check_admissibility(phase: GeneratingPhase) -> tuple[bool, dict]:
     """Transmission condition on every first derivative of psi.
 
     x-derivatives of a degree-1 phase are homogeneous symbols of degree 1,
     xi-derivatives of degree 0; each runs the parity check at orders up to
-    max_orders, and metrics carries each one's max_residual and their
-    NaN-strict maximum.
+    2, and metrics carries each one's max_residual and their NaN-strict
+    maximum.
     """
     per_derivative = {}
     worst = 0.0
@@ -259,7 +258,7 @@ def check_admissibility(phase: GeneratingPhase,
     for v, m in degrees:
         sym = SymbolFn(ex.differentiate(phase.psi, v), order=m,
                        homogeneous_degree=m, name=f"d/d{v} psi")
-        passed, r = check_transmission(sym, max_orders)
+        passed, r = check_transmission(sym, 2)
         per_derivative[f"d{v}"] = r["max_residual"]
         worst = float(np.maximum(worst, r["max_residual"]))
         ok = ok and passed

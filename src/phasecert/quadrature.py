@@ -289,7 +289,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
     all points, since the round-off of the sums scales with the largest
     of them.  A doubling that would take evals times the value's size
     past PAIR_BUDGET pairs is not started; QuadratureBudgetError is raised
-    instead.  Returns (value, err_estimate, evals); err is the last
+    instead.  It is raised at once when some value is non-finite in two
+    successive rounds: the two grids share no node, so the integrand, not
+    a node, made it.  Returns (value, err_estimate, evals); err is the last
     doubling difference, elementwise over the leading axes of f's output.
     """
     n = n0
@@ -301,6 +303,11 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
         n *= 2
         cur = integrate_fixed(f, a, b, n, order)
         evals += n * order
+        stuck = int(np.sum(~np.isfinite(prev) & ~np.isfinite(cur)))
+        if stuck:
+            raise QuadratureBudgetError(
+                f"{stuck} of {np.size(cur)} values non-finite at both "
+                f"{n // 2} and {n} panels")
         err = np.abs(cur - prev)
         scale = np.maximum(1.0, np.max(np.abs(cur)))
         if np.all(err <= tol * scale):

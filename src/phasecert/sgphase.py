@@ -66,20 +66,6 @@ def within_margins(constants: dict[str, np.ndarray],
     return np.all(lows + highs, axis=0)
 
 
-def _derivative_table(e: ex.Expr, order_bound: int) -> dict:
-    """(a, al) -> d_t^a d_tau^al e for a, al <= order_bound, a outer and
-    al inner: d_tau of the entry left of it, or d_t of the one above when
-    al = 0."""
-    table = {(0, 0): e}
-    for a in range(order_bound + 1):
-        for al in range(order_bound + 1):
-            if al:
-                table[a, al] = ex.differentiate(table[a, al - 1], "tau")
-            elif a:
-                table[a, 0] = ex.differentiate(table[a - 1, 0], "t")
-    return table
-
-
 def _block_bounds(vals: dict, t: np.ndarray) -> dict:
     """name -> (np.maximum or np.minimum, bound) of the P1/P2/P3
     quantities of one block of the derivative table, on the t columns t
@@ -140,14 +126,16 @@ class StarPhaseFamily:
         gate = cutoff_expr(ex.quot(t, ex.mul(r, ex.const(self.k))))
         ktt = ex.mul(ex.const(self.K), t, tau)
         self.expr = ex.add(ktt, ex.mul(gate, ex.sub(phi_resc, ktt)))
-        self.table = _derivative_table(self.expr, order_bound)
+        # (a, al) -> d_t^a d_tau^al, t applied first
+        orders = [("t", order_bound), ("tau", order_bound)]
+        self.table = ex.derivative_table(self.expr, orders)
         self.program = ex.Program(list(self.table.values()))
         # the gate itself picks the live columns, not |t| < r k: the bump
         # is 0 where its argument is at most 1e-3, so w_k is 0 on a thin
         # band inside the open support too, and phi is not read there
         self.gate_program = ex.Program([gate])
         self.ktt_program = ex.Program(
-            list(_derivative_table(ktt, order_bound).values()))
+            list(ex.derivative_table(ktt, orders).values()))
 
     def env_for(self, xprime: float | np.ndarray, rung: float,
                 sign: int = 1) -> dict:

@@ -93,21 +93,11 @@ def check_transmission(a: SymbolFn, max_orders: int = 2
         raise NonIntegerDegreeError(
             f"transmission parity needs an integer degree, got {m:g}")
     m = int(round(m))
-    orders = range(max_orders + 1)
-    # (sign, derivative) per (al, be, k), each derivative one
-    # differentiate of its neighbour in derivative_multi's k1, x1, xn
-    # order, so it is the node derivative_multi gives
-    table = []
-    d_al = a.expr
-    for al in orders:
-        d_al = ex.differentiate(d_al, "k1") if al else d_al
-        d_be = d_al
-        for be in orders:
-            d_be = ex.differentiate(d_be, "x1") if be else d_be
-            d = d_be
-            for k in orders:
-                d = ex.differentiate(d, "xn") if k else d
-                table.append((-1.0 if (m - al) % 2 else 1.0, d))
+    # (sign, derivative) per (al, be, k)
+    table = [(-1.0 if (m - al) % 2 else 1.0, d)
+             for (al, _, _), d in ex.derivative_table(
+                 a.expr, [("k1", max_orders), ("x1", max_orders),
+                          ("xn", max_orders)]).items()]
     const = [abs(d.aux - s * d.aux) for s, d in table if d.op == ex.CONST]
     live = [(s, d) for s, d in table if d.op != ex.CONST]
     x1 = np.linspace(-1.0, 1.0, 11)
@@ -212,9 +202,10 @@ def collar_sups(parts, rungs: np.ndarray, xin_rungs: np.ndarray,
     at R = 1), times the exact rescaling factor r^(gamma - delta).  One
     program runs every derivative of every part over the axes (rung,
     shell, sign, x', x_n), reduced by max over the last three."""
-    prog = ex.Program([ex.derivative_multi(
-        p, {"kn": g, "xn": dlt, "k1": al, "x1": be})
-        for al, be, g, dlt in BS_KEYS for p in parts])
+    tables = [ex.derivative_table(
+        p, [("k1", 1), ("kn", 2), ("x1", 1), ("xn", 2)]) for p in parts]
+    prog = ex.Program([t[al, g, be, dlt]
+                       for al, be, g, dlt in BS_KEYS for t in tables])
     r = rungs[:, None, None, None, None]
     rho = np.sqrt(np.maximum(xin_rungs * xin_rungs - 1.0, 0.0))
     shell = np.stack([rho, -rho], axis=1)[None, :, :, None, None]

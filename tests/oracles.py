@@ -18,7 +18,9 @@ The quadrature oracles never call the oscillatory kernel they check:
 dense_values takes one complex exponential per (point, node) pair,
 blockwise_panel_sum and cutoff_richardson_separate sum such dense values,
 and per_function_outputs sweeps the conjugated outputs of one test
-function on its own s grid by the dense formula.
+function on its own s grid by the dense formula.  derivative_multi and
+looped_amp_pairs build derivatives by their own chains of differentiate
+calls, apart from the expr.derivative_table they check.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from math import comb
 import numpy as np
 
 from phasecert.exceptions import RegressionError, SingularLocusError
-from phasecert.expr import (HOMOGENEITY_LAMBDAS, Expr, derivative_multi,
-                            differentiate, eval_array, evaluate)
+from phasecert.expr import (HOMOGENEITY_LAMBDAS, Expr, add, const,
+                            differentiate, eval_array, evaluate, mul, sub)
 from phasecert.grids import bracket_ladder
 from phasecert.quadrature import panel_nodes
 from phasecert.sgphase import (LADDER, RATIO_KEYS, ZERO_FLOOR, Margins,
@@ -50,6 +52,18 @@ def fd_derivative(f, x: float, order: int, h: float) -> float:
     for j in range(order + 1):
         total += (-1) ** j * comb(order, j) * f(x + (order / 2.0 - j) * h)
     return total / h**order
+
+
+def derivative_multi(e: Expr, orders: dict[str, int]) -> Expr:
+    """Mixed partial with per-variable orders, one differentiate call
+    after another in sorted-name order, so a permuted request reaches the
+    same cached node: the oracles' own chain, apart from the derivative
+    tables they check."""
+    out = e
+    for name in sorted(orders):
+        for _ in range(orders[name]):
+            out = differentiate(out, name)
+    return out
 
 
 def richardson_diff(f, x: float, order: int = 1, h: float = 1e-2) -> float:
@@ -453,6 +467,42 @@ def blockwise_panel_sum(f, mid, half, g, weights, step: int
         nodes = (mid[lo:lo + step, None] + half * g).ravel()
         out = out + f(nodes) @ weights[lo:lo + step].reshape(len(nodes), -1)
     return out.reshape((-1,) + cols)
+
+
+def looped_amp_pairs(spec, max_xi: int = 2, max_x: int = 2,
+                     max_s: int = 2) -> dict:
+    """ConjugatedFamily.amp_pairs by its own loops: the (xi'-order,
+    x'-order) base pairs, each a k1 bump of the pair above it or, in the
+    first row, an x1 bump of the pair left of it, then one xn bump after
+    another per base pair.  {(a, b, s): (re, im)}."""
+    psi = spec.phase.psi
+    phi = spec.phase.phi
+    g_x = differentiate(phi, "x1")
+    g_xi = differentiate(phi, "k1")
+    g_n = differentiate(psi, "xn")
+
+    def bump_order(pair, g, v):
+        re, im = pair
+        nre = sub(differentiate(re, v), mul(g, im))
+        nim = add(differentiate(im, v), mul(g, re))
+        return (nre, nim)
+
+    base = {(0, 0): (spec.amplitude.expr, const(0.0))}
+    for a in range(max_xi + 1):
+        for b in range(max_x + 1):
+            if (a, b) in base:
+                continue
+            if a > 0:
+                base[(a, b)] = bump_order(base[(a - 1, b)], g_xi, "k1")
+            else:
+                base[(a, b)] = bump_order(base[(a, b - 1)], g_x, "x1")
+    amp_pairs = {}
+    for (a, b), pair in base.items():
+        cur = pair
+        for s in range(max_s + 1):
+            amp_pairs[(a, b, s)] = cur
+            cur = bump_order(cur, g_n, "xn")
+    return amp_pairs
 
 
 def per_function_outputs(family, u, rungs, t_grid) -> dict:

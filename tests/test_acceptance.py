@@ -141,7 +141,7 @@ def test_criterion_3_transmission():
             _, nc = normal_coeffs(ph)
             assert nc["symmetry_residual"] <= 1e-10, name
             assert nc["kappa"] > 0.0, name
-            passed, adm = check_admissibility(ph, max_orders=2)
+            passed, adm = check_admissibility(ph)
             assert passed, name
             assert adm["max_residual"] <= 1e-12, name
         bad = scenario_phase("bad-transmission")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -14,8 +15,9 @@ from phasecert.grids import sg_ladder
 from phasecert.phase import GeneratingPhase
 from phasecert.sgphase import StarPhaseFamily
 
-from oracles import (MultiIndex, central_diff, fd_crosscheck, jet,
-                     richardson_diff, sample_array)
+from oracles import (MultiIndex, central_diff, derivative_multi,
+                     fd_crosscheck, jet, richardson_diff, sample_array)
+from test_acceptance import CATALOG_EXPR_STRINGS
 
 xn = ex.var("xn")
 kn = ex.var("kn")
@@ -51,7 +53,7 @@ def test_bump_derivative_matches_central_difference():
 
 def test_bump_vanishes_left_of_zero_with_all_derivatives():
     e = ex.bump(ex.var("t"))
-    d2 = ex.derivative_multi(e, {"t": 4})
+    d2 = derivative_multi(e, {"t": 4})
     for t in [-1.0, -1e-9, 0.0]:
         assert ex.evaluate(e, {"t": t}) == 0.0
         assert ex.evaluate(d2, {"t": t}) == 0.0
@@ -369,3 +371,67 @@ def test_pow_has_one_arithmetic_for_points_and_arrays():
     for v in x[:200].tolist():
         assert ex.powi(ex.const(v), 3).aux == ex.evaluate(
             ex.powi(x1, 3), {"x1": v})
+
+
+# ------------------------------------------------ the derivative table
+
+def spied_table(monkeypatch, e, orders):
+    """ex.derivative_table(e, orders) and the variable of each
+    ex.differentiate call it made."""
+    calls = []
+    real = ex.differentiate
+
+    def spy(d, v):
+        calls.append(v)
+        return real(d, v)
+
+    monkeypatch.setattr(ex, "differentiate", spy)
+    table = ex.derivative_table(e, orders)
+    monkeypatch.undo()
+    return table, calls
+
+
+def chain(e, orders, key):
+    """key's entry by one differentiate after another, v_1 first."""
+    for (v, _), i in zip(orders, key):
+        for _ in range(i):
+            e = ex.differentiate(e, v)
+    return e
+
+
+def same_node(a, b):
+    # a derivative that vanishes is a fresh CONST 0 node per call
+    return a is b or (a.op == b.op == ex.CONST and a.aux == b.aux)
+
+
+TABLE_CASES = [
+    pytest.param(parse_expr(text), sorted(ex.free_vars(parse_expr(text))), 2,
+                 id=text) for text in CATALOG_EXPR_STRINGS] + [
+    pytest.param(sg_table(name)[2].expr, ["t", "tau"], 3, id=f"sg {name}")
+    for name in SG_PHASES]
+
+
+@pytest.mark.parametrize("e, names, n", TABLE_CASES)
+def test_derivative_table_is_the_chain_in_application_order(monkeypatch, e,
+                                                            names, n):
+    # in sorted-name order the oracle's derivative_multi, in reversed
+    # order an explicit chain
+    for orders in ([(v, n) for v in names], [(v, n) for v in names[::-1]]):
+        table, calls = spied_table(monkeypatch, e, orders)
+        keys = list(table)
+        assert keys == sorted(keys) == list(itertools.product(
+            *(range(n + 1) for _ in orders)))
+        # one step per entry past e itself
+        assert len(calls) == len(table) - 1
+        for key, d in table.items():
+            want = (derivative_multi(e, dict(zip(names, key)))
+                    if orders[0][0] == names[0] else chain(e, orders, key))
+            assert same_node(d, want), (orders, key)
+
+
+@pytest.mark.parametrize("name", SG_PHASES)
+def test_sg_family_table_is_t_then_tau(name):
+    _, _, fam = sg_table(name)
+    assert list(fam.table) == list(itertools.product(range(4), range(4)))
+    for (a, al), d in fam.table.items():
+        assert same_node(d, derivative_multi(fam.expr, {"t": a, "tau": al}))

@@ -19,7 +19,7 @@ from phasecert.runner import load_scenario, run_scenario
 from phasecert.schwartz import hermite_fn
 from phasecert.symbols import SymbolFn, check_bs_membership
 
-from oracles import per_function_outputs, trapezoid
+from oracles import looped_amp_pairs, per_function_outputs, trapezoid
 
 
 def phase_of(name):
@@ -97,6 +97,31 @@ def test_first_derivative_output_matches_fd_in_t():
 T_ONLY_SPEC = NormalOperatorSpec(
     phase_of("identity"), SymbolFn(parse_expr("exp(-xn^2)"), order=0.0),
     0.3, 1.0, name="t-only-op")
+
+
+def catalog_spec(name) -> NormalOperatorSpec:
+    """The operator of catalog scenario name with its own amplitude, as the
+    runner builds it."""
+    amp = load_scenario(SCENARIOS[name]).operator_amplitude()
+    return NormalOperatorSpec(phase_of(name), amp, 0.3, 1.0, name=name)
+
+
+@pytest.mark.parametrize("name", ["dilation", "quadratic-collar", "mix"])
+def test_amp_pairs_evaluate_as_the_looped_recursion(name):
+    # every (re, im) pair at orders (2, 2, 2), bit for bit on a grid of
+    # (x1, xn, k1, kn) against the nested loops of the pair recursion
+    spec = MIX_SPEC if name == "mix" else catalog_spec(name)
+    got = ConjugatedFamily(spec, 2, 2, 2).amp_pairs
+    want = looped_amp_pairs(spec, 2, 2, 2)
+    assert sorted(got) == sorted(want) and len(got) == 27
+    env = {"x1": np.linspace(-1.0, 1.0, 5)[:, None, None, None],
+           "xn": np.linspace(-0.4, 0.4, 5)[:, None, None],
+           "k1": np.array([-2.0, 0.5, 3.0])[:, None],
+           "kn": np.array([-3.0, -1.0, 0.7, 2.0])}
+    for key in want:
+        for g, w in zip(got[key], want[key]):
+            assert np.array_equal(ex.eval_array(g, env),
+                                  ex.eval_array(w, env)), key
 
 
 @pytest.mark.parametrize("spec", [IDENTITY_SPEC, T_ONLY_SPEC, MIX_SPEC],

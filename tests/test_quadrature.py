@@ -7,6 +7,7 @@ import pytest
 from phasecert import expr as ex
 from phasecert import catalog, normalop, quadrature
 from phasecert.catalog import SCENARIOS
+from phasecert.exceptions import QuadratureBudgetError
 from phasecert.grammar import parse_expr
 from phasecert.normalop import (NormalOperatorSpec, _integrand_factory,
                                 apply_normal_op, apply_truncated_op)
@@ -140,6 +141,42 @@ def test_adaptive_floor_is_relative_to_the_largest_output():
         assert np.max(np.abs(val / scale - want)) <= 1e-15
         evals.append(n)
     assert evals[0] == evals[1]
+
+
+def test_adaptive_stops_on_a_value_non_finite_in_two_rounds(monkeypatch):
+    # no node of one round is a node of the next, so a value non-finite in
+    # two successive rounds comes from the integrand and fails at once; a
+    # NaN on the first round's grid only doubles on and converges
+    rounds = []
+    real = quadrature.integrate_fixed
+
+    def spy(f, a, b, n, order=12):
+        rounds.append(n)
+        return real(f, a, b, n, order)
+
+    monkeypatch.setattr(quadrature, "integrate_fixed", spy)
+    w = np.linspace(0.0, 20.0, 1000)
+
+    def stuck(x):
+        out = np.exp(-x * x) * np.cos(np.outer(w, x))
+        out[3] = np.nan
+        return out
+
+    with pytest.raises(QuadratureBudgetError,
+                       match="1 of 1000 values non-finite at both 16 and "
+                             "32 panels"):
+        quadrature.integrate_adaptive(stuck, -6.0, 6.0)
+    assert rounds == [16, 32]
+
+    def first_round_nan(x):
+        out = np.exp(-x * x) * np.cos(np.outer(w, x))
+        return out * np.nan if rounds[-1] == 16 else out
+
+    rounds.clear()
+    val, _, _ = quadrature.integrate_adaptive(first_round_nan, -6.0, 6.0)
+    assert len(rounds) > 2
+    assert np.max(np.abs(val - math.sqrt(math.pi)
+                         * np.exp(-w * w / 4.0))) <= 1e-13
 
 
 def test_operator_with_a_large_constant_amplitude_converges():

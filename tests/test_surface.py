@@ -342,14 +342,21 @@ def test_tracer_sees_every_catalog_boundary(tmp_path):
             report = runner.run_scenario(catalog.emit(name))
         runner.write_report(report, tmp_path)
 
-    _assert_tracer_sees_its_boundaries("catalog", run_pass)
+    calls = _assert_tracer_sees_its_boundaries("catalog", run_pass)
+    assert calls["expr.differentiate"] <= CATALOG_DIFFERENTIATE_CALLS
 
+
+# expr.differentiate calls of one in-process catalog and operator-halfline
+# pass: ConjugatedFamily's pair table takes no bump past its last output
+# order (1,182 and 800 when each (xi'-order, x'-order) took one more)
+CATALOG_DIFFERENTIATE_CALLS = 1150
+OPERATOR_HALFLINE_DIFFERENTIATE_CALLS = 768
 
 # expr.differentiate and expr.evaluate calls of one in-process
 # pointwise-fine pass: one differentiate per transmission table entry and
 # one evaluate per homogeneity residual (1,799 and 197 when the table
-# took each entry through derivative_multi and the oracle ran one
-# evaluate per fiber scaling and per map component)
+# took each mixed partial by its own chain from the symbol and the oracle
+# ran one evaluate per fiber scaling and per map component)
 POINTWISE_FINE_CALLS = {"expr.differentiate": 699, "expr.evaluate": 38}
 
 
@@ -390,4 +397,7 @@ def test_tracer_sees_every_operator_halfline_boundary():
                                     schwartz.exp_decay(),
                                     np.linspace(0.05, 3.0, 64))
 
-    _assert_tracer_sees_its_boundaries("operator-halfline", run_pass)
+    calls = _assert_tracer_sees_its_boundaries("operator-halfline",
+                                               run_pass)
+    assert (calls["expr.differentiate"]
+            <= OPERATOR_HALFLINE_DIFFERENTIATE_CALLS)
