@@ -80,8 +80,8 @@ import numpy as np
 
 from . import __version__
 from . import expr as ex
-from .exceptions import (PhasecertError, ScenarioParseError,
-                         ScenarioValidationError)
+from .exceptions import (BoundaryFlatnessError, PhasecertError,
+                         ScenarioParseError, ScenarioValidationError)
 from .grammar import parse_expr
 from .normalop import (NormalOperatorSpec, check_linearity,
                        check_quadrature_consistency, l2_smoke_check,
@@ -130,7 +130,7 @@ class Scenario:
     """A loaded scenario: psi (the declared phase), chi (the map) and
     amplitude are the parsed expressions.  phase, the GeneratingPhase
     of psi with its boundary part, is built by the runner's
-    phase.boundary_phase check, because building it can fail."""
+    phase.boundary_phase check, whose verdict says whether it is sound."""
     name: str
     collar_halfwidth: float = 1.0
     sg_params: dict | None = None
@@ -146,11 +146,16 @@ class Scenario:
     amplitude: SymbolFn | None = field(default=None, repr=False)
 
     def generating_phase(self) -> GeneratingPhase:
-        """The declared phase with its boundary part; raises
-        BoundaryFlatnessError when psi moves the boundary."""
-        return GeneratingPhase(self.psi,
-                               collar_halfwidth=self.collar_halfwidth,
-                               name=self.name)
+        """The declared phase with its boundary part, for the CLI's
+        calibrate and apply, which have no verdict to return: raises
+        BoundaryFlatnessError when psi at x_n = 0 depends on xi_n."""
+        phase = GeneratingPhase(self.psi, self.collar_halfwidth, self.name)
+        diag = phase.boundary_diagnostics
+        resid = diag["xi_n_residual"]
+        if not resid <= diag["tol"]:
+            raise BoundaryFlatnessError(
+                f"boundary restriction depends on xi_n (residual {resid:.2e})")
+        return phase
 
     def operator_amplitude(self) -> SymbolFn:
         """The declared amplitude, or the constant 1 of order 0."""
@@ -511,8 +516,9 @@ class ScenarioRunner:
 
         A check whose PREREQUISITES have not all passed is skipped without
         calling fn, and its message names the unmet ones.  A library error
-        fails the check; any other exception is an infrastructure problem,
-        not a verdict, and reports an error.
+        means the check could not be evaluated (see :mod:`exceptions`) and
+        fails it with the error's message; any other exception is an
+        infrastructure problem, not a verdict, and reports an error.
         """
         unmet = [p for p in PREREQUISITES[name] if p not in self.passed]
         if unmet:
@@ -572,7 +578,8 @@ class ScenarioRunner:
 
     def _run_phase(self):
         def build():
-            self.sc.phase = self.sc.generating_phase()
+            self.sc.phase = GeneratingPhase(
+                self.sc.psi, self.sc.collar_halfwidth, self.sc.name)
             d = self.sc.phase.boundary_diagnostics
             return boundary_flat(d), d
         self.check("phase.boundary_phase", build)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .exceptions import (BoundaryPreservationError, FiberLinearityError)
+from .exceptions import BoundaryPreservationError
 from .grids import quasi_uniform
 
 # The collar variables, the one definition of their names.
@@ -182,9 +182,10 @@ def induced_boundary_map(chi: SymplectoMap, samples: np.ndarray
                          ) -> tuple[bool, dict]:
     """Restrict (x', xi') to y_n = 0 and check the boundary symplectomorphism.
 
-    Verifies eta_n-independence of both parts, eta'-independence of x',
-    linearity of xi' in eta', and unimodularity of the boundary Jacobian
-    within DET_TOL.  Requires x_n to vanish on the boundary samples (the
+    Passes when both parts are eta_n-independent, x' is eta'-independent
+    and xi' linear in eta' (linearity_residual <= LINEARITY_TOL), and the
+    boundary Jacobian is unimodular (det_residual <= DET_TOL).  Requires
+    x_n to vanish on the boundary samples (the
     check_boundary_preserving test, on these samples).
     """
     passed, bp = check_boundary_preserving(chi, samples)
@@ -195,25 +196,21 @@ def induced_boundary_map(chi: SymplectoMap, samples: np.ndarray
     b = ex.substitute(chi.components["x1"], {"xn": 0.0})
     xib = ex.substitute(chi.components["k1"], {"xn": 0.0})
 
-    # derivatives that must vanish on the boundary, in report order
-    vanish = [("dx1/dk1 at boundary", ex.differentiate(b, "k1")),
-              ("dx1/dkn at boundary", ex.differentiate(b, "kn")),
-              ("dk1/dkn at boundary", ex.differentiate(xib, "kn")),
-              ("second eta'-derivative of k1",
-               ex.differentiate(ex.differentiate(xib, "k1"), "k1"))]
-    vals = ex.Program([d for _, d in vanish])(samples)
-    worst, i = sup([sup(v, count)[0] for v in vals], len(vals))
-    if not worst <= LINEARITY_TOL:
-        raise FiberLinearityError(
-            f"boundary map not fiber-trivial: {vanish[i][0]} = {worst:.2e}")
+    # dx1/dk1, dx1/dkn, dk1/dkn and d2k1/dk1^2, which vanish on the boundary
+    vals = ex.Program([ex.differentiate(b, "k1"), ex.differentiate(b, "kn"),
+                       ex.differentiate(xib, "kn"),
+                       ex.differentiate(ex.differentiate(xib, "k1"), "k1")])(
+        samples)
+    worst, _ = sup([sup(v, count)[0] for v in vals], len(vals))
 
     # unimodularity of the composed boundary Jacobian in (y', eta')
     Jb = _matrices(ex.Program(
         [ex.differentiate(r, s) for r in (b, xib) for s in ("x1", "k1")])(
         samples), (count,), 2)
-    det_worst, _ = sup(np.linalg.det(Jb) - 1.0, count)
-    return det_worst <= DET_TOL, {"linearity_residual": worst,
-                                  "det_residual": det_worst}
+    with np.errstate(all="ignore"):    # non-finite entries give NaN
+        det_worst, _ = sup(np.linalg.det(Jb) - 1.0, count)
+    return worst <= LINEARITY_TOL and det_worst <= DET_TOL, {
+        "linearity_residual": worst, "det_residual": det_worst}
 
 
 def check_jacobian_structure(chi: SymplectoMap, samples: np.ndarray,

@@ -9,8 +9,13 @@ import pytest
 import phasecert
 from phasecert import catalog
 from phasecert.cli import main
-from phasecert.exceptions import (ScenarioParseError,
+from phasecert.exceptions import (BoundaryPreservationError,
+                                  CalibrationError, CollarBoundsError,
+                                  NodeBudgetError, NonIntegerDegreeError,
+                                  QuadratureBudgetError, RegressionError,
+                                  ScenarioParseError,
                                   ScenarioValidationError,
+                                  SingularAxisError, SingularLocusError,
                                   UnknownScenarioError)
 from phasecert.runner import (PREREQUISITES, check_golden, csv_bundle,
                               load_scenario, render_report, run_scenario)
@@ -115,6 +120,12 @@ AMPLITUDE_EDITS = [
                                 "opsymb.order_fit", "opsymb.transpose"]),
 ]
 
+# edits that fail the sign, flatness and fiber-linearity tests: the
+# verdict test below reads the metrics that show each failure
+SIGN_CHANGE = "x1*k1 + xn*kn*(1 - 3*xn^2)"
+XI_N_SHIFT = "x1*k1 + (xn - 0.1)*kn"
+FIBER_SHEAR = "x1 + 0.3*k1*k1"
+
 # dilation's phase replaced, with no map and the phase family only:
 # (phase, failing checks)
 PHASE_EDITS = [
@@ -126,15 +137,50 @@ PHASE_EDITS = [
     ("x1*k1 + xn*kn + 0.1*k1*k1", ["phase.boundary_phase"]),
     # d2 psi / dxn dkn = x1^2 + 1e-4 is 1e-4 at x1 = 0, below the floor
     ("x1*k1 + xn*kn*(x1*x1 + 0.0001)", ["phase.nondegeneracy"]),
+    # d2 psi / dxn dkn = 1 - 9*xn^2 changes sign at |xn| = 1/3
+    (SIGN_CHANGE, ["phase.nondegeneracy"]),
+    # psi at xn = 0 keeps the xi_n term -0.1*kn
+    (XI_N_SHIFT, ["phase.boundary_phase"]),
 ]
 
-# dilation's map with one component replaced, run with the symplecto
-# family: (component, expression, failing checks)
+# a catalog map with one component replaced, run with the symplecto
+# family: (scenario, component, expression, failing checks)
 MAP_EDITS = [
     # a constant fiber translation: still symplectic, but k1 is no longer
     # homogeneous of degree 1
-    ("k1", "k1 + xn*kn*(cos(x1)/2) + 0.01", ["symplecto.homogeneity"]),
+    ("dilation", "k1", "k1 + xn*kn*(cos(x1)/2) + 0.01",
+     ["symplecto.homogeneity"]),
+    # a shear in (x1, k1): symplectic, but x1 is not homogeneous of degree
+    # 0, and the boundary map is not linear in the fiber
+    ("identity", "x1", FIBER_SHEAR,
+     ["symplecto.boundary_map", "symplecto.homogeneity"]),
 ]
+
+# identity's map with another catalog scenario's phase, run with the
+# symplecto, phase and generating families: (phase's scenario, failing
+# checks)
+GENERATING_EDITS = [
+    # dilation's phase generates dilation's map, not the identity
+    ("dilation", ["phase.generating"]),
+]
+
+# the errors that mean a check could not be evaluated: a failed check
+# that carries no metrics must name one of them
+EVALUATION_ERRORS = tuple(f"{e.__name__}: " for e in (
+    BoundaryPreservationError, NonIntegerDegreeError, CollarBoundsError,
+    SingularLocusError, SingularAxisError, NodeBudgetError,
+    RegressionError, CalibrationError, QuadratureBudgetError))
+
+
+def assert_fails_exactly(rep, intended, label):
+    """rep fails exactly the intended checks and errors none; each failed
+    check carries metrics, or names an evaluation error."""
+    assert sorted(rep.failed) == sorted(intended), label
+    assert not rep.errored, label
+    for o in rep.outcomes:
+        if o.status == "fail":
+            assert o.metrics or o.message.startswith(EVALUATION_ERRORS), (
+                label, o.check, o.message)
 
 
 def test_negative_scenarios_fail_exactly_their_checks():
@@ -145,34 +191,68 @@ def test_negative_scenarios_fail_exactly_their_checks():
     }
     for name, intended in cases.items():
         rep = run_scenario(catalog.emit(name))
-        assert sorted(rep.failed) == sorted(intended), name
-        assert not rep.errored
+        assert_fails_exactly(rep, intended, name)
     for expr, order, degree, intended in AMPLITUDE_EDITS:
         sc = catalog.emit("dilation")
         sc["amplitude"] = {"expr": expr, "order": order,
                            "homogeneous_degree": degree}
         rep = run_scenario(sc, {"phase", "operator", "opsymb"})
-        assert sorted(rep.failed) == sorted(intended), expr
-        assert not rep.errored, expr
+        assert_fails_exactly(rep, intended, expr)
     for phase, intended in PHASE_EDITS:
         sc = catalog.emit("dilation")
         sc["phase"] = phase
         del sc["map"]
         sc["checks"] = ["phase"]
         rep = run_scenario(sc)
-        assert sorted(rep.failed) == sorted(intended), phase
-        assert not rep.errored, phase
-    for component, expr, intended in MAP_EDITS:
-        sc = catalog.emit("dilation")
+        assert_fails_exactly(rep, intended, phase)
+    for name, component, expr, intended in MAP_EDITS:
+        sc = catalog.emit(name)
         sc["map"][component] = expr
         rep = run_scenario(sc, {"symplecto"})
-        assert sorted(rep.failed) == sorted(intended), expr
-        assert not rep.errored, expr
+        assert_fails_exactly(rep, intended, expr)
+    for name, intended in GENERATING_EDITS:
+        sc = catalog.emit("identity")
+        sc["phase"] = catalog.emit(name)["phase"]
+        rep = run_scenario(sc, {"symplecto", "phase", "generating"})
+        assert_fails_exactly(rep, intended, name)
     # K far below dilation's factor exp(sin(x1)/2): P3 loses its sign
     sc = catalog.emit("dilation")
     sc["sg"] = {"k": 0.25, "K": 0.001}
     rep = run_scenario(sc, {"phase", "sg"})
-    assert rep.failed == ["sg.conditions"] and not rep.errored
+    assert_fails_exactly(rep, ["sg.conditions"], "sg")
+
+
+def test_verdict_failures_carry_their_residual():
+    # each of these failed outcomes is a returned verdict: no message, and
+    # the metric that shows the failure
+    def failed(sc, families):
+        rep = run_scenario(sc, families)
+        out = {o.check: o for o in rep.outcomes if o.status == "fail"}
+        assert all(o.message == "" for o in out.values())
+        return {name: o.metrics for name, o in out.items()}
+
+    def phase_edit(phase):
+        sc = catalog.emit("dilation")
+        sc["phase"] = phase
+        del sc["map"]
+        return failed(sc, {"phase"})
+
+    m = phase_edit(SIGN_CHANGE)["phase.nondegeneracy"]
+    assert m["sign"] == 0.0
+    m = phase_edit(XI_N_SHIFT)["phase.boundary_phase"]
+    assert m["xi_n_residual"] == pytest.approx(0.4, rel=1e-12)
+
+    sc = catalog.emit("identity")
+    sc["phase"] = catalog.emit("dilation")["phase"]
+    m = failed(sc, {"symplecto", "phase", "generating"})["phase.generating"]
+    assert m["residual"] > m["tol"] and set(m["worst_point"]) == {
+        "x1", "xn", "k1", "kn"}
+
+    sc = catalog.emit("identity")
+    sc["map"]["x1"] = FIBER_SHEAR
+    m = failed(sc, {"symplecto"})["symplecto.boundary_map"]
+    assert m["linearity_residual"] == pytest.approx(4.52, abs=0.01)
+    assert m["det_residual"] == 0.0
 
 
 @pytest.mark.parametrize("grid", ["coarse", "default", "fine"])
@@ -414,6 +494,16 @@ def test_cli_calibrate_reads_scenario_margins(capsys):
     sc["margins"] = {"eps_min": 2.0}
     assert main(["calibrate", "--scenario", json.dumps(sc)]) == 2
     assert "CalibrationError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "apply"])
+def test_cli_phase_that_moves_the_boundary_exits_2(command, capsys):
+    # no verdict to return: the phase the command needs is refused
+    sc = {"name": "shift", "phase": "x1*k1 + (xn - 0.1)*kn"}
+    assert main([command, "--scenario", json.dumps(sc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: BoundaryFlatnessError: boundary restriction depends on "
+        "xi_n (residual 4.00e-01)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,12 +5,11 @@ import pytest
 
 from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
-from phasecert.exceptions import GraphMismatchError
 from phasecert.grammar import parse_expr
-from phasecert.phase import (GeneratingPhase, boundary_flat, boundary_phase,
-                             check_admissibility, check_generating,
-                             check_homogeneity, check_nondegeneracy,
-                             normal_coeffs)
+from phasecert.phase import (GENERATING_TOL, GeneratingPhase, boundary_flat,
+                             boundary_phase, check_admissibility,
+                             check_generating, check_homogeneity,
+                             check_nondegeneracy, normal_coeffs)
 from phasecert.symplectic import SymplectoMap, collar_samples
 
 from oracles import derivative_multi, sample_array
@@ -99,10 +98,18 @@ def test_check_generating_dilation_and_quadratic():
                                build_map("quadratic-collar")) <= 1e-9
 
 
-def test_check_generating_mismatch_raises():
-    with pytest.raises(GraphMismatchError) as err:
-        generating_residual(DILATION, build_map("identity"))
-    assert "residual" in str(err.value)
+def test_check_generating_mismatch_fails():
+    # dilation's phase does not generate the identity map: the verdict
+    # fails, and the residual at the reported worst point alone is the sup
+    chi = build_map("identity")
+    samples = collar_samples(chi, count=200, seed=13, eta_top=6.0)
+    passed, metrics = check_generating(DILATION, chi, samples)
+    assert not passed
+    assert GENERATING_TOL < metrics["residual"] < math.inf
+    point = metrics["worst_point"]
+    assert point in [dict(zip(samples.dtype.names, s)) for s in samples]
+    _, at_worst = check_generating(DILATION, chi, sample_array([point]))
+    assert at_worst["residual"] == metrics["residual"]
 
 
 def test_nondegeneracy_identity():

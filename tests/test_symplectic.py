@@ -170,6 +170,31 @@ def test_induced_boundary_map_shear():
                                                             rel=1e-12)
 
 
+def test_boundary_map_fails_on_a_fiber_nonlinear_map():
+    # the identity with x1 -> x1 + 0.3 k1^2: a shear in (x1, k1), so
+    # unimodular, but dx1/dk1 = 0.6 k1 does not vanish on the boundary
+    comps = dict(IDENTITY.components,
+                 x1=parse_expr("x1 + 0.3*k1*k1"))
+    chi = SymplectoMap(comps, name="fiber-shear")
+    samples = collar_samples(chi, count=100, seed=12, boundary=True)
+    passed, metrics = induced_boundary_map(chi, samples)
+    assert not passed
+    want = 0.6 * float(np.max(np.abs(samples["k1"])))
+    assert metrics["linearity_residual"] == pytest.approx(want, rel=1e-14)
+    assert metrics["linearity_residual"] == pytest.approx(4.52, abs=0.01)
+    assert metrics["det_residual"] == 0.0
+
+
+def test_boundary_map_fails_on_a_non_unimodular_map():
+    # x1 -> 2 x1 is linear in the fiber, but its boundary Jacobian has
+    # determinant 2; the runner never gets here, since the map is not
+    # symplectic
+    chi = SymplectoMap(dict(IDENTITY.components, x1=parse_expr("2*x1")))
+    passed, metrics = induced_boundary_map(chi, edge(chi))
+    assert not passed
+    assert metrics == {"linearity_residual": 0.0, "det_residual": 1.0}
+
+
 def test_boundary_map_of_shift_raises():
     with pytest.raises(BoundaryPreservationError):
         induced_boundary_map(SHIFTED, edge(SHIFTED))
