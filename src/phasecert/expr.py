@@ -33,6 +33,16 @@ euclidean norm of a variable tuple and BUMPD a derivative of the smooth
 bump transition ``F(s) = exp(-1/s) for s > 0 else 0``.  Nodes are built
 through the smart constructors below, which fold constants.
 
+Nodes are hash-consed: the smart constructors build every node through
+one interning constructor, so two structurally equal expressions are one
+object, however and whenever they were built.  Their derivative, size,
+free-variable and compiled-program caches are then shared, and a
+:class:`Program` over several expressions, which keeps one instruction
+per node object, keeps one per distinct subexpression.  The intern table
+holds every node built for the life of the process.  Two threads that
+build the same node at once may each get their own copy: equal values,
+only the sharing is lost.
+
 Expressions containing the euclidean norm, quotients, logs or square roots
 declare a singular locus; evaluation requests inside it raise
 :class:`~phasecert.exceptions.SingularLocusError` instead of silently
@@ -60,10 +70,13 @@ CONST, VAR, SUM, NEG, PROD, QUOT, POW, EXP, LOG, SIN, COS, \
 class Expr:
     """Immutable smooth expression node: kind op, children args, datum aux.
 
-    Instances are shared freely; derivative and compilation caches live on
+    Nodes are interned (see the module docstring): build them with the
+    smart constructors, never with Expr(...), so that a structurally equal
+    node is the same object.  Derivative and compilation caches live on
     the node, so repeated differentiation and evaluation reuse work across
-    the whole DAG.  Evaluation never mutates anything except those caches,
-    which are fill-once, so concurrent evaluation is safe.
+    the whole DAG and across every expression that shares a subtree.
+    Evaluation never mutates anything except those caches, which are
+    fill-once, so concurrent evaluation is safe.
     """
 
     __slots__ = ("op", "args", "aux", "_vars", "_dcache", "_prog", "_size")
@@ -79,6 +92,25 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self.op}, {len(self.args)} args, {self.aux!r})"
+
+
+# every node built, keyed by (op, args, aux): a node hashes and compares
+# by identity, so the key names its children by object, and holding them
+# keeps their ids from being reused while the key exists
+_NODES: dict[tuple, Expr] = {}
+
+
+def _node(op: int, args: tuple = (), aux=None) -> Expr:
+    """The one node of kind op over the child objects args with datum aux.
+    A constant's key also carries the sign of its value, so 0.0 and -0.0,
+    which compare equal, stay two nodes."""
+    key = (op, args, aux)
+    if op == CONST:
+        key += (math.copysign(1.0, aux),)
+    e = _NODES.get(key)
+    if e is None:
+        e = _NODES[key] = Expr(op, args, aux)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +129,11 @@ def is_const(e: Expr, value: float) -> bool:
 
 
 def const(v: float) -> Expr:
-    return Expr(CONST, (), float(v))
+    return _node(CONST, (), float(v))
 
 
 def var(name: str) -> Expr:
-    return Expr(VAR, (), name)
+    return _node(VAR, (), name)
 
 
 def add(*terms) -> Expr:
@@ -120,8 +152,9 @@ def add(*terms) -> Expr:
                 has_const = True
             else:
                 flat.append(it)
-    # structural cancellation of X + NEG(X) pairs (same node object):
-    # differences of expressions sharing subtrees then fold to exact zeros
+    # structural cancellation of X + NEG(X) pairs (same node object, which
+    # interning makes of any two structurally equal ones): differences of
+    # expressions sharing subtrees then fold to exact zeros
     # instead of round-off residue
     if any(t.op == NEG for t in flat):
         pos_ids = {}
@@ -146,7 +179,7 @@ def add(*terms) -> Expr:
         return const(0.0)
     if len(flat) == 1:
         return flat[0]
-    return Expr(SUM, flat)
+    return _node(SUM, tuple(flat))
 
 
 def sub(a, b) -> Expr:
@@ -159,7 +192,7 @@ def neg(a) -> Expr:
         return const(-a.aux)
     if a.op == NEG:
         return a.args[0]
-    return Expr(NEG, (a,))
+    return _node(NEG, (a,))
 
 
 def mul(*factors) -> Expr:
@@ -186,7 +219,7 @@ def mul(*factors) -> Expr:
         return const(acc if has_const else 1.0)
     if len(flat) == 1:
         return flat[0]
-    return Expr(PROD, flat)
+    return _node(PROD, tuple(flat))
 
 
 def quot(num, den) -> Expr:
@@ -201,7 +234,7 @@ def quot(num, den) -> Expr:
             return num
     if is_const(num, 0.0) and not is_const(den, 0.0):
         return const(0.0)
-    return Expr(QUOT, (num, den))
+    return _node(QUOT, (num, den))
 
 
 def powi(base, exponent: int) -> Expr:
@@ -215,7 +248,7 @@ def powi(base, exponent: int) -> Expr:
     if base.op == CONST and (exponent > 0 or base.aux != 0.0):
         with np.errstate(all="ignore"):
             return const(_ipow(base.aux, exponent))
-    return Expr(POW, (base,), exponent)
+    return _node(POW, (base,), exponent)
 
 
 def _ipow(base, n: int):
@@ -239,7 +272,7 @@ def _fold_unary(op, fn, child, domain=None) -> Expr:
     child = _coerce(child)
     if child.op == CONST and (domain is None or domain(child.aux)):
         return const(fn(child.aux))
-    return Expr(op, (child,))
+    return _node(op, (child,))
 
 
 def exp_(c) -> Expr:
@@ -267,12 +300,12 @@ def bracket(*args) -> Expr:
     args = tuple(_coerce(a) for a in args)
     if all(a.op == CONST for a in args):
         return const(math.sqrt(1.0 + sum(a.aux**2 for a in args)))
-    return Expr(BRACKET, args)
+    return _node(BRACKET, args)
 
 
 def norm_vars(*names: str) -> Expr:
     """Euclidean norm of a variable tuple; singular where all vanish."""
-    return Expr(NORM, (), names)
+    return _node(NORM, (), names)
 
 
 def bump(c, order: int = 0) -> Expr:
@@ -285,7 +318,7 @@ def bump(c, order: int = 0) -> Expr:
     c = _coerce(c)
     if c.op == CONST:
         return const(_bump_scalar(c.aux, order))
-    return Expr(BUMPD, (c,), int(order))
+    return _node(BUMPD, (c,), int(order))
 
 
 def cutoff_expr(u) -> Expr:
@@ -347,7 +380,12 @@ def free_vars(e: Expr) -> frozenset[str]:
             elif node.op == NORM:
                 v = frozenset(node.aux)
             else:
-                v = frozenset().union(*(c._vars for c in node.args))
+                # a child's own set where it holds the others', so that
+                # nodes over the same variables share one frozenset
+                v = frozenset()
+                for c in node.args:
+                    if not c._vars <= v:
+                        v = c._vars if v <= c._vars else v | c._vars
             node._vars = v
         else:
             stack.append((node, True))
@@ -419,7 +457,7 @@ def _diff_node(e: Expr, v: str) -> Expr:
             return quot(var(v), e)
         return const(0.0)
     if op == BUMPD:
-        return mul(Expr(BUMPD, args, e.aux + 1), _diff(args[0], v))
+        return mul(_node(BUMPD, args, e.aux + 1), _diff(args[0], v))
     raise TypeError(f"cannot differentiate node kind {op}")
 
 
@@ -517,11 +555,13 @@ def substitute(e: Expr, mapping: dict[str, Expr | float]) -> Expr:
     return rebuild(e)
 
 
-def _topo(e: Expr) -> list[Expr]:
-    """Children-before-parents ordering of the DAG under e."""
+def _topo(*roots: Expr) -> list[Expr]:
+    """Children-before-parents ordering of the DAG under the roots, each
+    node once: the nodes under the first root, then those under the
+    second that are not under the first, and so on."""
     out = []
     seen = set()
-    stack = [(e, False)]
+    stack = [(e, False) for e in reversed(roots)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -545,23 +585,22 @@ class Program:
     """Several expressions compiled to one straight-line register program
     over their shared DAG; calling it on an environment evaluates them all.
 
-    Each node is one instruction (op, dst, source registers, aux, free),
-    so a subexpression that several outputs share is computed once, and
-    every node raises SingularLocusError on its singular locus.  free
-    lists the registers whose last read is this instruction, which are
-    dropped once it has run; output registers are never freed.
+    Each node is one instruction (op, dst, source registers, aux, free).
+    Nodes are interned, so that is one instruction per distinct
+    subexpression: a subexpression that several outputs or several
+    places of one output share is computed once.  Every node raises
+    SingularLocusError on its singular locus.  free lists the registers
+    whose last read is this instruction, which are dropped once it has
+    run; output registers are never freed.
     """
 
     def __init__(self, exprs: list[Expr]):
         instrs: list = []
         reg_of: dict[int, int] = {}
-        for e in exprs:
-            for node in _topo(e):
-                if id(node) in reg_of:
-                    continue
-                reg_of[id(node)] = dst = len(instrs)
-                srcs = tuple(reg_of[id(c)] for c in node.args)
-                instrs.append((node.op, dst, srcs, node.aux))
+        for node in _topo(*exprs):
+            reg_of[id(node)] = dst = len(instrs)
+            srcs = tuple(reg_of[id(c)] for c in node.args)
+            instrs.append((node.op, dst, srcs, node.aux))
         self.n_regs = len(instrs)
         self.out_regs = tuple(reg_of[id(e)] for e in exprs)
         self.out_vars = [free_vars(e) for e in exprs]

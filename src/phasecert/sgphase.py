@@ -71,10 +71,14 @@ def _block_bounds(vals: dict, t: np.ndarray) -> dict:
     quantities of one block of the derivative table, on the t columns t
     against the whole ladder; each bound is reduced over (t, tau) and keeps
     its entry's leading axis, m or 1 where it does not depend on x'.  The
-    P3 sign test reads d11_min and d11_max."""
-    shape = (1, t.size, LADDER.size)
-    vals = {key: np.broadcast_to(v, np.broadcast_shapes(np.shape(v), shape))
-            for key, v in vals.items()}
+    P3 sign test reads d11_min and d11_max.
+
+    An entry is reduced over the axes it has, never broadcast to the whole
+    (m, T, U) grid.  The weight of C_{a}{al} is <t>^(a-1) <tau>^(al-1),
+    and an entry free of tau, a scalar or of shape (m, T, 1), meets only
+    the largest tau weight: for x >= 0 and w > 0 rounding is monotone,
+    so max fl(x_i w_j) = fl(max x * max w) bit for bit, and a NaN shows
+    in both."""
     bt = np.sqrt(1.0 + t * t)[None, :, None]
     btau = np.sqrt(1.0 + LADDER * LADDER)[None, None, :]
 
@@ -84,9 +88,14 @@ def _block_bounds(vals: dict, t: np.ndarray) -> dict:
     def inf(v):
         return np.minimum, np.min(v, axis=(1, 2))
 
-    out = {f"C_{a}{al}": sup(np.abs(D) * bt ** (a - 1) * btau ** (al - 1))
-           for (a, al), D in vals.items()}
+    out = {}
+    for (a, al), D in vals.items():
+        x = np.abs(D) * bt ** (a - 1)
+        w = btau ** (al - 1)
+        out[f"C_{a}{al}"] = sup(x * (w if x.shape[2] > 1 else np.max(w)))
     d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
+    # a scalar d11 as a (1, 1, 1) array, so that it has the axes to reduce
+    d11 = np.reshape(d11, np.shape(d11) or (1, 1, 1))
     q_t = np.sqrt(1.0 + d10 * d10) / btau
     q_tau = np.sqrt(1.0 + d01 * d01) / bt
     out.update(c_t=inf(q_t), C_t=sup(q_t), c_tau=inf(q_tau), C_tau=sup(q_tau),

@@ -9,7 +9,8 @@ looped_homogeneity_residual runs the fiber-scaling check one sample row
 at a time.  The sg oracles at the end evaluate the regularized phase's
 derivative table the plain way: its whole program on every t column, gate
 live or not, each derivative broadcast to the full grid before it is
-reduced, and the t-grid through np.unique;
+reduced, and the t-grid through np.unique; broadcast_block_bounds reduces
+one block of the table that way;
 looped_uniformity checks and reduces those constants one (x', rung) combo
 at a time.  looped_transmission runs the parity check one derivative and
 one ray at a time, and looped_bs_sups the collar-class sweep one rung,
@@ -235,6 +236,35 @@ def unique_tgrid(fam, rung: float, tgrid: np.ndarray) -> np.ndarray:
     if len(band) == 0:
         return tgrid
     return np.unique(np.concatenate([tgrid, band, -band]))
+
+
+def broadcast_block_bounds(vals: dict, t: np.ndarray) -> dict:
+    """name -> (np.maximum or np.minimum, bound) of the P1/P2/P3
+    quantities of one block of the derivative table, on the t columns t
+    against the whole ladder; each bound is reduced over (t, tau) and keeps
+    its entry's leading axis, m or 1 where it does not depend on x'.  The
+    P3 sign test reads d11_min and d11_max.  Every entry is broadcast to
+    the whole (m, T, U) grid before it is weighted and reduced."""
+    shape = (1, t.size, LADDER.size)
+    vals = {key: np.broadcast_to(v, np.broadcast_shapes(np.shape(v), shape))
+            for key, v in vals.items()}
+    bt = np.sqrt(1.0 + t * t)[None, :, None]
+    btau = np.sqrt(1.0 + LADDER * LADDER)[None, None, :]
+
+    def sup(v):
+        return np.maximum, np.max(v, axis=(1, 2))
+
+    def inf(v):
+        return np.minimum, np.min(v, axis=(1, 2))
+
+    out = {f"C_{a}{al}": sup(np.abs(D) * bt ** (a - 1) * btau ** (al - 1))
+           for (a, al), D in vals.items()}
+    d10, d01, d11 = vals[(1, 0)], vals[(0, 1)], vals[(1, 1)]
+    q_t = np.sqrt(1.0 + d10 * d10) / btau
+    q_tau = np.sqrt(1.0 + d01 * d01) / bt
+    out.update(c_t=inf(q_t), C_t=sup(q_t), c_tau=inf(q_tau), C_tau=sup(q_tau),
+               eps=inf(np.abs(d11)), d11_min=inf(d11), d11_max=sup(d11))
+    return out
 
 
 def broadcast_constants(fam, xprimes, rung: float, sign: int,

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasecert import catalog, runner
 from phasecert import expr as ex
 from phasecert.catalog import SCENARIOS
 from phasecert.exceptions import SingularLocusError
@@ -293,7 +296,8 @@ def test_sg_table_is_one_instruction_per_dag_node(name):
     # a bare SUM over the outputs counts their shared DAG once, plus itself
     assert len(prog.instrs) == ex.dag_size(ex.Expr(ex.SUM, exprs)) - 1
     if name == "quadratic-collar":
-        assert len(prog.instrs) <= 214
+        # 199 when structurally equal subtrees were one node per copy
+        assert len(prog.instrs) <= 156
 
 
 @pytest.mark.parametrize("name", SG_PHASES)
@@ -435,3 +439,63 @@ def test_sg_family_table_is_t_then_tau(name):
     assert list(fam.table) == list(itertools.product(range(4), range(4)))
     for (a, al), d in fam.table.items():
         assert same_node(d, derivative_multi(fam.expr, {"t": a, "tau": al}))
+
+
+# ---------------------------------------------------- interned expression nodes
+
+def test_equal_expressions_are_one_node():
+    text = "x1*k1 + xn*kn*exp(sin(x1)/2) + 0.01*xn*xn*kn*kn/bracket(k1)"
+    e = parse_expr(text)
+    assert parse_expr(text) is e
+    mapping = {"xn": ex.quot(ex.var("t"), ex.var("r")),
+               "kn": ex.mul(ex.var("tau"), ex.var("r"))}
+    assert ex.substitute(e, mapping) is ex.substitute(e, dict(mapping))
+    # a subtree built on its own is the node inside the parsed expression
+    assert ex.differentiate(e, "xn") is ex.differentiate(parse_expr(text),
+                                                         "xn")
+    assert any(c is ex.mul(x1, k1) for c in e.args)
+
+
+def test_signed_zero_constants_are_two_nodes():
+    neg_zero, zero = ex.const(-0.0), ex.const(0.0)
+    assert neg_zero is not zero
+    assert math.copysign(1.0, neg_zero.aux) == -1.0
+    assert math.copysign(1.0, zero.aux) == 1.0
+    assert ex.const(-0.0) is neg_zero and ex.const(0.0) is zero
+
+
+def test_catalog_programs_have_one_instruction_per_distinct_node(
+        monkeypatch):
+    # every Program a catalog pass runs: no two instructions with the same
+    # kind, sources and datum (repr keeps 0.0 and -0.0 apart)
+    programs = {}
+    real_exec = ex._exec
+
+    def spy(prog, env):
+        programs[id(prog)] = prog
+        return real_exec(prog, env)
+
+    monkeypatch.setattr(ex, "_exec", spy)
+    for name in catalog.names():
+        runner.run_scenario(catalog.emit(name))
+    assert len(programs) > 100
+    for prog in programs.values():
+        keys = [(op, srcs, repr(aux)) for op, _, srcs, aux, _ in prog.instrs]
+        assert len(set(keys)) == len(keys)
+
+
+def test_only_the_interning_constructor_calls_expr():
+    # (module, innermost enclosing function) of every Expr(...) call in
+    # src/; ast.walk goes outer to inner, so an inner function's name wins
+    callers = set()
+    for path in Path(ex.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        callers |= {(path.name, owner.get(node)) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and "Expr" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))}
+    assert callers == {("expr.py", "_node")}

@@ -14,13 +14,14 @@ from phasecert.catalog import SCENARIOS
 from phasecert.exceptions import CollarBoundsError, SingularLocusError
 from phasecert.expr import cutoff_expr
 from phasecert.grammar import parse_expr
-from phasecert.grids import sg_ladder
+from phasecert.grids import bracket_ladder, sg_ladder
 from phasecert.phase import GeneratingPhase
 from phasecert.sgphase import (LADDER, Margins, StarPhaseFamily, calibrate,
                                check_uniformity, within_margins)
 
-from oracles import (broadcast_constants, central_diff, derivative_multi,
-                     looped_uniformity, unique_tgrid)
+from oracles import (broadcast_block_bounds, broadcast_constants,
+                     central_diff, derivative_multi, looped_uniformity,
+                     unique_tgrid)
 
 
 def build_phase(name):
@@ -476,6 +477,80 @@ def test_constants_equal_broadcast_reduction(name, sign):
             assert list(ref) == KEYS
             for key, v in ref.items():
                 assert got[key][i] == v, (rung, i, key)
+
+
+def table_blocks(fam, xprimes, rung, sign):
+    """The (table values, t columns) blocks that constants_at reduces at
+    one rung: the table on the live t columns, the K t tau table on the
+    dead ones."""
+    tgrid = fam.eval_tgrid(rung, LADDER)
+    live = fam.gate_program({"t": tgrid, "r": rung})[0] != 0.0
+    env = fam.env_for(np.reshape(xprimes, (-1, 1, 1)), rung, sign)
+    env["tau"] = LADDER[None, None, :]
+    for program, t in ((fam.program, tgrid[live]),
+                       (fam.ktt_program, tgrid[~live])):
+        if t.size:
+            env["t"] = t[None, :, None]
+            yield dict(zip(fam.table, program(env))), t
+
+
+def assert_block_bounds_equal_broadcast(vals, t):
+    got, want = sgphase._block_bounds(vals, t), broadcast_block_bounds(vals, t)
+    assert list(got) == list(want)
+    for name, (pair, v) in want.items():
+        assert got[name][0] is pair, name
+        # bit for bit: NaN payloads and the sign of zero too
+        assert got[name][1].shape == v.shape, name
+        assert got[name][1].tobytes() == v.tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["identity", "dilation", "quadratic-collar",
+                                  "boundary-shear"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_block_bounds_equal_broadcast_oracle(name, sign):
+    # every block of a full sweep, live and dead columns, reduced over
+    # each entry's own axes equals the reduction of its (m, T, U)
+    # broadcast; the sweep has tau-free entries, scalar and not
+    phase = build_phase(name)
+    fam = StarPhaseFamily(phase, phase.collar_halfwidth / 2.0, 1.0)
+    xprimes = np.linspace(-1.0, 1.0, 9)
+    shapes = set()
+    for rung in bracket_ladder().tolist():
+        for vals, t in table_blocks(fam, xprimes, rung, sign):
+            assert_block_bounds_equal_broadcast(vals, t)
+            shapes |= {np.shape(v) for v in vals.values()}
+    assert () in shapes
+    assert any(len(s) == 3 and s[2] == 1 and s[1] > 1 for s in shapes)
+
+
+def test_block_bounds_equal_broadcast_oracle_on_edited_entries():
+    # one dilation block with entries replaced: a nonzero scalar, tau-free
+    # entries of shapes (m, T, 1), (1, T, 1) and (m, 1, 1), and NaN in one
+    # point of a tau-free and of a tau-dependent entry, at weights
+    # <tau>^(al-1) that are not 1
+    fam = StarPhaseFamily(DILATION, 0.5, 2.0)
+    xprimes = np.linspace(-1.0, 1.0, 5)
+    vals, t = next(table_blocks(fam, xprimes, 4.0, -1))
+    m, nt = xprimes.size, t.size
+    rows = np.linspace(-3.0, 2.0, m * nt).reshape(m, nt, 1)
+    full = vals[(1, 0)]
+    assert np.shape(full) == (m, nt, LADDER.size)
+    edits = [
+        {(0, 2): np.float64(-2.5), (1, 1): np.float64(0.75)},
+        {(0, 3): rows, (2, 0): rows[:1], (1, 2): rows[:, :1], (2, 2): full},
+        {(0, 1): rows, (1, 0): np.float64(3.0), (1, 1): rows},
+    ]
+    nan_rows = rows.copy()
+    nan_rows[2, 3, 0] = math.nan
+    nan_full = np.array(full)
+    nan_full[1, 2, 3] = math.nan
+    edits.append({(0, 2): nan_rows, (1, 1): nan_rows, (1, 3): nan_full,
+                  (1, 0): nan_full})
+    for edit in edits:
+        assert_block_bounds_equal_broadcast({**vals, **edit}, t)
+    got = sgphase._block_bounds({**vals, **edits[-1]}, t)
+    assert np.isnan(got["C_02"][1][2]) and np.isnan(got["eps"][1][2])
+    assert np.isnan(got["C_13"][1][1]) and np.isnan(got["C_t"][1][1])
 
 
 def assert_equals_looped(rep, want):

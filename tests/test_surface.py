@@ -34,7 +34,8 @@ the (module, attribute) boundaries of perfbench/tracer.py and the names
 perfbench/worker.py calls, so that a rename fails here rather than as a
 crashed benchmark worker.  One in-process pass of each benchmark workload
 under that tracer records a call at exactly the boundaries
-perfbench/run.py expects of the workload.
+perfbench/run.py expects of the workload, and executes no more Program
+instructions than are pinned for it.
 """
 
 from __future__ import annotations
@@ -310,11 +311,24 @@ def _expected_spans() -> dict:
     return names["EXPECTED_SPANS"]
 
 
-def _assert_tracer_sees_its_boundaries(workload: str, run_pass):
+def _assert_tracer_sees_its_boundaries(workload: str, run_pass,
+                                       monkeypatch):
     """run_pass() run in-process under perfbench/tracer.py's Tracer
     records a call at exactly the boundaries perfbench/run.py expects of
     the workload: a check the runner reached past the tracer's patches
-    would record none.  Returns the calls per boundary."""
+    would record none.  Returns the calls per boundary and the number of
+    Program instructions executed."""
+    from phasecert import expr as ex
+
+    executed = 0
+    real_exec = ex._exec
+
+    def counted_exec(prog, env):
+        nonlocal executed
+        executed += len(prog.instrs)
+        return real_exec(prog, env)
+
+    monkeypatch.setattr(ex, "_exec", counted_exec)
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
@@ -329,10 +343,10 @@ def _assert_tracer_sees_its_boundaries(workload: str, run_pass):
     seen = {b for b in spans if tracer.calls[b]}
     assert want and seen == want, (f"no call: {sorted(want - seen)}, "
                                    f"unexpected: {sorted(seen - want)}")
-    return tracer.calls
+    return tracer.calls, executed
 
 
-def test_tracer_sees_every_catalog_boundary(tmp_path):
+def test_tracer_sees_every_catalog_boundary(tmp_path, monkeypatch):
     """The catalog workload: every scenario with all its families, and
     the report bundle of the last one written."""
     from phasecert import catalog, runner
@@ -342,8 +356,10 @@ def test_tracer_sees_every_catalog_boundary(tmp_path):
             report = runner.run_scenario(catalog.emit(name))
         runner.write_report(report, tmp_path)
 
-    calls = _assert_tracer_sees_its_boundaries("catalog", run_pass)
+    calls, executed = _assert_tracer_sees_its_boundaries(
+        "catalog", run_pass, monkeypatch)
     assert calls["expr.differentiate"] <= CATALOG_DIFFERENTIATE_CALLS
+    assert executed <= INSTRUCTIONS_EXECUTED["catalog"], executed
 
 
 # expr.differentiate calls of one in-process catalog and operator-halfline
@@ -359,8 +375,15 @@ OPERATOR_HALFLINE_DIFFERENTIATE_CALLS = 768
 # ran one evaluate per fiber scaling and per map component)
 POINTWISE_FINE_CALLS = {"expr.differentiate": 699, "expr.evaluate": 38}
 
+# Program instructions executed in one in-process pass of each workload:
+# nodes are interned, so a Program holds one instruction per distinct
+# subexpression (15,397, 5,329 and 1,997 when structurally equal subtrees
+# were compiled once per copy)
+INSTRUCTIONS_EXECUTED = {"catalog": 11600, "operator-halfline": 3801,
+                         "pointwise-fine": 1200}
 
-def test_tracer_sees_every_pointwise_fine_boundary():
+
+def test_tracer_sees_every_pointwise_fine_boundary(monkeypatch):
     """The pointwise-fine workload: every scenario with the symplecto,
     phase and generating families at the fine grid, within the pinned
     differentiate and evaluate call counts."""
@@ -372,12 +395,14 @@ def test_tracer_sees_every_pointwise_fine_boundary():
                                 {"symplecto", "phase", "generating"},
                                 grid_preset="fine")
 
-    calls = _assert_tracer_sees_its_boundaries("pointwise-fine", run_pass)
+    calls, executed = _assert_tracer_sees_its_boundaries(
+        "pointwise-fine", run_pass, monkeypatch)
     for name, bound in POINTWISE_FINE_CALLS.items():
         assert calls[name] <= bound, (name, calls[name])
+    assert executed <= INSTRUCTIONS_EXECUTED["pointwise-fine"], executed
 
 
-def test_tracer_sees_every_operator_halfline_boundary():
+def test_tracer_sees_every_operator_halfline_boundary(monkeypatch):
     """The operator-halfline workload: the 4 positive scenarios with the
     phase, operator and opsymb families, then the half-line operator of
     the last one, called through its module as perfbench/worker.py
@@ -397,7 +422,8 @@ def test_tracer_sees_every_operator_halfline_boundary():
                                     schwartz.exp_decay(),
                                     np.linspace(0.05, 3.0, 64))
 
-    calls = _assert_tracer_sees_its_boundaries("operator-halfline",
-                                               run_pass)
+    calls, executed = _assert_tracer_sees_its_boundaries(
+        "operator-halfline", run_pass, monkeypatch)
     assert (calls["expr.differentiate"]
             <= OPERATOR_HALFLINE_DIFFERENTIATE_CALLS)
+    assert executed <= INSTRUCTIONS_EXECUTED["operator-halfline"], executed
